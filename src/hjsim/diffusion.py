@@ -81,40 +81,61 @@ def _ou_moments(x, dt: float, drift: LinearDrift, sigma: float):
     return mean, var
 
 
+def _em_steps(dt: float, h: float) -> list[float]:
+    """Euler-Maruyama substeps over dt: full steps of length h, then the
+    partial step that lands on dt unless it is below rounding."""
+    n_full = int(dt / h + _REL_EPS)
+    rem = dt - n_full * h
+    return [h] * n_full + ([rem] if rem >= _REL_EPS * max(h, dt) else [])
+
+
+def _normals(rng: RandomStream, n: int) -> list[float]:
+    """n standard normals; a single one skips the array round trip."""
+    return [rng.normal()] if n == 1 else rng.normals(n).tolist()
+
+
+def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConfig,
+                     rng: RandomStream) -> list[float]:
+    """Positions after each of the consecutive intervals ``dts`` (all > 0).
+
+    The normals of the whole segment (one per exact-OU interval, one per
+    Euler-Maruyama substep, none without noise) are drawn in one block;
+    since ``rng.normals(k)`` equals k calls to ``rng.normal()``, the stream
+    is the same as one draw per step.
+    """
+    diffusion = coeffs.diffusion
+    noiseless = isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
+    drift = coeffs.drift
+    out = []
+    if isinstance(cfg.scheme, ExactOU):
+        sigma = diffusion.value
+        z = iter(() if noiseless else _normals(rng, len(dts)))
+        for dt in dts:
+            mean, var = _ou_moments(x, dt, drift, sigma)
+            x = mean if noiseless else mean + math.sqrt(var) * next(z)
+            out.append(x)
+        return out
+
+    plan = [_em_steps(dt, cfg.scheme.step) for dt in dts]
+    z = iter(() if noiseless else _normals(rng, sum(map(len, plan))))
+    for steps in plan:
+        for s in steps:
+            b = float(drift(x))
+            if noiseless:
+                x = x + b * s
+            else:
+                x = x + b * s + float(diffusion(x)) * math.sqrt(s) * next(z)
+        out.append(x)
+    return out
+
+
 def advance_diffusion(x: float, dt: float, coeffs: CoefficientSpec,
                       cfg: IntegratorConfig, rng: RandomStream) -> float:
     """Advance the diffusion from x over an interval of length dt > 0."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    scheme = cfg.scheme
-    if isinstance(scheme, ExactOU):
-        cfg.validate_for(coeffs)
-        sigma = coeffs.diffusion.value
-        mean, var = _ou_moments(x, dt, coeffs.drift, sigma)
-        if sigma == 0.0:
-            return mean
-        return mean + math.sqrt(var) * rng.normal()
-
-    h = scheme.step
-    drift, diffusion = coeffs.drift, coeffs.diffusion
-    noiseless = isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
-    n_full = int(dt / h + _REL_EPS)
-    rem = dt - n_full * h
-    if rem < _REL_EPS * max(h, dt):
-        rem = 0.0
-    for _ in range(n_full):
-        b = float(drift(x))
-        if noiseless:
-            x = x + b * h
-        else:
-            x = x + b * h + float(diffusion(x)) * math.sqrt(h) * rng.normal()
-    if rem > 0.0:
-        b = float(drift(x))
-        if noiseless:
-            x = x + b * rem
-        else:
-            x = x + b * rem + float(diffusion(x)) * math.sqrt(rem) * rng.normal()
-    return x
+    cfg.validate_for(coeffs)
+    return _advance_segment(x, (dt,), coeffs, cfg, rng)[0]
 
 
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
@@ -137,15 +158,9 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
             return np.asarray(mean)
         return mean + math.sqrt(var) * rng.normals(n)
 
-    h = scheme.step
     diffusion = coeffs.diffusion
     noiseless = isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
-    n_full = int(dt / h + _REL_EPS)
-    rem = dt - n_full * h
-    if rem < _REL_EPS * max(h, dt):
-        rem = 0.0
-    steps = [h] * n_full + ([rem] if rem > 0.0 else [])
-    for s in steps:
+    for s in _em_steps(dt, scheme.step):
         b = coeffs.drift(xs)
         if noiseless:
             xs = xs + b * s

@@ -20,6 +20,12 @@ wasteful in time and is only practical over short horizons.
 
 The memory matrix y is never discretised: its flow is applied in closed
 form at candidate and sample times.  Only the diffusion needs a scheme.
+
+The skeleton and the diffusion advance one inter-event segment at a time.
+All thinning draws up to an accepted event precede the diffusion draws of
+the segment it closes, so that segment's normals are contiguous in the
+stream and are drawn as one block: the same draws a sample-by-sample
+advance would make.
 """
 
 from __future__ import annotations
@@ -27,11 +33,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .diffusion import IntegratorConfig, advance_diffusion, apply_state_jump
+from .diffusion import (IntegratorConfig, _advance_segment, advance_diffusion,
+                        apply_state_jump)
 from .model import ModelSpec, State, model_digest
 from .rng import RandomStream, derive_path_seed
 
@@ -121,7 +129,7 @@ class Path:
 class _ModelRuntime:
     """Pre-extracted arrays and callables for the hot simulation loop."""
 
-    __slots__ = ("alpha", "c", "rates", "f_zero_sum", "gammas", "refined", "m")
+    __slots__ = ("alpha", "c", "rates", "f_zero_sum", "gammas", "refined")
 
     def __init__(self, model: ModelSpec, refined: bool = False):
         self.alpha = model.kernel.alpha
@@ -129,7 +137,6 @@ class _ModelRuntime:
         self.rates = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(model.rates_at_zero().sum())
-        self.m = model.n_components
         if refined and not all(f.is_nondecreasing() for f in model.rates):
             raise ValueError("refined bound requires nondecreasing rate functions")
         self.refined = refined
@@ -161,8 +168,9 @@ def _next_event(rt: _ModelRuntime, y: np.ndarray, clock: float, horizon: float,
                 rng: RandomStream, trace: Optional[list] = None):
     """First accepted event strictly after ``clock``; y is the state at ``clock``.
 
-    Returns (tau, component, y_at_tau_pre_jump) or (horizon, None, None) when
-    no event occurs before the horizon.  Does not mutate ``y``.
+    Returns (tau, component, y_at_tau_pre_jump), or (t, None, y_at_t) for the
+    last candidate time t (``clock`` if none) when no event occurs before the
+    horizon.  Does not mutate ``y``.
     """
     t = clock
     y_cur = y
@@ -172,7 +180,7 @@ def _next_event(rt: _ModelRuntime, y: np.ndarray, clock: float, horizon: float,
             raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
         tau = t + rng.exponential(bound)
         if tau > horizon:
-            return horizon, None, None
+            return t, None, y_cur
         y_cur = y_cur * np.exp(-rt.alpha * (tau - t))
         lam = rt.intensities(y_cur)
         total = float(lam.sum())
@@ -198,18 +206,29 @@ def next_event(model: ModelSpec, state: State, clock: float, horizon: float,
 
 
 def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
+    """Sorted grid multiples, extra times and the horizon, with times closer
+    than ``eps`` to the last kept one dropped (scanning in order)."""
     eps = 1e-12 * max(1.0, horizon)
-    k_max = int(horizon / grid_dt + eps)
-    times = [k * grid_dt for k in range(1, k_max + 1) if k * grid_dt <= horizon + eps]
+    n_grid = horizon / grid_dt + eps
+    if n_grid > DEFAULT_MAX_EVENTS:
+        raise SimulationLimitError(
+            f"a grid step of {grid_dt:.6g} over horizon {horizon:.6g} gives about "
+            f"{n_grid:.3g} samples, more than {DEFAULT_MAX_EVENTS}")
+    grid = np.arange(1, int(n_grid) + 1) * grid_dt
+    parts = [grid[grid <= horizon + eps]]
     if extra is not None:
-        times.extend(float(t) for t in extra if 0.0 < float(t) <= horizon + eps)
-    times.append(horizon)
-    times = sorted(min(t, horizon) for t in times)
-    out = [times[0]]
-    for t in times[1:]:
-        if t - out[-1] > eps:
-            out.append(t)
-    return np.array(out)
+        extra = np.fromiter(map(float, extra), dtype=float)
+        parts.append(extra[(0.0 < extra) & (extra <= horizon + eps)])
+    parts.append([horizon])
+    times = np.sort(np.minimum(np.concatenate(parts), horizon))
+    keep = np.ones(len(times), dtype=bool)
+    # A time more than eps after its predecessor is also more than eps after
+    # the last kept time, so only the close pairs need the sequential scan.
+    last = 0
+    for i in (np.flatnonzero(np.diff(times) <= eps) + 1).tolist():
+        last = i - 1 if keep[i - 1] else last
+        keep[i] = times[i] - times[last] > eps
+    return times[keep]
 
 
 class _PathBuilder:
@@ -217,7 +236,11 @@ class _PathBuilder:
 
     y is kept anchored at the last event time and flowed in closed form to
     sample times; x is advanced lazily so rejected candidates never touch
-    the diffusion."""
+    the diffusion.  ``jump`` and ``finish`` advance through every sample of
+    the segment since the anchor at once.  They must be called only after
+    the segment's last thinning draw: the segment's normals are then the
+    next draws of the stream, taken as one block.
+    """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, rng: RandomStream,
                  horizon: float, sample_times: np.ndarray):
@@ -233,58 +256,58 @@ class _PathBuilder:
         self.x = model.initial.x
         self.y = np.array(model.initial.y, dtype=float)
         self.t_anchor = 0.0
-        self.t_x = 0.0
         self.ev_t: list[float] = []
         self.ev_c: list[int] = []
         self.sk_t: list[float] = [0.0]
         self.sk_x: list[float] = [self.x]
-        self.sk_rs: list[np.ndarray] = [self.y.sum(axis=1)]
+        self.sk_rs: list[np.ndarray] = [self.y.sum(axis=1)[None]]
 
-    def _row_sums_at(self, t: float) -> np.ndarray:
-        dt = t - self.t_anchor
-        if dt <= 0.0:
-            return self.y.sum(axis=1)
-        return (self.y * np.exp(-self.alpha * dt)).sum(axis=1)
-
-    def _advance_x(self, t: float) -> None:
-        dt = t - self.t_x
-        if dt > 0.0:
-            self.x = advance_diffusion(self.x, dt, self.coeffs, self.cfg, self.rng)
-        self.t_x = t
-
-    def _record(self, t: float, row_sums: np.ndarray) -> None:
-        self.sk_t.append(t)
-        self.sk_x.append(self.x)
-        self.sk_rs.append(row_sums)
-
-    def _advance_through_samples(self, t_stop: float, skip_at_stop: bool) -> None:
-        while self.si < len(self.samples) and self.samples[self.si] < t_stop - self.eps:
-            g = float(self.samples[self.si])
-            self._advance_x(g)
-            self._record(g, self._row_sums_at(g))
-            self.si += 1
-        while (skip_at_stop and self.si < len(self.samples)
-               and abs(self.samples[self.si] - t_stop) <= self.eps):
-            self.si += 1
-        self._advance_x(t_stop)
+    def _advance(self, t_stop: float) -> None:
+        """Record the samples in (anchor, t_stop - eps) and advance x to t_stop."""
+        si, samples = self.si, self.samples
+        if si == len(samples) or samples[si] >= t_stop - self.eps:
+            if t_stop > self.t_anchor:
+                self.x = _advance_segment(self.x, (t_stop - self.t_anchor,), self.coeffs,
+                                          self.cfg, self.rng)[0]
+            return
+        hi = int(np.searchsorted(samples, t_stop - self.eps))
+        times = samples[si:hi]
+        ts = times.tolist()
+        dts = [b - a for a, b in zip([self.t_anchor] + ts, ts + [t_stop])]
+        xs = _advance_segment(self.x, dts, self.coeffs, self.cfg, self.rng)
+        flow = np.exp(-self.alpha[None] * (times - self.t_anchor)[:, None, None])
+        self.sk_t.extend(ts)
+        self.sk_x.extend(xs[:-1])
+        self.sk_rs.append((self.y[None] * flow).sum(axis=2))
+        self.si = hi
+        self.x = xs[-1]
 
     def jump(self, tau: float, comp: int, y_pre: np.ndarray) -> None:
         """Record the pre/post skeleton pair and apply the event updates."""
-        self._advance_through_samples(tau, skip_at_stop=True)
-        self._record(tau, y_pre.sum(axis=1))
-        y_post = y_pre
-        y_post[:, comp - 1] += self.c[:, comp - 1]
+        self._advance(tau)
+        while self.si < len(self.samples) and abs(self.samples[self.si] - tau) <= self.eps:
+            self.si += 1
+        x_pre = self.x
+        rows = np.empty((2, len(y_pre)))
+        y_pre.sum(axis=1, out=rows[0])
+        y_pre[:, comp - 1] += self.c[:, comp - 1]
+        y_pre.sum(axis=1, out=rows[1])
         self.x = apply_state_jump(self.x, self.coeffs)
-        self._record(tau, y_post.sum(axis=1))
+        self.sk_t += (tau, tau)
+        self.sk_x += (x_pre, self.x)
+        self.sk_rs.append(rows)
         self.ev_t.append(tau)
         self.ev_c.append(comp)
-        self.y = y_post
+        self.y = y_pre
         self.t_anchor = tau
 
     def finish(self) -> None:
-        self._advance_through_samples(self.horizon, skip_at_stop=False)
-        if not self.sk_t or self.horizon - self.sk_t[-1] > self.eps:
-            self._record(self.horizon, self._row_sums_at(self.horizon))
+        self._advance(self.horizon)
+        if self.horizon - self.sk_t[-1] > self.eps:
+            flow = np.exp(-self.alpha * (self.horizon - self.t_anchor))
+            self.sk_t.append(self.horizon)
+            self.sk_x.append(self.x)
+            self.sk_rs.append((self.y * flow).sum(axis=1)[None])
 
     def to_path(self, seed: int, digest: str) -> Path:
         return Path(
@@ -292,7 +315,7 @@ class _PathBuilder:
             event_components=np.array(self.ev_c, dtype=np.int32),
             skeleton_times=np.array(self.sk_t, dtype=float),
             skeleton_x=np.array(self.sk_x, dtype=float),
-            skeleton_row_sums=np.array(self.sk_rs, dtype=float),
+            skeleton_row_sums=np.concatenate(self.sk_rs),
             horizon=self.horizon,
             seed=seed,
             model_hash=digest,
@@ -307,15 +330,36 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
 
     ``sample_at`` optionally adds extra skeleton sample times on top of the
     regular grid.  Raises :class:`SimulationLimitError` after ``max_events``
-    accepted events.
+    accepted events, or before simulating when the grid would hold more than
+    ``DEFAULT_MAX_EVENTS`` samples.
     """
+    return _simulate_all(model, horizon, cfg, [seed], sample_at=sample_at,
+                         max_events=max_events, refined_bound=refined_bound)[0]
+
+
+def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],
+                  workers: int = 1, sample_at=None, **kwargs) -> list[Path]:
+    """One path per seed, in order; the checks, the sample times and the
+    model digest are done once for all of them."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     cfg.validate_for(model.coefficients)
+    run = partial(_simulate, model, horizon, cfg,
+                  _build_sample_times(horizon, cfg.grid_dt, sample_at), model_digest(model),
+                  **kwargs)
+    if workers <= 1 or len(seeds) == 1:
+        return [run(seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
+
+
+def _simulate(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
+              sample_times: np.ndarray, digest: str, seed: int, *,
+              max_events: int = DEFAULT_MAX_EVENTS, refined_bound: bool = False) -> Path:
+    """One path from the inputs :func:`_simulate_all` prepared."""
     rng = RandomStream(seed)
     rt = _ModelRuntime(model, refined_bound)
-    builder = _PathBuilder(model, cfg, rng, horizon,
-                           _build_sample_times(horizon, cfg.grid_dt, sample_at))
+    builder = _PathBuilder(model, cfg, rng, horizon, sample_times)
     while True:
         tau, comp, y_pre = _next_event(rt, builder.y, builder.t_anchor, horizon, rng)
         if comp is None:
@@ -326,7 +370,7 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
             raise SimulationLimitError(
                 f"exceeded {max_events} events before t = {tau:.6g} "
                 "(supercritical model or horizon too long?)")
-    return builder.to_path(seed, model_digest(model))
+    return builder.to_path(seed, digest)
 
 
 def reference_rate_step(model: ModelSpec) -> float:
@@ -386,32 +430,20 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     return builder.to_path(seed, model_digest(model))
 
 
-def _simulate_indexed(args):
-    model, horizon, cfg, master_seed, index, kwargs = args
-    return index, simulate_path(model, horizon, cfg,
-                                derive_path_seed(master_seed, index), **kwargs)
-
-
 def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                       master_seed: int, n_paths: int, *, workers: int = 1,
                       **kwargs) -> list[Path]:
-    """Independent paths with per-path seeds derived from (master_seed, index).
+    """Independent paths with per-path seeds derived from (master_seed, index);
+    ``kwargs`` are those of :func:`simulate_path`.
 
     The result is identical for any worker count: path i always uses
     ``derive_path_seed(master_seed, i)`` and results are ordered by index.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if workers <= 1 or n_paths == 1:
-        return [simulate_path(model, horizon, cfg, derive_path_seed(master_seed, i),
-                              **kwargs) for i in range(n_paths)]
-    tasks = [(model, horizon, cfg, master_seed, i, kwargs) for i in range(n_paths)]
-    out: list[Optional[Path]] = [None] * n_paths
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, n_paths // (workers * 8))
-        for index, path in pool.map(_simulate_indexed, tasks, chunksize=chunk):
-            out[index] = path
-    return out  # type: ignore[return-value]
+    return _simulate_all(model, horizon, cfg,
+                         [derive_path_seed(master_seed, i) for i in range(n_paths)],
+                         workers, **kwargs)
 
 
 def _propagate_with_first_candidate(model: ModelSpec, x0: float, y0: np.ndarray,
@@ -425,28 +457,19 @@ def _propagate_with_first_candidate(model: ModelSpec, x0: float, y0: np.ndarray,
     """
     rt = _ModelRuntime(model)
     coeffs = model.coefficients
-    x = x0
-    y = np.array(y0, dtype=float)
-    t_anchor = 0.0
-    t_x = 0.0
-    bound = rt.bound(y)
-    tau = tau1
+    y0 = np.asarray(y0, dtype=float)
+    t, y = tau1, y0 * np.exp(-rt.alpha * tau1)
+    comp = _pick_component(rt.intensities(y), rng.uniform() * rt.bound(y0))
+    x, t_x = x0, 0.0
     while True:
-        y = y * np.exp(-rt.alpha * (tau - t_anchor))
-        t_anchor = tau
-        lam = rt.intensities(y)
-        comp = _pick_component(lam, rng.uniform() * bound)
         if comp:
-            if tau - t_x > 0:
-                x = advance_diffusion(x, tau - t_x, coeffs, cfg, rng)
-            t_x = tau
+            if t > t_x:
+                x = advance_diffusion(x, t - t_x, coeffs, cfg, rng)
+            x, t_x = apply_state_jump(x, coeffs), t
             y[:, comp - 1] += rt.c[:, comp - 1]
-            x = apply_state_jump(x, coeffs)
-        bound = rt.bound(y)
-        tau = tau + rng.exponential(bound)
-        if tau > horizon:
+        t, comp, y = _next_event(rt, y, t, horizon, rng)
+        if comp is None:
             break
-    if horizon - t_x > 0:
+    if horizon > t_x:
         x = advance_diffusion(x, horizon - t_x, coeffs, cfg, rng)
-    y = y * np.exp(-rt.alpha * (horizon - t_anchor))
-    return x, y
+    return x, y * np.exp(-rt.alpha * (horizon - t))

@@ -145,11 +145,17 @@ def read_binary(fh: BinaryIO) -> Path:
         raise ValueError(f"bad magic {magic!r}; not a binary path file")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    events = np.frombuffer(fh.read(n_events * _EVENT_DTYPE.itemsize),
-                           dtype=_EVENT_DTYPE, count=n_events)
     width = 2 + m
-    samples = np.frombuffer(fh.read(n_samples * width * 8), dtype="<f8",
-                            count=n_samples * width).reshape(n_samples, width)
+    event_bytes = n_events * _EVENT_DTYPE.itemsize
+    expected = event_bytes + n_samples * width * 8
+    body = fh.read()
+    if len(body) != expected:
+        problem = "truncated" if len(body) < expected else "trailing bytes in"
+        raise ValueError(
+            f"{problem} binary path body: the header's {n_events} events and {n_samples} "
+            f"samples (M = {m}) need {expected} bytes, the stream holds {len(body)}")
+    events = np.frombuffer(body, dtype=_EVENT_DTYPE, count=n_events)
+    samples = np.frombuffer(body, dtype="<f8", offset=event_bytes).reshape(n_samples, width)
     return Path(
         event_times=np.array(events["t"], dtype=float),
         event_components=np.array(events["component"], dtype=np.int32),

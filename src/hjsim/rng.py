@@ -62,23 +62,22 @@ class RandomStream:
         return float(u)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniform draws in (0, 1)."""
-        out = np.empty(n)
-        avail = len(self._buf) - self._pos
-        take = min(avail, n)
-        if take:
-            out[:take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-        if take < n:
-            raw = self._gen.integers(0, 1 << 53, size=n - take, dtype=np.uint64)
-            out[take:] = (raw + 0.5) * _INV53
-        return out
+        """n uniform draws in (0, 1): the values of n calls to :meth:`uniform`."""
+        start = self._pos
+        if start + n <= len(self._buf):
+            self._pos = start + n
+            return self._buf[start:start + n].copy()
+        head = self._buf[start:]
+        self._refill(max(_BLOCK, n - len(head)))
+        self._pos = n - len(head)
+        return np.concatenate((head, self._buf[:self._pos]))
 
     def normal(self) -> float:
         """One standard normal via the inverse CDF."""
         return float(ndtri(self.uniform()))
 
     def normals(self, n: int) -> np.ndarray:
+        """n standard normals: the values of n calls to :meth:`normal`."""
         return ndtri(self.uniforms(n))
 
     def exponential(self, rate: float) -> float:

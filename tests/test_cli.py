@@ -132,6 +132,13 @@ class TestSimulate:
         assert err["error"] == "ConfigError"
         assert err["field"] == "run.horizon"
 
+    def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        rc = cli.main(["simulate", "--config", config, "--horizon", "1e6",
+                       "--grid-dt", "1e-9", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SimulationLimitError"
+
 
 class TestOtherCommands:
     def test_check_stability_supercritical_exits_zero(self, tmp_path):

@@ -6,10 +6,11 @@ from scipy import stats
 
 import hjsim
 from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             advance_diffusion, advance_diffusion_many,
-                             apply_state_jump)
+                             _advance_segment, advance_diffusion,
+                             advance_diffusion_many, apply_state_jump)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
-                         BoundedSmoothDrift, LinearDampingJump, LinearDrift)
+                         BoundedSmoothDrift, LinearDampingJump, LinearDrift,
+                         SmoothBoundedDiffusion)
 from hjsim.rng import RandomStream
 
 
@@ -106,6 +107,31 @@ class TestWeakError:
         for s in (0.1, 0.1, 0.05):
             expected = expected - expected * s
         assert x == pytest.approx(expected, rel=1e-14)
+
+
+class TestSegment:
+    @pytest.mark.parametrize("scheme,cs", [
+        (ExactOU(), coeffs()),
+        (ExactOU(), coeffs(rate=0.0, intercept=0.5)),
+        (ExactOU(), coeffs(sigma=0.0)),
+        (EulerMaruyama(0.07), coeffs()),
+        (EulerMaruyama(0.07), coeffs(sigma=0.0)),
+        (EulerMaruyama(0.07), CoefficientSpec(BoundedSmoothDrift(2.0),
+                                              SmoothBoundedDiffusion(0.5, 1.5), ConstantJump(0.0))),
+    ])
+    def test_block_equals_chained_intervals(self, scheme, cs):
+        # one block of draws for the whole segment, against one advance per interval
+        cfg = IntegratorConfig(scheme, 0.1)
+        dts = [0.3, 0.07, 1e-3, 0.25, 0.14, 2.0, 0.07 * 3]
+        a, b = RandomStream(5), RandomStream(5)
+        for rng in (a, b):
+            rng.uniforms(1020)  # the block crosses a buffer refill
+        x, chained = 0.4, []
+        for dt in dts:
+            x = advance_diffusion(x, dt, cs, cfg, b)
+            chained.append(x)
+        assert _advance_segment(0.4, dts, cs, cfg, a) == chained
+        assert a.uniform() == b.uniform()
 
 
 class TestJumps:

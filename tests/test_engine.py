@@ -1,11 +1,14 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import hjsim
-from hjsim.engine import reference_rate_step
+from hjsim.engine import _build_sample_times, reference_rate_step
 from hjsim.intensity import flow_memory, intensity_vector
 from hjsim.rng import RandomStream, derive_path_seed
 
@@ -131,6 +134,16 @@ class TestPathInvariants:
             hjsim.simulate_path(supercritical_model(), 200.0, em_cfg(0.1),
                                 seed=3, max_events=500)
 
+    def test_sample_grid_breaker_allocates_nothing_large(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(hjsim.SimulationLimitError, match="samples"):
+                hjsim.simulate_path(reference_model(), 1e9, ou_cfg(1e-6), seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestReferenceConstruction:
     def test_rate_step(self):
@@ -179,6 +192,15 @@ class TestEnsembles:
             assert np.array_equal(a.skeleton_x, b.skeleton_x)
             assert a.seed == b.seed
 
+    def test_model_hashed_once_per_ensemble(self, monkeypatch):
+        calls = []
+        digest = hjsim.engine.model_digest
+        monkeypatch.setattr(hjsim.engine, "model_digest",
+                            lambda model: calls.append(1) or digest(model))
+        paths = hjsim.simulate_ensemble(two_component_model(), 2.0, ou_cfg(2.0), 5, 4)
+        assert len(calls) == 1
+        assert {p.model_hash for p in paths} == {digest(two_component_model())}
+
     def test_distinct_path_seeds(self):
         seeds = {derive_path_seed(0, i) for i in range(10_000)}
         assert len(seeds) == 10_000
@@ -191,3 +213,39 @@ class TestSampleAt:
                                    sample_at=[0.25, 7.3])
         for t in (0.25, 7.3):
             assert np.any(np.isclose(path.skeleton_times, t, rtol=0, atol=1e-9))
+
+
+def _sample_times_loop(horizon, grid_dt, extra):
+    """The list-based grid construction the vectorised one must reproduce."""
+    eps = 1e-12 * max(1.0, horizon)
+    k_max = int(horizon / grid_dt + eps)
+    times = [k * grid_dt for k in range(1, k_max + 1) if k * grid_dt <= horizon + eps]
+    if extra is not None:
+        times.extend(float(t) for t in extra if 0.0 < float(t) <= horizon + eps)
+    times.append(horizon)
+    times = sorted(min(t, horizon) for t in times)
+    out = [times[0]]
+    for t in times[1:]:
+        if t - out[-1] > eps:
+            out.append(t)
+    return np.array(out)
+
+
+class TestSampleTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(horizon=st.floats(1e-15, 50.0), steps=st.floats(0.5, 3000.0),
+           extra=st.one_of(st.none(), st.lists(st.floats(-1.0, 60.0), max_size=8)),
+           near=st.lists(st.sampled_from([-3, -1, -0.5, 0, 0.5, 1, 3]), max_size=4))
+    def test_matches_sequential_construction(self, horizon, steps, extra, near):
+        grid_dt = horizon / steps
+        if extra is not None:
+            # extras within a few eps of grid points and of each other
+            eps = 1e-12 * max(1.0, horizon)
+            extra = extra + [grid_dt + k * eps for k in near] + [horizon + k * eps for k in near]
+        want = _sample_times_loop(horizon, grid_dt, extra)
+        assert _build_sample_times(horizon, grid_dt, extra).tobytes() == want.tobytes()
+
+    def test_grid_finer_than_eps_is_deduplicated(self):
+        want = _sample_times_loop(1e-13, 1e-15, None)
+        assert _build_sample_times(1e-13, 1e-15, None).tobytes() == want.tobytes()
+        assert len(want) == 1

@@ -13,10 +13,12 @@ clipped rates; and inhibitory amplitudes.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import hjsim
 from hjsim import pathio
+from hjsim.stability import LyapunovSpec, dynkin_quotient, stability_data
 
 from helpers import (em_cfg, make_model, ou_cfg, reference_model,
                      two_component_model)
@@ -115,7 +117,18 @@ CASES = {
                                          sample_at=[1.23]),
 }
 
+# The Monte Carlo generator check continues candidate-bearing paths with the
+# engine's thinning loop; a long dt makes most of its paths take that branch.
+GENERATOR_CASES = {
+    "dynkin_m2_ou": (two_component_model, ou_cfg(0.1)),
+    "dynkin_m2_em": (two_component_model, em_cfg(0.1, 0.03)),
+    "dynkin_inhibitory_ou": (inhibitory_model, ou_cfg(0.1)),
+}
+
 GOLDEN = {
+    "dynkin_inhibitory_ou": "3b952a6545dc41db89608523d40727b8fc08f4d0761ff4f73ca5a95c42269c58",
+    "dynkin_m2_em": "3568c66709e9a15529e42ba07416e8d43e8f57dd3942acb50cb31dcd768ca8ec",
+    "dynkin_m2_ou": "b7de5985f9573e62673e9b918894b2585d4db6a089bf0426952413907c7ba8cd",
     "ensemble_m1_em_sample_at": "2eb9d5bac8746e87c92482a710a66a92ab94d59131fc6ff14b1dfe68a58865d0",
     "ensemble_m2_ou": "46c4e39102db26e405f51e5e8b2c43908f2d92255746778fe1eaca7e32cd58d6",
     "m1_em_coarse": "5284dceef6ef143e6e1f268bb1d91a2b904cefbf466f7ac1b759ba2ee1a7cff4",
@@ -154,5 +167,16 @@ def test_golden_digest(name):
     assert h.hexdigest() == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generator_check_digest(name):
+    build, cfg = GENERATOR_CASES[name]
+    model = build()
+    m = model.n_components
+    z = hjsim.State(0.3, np.linspace(-0.4, 0.6, m * m).reshape(m, m))
+    est = dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model), z,
+                          0.5, 400, seed=41, cfg=cfg)
+    assert hashlib.sha256(np.array(est).tobytes()).hexdigest() == GOLDEN[name]
+
+
 def test_matrix_is_fully_pinned():
-    assert sorted(GOLDEN) == sorted(CASES)
+    assert sorted(GOLDEN) == sorted([*CASES, *GENERATOR_CASES])

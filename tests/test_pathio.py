@@ -69,6 +69,20 @@ class TestBinary:
         with pytest.raises(ValueError):
             pathio.read_binary(io.BytesIO(b"NOPE" + b"\x00" * 76))
 
+    @pytest.mark.parametrize("where", ["events", "samples"])
+    def test_truncated_body_names_byte_counts(self, where):
+        blob = pathio.dumps_binary(sample_path())
+        body = len(blob) - 80
+        kept = 5 if where == "events" else body - 1
+        with pytest.raises(ValueError, match=f"truncated.*need {body} bytes.*holds {kept}$"):
+            pathio.read_binary(io.BytesIO(blob[:80 + kept]))
+
+    def test_trailing_bytes_name_byte_counts(self):
+        blob = pathio.dumps_binary(sample_path())
+        body = len(blob) - 80
+        with pytest.raises(ValueError, match=f"trailing.*need {body} bytes.*holds {body + 3}$"):
+            pathio.read_binary(io.BytesIO(blob + b"\x00" * 3))
+
     def test_empty_path_round_trip(self):
         path = hjsim.simulate_path(reference_model(), 1e-9, ou_cfg(0.01), seed=3)
         buf = io.BytesIO(pathio.dumps_binary(path))
