@@ -129,7 +129,7 @@ class Path:
 class _ModelRuntime:
     """Pre-extracted arrays and callables for the hot simulation loop."""
 
-    __slots__ = ("alpha", "c", "rates", "f_zero_sum", "gammas", "refined")
+    __slots__ = ("alpha", "c", "rates", "f_zero_sum", "gammas", "refined", "m")
 
     def __init__(self, model: ModelSpec, refined: bool = False):
         self.alpha = model.kernel.alpha
@@ -137,6 +137,7 @@ class _ModelRuntime:
         self.rates = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(model.rates_at_zero().sum())
+        self.m = model.n_components
         if refined and not all(f.is_nondecreasing() for f in model.rates):
             raise ValueError("refined bound requires nondecreasing rate functions")
         self.refined = refined
