@@ -19,6 +19,7 @@ import numpy as np
 
 from .diffusion import IntegratorConfig
 from .engine import Path, simulate_ensemble
+from .intensity import RateRuntime
 from .model import ModelSpec, State
 from .rng import mix64
 
@@ -59,15 +60,8 @@ def make_observable(spec, model: ModelSpec | None = None):
     if spec == "rate":
         if model is None:
             raise ValueError("observable 'rate' requires the model")
-        rates = model.rates
-
-        def total_rate(t, x, rs):
-            out = np.zeros(len(rs))
-            for j, f in enumerate(rates):
-                out += f(rs[:, j])
-            return out
-
-        return total_rate
+        rt = RateRuntime(model)
+        return lambda t, x, rs: rt.rates_at(rs).sum(axis=-1)
     raise ValueError(f"unknown observable {spec!r}")
 
 

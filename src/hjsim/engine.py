@@ -8,7 +8,10 @@ A candidate at time tau is attributed to component i with probability
 lambda_i(y(tau-))/B using a single uniform that partitions [0, 1] into
 M + 1 ordered intervals, the last being the rejection mass; after a
 rejection the bound is recomputed at the flowed state, so it tightens as
-the memory decays.
+the memory decays.  The rates and the bound come from
+:class:`hjsim.intensity.RateRuntime`.  One event loop, ``_run_events``,
+runs the thinning of every path, including the candidate-bearing paths of
+the Monte Carlo generator check in :mod:`hjsim.stability`.
 
 ``simulate_path_reference`` keeps the alternative textbook construction as
 a cross-validation oracle: a one-dimensional dominating counting process
@@ -38,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import (IntegratorConfig, _advance_segment, advance_diffusion,
-                        apply_state_jump)
+from .diffusion import IntegratorConfig, _advance_segment, apply_state_jump
+from .intensity import RateRuntime
 from .model import ModelSpec, State, model_digest
 from .rng import RandomStream, derive_path_seed
 
@@ -126,33 +129,6 @@ class Path:
                 for i, (t, x) in enumerate(zip(self.skeleton_times, self.skeleton_x))]
 
 
-class _ModelRuntime:
-    """Pre-extracted arrays and callables for the hot simulation loop."""
-
-    __slots__ = ("alpha", "c", "rates", "f_zero_sum", "gammas", "refined", "m")
-
-    def __init__(self, model: ModelSpec, refined: bool = False):
-        self.alpha = model.kernel.alpha
-        self.c = model.kernel.c
-        self.rates = model.rates
-        self.gammas = model.lipschitz_constants()
-        self.f_zero_sum = float(model.rates_at_zero().sum())
-        self.m = model.n_components
-        if refined and not all(f.is_nondecreasing() for f in model.rates):
-            raise ValueError("refined bound requires nondecreasing rate functions")
-        self.refined = refined
-
-    def bound(self, y: np.ndarray) -> float:
-        if self.refined:
-            pos = np.maximum(y, 0.0).sum(axis=1)
-            return float(sum(float(f(pos[i])) for i, f in enumerate(self.rates)))
-        return self.f_zero_sum + float(self.gammas @ np.abs(y).sum(axis=1))
-
-    def intensities(self, y: np.ndarray) -> np.ndarray:
-        rs = y.sum(axis=1)
-        return np.array([float(f(rs[i])) for i, f in enumerate(self.rates)])
-
-
 def _pick_component(lam: np.ndarray, u_scaled: float) -> int:
     """1-based component for a scaled uniform below sum(lam); 0 if rejected.
 
@@ -165,7 +141,7 @@ def _pick_component(lam: np.ndarray, u_scaled: float) -> int:
     return int(np.searchsorted(cum, u_scaled, side="right")) + 1
 
 
-def _next_event(rt: _ModelRuntime, y: np.ndarray, clock: float, horizon: float,
+def _next_event(rt: RateRuntime, y: np.ndarray, clock: float, horizon: float,
                 rng: RandomStream, trace: Optional[list] = None):
     """First accepted event strictly after ``clock``; y is the state at ``clock``.
 
@@ -197,12 +173,11 @@ def _next_event(rt: _ModelRuntime, y: np.ndarray, clock: float, horizon: float,
 
 
 def next_event(model: ModelSpec, state: State, clock: float, horizon: float,
-               rng: RandomStream, refined_bound: bool = False,
-               trace: Optional[list] = None) -> Optional[tuple[float, int]]:
+               rng: RandomStream, trace: Optional[list] = None) -> Optional[tuple[float, int]]:
     """Time and 1-based component of the first event after ``clock``, or None
     if no event occurs before ``horizon``."""
-    rt = _ModelRuntime(model, refined_bound)
-    tau, comp, _ = _next_event(rt, np.asarray(state.y, dtype=float), clock, horizon, rng, trace)
+    tau, comp, _ = _next_event(RateRuntime(model), np.asarray(state.y, dtype=float), clock,
+                               horizon, rng, trace)
     return None if comp is None else (tau, comp)
 
 
@@ -233,7 +208,8 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
 
 
 class _PathBuilder:
-    """Shared skeleton/diffusion bookkeeping for both simulation engines.
+    """Shared skeleton/diffusion bookkeeping for both simulation engines and
+    the Monte Carlo generator check (which passes no sample times).
 
     y is kept anchored at the last event time and flowed in closed form to
     sample times; x is advanced lazily so rejected candidates never touch
@@ -324,8 +300,7 @@ class _PathBuilder:
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
-                  *, sample_at=None, max_events: int = DEFAULT_MAX_EVENTS,
-                  refined_bound: bool = False) -> Path:
+                  *, sample_at=None, max_events: int = DEFAULT_MAX_EVENTS) -> Path:
     """Simulate one trajectory over (0, horizon], fully determined by
     (model, horizon, cfg, seed).
 
@@ -335,7 +310,7 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
     ``DEFAULT_MAX_EVENTS`` samples.
     """
     return _simulate_all(model, horizon, cfg, [seed], sample_at=sample_at,
-                         max_events=max_events, refined_bound=refined_bound)[0]
+                         max_events=max_events)[0]
 
 
 def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],
@@ -356,22 +331,32 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
 
 def _simulate(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
               sample_times: np.ndarray, digest: str, seed: int, *,
-              max_events: int = DEFAULT_MAX_EVENTS, refined_bound: bool = False) -> Path:
+              max_events: int = DEFAULT_MAX_EVENTS) -> Path:
     """One path from the inputs :func:`_simulate_all` prepared."""
-    rng = RandomStream(seed)
-    rt = _ModelRuntime(model, refined_bound)
-    builder = _PathBuilder(model, cfg, rng, horizon, sample_times)
+    builder = _PathBuilder(model, cfg, RandomStream(seed), horizon, sample_times)
+    _run_events(RateRuntime(model), builder, 0.0, builder.y, max_events)
+    builder.finish()
+    return builder.to_path(seed, digest)
+
+
+def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
+                max_events: int) -> tuple[float, np.ndarray]:
+    """Thin from memory ``y`` at time ``t`` up to the builder's horizon,
+    recording every accepted event in ``builder``.
+
+    Returns the last candidate time (``t`` if none) and the memory there.
+    Raises :class:`SimulationLimitError` once the builder holds
+    ``max_events`` events.
+    """
     while True:
-        tau, comp, y_pre = _next_event(rt, builder.y, builder.t_anchor, horizon, rng)
+        t, comp, y = _next_event(rt, y, t, builder.horizon, builder.rng)
         if comp is None:
-            builder.finish()
-            break
-        builder.jump(tau, comp, y_pre)
+            return t, y
+        builder.jump(t, comp, y)
         if len(builder.ev_t) >= max_events:
             raise SimulationLimitError(
-                f"exceeded {max_events} events before t = {tau:.6g} "
+                f"exceeded {max_events} events before t = {t:.6g} "
                 "(supercritical model or horizon too long?)")
-    return builder.to_path(seed, digest)
 
 
 def reference_rate_step(model: ModelSpec) -> float:
@@ -398,7 +383,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
         raise ValueError("horizon must be >= 0")
     cfg.validate_for(model.coefficients)
     rng = RandomStream(seed)
-    rt = _ModelRuntime(model)
+    rt = RateRuntime(model)
     builder = _PathBuilder(model, cfg, rng, horizon,
                            _build_sample_times(horizon, cfg.grid_dt, sample_at))
     lam_star = rt.bound(builder.y)
@@ -446,31 +431,3 @@ def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                          [derive_path_seed(master_seed, i) for i in range(n_paths)],
                          workers, **kwargs)
 
-
-def _propagate_with_first_candidate(model: ModelSpec, x0: float, y0: np.ndarray,
-                                    horizon: float, cfg: IntegratorConfig,
-                                    rng: RandomStream, tau1: float) -> tuple[float, np.ndarray]:
-    """Terminal (x, y) at ``horizon`` given the first thinning candidate time
-    ``tau1`` <= horizon was already drawn externally at the initial bound.
-
-    Used by the Monte Carlo generator check, where the (overwhelmingly
-    likely) no-candidate branch is vectorised separately.
-    """
-    rt = _ModelRuntime(model)
-    coeffs = model.coefficients
-    y0 = np.asarray(y0, dtype=float)
-    t, y = tau1, y0 * np.exp(-rt.alpha * tau1)
-    comp = _pick_component(rt.intensities(y), rng.uniform() * rt.bound(y0))
-    x, t_x = x0, 0.0
-    while True:
-        if comp:
-            if t > t_x:
-                x = advance_diffusion(x, t - t_x, coeffs, cfg, rng)
-            x, t_x = apply_state_jump(x, coeffs), t
-            y[:, comp - 1] += rt.c[:, comp - 1]
-        t, comp, y = _next_event(rt, y, t, horizon, rng)
-        if comp is None:
-            break
-    if horizon > t_x:
-        x = advance_diffusion(x, horizon - t_x, coeffs, cfg, rng)
-    return x, y * np.exp(-rt.alpha * (horizon - t))

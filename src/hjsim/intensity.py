@@ -3,6 +3,10 @@
 Between events every entry decays exponentially at its own rate; an event
 of component j adds column j of the amplitude matrix.  The intensity of
 component i is f_i applied to the i-th row sum of y.
+
+:class:`RateRuntime` is the one evaluator of the rates and of the thinning
+envelope: the engine, the diagnostics and the stability analysis all call
+it, and the public helpers below are checked wrappers around it.
 """
 
 from __future__ import annotations
@@ -12,12 +16,50 @@ import numpy as np
 from .model import KernelMatrix, ModelSpec
 
 __all__ = [
+    "RateRuntime",
     "flow_memory",
     "apply_event",
     "intensity_vector",
     "total_event_rate",
     "dominating_rate",
 ]
+
+
+class RateRuntime:
+    """Rate functions, Lipschitz envelope and kernel arrays of one model,
+    extracted once for the hot loops."""
+
+    __slots__ = ("alpha", "c", "fs", "gammas", "f_zero_sum")
+
+    def __init__(self, model: ModelSpec):
+        self.alpha = model.kernel.alpha
+        self.c = model.kernel.c
+        self.fs = model.rates
+        self.gammas = model.lipschitz_constants()
+        self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())
+
+    def rates_at(self, row_sums: np.ndarray) -> np.ndarray:
+        """f_i(row_sums[..., i]) for every component i, over the last axis:
+        shape (M,) for one state, (n, M) for n states."""
+        return np.array([f(u) for f, u in zip(self.fs, row_sums.T)]).T
+
+    def intensities(self, y: np.ndarray) -> np.ndarray:
+        """Per-component rates at memory y of shape (M, M) or (n, M, M)."""
+        return self.rates_at(y.sum(axis=-1))
+
+    def bound(self, y: np.ndarray) -> float:
+        """Lipschitz envelope sum_i [f_i(0) + gamma_i * sum_j |y[i, j]|] at one
+        memory state.  It dominates the total rate along the whole decay flow
+        started at y, because row absolute sums only shrink under the flow."""
+        return self.f_zero_sum + float(self.gammas @ np.abs(y).sum(axis=1))
+
+
+def _memory(model: ModelSpec, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    m = model.n_components
+    if y.shape != (m, m):
+        raise ValueError(f"y must have shape ({m}, {m})")
+    return y
 
 
 def flow_memory(kernel: KernelMatrix, y: np.ndarray, dt: float) -> np.ndarray:
@@ -39,12 +81,7 @@ def apply_event(kernel: KernelMatrix, y: np.ndarray, component: int) -> np.ndarr
 
 def intensity_vector(model: ModelSpec, y: np.ndarray) -> np.ndarray:
     """Per-component rates f_i(sum_j y[i, j]); strictly positive by construction."""
-    y = np.asarray(y, dtype=float)
-    m = model.n_components
-    if y.shape != (m, m):
-        raise ValueError(f"y must have shape ({m}, {m})")
-    row_sums = y.sum(axis=1)
-    return np.array([float(f(row_sums[i])) for i, f in enumerate(model.rates)])
+    return RateRuntime(model).intensities(_memory(model, y))
 
 
 def total_event_rate(model: ModelSpec, y: np.ndarray) -> float:
@@ -52,21 +89,7 @@ def total_event_rate(model: ModelSpec, y: np.ndarray) -> float:
     return float(intensity_vector(model, y).sum())
 
 
-def dominating_rate(model: ModelSpec, y: np.ndarray, refined: bool = False) -> float:
-    """Upper bound on the total rate along the whole decay flow started at y.
-
-    Default is the Lipschitz envelope sum_i [f_i(0) + gamma_i * sum_j |y[i,j]|],
-    which dominates total_event_rate(flow_memory(y, t)) for every t >= 0
-    because row absolute sums only shrink under the flow.  With
-    ``refined=True`` (valid only when every rate function is nondecreasing)
-    the tighter bound sum_i f_i(sum_j max(y[i,j], 0)) is returned, exact for
-    purely excitatory models with nonnegative memory.
-    """
-    y = np.asarray(y, dtype=float)
-    if refined:
-        if not all(f.is_nondecreasing() for f in model.rates):
-            raise ValueError("refined bound requires nondecreasing rate functions")
-        pos_rows = np.maximum(y, 0.0).sum(axis=1)
-        return float(sum(float(f(pos_rows[i])) for i, f in enumerate(model.rates)))
-    gammas = model.lipschitz_constants()
-    return float(model.rates_at_zero().sum() + gammas @ np.abs(y).sum(axis=1))
+def dominating_rate(model: ModelSpec, y: np.ndarray) -> float:
+    """Upper bound on the total rate along the whole decay flow started at y:
+    the Lipschitz envelope of :meth:`RateRuntime.bound`."""
+    return RateRuntime(model).bound(_memory(model, y))

@@ -139,9 +139,6 @@ class AffineClippedRate:
     def lipschitz_constant(self) -> float:
         return abs(self.slope)
 
-    def is_nondecreasing(self) -> bool:
-        return self.slope >= 0
-
     def to_dict(self) -> dict:
         return {"type": self.kind, "floor": self.floor,
                 "intercept": self.intercept, "slope": self.slope}
@@ -182,9 +179,6 @@ class SigmoidRate:
         # max of height*steepness*s*(1-s) over s in (0,1), attained at s = 1/2
         return self.height * self.steepness / 4.0
 
-    def is_nondecreasing(self) -> bool:
-        return True
-
     def to_dict(self) -> dict:
         return {"type": self.kind, "height": self.height,
                 "steepness": self.steepness, "center": self.center}
@@ -215,9 +209,6 @@ class ConstantRate:
 
     def lipschitz_constant(self) -> float:
         return 0.0
-
-    def is_nondecreasing(self) -> bool:
-        return True
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "level": self.level}
@@ -673,9 +664,6 @@ class ModelSpec:
 
     def lipschitz_constants(self) -> np.ndarray:
         return np.array([f.lipschitz_constant() for f in self.rates])
-
-    def rates_at_zero(self) -> np.ndarray:
-        return np.array([float(f(0.0)) for f in self.rates])
 
     def __eq__(self, other):
         if not isinstance(other, ModelSpec):

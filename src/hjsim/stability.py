@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import IntegratorConfig, advance_diffusion_many
-from .engine import _ModelRuntime, _propagate_with_first_candidate
-from .intensity import dominating_rate
+from .engine import DEFAULT_MAX_EVENTS, _PathBuilder, _pick_component, _run_events
+from .intensity import RateRuntime
 from .model import DegenerateKernelError, KernelMatrix, ModelSpec, State, check_assumptions
 from .rng import RandomStream
 
@@ -237,10 +237,7 @@ def _generator_ratio(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     flow_coeff = (kappa[np.newaxis, :, np.newaxis] * abs_y).sum(axis=(1, 2))
     v1, v1p, v1pp = _v1_terms(lyap, x)
     drift_term = coeffs.drift(x) * v1p + 0.5 * coeffs.diffusion(x) ** 2 * v1pp
-    row_sums = y.sum(axis=2)
-    lam = np.empty_like(row_sums)
-    for j, f in enumerate(model.rates):
-        lam[:, j] = f(row_sums[:, j])
+    lam = RateRuntime(model).intensities(y)
     jump_exponents = ((np.abs(y + c[np.newaxis]) - abs_y) * mw[np.newaxis]).sum(axis=1)
     jump_memory = (lam * np.expm1(jump_exponents)).sum(axis=1)
     x_post = x + coeffs.jump(x)
@@ -408,14 +405,16 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     The first thinning candidate time is drawn for every path at the initial
     dominating rate; paths without a candidate before dt (almost all of
     them, for small dt) reduce to one vectorised diffusion transition, while
-    the rare candidate-bearing paths are continued exactly, one by one.
+    the rare candidate-bearing paths are continued exactly, one by one,
+    through the engine's event loop.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     cfg.validate_for(model.coefficients)
     rng = RandomStream(seed)
+    rt = RateRuntime(model)
     y0 = np.asarray(z.y, dtype=float)
-    bound0 = dominating_rate(model, y0)
+    bound0 = rt.bound(y0)
     first_candidate = -np.log(rng.uniforms(n_paths)) / bound0
     quiet = first_candidate > dt
     n_quiet = int(quiet.sum())
@@ -428,11 +427,18 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
         s = float((stab.exponent_weights * np.abs(y_end)).sum())
         v1, _, _ = _v1_terms(lyap, x_end)
         values[np.flatnonzero(quiet)] = v1 + math.exp(s)
+    started_at_z = ModelSpec(model.rates, model.kernel, model.coefficients, z)
     for idx in np.flatnonzero(~quiet):
-        x_end, y_end = _propagate_with_first_candidate(
-            model, z.x, y0, dt, cfg, rng, float(first_candidate[idx]))
-        v1, _, _ = _v1_terms(lyap, x_end)
-        s = float((stab.exponent_weights * np.abs(y_end)).sum())
+        tau1 = float(first_candidate[idx])
+        builder = _PathBuilder(started_at_z, cfg, rng, dt, np.empty(0))
+        y = y0 * np.exp(-rt.alpha * tau1)
+        comp = _pick_component(rt.intensities(y), rng.uniform() * bound0)
+        if comp:
+            builder.jump(tau1, comp, y)
+        t, y = _run_events(rt, builder, tau1, y, DEFAULT_MAX_EVENTS)
+        builder.finish()
+        v1, _, _ = _v1_terms(lyap, builder.x)
+        s = float((stab.exponent_weights * np.abs(y * np.exp(-rt.alpha * (dt - t)))).sum())
         values[idx] = float(v1) + math.exp(s)
 
     v0 = lyapunov_value(lyap, stab, z)

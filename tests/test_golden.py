@@ -7,8 +7,8 @@ leave every one of them unchanged.  The matrix covers M = 1, 2, 3; exact-OU
 and Euler-Maruyama, with and without noise; output grids finer and coarser
 than the typical gap between events, one that misses the horizon and one
 beyond it; extra sample times, some within the time tolerance of an event;
-the refined bound; the reference construction; ensembles; sigmoid and
-clipped rates; and inhibitory amplitudes.
+the reference construction; ensembles; sigmoid and clipped rates; and
+inhibitory amplitudes.
 """
 
 import hashlib
@@ -93,7 +93,6 @@ CASES = {
     "m1_em_step_above_grid": path(reference_model, 10.0, em_cfg(0.01, 0.05), 16),
     "m1_sigma0_ou": path(quiet_model, 20.0, ou_cfg(0.1), 17),
     "m1_sigma0_em": path(quiet_model, 20.0, em_cfg(0.1, 0.03), 18),
-    "m1_refined": path(reference_model, 20.0, ou_cfg(0.05), 20, refined_bound=True),
     "m1_sample_at": path(reference_model, 20.0, ou_cfg(0.5), 29, sample_at=[
         0.123, 3.3333, 7.0, 7.0 + 1e-13, -1.0, 25.0, 20.0, 20.0 - 1e-14]),
     "m1_em_sample_at": path(reference_model, 20.0, em_cfg(0.37, 0.05), 36,
@@ -102,7 +101,6 @@ CASES = {
     "m1_near_events_em": with_extras(quiet_model, 20.0, em_cfg(0.5, 0.07), 37),
     "m2_ou": path(two_component_model, 20.0, ou_cfg(0.05), 21),
     "m2_em": path(two_component_model, 20.0, em_cfg(0.2, 0.03), 22),
-    "m2_refined": path(two_component_model, 20.0, ou_cfg(0.5), 23, refined_bound=True),
     "m2_inhibitory_ou": path(inhibitory_model, 30.0, ou_cfg(0.1), 24),
     "m2_inhibitory_em": path(inhibitory_model, 30.0, em_cfg(0.25, 0.1), 25),
     "m3_sigmoid_em_polynomial": path(lambda: sigmoid_model(True), 20.0, em_cfg(0.05, 0.01), 26),
@@ -141,7 +139,6 @@ GOLDEN = {
     "m1_ou_fine": "1aca4271e3809721eb50ec94a01bff2c67b339a856d9ba9c71ea7d9ee4e1158c",
     "m1_ou_grid_beyond_horizon": "0243856fa250d63730bcc50a42693ba7905a031bc5962467448b805c6cfc423e",
     "m1_ou_offgrid_start": "654ac852ab51d063495c7cc3b15022668372cd6153e2f9626882e80118e68af0",
-    "m1_refined": "4269578e64434fd67b18dd20dcbbec2d7bbd2fea033399b3adb471b1781fad0e",
     "m1_sample_at": "29a699e51616f7324a7a1c0494c670b7e50b428bfeef87ce562cc5c449a9e8bf",
     "m1_sigma0_em": "36cdd97a9c6529b75e32e2ffbf52c34e3175a40f1101c2554604867b2819ea69",
     "m1_sigma0_ou": "acc4aeb3c2ceab6aa870cb7e7c225f77824ee9a591e9529749b6fd650f08c77e",
@@ -149,7 +146,6 @@ GOLDEN = {
     "m2_inhibitory_em": "54b7fa330bb0340e2d2ec5c0754579f4a4bab7ecaad681efcec9ff0adca590b4",
     "m2_inhibitory_ou": "73053b0231ad1c5a546b746976fd3b3ccabff73fc07e52b5be79602fe42b3d19",
     "m2_ou": "7b8850f46a43a49ffd971306b0879c342b3e21683f77befccf1beb7650174785",
-    "m2_refined": "6d85a7e2a00e7779cd63b7b7d6ff59ac9c8465dcc60947c63b48b8fa8667c311",
     "m3_sigmoid_em_coarse": "492098d1cc1005bfd49f6bca52200bf34cc790917ed6de977ee4de4c7cc3e60f",
     "m3_sigmoid_em_polynomial": "aa1e31c12c8e827bf4674fce9dc15a1d156bb10268058dd06d4a63115734afec",
     "m3_sigmoid_ou": "67532693a4b7140f3c2422f56300a2e2f9b07390c3a687008c02de855a7ec774",

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjsim
-from hjsim.intensity import (apply_event, dominating_rate, flow_memory,
+from hjsim.intensity import (RateRuntime, apply_event, dominating_rate, flow_memory,
                              intensity_vector, total_event_rate)
 from hjsim.model import KernelMatrix
 
@@ -144,28 +145,45 @@ class TestDominatingRate:
             assert total_event_rate(model, flowed) <= bound * (1 + 1e-12)
             assert dominating_rate(model, flowed) <= bound * (1 + 1e-12)
 
-    def test_refined_bound_valid_for_monotone_rates(self):
-        model = self.affine_model()
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            y = rng.normal(size=(1, 1)) * 3
-            refined = dominating_rate(model, y, refined=True)
-            for t in (0.0, 0.3, 2.0, 10.0):
-                flowed = flow_memory(model.kernel, y, t)
-                assert total_event_rate(model, flowed) <= refined * (1 + 1e-12)
 
-    def test_refined_bound_exact_for_nonnegative_memory(self):
-        model = self.affine_model()
-        y = np.array([[1.3]])
-        assert dominating_rate(model, y, refined=True) == pytest.approx(
-            total_event_rate(model, y))
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
-    def test_refined_requires_monotone_rates(self):
-        model = make_model(1, [{"type": "affine_clipped", "floor": 0.1,
-                                "intercept": 1.0, "slope": -1.0}],
-                           [0.5], [1.0],
-                           {"type": "linear", "rate": 1.0, "intercept": 0.0},
-                           {"type": "constant", "value": 1.0},
-                           {"type": "constant", "size": 0.0})
-        with pytest.raises(ValueError):
-            dominating_rate(model, np.zeros((1, 1)), refined=True)
+
+_RATE_SPECS = st.one_of(
+    st.builds(lambda floor, intercept, slope: {"type": "affine_clipped", "floor": floor,
+                                               "intercept": intercept, "slope": slope},
+              _finite(1e-3, 2.0), _finite(-3.0, 3.0), _finite(-3.0, 3.0)),
+    st.builds(lambda height, steepness, center: {"type": "sigmoid", "height": height,
+                                                 "steepness": steepness, "center": center},
+              _finite(0.1, 5.0), _finite(0.1, 5.0), _finite(-3.0, 3.0)))
+
+
+@st.composite
+def models_with_memory(draw):
+    """Random M <= 3 model (clipped or sigmoid rates, signed amplitudes) and memory y."""
+    m = draw(st.integers(1, 3))
+
+    def entries(lo, hi):
+        return draw(st.lists(_finite(lo, hi), min_size=m * m, max_size=m * m))
+
+    model = make_model(m, draw(st.lists(_RATE_SPECS, min_size=m, max_size=m)),
+                       entries(-2.0, 2.0), entries(0.05, 5.0),
+                       {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                       {"type": "constant", "value": 1.0},
+                       {"type": "constant", "size": 0.0})
+    return model, np.reshape(entries(-10.0, 10.0), (m, m))
+
+
+class TestRateRuntime:
+    @settings(max_examples=300, deadline=None)
+    @given(models_with_memory(), _finite(0.0, 50.0))
+    def test_bound_dominates_total_rate_along_flow(self, case, t):
+        model, y = case
+        rt = RateRuntime(model)
+        flowed = flow_memory(model.kernel, y, t)
+        assert rt.intensities(flowed).sum() <= rt.bound(y) * (1 + 1e-12)
+        assert rt.bound(flowed) <= rt.bound(y) * (1 + 1e-12)
+        # one state and a batch of states give the same values
+        batch = rt.intensities(np.stack([y, flowed]))
+        assert np.array_equal(batch, [rt.intensities(y), rt.intensities(flowed)])
