@@ -4,8 +4,9 @@ column-Vandermonde invertibility check.
 
 The interaction matrix has entries gamma_j * |c[i,j]| / alpha[i,j]
 (downstream Lipschitz constant times amplitude over decay); its spectral
-radius below one is the subcriticality condition.  The energy (Lyapunov)
-function is
+radius below one is the subcriticality condition.  The radius and the
+Perron vector come from a dense eigendecomposition of the M x M matrix,
+checked by their residual.  The energy (Lyapunov) function is
 
     V(x, y) = V1(x) + exp(sum_ij w[i,j] * |y[i,j]|),
 
@@ -62,7 +63,7 @@ _EXP_CAP = 700.0  # exp() overflows just above this
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
+    """The Perron eigenvector failed its residual check."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +77,33 @@ def interaction_matrix(model: ModelSpec) -> np.ndarray:
     return gammas[np.newaxis, :] * np.abs(model.kernel.c) / model.kernel.alpha
 
 
-def _power_iteration(mat: np.ndarray, tol: float = 1e-11,
-                     max_iter: int = 100_000) -> tuple[float, np.ndarray]:
+def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and l1-normalised nonnegative left eigenvector.
 
-    Iterates v <- v (mat + eps*I) with eps = 1e-12 to break periodicity; the
-    eigenvalue estimate is sum(v @ mat) for l1-normalised v >= 0 and the
-    stopping test is the residual ||v @ mat - lambda v||_inf.
+    Takes the eigenvalue of largest real part (the spectral radius, for a
+    nonnegative matrix), clamped at 0, and the absolute value of its left
+    eigenvector; :func:`stability_data` checks the residual.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(mat)) or np.any(mat < 0):
         raise ValueError("matrix must be nonnegative with finite entries")
-    n = mat.shape[0]
-    shifted = mat + 1e-12 * np.eye(n)
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        image = v @ mat
-        lam = float(image.sum())
-        if float(np.max(np.abs(image - lam * v))) <= tol * max(1.0, lam):
-            return lam, v
-        w = v @ shifted
-        v = w / w.sum()
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations")
+    values, vectors = np.linalg.eig(mat.T)
+    k = int(np.argmax(values.real))
+    v = np.abs(vectors[:, k])
+    return max(0.0, float(values[k].real)), v / v.sum()
 
 
 def spectral_radius(mat: np.ndarray) -> float:
-    """Spectral radius of a nonnegative square matrix via power iteration."""
-    lam, _ = _power_iteration(mat)
+    """Spectral radius of a nonnegative square matrix."""
+    lam, _ = _perron(mat)
     return lam
 
 
 def perron_left_vector(mat: np.ndarray) -> np.ndarray:
     """l1-normalised nonnegative left eigenvector at the spectral radius."""
-    _, v = _power_iteration(mat)
+    _, v = _perron(mat)
     return v
 
 
@@ -133,7 +125,7 @@ class StabilityData:
 
 def stability_data(model: ModelSpec) -> StabilityData:
     h = interaction_matrix(model)
-    rho, kappa = _power_iteration(h)
+    rho, kappa = _perron(h)
     residual = float(np.max(np.abs(kappa @ h - rho * kappa)))
     if residual > 1e-10 * max(1.0, rho):
         raise NonConvergenceError(f"left eigenvector residual {residual:.2e} too large")

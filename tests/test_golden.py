@@ -124,9 +124,9 @@ GENERATOR_CASES = {
 }
 
 GOLDEN = {
-    "dynkin_inhibitory_ou": "3b952a6545dc41db89608523d40727b8fc08f4d0761ff4f73ca5a95c42269c58",
-    "dynkin_m2_em": "3568c66709e9a15529e42ba07416e8d43e8f57dd3942acb50cb31dcd768ca8ec",
-    "dynkin_m2_ou": "b7de5985f9573e62673e9b918894b2585d4db6a089bf0426952413907c7ba8cd",
+    "dynkin_inhibitory_ou": "dcb7de0bedbf8ebbf156bb7ce8f83a35cb753c1fefb7ec1ee131ff7988e69aea",
+    "dynkin_m2_em": "492777eb3eb274567f9a0c17940ebbd1803412ded0016e7b484c9fb8214f4e56",
+    "dynkin_m2_ou": "f4d570f65b5be48948197f0ffe0620846909f69a7ed274438b3fe39f0999c7ae",
     "ensemble_m1_em_sample_at": "2eb9d5bac8746e87c92482a710a66a92ab94d59131fc6ff14b1dfe68a58865d0",
     "ensemble_m2_ou": "46c4e39102db26e405f51e5e8b2c43908f2d92255746778fe1eaca7e32cd58d6",
     "m1_em_coarse": "5284dceef6ef143e6e1f268bb1d91a2b904cefbf466f7ac1b759ba2ee1a7cff4",

@@ -63,6 +63,16 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[-0.1]]))
 
+    def test_nilpotent_matrix_is_exactly_zero(self):
+        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+    def test_nearly_repeated_root(self):
+        # a power iteration converges at rate 0.4999999/0.5 here
+        h = np.array([[0.5, 1e-8], [0.0, 0.4999999]])
+        assert spectral_radius(h) == pytest.approx(0.5, rel=1e-12)
+        # kappa H = 0.5 kappa forces kappa2 = kappa1 / 10
+        assert perron_left_vector(h) == pytest.approx([10 / 11, 1 / 11], rel=1e-9)
+
 
 class TestPerronVector:
     def test_one_by_one(self):
