@@ -16,13 +16,13 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .diagnostics import invariant_histogram, mixing_curve, time_average
 from .diffusion import EulerMaruyama, ExactOU, IntegratorConfig
 from .engine import simulate_ensemble
-from .model import (ConfigError, ModelSpec, canonical_json, model_digest,
+from .model import (ConfigError, ModelSpec, _finite, canonical_json, model_digest,
                     model_from_dict, model_to_dict, state_from_dict)
 from .pathio import dumps_binary, dumps_jsonl
 from .rng import derive_path_seed
@@ -31,22 +31,6 @@ from .stability import stability_report
 __all__ = ["RunConfig", "parse_config", "serialize_config", "config_digest", "main"]
 
 _MAX_SEED = 2 ** 64 - 1
-
-_RUN_DEFAULTS = {
-    "horizon": None,
-    "n_paths": 1,
-    "seed": 0,
-    "grid_dt": 0.01,
-    "integrator": "em",
-    "em_step": None,
-    "burn_in": None,
-    "format": "jsonl",
-    "g": "x",
-    "bins": 30,
-    "times": None,
-    "scan_radius": 20.0,
-    "points": 10_000,
-}
 
 
 @dataclass
@@ -71,6 +55,12 @@ class RunConfig:
     points: int = 10_000
 
     def validate(self) -> None:
+        for key, f in _RUN_FIELDS.items():
+            kind, _, optional = f.type.partition(" | ")
+            check, what = _TYPE_CHECKS[kind]
+            value = getattr(self, key)
+            if not (check(value) or value is None and optional):
+                raise ConfigError(f"run.{key}", f"must be {what}" + (" or null" if optional else ""))
         if not (0 <= self.seed <= _MAX_SEED):
             raise ConfigError("run.seed", "must be a 64-bit unsigned integer")
         if self.horizon is not None and not self.horizon > 0:
@@ -112,11 +102,23 @@ class RunConfig:
         return serialize_config(self) == serialize_config(other)
 
 
+# The run-shape fields with their defaults and annotations, and a check and
+# description for each annotation; bools are not numbers.
+_RUN_FIELDS = {f.name: f for f in fields(RunConfig) if f.name not in ("model", "model_path")}
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_finite, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                    "a list of finite numbers"),
+}
+
+
 def serialize_config(config: RunConfig) -> dict:
     run = {}
-    for key, default in _RUN_DEFAULTS.items():
+    for key, f in _RUN_FIELDS.items():
         value = getattr(config, key)
-        if value != default:
+        if value != f.default:
             run[key] = value
     d = model_to_dict(config.model)
     if run:
@@ -152,7 +154,7 @@ def parse_config(path: str) -> RunConfig:
     if not isinstance(run, dict):
         raise ConfigError("run", "must be an object")
     for key, value in run.items():
-        if key not in _RUN_DEFAULTS:
+        if key not in _RUN_FIELDS:
             raise ConfigError(f"run.{key}", "unknown run parameter")
         setattr(config, key, value)
     config.validate()
@@ -215,7 +217,7 @@ def _resolve_workers(flag_value: int | None) -> int:
 
 
 def _merge_flags(config: RunConfig, args: argparse.Namespace) -> None:
-    for key in _RUN_DEFAULTS:
+    for key in _RUN_FIELDS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             setattr(config, key, flag)

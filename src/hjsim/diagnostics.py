@@ -127,10 +127,7 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
     k_hi = int(path.horizon / grid_dt + eps)
     times = np.arange(k_lo, k_hi + 1) * grid_dt
-    idx = np.searchsorted(path.skeleton_times, times + eps, side="right") - 1
-    if np.any(idx < 0) or np.any(np.abs(path.skeleton_times[idx] - times) > eps):
-        raise ValueError("skeleton does not contain the requested grid times")
-    return times, path.skeleton_x[idx], path.skeleton_row_sums[idx]
+    return (times, *states_at(path, times))
 
 
 def states_at(path: Path, times) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +194,16 @@ def tv_histogram(a: np.ndarray, b: np.ndarray, bins: int) -> float:
     ha = np.histogramdd(a, bins=edges)[0] / len(a)
     hb = np.histogramdd(b, bins=edges)[0] / len(b)
     return 0.5 * float(np.abs(ha - hb).sum())
+
+
+def _log_linear_fit(t: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares fit log(values) ~ intercept - rate * t: (rate, intercept, R^2)."""
+    logs = np.log(values)
+    slope, intercept = np.polyfit(t, logs, 1)
+    resid = logs - (intercept + slope * t)
+    ss_tot = float(((logs - logs.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0
+    return float(-slope), float(intercept), r2
 
 
 @dataclass(frozen=True)
@@ -271,12 +278,8 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     if mask.sum() < 2:
         raise ValueError("TV estimates sit below the noise floor at all but "
                          "one time; shorten the times or add paths")
-    slope, intercept = np.polyfit(times[mask], np.log(tv[mask]), 1)
-    fitted = intercept + slope * times[mask]
-    resid = np.log(tv[mask]) - fitted
-    ss_tot = float(((np.log(tv[mask]) - np.log(tv[mask]).mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0
-    return MixingCurve(times, tv, floor, float(-slope), float(intercept), r2, mask)
+    rate, intercept, r2 = _log_linear_fit(times[mask], tv[mask])
+    return MixingCurve(times, tv, floor, rate, intercept, r2, mask)
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,5 @@ def autocorr_decay(path: Path, observable, lags, grid_dt: float,
     if use.sum() < 2:
         # nothing decays above the floor: an (effectively) uncorrelated series
         return AutocorrelationFit(lag_times, corr, math.nan, 0.0)
-    slope, intercept = np.polyfit(lag_times[use], np.log(corr[use]), 1)
-    fitted = intercept + slope * lag_times[use]
-    resid = np.log(corr[use]) - fitted
-    ss_tot = float(((np.log(corr[use]) - np.log(corr[use]).mean()) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0
-    return AutocorrelationFit(lag_times, corr, float(-slope), r2)
+    rate, _, r2 = _log_linear_fit(lag_times[use], corr[use])
+    return AutocorrelationFit(lag_times, corr, rate, r2)

@@ -34,6 +34,7 @@ advance would make.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -316,14 +317,16 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
 def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],
                   workers: int = 1, sample_at=None, **kwargs) -> list[Path]:
     """One path per seed, in order; the checks, the sample times and the
-    model digest are done once for all of them."""
+    model digest are done once for all of them.  At most one worker process
+    runs per path and per CPU."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     cfg.validate_for(model.coefficients)
     run = partial(_simulate, model, horizon, cfg,
                   _build_sample_times(horizon, cfg.grid_dt, sample_at), model_digest(model),
                   **kwargs)
-    if workers <= 1 or len(seeds) == 1:
+    workers = min(workers, len(seeds), os.cpu_count() or 1)
+    if workers <= 1:
         return [run(seed) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, seeds, chunksize=max(1, len(seeds) // (workers * 8))))

@@ -26,14 +26,13 @@ __all__ = [
 
 
 class RateRuntime:
-    """Rate functions, Lipschitz envelope and kernel arrays of one model,
+    """Rate functions, Lipschitz envelope and decay rates of one model,
     extracted once for the hot loops."""
 
-    __slots__ = ("alpha", "c", "fs", "gammas", "f_zero_sum")
+    __slots__ = ("alpha", "fs", "gammas", "f_zero_sum")
 
     def __init__(self, model: ModelSpec):
         self.alpha = model.kernel.alpha
-        self.c = model.kernel.c
         self.fs = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())

@@ -500,22 +500,24 @@ class CoefficientSpec:
 
     @classmethod
     def from_dict(cls, d: dict, field: str = "coefficients") -> "CoefficientSpec":
-        drift = _variant_from_dict(d, "drift", _DRIFT_KINDS, field)
-        diffusion = _variant_from_dict(d, "diffusion", _DIFFUSION_KINDS, field)
-        jump = _variant_from_dict(d, "jump", _JUMP_KINDS, field)
-        return cls(drift, diffusion, jump)
+        _require(isinstance(d, dict), field, "must be an object")
+        parts = []
+        for key, registry in (("drift", _DRIFT_KINDS), ("diffusion", _DIFFUSION_KINDS),
+                              ("jump", _JUMP_KINDS)):
+            _require(key in d, f"{field}.{key}", "missing required field")
+            parts.append(_variant_from_dict(d[key], registry, f"{field}.{key}"))
+        return cls(*parts)
 
 
-def _variant_from_dict(parent: dict, key: str, registry: dict, field: str):
-    sub_field = f"{field}.{key}"
-    _require(key in parent, sub_field, "missing required field")
-    d = parent[key]
-    _require(isinstance(d, dict), sub_field, "must be an object with a 'type' tag")
-    _require("type" in d, f"{sub_field}.type", "missing required field")
+def _variant_from_dict(d, registry: dict, field: str):
+    """The family in ``registry`` named by d["type"], built from d; ``field``
+    names d in errors."""
+    _require(isinstance(d, dict), field, "must be an object with a 'type' tag")
+    _require("type" in d, f"{field}.type", "missing required field")
     kind = d["type"]
-    _require(kind in registry, f"{sub_field}.type",
+    _require(isinstance(kind, str) and kind in registry, f"{field}.type",
              f"unknown type {kind!r}; expected one of {sorted(registry)}")
-    return registry[kind].from_dict(d, sub_field)
+    return registry[kind].from_dict(d, field)
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +694,7 @@ def model_from_dict(d: dict) -> ModelSpec:
     _require(isinstance(raw_rates, list), "rates", "must be an array")
     _require(len(raw_rates) == m, "rates",
              f"expected {m} rate functions, got {len(raw_rates)}")
-    rates = []
-    for i, rd in enumerate(raw_rates):
-        field = f"rates[{i}]"
-        _require(isinstance(rd, dict), field, "must be an object with a 'type' tag")
-        _require("type" in rd, f"{field}.type", "missing required field")
-        kind = rd["type"]
-        _require(kind in _RATE_KINDS, f"{field}.type",
-                 f"unknown type {kind!r}; expected one of {sorted(_RATE_KINDS)}")
-        rates.append(_RATE_KINDS[kind].from_dict(rd, field))
+    rates = [_variant_from_dict(rd, _RATE_KINDS, f"rates[{i}]") for i, rd in enumerate(raw_rates)]
     _require("kernel" in d, "kernel", "missing required field")
     kernel = KernelMatrix.from_dict(d["kernel"], m)
     _require("coefficients" in d, "coefficients", "missing required field")

@@ -204,15 +204,6 @@ def lyapunov_value(lyap: LyapunovSpec, stab: StabilityData, z: State) -> float:
     return float(v1) + math.exp(s)
 
 
-def _lyapunov_values(lyap: LyapunovSpec, stab: StabilityData,
-                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    s = (stab.exponent_weights * np.abs(y)).sum(axis=(1, 2))
-    if np.any(s > _EXP_CAP):
-        raise OverflowError("memory exponent exceeds the floating range")
-    v1, _, _ = _v1_terms(lyap, x)
-    return v1 + np.exp(s)
-
-
 def _generator_ratio(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
                      x: np.ndarray, y: np.ndarray):
     """Vectorised (A V / V, log V) over states (x[k], y[k]); overflow-safe.

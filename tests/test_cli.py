@@ -132,6 +132,16 @@ class TestSimulate:
         assert err["error"] == "ConfigError"
         assert err["field"] == "run.horizon"
 
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", "10"), ("seed", 1.5), ("n_paths", "2"), ("grid_dt", None),
+        ("horizon", True), ("bins", 2.5), ("times", [1.0, "2"]), ("integrator", 1)])
+    def test_wrongly_typed_run_field_is_structured_error(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, run={key: value})
+        rc = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("ConfigError", f"run.{key}")
+
     def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         rc = cli.main(["simulate", "--config", config, "--horizon", "1e6",

@@ -192,6 +192,33 @@ class TestEnsembles:
             assert np.array_equal(a.skeleton_x, b.skeleton_x)
             assert a.seed == b.seed
 
+    @pytest.mark.parametrize("workers, n_paths, cpus, expected", [
+        (64, 3, 8, 3), (64, 3, 2, 2), (2, 6, 8, 2), (64, 3, None, None), (4, 1, 8, None)])
+    def test_workers_capped_by_paths_and_cpus(self, monkeypatch, workers, n_paths, cpus,
+                                              expected):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(hjsim.engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(hjsim.engine.os, "cpu_count", lambda: cpus)
+        model = two_component_model()
+        paths = hjsim.simulate_ensemble(model, 2.0, ou_cfg(2.0), 5, n_paths, workers=workers)
+        assert started == ([] if expected is None else [expected])
+        serial = hjsim.simulate_ensemble(model, 2.0, ou_cfg(2.0), 5, n_paths)
+        assert [p.event_times.tolist() for p in paths] == [p.event_times.tolist() for p in serial]
+
     def test_model_hashed_once_per_ensemble(self, monkeypatch):
         calls = []
         digest = hjsim.engine.model_digest

@@ -236,6 +236,20 @@ class TestSerialization:
                        {"type": "constant", "size": 0.0})
         assert err.value.field == "rates[0].type"
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(coefficients=5), "coefficients"),
+        (lambda d: d["coefficients"].pop("jump"), "coefficients.jump"),
+        (lambda d: d["coefficients"]["drift"].update(type={}), "coefficients.drift.type"),
+        (lambda d: d["rates"][0].update(type=[1]), "rates[0].type"),
+        (lambda d: d["rates"].__setitem__(0, "constant"), "rates[0]"),
+    ])
+    def test_malformed_variant_names_field(self, edit, field):
+        d = model_to_dict(reference_model())
+        edit(d)
+        with pytest.raises(ConfigError) as err:
+            model_from_dict(d)
+        assert err.value.field == field
+
     def test_nested_matrix_accepted(self):
         model = hjsim.model_from_dict({
             "M": 2,
