@@ -113,6 +113,12 @@ CASES = {
     "ensemble_m2_ou": ensemble(two_component_model, 5.0, ou_cfg(5.0), 34, 5),
     "ensemble_m1_em_sample_at": ensemble(reference_model, 5.0, em_cfg(0.1, 0.02), 35, 3,
                                          sample_at=[1.23]),
+    # Ensembles large enough to advance their paths in lockstep groups, to
+    # span more than one group and to finish their last paths serially.
+    "ensemble_m2_ou_groups": ensemble(two_component_model, 5.0, ou_cfg(5.0), 38, 300),
+    "ensemble_inhibitory_em_sample_at": ensemble(inhibitory_model, 10.0, em_cfg(0.004, 0.002),
+                                                 39, 16, sample_at=[0.5, 3.3, 7.77]),
+    "ensemble_m3_sigmoid_ou": ensemble(lambda: sigmoid_model(False), 10.0, ou_cfg(0.5), 40, 9),
 }
 
 # The Monte Carlo generator check continues candidate-bearing paths with the
@@ -127,8 +133,12 @@ GOLDEN = {
     "dynkin_inhibitory_ou": "dcb7de0bedbf8ebbf156bb7ce8f83a35cb753c1fefb7ec1ee131ff7988e69aea",
     "dynkin_m2_em": "492777eb3eb274567f9a0c17940ebbd1803412ded0016e7b484c9fb8214f4e56",
     "dynkin_m2_ou": "f4d570f65b5be48948197f0ffe0620846909f69a7ed274438b3fe39f0999c7ae",
+    "ensemble_inhibitory_em_sample_at":
+        "746de6e33ff806f78adfa0b94b335e348bd5fff1f7b32a1e14837e10ae8f265d",
     "ensemble_m1_em_sample_at": "2eb9d5bac8746e87c92482a710a66a92ab94d59131fc6ff14b1dfe68a58865d0",
     "ensemble_m2_ou": "46c4e39102db26e405f51e5e8b2c43908f2d92255746778fe1eaca7e32cd58d6",
+    "ensemble_m2_ou_groups": "0bfb37b3e82ba27519ebb33d86ebe6271b917b26e6b3d0edac0020abd44dad72",
+    "ensemble_m3_sigmoid_ou": "4534963d7511b52b3b4df317e9095449f4e807ed709648fa4aefb1d181416754",
     "m1_em_coarse": "5284dceef6ef143e6e1f268bb1d91a2b904cefbf466f7ac1b759ba2ee1a7cff4",
     "m1_em_fine": "14c12ea2db7075f1567ee8584d1d1a6d32d5de5ac4556a933454fd7605f6ecf3",
     "m1_em_sample_at": "a8f1eacfc0a300fd97d1af2c7132402550940b22873ec2df6498ba18f598c2c5",
