@@ -9,9 +9,21 @@ lambda_i(y(tau-))/B using a single uniform that partitions [0, 1] into
 M + 1 ordered intervals, the last being the rejection mass; after a
 rejection the bound is recomputed at the flowed state, so it tightens as
 the memory decays.  The rates and the bound come from
-:class:`hjsim.intensity.RateRuntime`.  One event loop, ``_run_events``,
-runs the thinning of every path, including the candidate-bearing paths of
-the Monte Carlo generator check in :mod:`hjsim.stability`.
+:class:`hjsim.intensity.RateRuntime`.  ``_run_events`` thins one path at a
+time; it also continues the candidate-bearing paths of the Monte Carlo
+generator check in :mod:`hjsim.stability`.
+
+Ensembles thin their paths in lockstep groups (``_simulate_group``): the
+memory flow, the rates, the envelope and the component pick are array
+operations over the live paths, while each path keeps its own counter-based
+random stream and ``_PathBuilder``, draws its candidates and records its
+jumps as ``_run_events`` does.  No path's draws are reordered, so every path
+is byte-identical to the one :func:`simulate_path` makes from its seed.  A
+budget on the live state (a draw buffer and skeleton lists per path) sets
+the group width, so long grids give narrow groups.  Below
+``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
+and each remaining path continues through ``_run_events`` from its last
+candidate; a single path never enters the lockstep loop.
 
 ``simulate_path_reference`` keeps the alternative textbook construction as
 a cross-validation oracle: a one-dimensional dominating counting process
@@ -60,6 +72,15 @@ __all__ = [
 ]
 
 DEFAULT_MAX_EVENTS = 10_000_000
+
+# Below this many live paths a lockstep iteration costs more than thinning
+# the paths one at a time.
+_LOCKSTEP_MIN = 4
+# Live state a lockstep group may hold: each live path keeps a 1024-draw
+# uniform buffer and skeleton lists of about 64 bytes per sample time.
+_GROUP_BUDGET = 1 << 21
+_ROW_BYTES = 8192
+_SAMPLE_BYTES = 64
 
 
 class SimulationLimitError(RuntimeError):
@@ -317,29 +338,73 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
 def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],
                   workers: int = 1, sample_at=None, **kwargs) -> list[Path]:
     """One path per seed, in order; the checks, the sample times and the
-    model digest are done once for all of them.  At most one worker process
-    runs per path and per CPU."""
+    model digest are done once for all of them.  Paths run in groups of at
+    most ``_GROUP_BUDGET`` bytes of live state; at most one worker process
+    runs per group and per CPU."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     cfg.validate_for(model.coefficients)
-    run = partial(_simulate, model, horizon, cfg,
-                  _build_sample_times(horizon, cfg.grid_dt, sample_at), model_digest(model),
+    sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
+    run = partial(_simulate_group, model, horizon, cfg, sample_times, model_digest(model),
                   **kwargs)
     workers = min(workers, len(seeds), os.cpu_count() or 1)
+    width = max(1, min(_GROUP_BUDGET // (_ROW_BYTES + _SAMPLE_BYTES * len(sample_times)),
+                       -(-len(seeds) // max(workers, 1))))
+    groups = [seeds[i:i + width] for i in range(0, len(seeds), width)]
     if workers <= 1:
-        return [run(seed) for seed in seeds]
+        return [p for group in groups for p in run(group)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, seeds, chunksize=max(1, len(seeds) // (workers * 8))))
+        return [p for paths in pool.map(run, groups) for p in paths]
 
 
-def _simulate(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
-              sample_times: np.ndarray, digest: str, seed: int, *,
-              max_events: int = DEFAULT_MAX_EVENTS) -> Path:
-    """One path from the inputs :func:`_simulate_all` prepared."""
-    builder = _PathBuilder(model, cfg, RandomStream(seed), horizon, sample_times)
-    _run_events(RateRuntime(model), builder, 0.0, builder.y, max_events)
-    builder.finish()
-    return builder.to_path(seed, digest)
+def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
+                    sample_times: np.ndarray, digest: str, seeds: list[int], *,
+                    max_events: int = DEFAULT_MAX_EVENTS) -> list[Path]:
+    """The paths of ``seeds`` from the inputs :func:`_simulate_all` prepared:
+    thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live, then each
+    on its own through :func:`_run_events`."""
+    rt = RateRuntime(model)
+    builders = [_PathBuilder(model, cfg, RandomStream(s), horizon, sample_times) for s in seeds]
+    paths: list[Optional[Path]] = [None] * len(seeds)
+    rows = list(range(len(seeds)))   # live paths; row r of t and y is path rows[r]
+    t = np.zeros(len(seeds))         # last candidate time, and the memory there
+    y = np.array([b.y for b in builders])
+
+    def retire(k: int) -> None:
+        builders[k].finish()
+        paths[k] = builders[k].to_path(seeds[k], digest)
+        builders[k] = None
+
+    while len(rows) >= _LOCKSTEP_MIN:
+        bound = rt.bounds(y)
+        bad = bound[~(np.isfinite(bound) & (bound > 0.0))]
+        if bad.size:
+            raise RuntimeError(f"dominating rate must be finite and positive, got {bad[0]}")
+        tau = t + np.array([builders[k].rng.exponential(b) for k, b in zip(rows, bound.tolist())])
+        done = tau > horizon
+        if done.any():
+            for r in np.flatnonzero(done).tolist():
+                retire(rows[r])
+            keep = ~done
+            rows = [k for k, d in zip(rows, done.tolist()) if not d]
+            t, y, tau, bound = t[keep], y[keep], tau[keep], bound[keep]
+        y = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
+        lam = rt.intensities(y)
+        if np.any(lam.sum(axis=1) > bound * (1.0 + 1e-9)):
+            raise RuntimeError("dominating rate violated; rate functions inconsistent")
+        u = np.array([builders[k].rng.uniform() for k in rows]) * bound
+        cum = np.cumsum(lam, axis=1)
+        comp = np.where(u < cum[:, -1], (cum <= u[:, None]).sum(axis=1) + 1, 0)
+        for r in np.flatnonzero(comp).tolist():
+            builder = builders[rows[r]]
+            builder.jump(float(tau[r]), int(comp[r]), y[r].copy())
+            y[r] = builder.y
+            _check_events(builder, max_events)
+        t = tau
+    for k, t_k, y_k in zip(rows, t.tolist(), y):
+        _run_events(rt, builders[k], t_k, y_k, max_events)
+        retire(k)
+    return paths
 
 
 def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
@@ -356,10 +421,14 @@ def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
         if comp is None:
             return t, y
         builder.jump(t, comp, y)
-        if len(builder.ev_t) >= max_events:
-            raise SimulationLimitError(
-                f"exceeded {max_events} events before t = {t:.6g} "
-                "(supercritical model or horizon too long?)")
+        _check_events(builder, max_events)
+
+
+def _check_events(builder: _PathBuilder, max_events: int) -> None:
+    if len(builder.ev_t) >= max_events:
+        raise SimulationLimitError(
+            f"exceeded {max_events} events before t = {builder.t_anchor:.6g} "
+            "(supercritical model or horizon too long?)")
 
 
 def reference_rate_step(model: ModelSpec) -> float:

@@ -52,6 +52,12 @@ class RateRuntime:
         started at y, because row absolute sums only shrink under the flow."""
         return self.f_zero_sum + float(self.gammas @ np.abs(y).sum(axis=1))
 
+    def bounds(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`bound` at each of n memory states, y of shape (n, M, M).
+        The stacked product takes one dot product per state, rounding as
+        :meth:`bound` does."""
+        return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :], self.gammas)[:, 0]
+
 
 def _memory(model: ModelSpec, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)

@@ -1,6 +1,7 @@
 """Model builders shared across the test modules."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 import hjsim
 
@@ -106,3 +107,40 @@ def random_state(rng, m, x_range=(-1.5, 1.5), y_mag=(0.3, 1.5)):
     signs = rng.choice([-1.0, 1.0], size=(m, m))
     y = signs * rng.uniform(y_mag[0], y_mag[1], size=(m, m))
     return hjsim.State(x, y)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_RATE_SPECS = st.one_of(
+    st.builds(lambda floor, intercept, slope: {"type": "affine_clipped", "floor": floor,
+                                               "intercept": intercept, "slope": slope},
+              _finite(0.05, 1.0), _finite(-1.0, 2.0), _finite(-1.0, 1.0)),
+    st.builds(lambda height, steepness, center: {"type": "sigmoid", "height": height,
+                                                 "steepness": steepness, "center": center},
+              _finite(0.2, 3.0), _finite(0.2, 2.0), _finite(-2.0, 2.0)))
+
+
+@st.composite
+def simulation_runs(draw):
+    """A random M <= 3 model (clipped rates with signed slope or sigmoid
+    rates, signed amplitudes, nonzero start) with a horizon, an exact-OU or
+    Euler-Maruyama config, optional extra sample times and a seed."""
+    m = draw(st.integers(1, 3))
+
+    def entries(lo, hi):
+        return draw(st.lists(_finite(lo, hi), min_size=m * m, max_size=m * m))
+
+    em = draw(st.booleans())
+    model = make_model(m, draw(st.lists(_RATE_SPECS, min_size=m, max_size=m)),
+                       entries(-0.6, 0.6), entries(0.5, 3.0),
+                       {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                       {"type": "constant", "value": 1.0},
+                       {"type": "linear_damping", "eta": 0.5},
+                       x0=draw(_finite(-2.0, 2.0)), y0=entries(-1.0, 1.0))
+    horizon = draw(_finite(0.5, 4.0))
+    grid_dt = horizon / draw(_finite(0.5, 60.0))
+    cfg = em_cfg(grid_dt, grid_dt / draw(_finite(0.7, 4.0))) if em else ou_cfg(grid_dt)
+    extra = draw(st.one_of(st.none(), st.lists(_finite(-1.0, 5.0), max_size=4)))
+    return model, horizon, cfg, extra, draw(st.integers(0, 2**63))

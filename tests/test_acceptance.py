@@ -37,9 +37,8 @@ def test_criterion_1_poisson_degeneracy():
     model = poisson_model((1.0, 2.0))
     cfg = ou_cfg(grid_dt=10.0)
     started = time.monotonic()
-    counts = np.array([hjsim.simulate_path(model, 10.0, cfg,
-                                           derive_path_seed(1001, i)).n_events
-                       for i in range(10_000)], dtype=float)
+    counts = np.array([p.n_events for p in hjsim.simulate_ensemble(model, 10.0, cfg, 1001,
+                                                                   10_000)], dtype=float)
     elapsed = time.monotonic() - started
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     ok = abs(counts.mean() - 30.0) <= 3 * se and elapsed < 60.0
@@ -67,8 +66,7 @@ def test_criterion_3_engine_vs_reference_law():
     assert spectral_radius(interaction_matrix(model)) == pytest.approx(0.5, abs=1e-9)
     cfg = ou_cfg(grid_dt=5.0)
     engine_counts = np.array([
-        hjsim.simulate_path(model, 5.0, cfg, derive_path_seed(1003, i)).n_events
-        for i in range(10_000)])
+        p.n_events for p in hjsim.simulate_ensemble(model, 5.0, cfg, 1003, 10_000)])
     reference_counts = np.array([
         hjsim.simulate_path_reference(model, 5.0, cfg,
                                       derive_path_seed(2003, i)).n_events

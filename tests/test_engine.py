@@ -1,6 +1,6 @@
 import math
-
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import hjsim
+from hjsim import engine, pathio
 from hjsim.engine import _build_sample_times, reference_rate_step
-from hjsim.intensity import flow_memory, intensity_vector
+from hjsim.intensity import RateRuntime, flow_memory, intensity_vector
 from hjsim.rng import RandomStream, derive_path_seed
 
-from helpers import (em_cfg, make_model, ou_cfg, poisson_model,
-                     reference_model, supercritical_model, two_component_model)
+from helpers import (em_cfg, make_model, ou_cfg, poisson_model, reference_model,
+                     simulation_runs, supercritical_model, two_component_model)
 
 
 class TestPoissonDegeneracy:
@@ -231,6 +232,72 @@ class TestEnsembles:
     def test_distinct_path_seeds(self):
         seeds = {derive_path_seed(0, i) for i in range(10_000)}
         assert len(seeds) == 10_000
+
+
+class TestLockstep:
+    """Ensembles thin their paths in lockstep groups; every path must equal
+    the one :func:`simulate_path` makes from the same seed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_runs(), st.integers(1, 12), st.integers(1, 12))
+    def test_ensemble_equals_serial_paths(self, run, n, width):
+        model, horizon, cfg, extra, seed = run
+        # a budget for ``width`` live paths splits the ensemble into groups
+        n_samples = len(_build_sample_times(horizon, cfg.grid_dt, extra))
+        budget = width * (engine._ROW_BYTES + engine._SAMPLE_BYTES * n_samples)
+        with mock.patch.object(engine, "_GROUP_BUDGET", budget):
+            paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
+        serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
+                                      sample_at=extra) for i in range(n)]
+        assert [pathio.dumps_binary(p) for p in paths] == [pathio.dumps_binary(p) for p in serial]
+
+    def test_circuit_breaker_in_lockstep(self):
+        with pytest.raises(hjsim.SimulationLimitError) as info:
+            hjsim.simulate_ensemble(supercritical_model(), 200.0, em_cfg(0.1), 3, 8,
+                                    max_events=500)
+        names = [entry.name for entry in info.traceback]
+        assert "_simulate_group" in names and "_run_events" not in names
+
+    @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
+                                                (math.nan, "finite and positive"),
+                                                (0.5, "dominating rate violated")])
+    def test_bound_checks_in_lockstep(self, monkeypatch, scale, message):
+        bounds = RateRuntime.bounds
+        monkeypatch.setattr(RateRuntime, "bounds", lambda rt, y: scale * bounds(rt, y))
+        with pytest.raises(RuntimeError, match=message):
+            hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 8)
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_group_memory_without_grid(self):
+        model = two_component_model()
+        cfg = ou_cfg(5.0)
+        hjsim.simulate_ensemble(model, 5.0, cfg, 1, 4)
+        peak, _ = self._peak(lambda: hjsim.simulate_ensemble(model, 5.0, cfg, 7, 1000))
+        assert peak <= 4_000_000
+
+    def test_group_memory_on_long_grids(self):
+        # 64 paths of 20001 samples each; events are rare and nothing is
+        # random in x, so the run is mostly skeleton storage.
+        model = make_model(1, [{"type": "constant", "level": 0.05}], [0.0], [1.0],
+                           {"type": "linear", "rate": 0.0, "intercept": 0.0},
+                           {"type": "constant", "value": 0.0},
+                           {"type": "constant", "size": 0.0})
+        peak, paths = self._peak(lambda: hjsim.simulate_ensemble(model, 20.0, ou_cfg(0.001),
+                                                                 7, 64))
+        # building the same paths one at a time holds at least their arrays
+        serial_floor = sum(getattr(p, k).nbytes for p in paths
+                           for k in ("event_times", "event_components", "skeleton_times",
+                                     "skeleton_x", "skeleton_row_sums"))
+        assert len(paths[0].skeleton_times) >= 20_001
+        assert peak <= 1.25 * serial_floor
 
 
 class TestSampleAt:
