@@ -526,16 +526,18 @@ def _variant_from_dict(d, registry: dict, field: str):
 
 
 def _as_matrix(raw, m: int, field: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        _require(arr.size == m * m, field, f"expected {m * m} entries (row-major), got {arr.size}")
-        arr = arr.reshape(m, m)
+    """An (m, m) matrix from m*m numbers (row-major) or m rows of m numbers."""
+    raw = raw.tolist() if isinstance(raw, np.ndarray) else raw
+    _require(isinstance(raw, (list, tuple)), field, "must be a list of numbers or of rows")
+    if raw and all(isinstance(row, (list, tuple)) for row in raw):
+        _require(len(raw) == m and all(len(row) == m for row in raw), field,
+                 f"expected {m} rows of {m} entries")
+        raw = [v for row in raw for v in row]
     else:
-        _require(arr.shape == (m, m), field, f"expected shape ({m}, {m}), got {arr.shape}")
-    for i in range(m):
-        for j in range(m):
-            _require(math.isfinite(arr[i, j]), f"{field}[{i}][{j}]", "must be finite")
-    return arr
+        _require(len(raw) == m * m, field, f"expected {m * m} entries (row-major), got {len(raw)}")
+    for k, v in enumerate(raw):
+        _require(_finite(v), f"{field}[{k // m}][{k % m}]", "must be a finite number")
+    return np.array(raw, dtype=float).reshape(m, m)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -756,8 +758,8 @@ def _scan_grid(scan_radius: float, grid_points: int) -> np.ndarray:
     return np.concatenate([-half[::-1], half])
 
 
-def check_assumptions(model: ModelSpec, scan_radius: float,
-                      grid_points: int = 201) -> AssumptionReport:
+def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 201, *,
+                      spectral_radius: float | None = None) -> AssumptionReport:
     """Classify the model into a confinement frame by scanning the defining
     inequalities on a symmetric grid over [-scan_radius, scan_radius].
 
@@ -765,7 +767,8 @@ def check_assumptions(model: ModelSpec, scan_radius: float,
     scan radius; the drift rates use the families' exact formulas while the
     jump-map inequalities are certified on the grid.  A positive quadratic
     rate d is required for the exponential classification (d = 0 is treated
-    as inconclusive).
+    as inconclusive).  ``spectral_radius`` is that of the interaction
+    matrix, for a caller that has already computed it.
     """
     if not scan_radius > 0:
         raise ValueError("scan_radius must be > 0")
@@ -781,7 +784,8 @@ def check_assumptions(model: ModelSpec, scan_radius: float,
 
     from . import stability  # local import: stability builds on this module
 
-    rho = stability.spectral_radius(stability.interaction_matrix(model))
+    rho = (stability.spectral_radius(stability.interaction_matrix(model))
+           if spectral_radius is None else spectral_radius)
     stability_ok = bool(rho < 1.0)
     degenerate = model.kernel.is_degenerate
     if degenerate:

@@ -36,7 +36,8 @@ import numpy as np
 from .diffusion import IntegratorConfig, advance_diffusion_many
 from .engine import DEFAULT_MAX_EVENTS, _PathBuilder, _pick_component, _run_events
 from .intensity import RateRuntime
-from .model import DegenerateKernelError, KernelMatrix, ModelSpec, State, check_assumptions
+from .model import (AssumptionReport, DegenerateKernelError, KernelMatrix, ModelSpec, State,
+                    check_assumptions)
 from .rng import RandomStream
 
 __all__ = [
@@ -166,7 +167,11 @@ def lyapunov_spec_for(model: ModelSpec, scan_radius: float = 20.0,
     documented admissible interval; a user-supplied value outside that
     interval is accepted with a warning.
     """
-    report = check_assumptions(model, scan_radius)
+    return _spec_from_report(check_assumptions(model, scan_radius), poly_m)
+
+
+def _spec_from_report(report: AssumptionReport, poly_m: float | None) -> LyapunovSpec:
+    """The spec of :func:`lyapunov_spec_for` from an assumption report."""
     if report.frame == "exponential":
         return LyapunovSpec("exponential")
     if report.frame == "polynomial":
@@ -178,7 +183,7 @@ def lyapunov_spec_for(model: ModelSpec, scan_radius: float = 20.0,
         elif interval is not None and not (interval[0] < poly_m < interval[1]):
             warnings.warn(
                 f"poly_m={poly_m} outside the documented interval "
-                f"({interval[0]:.4g}, {interval[1]:.4g})", stacklevel=2)
+                f"({interval[0]:.4g}, {interval[1]:.4g})", stacklevel=3)
         return LyapunovSpec("polynomial", poly_m)
     raise ValueError("model is outside both confinement frames")
 
@@ -442,8 +447,8 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
     """JSON-ready stability summary: interaction matrix, Perron data, frame
     classification, fitted drift constants and per-column Vandermonde
     determinants."""
-    assumptions = check_assumptions(model, scan_radius)
     stab = stability_data(model)
+    assumptions = check_assumptions(model, scan_radius, spectral_radius=stab.spectral_radius)
     report = {
         "interaction_matrix": stab.matrix.tolist(),
         "spectral_radius": stab.spectral_radius,
@@ -462,14 +467,7 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
         "vandermonde": [],
     }
     if assumptions.frame != "neither":
-        if assumptions.frame == "exponential":
-            lyap = LyapunovSpec("exponential")
-        else:
-            interval = assumptions.m_interval
-            if poly_m is None and interval is not None:
-                poly_m = 0.5 * (interval[0] + interval[1])
-            lyap = LyapunovSpec("polynomial", poly_m)
-        scan = drift_scan(model, lyap, stab,
+        scan = drift_scan(model, _spec_from_report(assumptions, poly_m), stab,
                           (-scan_radius, scan_radius, -scan_radius, scan_radius),
                           n_points, seed=seed)
         report["drift"] = scan.to_dict()

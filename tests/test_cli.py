@@ -8,7 +8,7 @@ import hjsim
 from hjsim import cli, pathio
 from hjsim.model import ConfigError, model_to_dict
 
-from helpers import reference_model, supercritical_model
+from helpers import reference_model, supercritical_model, two_component_model
 
 
 def write_config(tmp_path, model=None, run=None, name="model.json"):
@@ -141,6 +141,28 @@ class TestSimulate:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("ConfigError", f"run.{key}")
+
+    @pytest.mark.parametrize("block, key, value, field", [
+        ("kernel", "c", ["a", 0.2, 0.1, 0.4], "kernel.c[0][0]"),
+        ("kernel", "c", [True, 0.2, 0.1, 0.4], "kernel.c[0][0]"),
+        ("kernel", "c", [[0.3, 0.2], [0.1]], "kernel.c"),
+        ("kernel", "c", [[0.3, 0.2], 0.1, 0.4, 0.2], "kernel.c[0][0]"),
+        ("kernel", "c", "0.3", "kernel.c"),
+        ("kernel", "alpha", [1.0, 1.0, None, 1.0], "kernel.alpha[1][0]"),
+        ("kernel", "alpha", [[1.0, 1.0], [1.0, {}]], "kernel.alpha[1][1]"),
+        ("initial", "y", [0.0, 0.0, 0.0, False], "initial.y[1][1]"),
+        ("initial", "y", [0.0, 0.0, 0.0], "initial.y")])
+    def test_bad_matrix_entry_is_structured_error(self, tmp_path, capsys, block, key, value,
+                                                  field):
+        d = model_to_dict(two_component_model())
+        d[block][key] = value
+        d["run"] = {"horizon": 1.0}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(d))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("ConfigError", field)
 
     def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -325,3 +325,21 @@ class TestReport:
         assert not report["stability_ok"]
         assert report["frame"] == "exponential"
         assert not report["drift"]["success"]
+
+    def test_report_finds_the_perron_data_once(self, monkeypatch):
+        calls = []
+        perron = hjsim.stability._perron
+        monkeypatch.setattr(hjsim.stability, "_perron",
+                            lambda mat: calls.append(1) or perron(mat))
+        stability_report(polynomial_model(), n_points=500)
+        assert len(calls) == 1
+
+    def test_report_scans_with_the_spec_of_lyapunov_spec_for(self, monkeypatch):
+        specs = []
+        scan = hjsim.stability.drift_scan
+        monkeypatch.setattr(hjsim.stability, "drift_scan",
+                            lambda model, lyap, *a, **k: specs.append(lyap) or scan(
+                                model, lyap, *a, **k))
+        for model in (reference_model(), polynomial_model()):
+            stability_report(model, n_points=500)
+            assert specs.pop() == hjsim.stability.lyapunov_spec_for(model)
