@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import hjsim
 from hjsim import pathio
 
-from helpers import ou_cfg, reference_model
+from helpers import ou_cfg, reference_model, simulation_runs
 
 
 def sample_path(seed=17):
@@ -93,4 +94,17 @@ class TestBinary:
         path = hjsim.simulate_path(two_component_model(), 15.0, ou_cfg(0.5), seed=21)
         assert path.n_components == 2
         assert_paths_equal(path, pathio.read_binary(io.BytesIO(pathio.dumps_binary(path))))
+        assert_paths_equal(path, pathio.read_jsonl(io.StringIO(pathio.dumps_jsonl(path).decode())))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(simulation_runs())
+    def test_both_formats_return_the_path(self, run):
+        model, horizon, cfg, extra, seed = run
+        path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra)
+        blob = pathio.dumps_binary(path)
+        back = pathio.read_binary(io.BytesIO(blob))
+        assert_paths_equal(path, back)
+        assert pathio.dumps_binary(back) == blob
         assert_paths_equal(path, pathio.read_jsonl(io.StringIO(pathio.dumps_jsonl(path).decode())))
