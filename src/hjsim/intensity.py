@@ -53,9 +53,8 @@ class RateRuntime:
         return self.f_zero_sum + float(self.gammas @ np.abs(y).sum(axis=1))
 
     def bounds(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`bound` at each of n memory states, y of shape (n, M, M).
-        The stacked product takes one dot product per state, rounding as
-        :meth:`bound` does."""
+        """:meth:`bound` at n memory states (n, M, M); the stacked product
+        takes one dot product per state, so it rounds as :meth:`bound` does."""
         return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :], self.gammas)[:, 0]
 
 

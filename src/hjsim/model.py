@@ -97,7 +97,10 @@ class DegenerateKernelError(ValueError):
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _require(cond: bool, field: str, message: str) -> None:

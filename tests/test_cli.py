@@ -134,7 +134,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value", [
         ("horizon", "10"), ("seed", 1.5), ("n_paths", "2"), ("grid_dt", None),
-        ("horizon", True), ("bins", 2.5), ("times", [1.0, "2"]), ("integrator", 1)])
+        ("horizon", True), ("bins", 2.5), ("times", [1.0, "2"]), ("integrator", 1),
+        ("horizon", 10**400)])
     def test_wrongly_typed_run_field_is_structured_error(self, tmp_path, capsys, key, value):
         config = write_config(tmp_path, run={key: value})
         rc = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x")])
@@ -151,6 +152,7 @@ class TestSimulate:
         ("kernel", "alpha", [1.0, 1.0, None, 1.0], "kernel.alpha[1][0]"),
         ("kernel", "alpha", [[1.0, 1.0], [1.0, {}]], "kernel.alpha[1][1]"),
         ("initial", "y", [0.0, 0.0, 0.0, False], "initial.y[1][1]"),
+        ("initial", "y", [0.0, 0.0, 10**400, 0.0], "initial.y[1][0]"),
         ("initial", "y", [0.0, 0.0, 0.0], "initial.y")])
     def test_bad_matrix_entry_is_structured_error(self, tmp_path, capsys, block, key, value,
                                                   field):

@@ -186,8 +186,10 @@ class TestReferenceConstruction:
 class TestEnsembles:
     def test_parallel_matches_serial(self):
         model = two_component_model()
-        serial = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 6, workers=1)
-        parallel = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 6, workers=2)
+        # ten paths give each worker a group that runs in lockstep
+        serial = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 10, workers=1)
+        parallel = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 10, workers=2)
+        assert len(serial) == len(parallel) == 10
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.event_times, b.event_times)
             assert np.array_equal(a.skeleton_x, b.skeleton_x)
