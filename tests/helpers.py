@@ -122,22 +122,44 @@ _RATE_SPECS = st.one_of(
               _finite(0.2, 3.0), _finite(0.2, 2.0), _finite(-2.0, 2.0)))
 
 
+_DRIFT_SPECS = st.one_of(
+    st.builds(lambda rate, intercept: {"type": "linear", "rate": rate, "intercept": intercept},
+              st.one_of(st.just(0.0), _finite(-0.5, 2.0)), _finite(-1.0, 1.0)),
+    st.builds(lambda amplitude, steepness: {"type": "bounded_smooth", "amplitude": amplitude,
+                                            "steepness": steepness},
+              _finite(0.1, 3.0), _finite(0.2, 3.0)))
+
+_DIFFUSION_SPECS = st.one_of(
+    st.builds(lambda value: {"type": "constant", "value": value},
+              st.one_of(st.just(0.0), _finite(0.1, 1.5))),
+    st.builds(lambda lo, extra: {"type": "smooth_bounded", "lo": lo, "hi": lo + extra},
+              _finite(0.1, 1.0), _finite(0.0, 1.0)))
+
+_JUMP_SPECS = st.one_of(
+    st.builds(lambda size: {"type": "constant", "size": size}, _finite(-1.0, 1.0)),
+    st.builds(lambda eta: {"type": "linear_damping", "eta": eta}, _finite(0.0, 2.0)),
+    st.builds(lambda coeff, exponent: {"type": "power_bounded", "coeff": coeff,
+                                       "exponent": exponent},
+              _finite(-1.5, 1.5), _finite(-1.0, 0.95)))
+
+
 @st.composite
 def simulation_runs(draw):
     """A random M <= 3 model (clipped rates with signed slope or sigmoid
-    rates, signed amplitudes, nonzero start) with a horizon, an exact-OU or
-    Euler-Maruyama config, optional extra sample times and a seed."""
+    rates, signed amplitudes, nonzero start, every kind of drift, noise and
+    jump map, zero rate and zero noise included) with a horizon, an
+    integrator config (exact-OU only where it is admissible), optional
+    extra sample times and a seed."""
     m = draw(st.integers(1, 3))
 
     def entries(lo, hi):
         return draw(st.lists(_finite(lo, hi), min_size=m * m, max_size=m * m))
 
-    em = draw(st.booleans())
+    drift, noise = draw(_DRIFT_SPECS), draw(_DIFFUSION_SPECS)
+    ou_admissible = drift["type"] == "linear" and noise["type"] == "constant"
+    em = not ou_admissible or draw(st.booleans())
     model = make_model(m, draw(st.lists(_RATE_SPECS, min_size=m, max_size=m)),
-                       entries(-0.6, 0.6), entries(0.5, 3.0),
-                       {"type": "linear", "rate": 1.0, "intercept": 0.0},
-                       {"type": "constant", "value": 1.0},
-                       {"type": "linear_damping", "eta": 0.5},
+                       entries(-0.6, 0.6), entries(0.5, 3.0), drift, noise, draw(_JUMP_SPECS),
                        x0=draw(_finite(-2.0, 2.0)), y0=entries(-1.0, 1.0))
     horizon = draw(_finite(0.5, 4.0))
     grid_dt = horizon / draw(_finite(0.5, 60.0))

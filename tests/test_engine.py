@@ -17,6 +17,22 @@ from helpers import (em_cfg, make_model, ou_cfg, poisson_model, reference_model,
                      simulation_runs, supercritical_model, two_component_model)
 
 
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: maps the groups in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
 class TestPoissonDegeneracy:
     def test_interevent_times_are_exponential(self):
         # constant rates with zero amplitudes: superposition is Poisson(3)
@@ -186,14 +202,24 @@ class TestReferenceConstruction:
 class TestEnsembles:
     def test_parallel_matches_serial(self):
         model = two_component_model()
-        # ten paths give each worker a group that runs in lockstep
-        serial = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 10, workers=1)
-        parallel = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5), 99, 10, workers=2)
+        # ten paths give each of the two workers a group that runs in lockstep
+        serial = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5, 0.1), 99, 10, workers=1)
+        parallel = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5, 0.1), 99, 10, workers=2)
         assert len(serial) == len(parallel) == 10
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.event_times, b.event_times)
-            assert np.array_equal(a.skeleton_x, b.skeleton_x)
-            assert a.seed == b.seed
+        assert [pathio.dumps_binary(p) for p in parallel] == [pathio.dumps_binary(p)
+                                                              for p in serial]
+
+    @settings(max_examples=60, deadline=None)
+    @given(simulation_runs(), st.integers(1, 12), st.integers(2, 8))
+    def test_output_does_not_depend_on_worker_count(self, run, n, workers):
+        # the worker count sets the group width; an in-process pool maps the groups
+        model, horizon, cfg, extra, seed = run
+        with mock.patch.object(engine, "ProcessPoolExecutor", InProcessPool), \
+                mock.patch.object(engine.os, "cpu_count", lambda: 8):
+            split = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, workers=workers,
+                                            sample_at=extra)
+        whole = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
+        assert [pathio.dumps_binary(p) for p in split] == [pathio.dumps_binary(p) for p in whole]
 
     @pytest.mark.parametrize("workers, n_paths, cpus, expected", [
         (64, 3, 8, 3), (64, 3, 2, 2), (2, 6, 8, 2), (64, 3, None, None), (4, 1, 8, None)])

@@ -7,8 +7,8 @@ leave every one of them unchanged.  The matrix covers M = 1, 2, 3; exact-OU
 and Euler-Maruyama, with and without noise; output grids finer and coarser
 than the typical gap between events, one that misses the horizon and one
 beyond it; extra sample times, some within the time tolerance of an event;
-the reference construction; ensembles; sigmoid and clipped rates; and
-inhibitory amplitudes.
+the reference construction; ensembles; sigmoid and clipped rates;
+inhibitory amplitudes; and a power-bounded jump map.
 """
 
 import hashlib
@@ -26,6 +26,7 @@ from helpers import (em_cfg, make_model, ou_cfg, reference_model,
 LINEAR = {"type": "linear", "rate": 1.0, "intercept": 0.0}
 UNIT_NOISE = {"type": "constant", "value": 1.0}
 HALVING = {"type": "linear_damping", "eta": 0.5}
+POWER = {"type": "power_bounded", "coeff": -0.8, "exponent": 0.5}
 
 
 def quiet_model():
@@ -45,7 +46,7 @@ def inhibitory_model():
         LINEAR, UNIT_NOISE, HALVING, x0=-1.0, y0=[0.2, -0.3, 0.1, 0.0])
 
 
-def sigmoid_model(polynomial):
+def sigmoid_model(polynomial, jump=HALVING):
     """M=3 sigmoid rates with mixed-sign amplitudes; ``polynomial`` selects
     a bounded drift and state-dependent noise (Euler-Maruyama only)."""
     drift = ({"type": "bounded_smooth", "amplitude": 2.0, "steepness": 1.0}
@@ -54,7 +55,7 @@ def sigmoid_model(polynomial):
     return make_model(
         3, [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}] * 3,
         [0.5, -0.3, 0.2, 0.2, 0.4, -0.3, -0.3, 0.2, 0.4],
-        [1.0, 2.0, 1.5, 1.2, 1.0, 0.8, 2.0, 1.5, 1.0], drift, noise, HALVING)
+        [1.0, 2.0, 1.5, 1.2, 1.0, 0.8, 2.0, 1.5, 1.0], drift, noise, jump)
 
 
 def near_events(model, horizon, cfg, seed):
@@ -119,6 +120,9 @@ CASES = {
     "ensemble_inhibitory_em_sample_at": ensemble(inhibitory_model, 10.0, em_cfg(0.004, 0.002),
                                                  39, 16, sample_at=[0.5, 3.3, 7.77]),
     "ensemble_m3_sigmoid_ou": ensemble(lambda: sigmoid_model(False), 10.0, ou_cfg(0.5), 40, 9),
+    # Lockstep with state-dependent coefficients and a nonlinear jump map.
+    "ensemble_m3_polynomial_power_em": ensemble(lambda: sigmoid_model(True, POWER), 10.0,
+                                                em_cfg(0.1, 0.02), 42, 8),
 }
 
 # The Monte Carlo generator check continues candidate-bearing paths with the
@@ -138,6 +142,8 @@ GOLDEN = {
     "ensemble_m1_em_sample_at": "2eb9d5bac8746e87c92482a710a66a92ab94d59131fc6ff14b1dfe68a58865d0",
     "ensemble_m2_ou": "46c4e39102db26e405f51e5e8b2c43908f2d92255746778fe1eaca7e32cd58d6",
     "ensemble_m2_ou_groups": "0bfb37b3e82ba27519ebb33d86ebe6271b917b26e6b3d0edac0020abd44dad72",
+    "ensemble_m3_polynomial_power_em":
+        "39fed770dab5511d5f63e906c39eee5ef76dd300defecd4e75584f4c84c59eec",
     "ensemble_m3_sigmoid_ou": "4534963d7511b52b3b4df317e9095449f4e807ed709648fa4aefb1d181416754",
     "m1_em_coarse": "5284dceef6ef143e6e1f268bb1d91a2b904cefbf466f7ac1b759ba2ee1a7cff4",
     "m1_em_fine": "14c12ea2db7075f1567ee8584d1d1a6d32d5de5ac4556a933454fd7605f6ecf3",

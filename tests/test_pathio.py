@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 import hjsim
 from hjsim import pathio
 
-from helpers import ou_cfg, reference_model, simulation_runs
+from helpers import em_cfg, ou_cfg, reference_model, simulation_runs, two_component_model
+
+JSONL_SHA256 = "891b8727e4b62f78f25ece3bd357ee6db650f3a8ddfa1f6f30ce1fb236d909e1"
 
 
 def sample_path(seed=17):
@@ -45,6 +48,13 @@ class TestJsonl:
                 assert body[k - 1]["t"] == rec["t"]
                 assert body[k + 1]["kind"] == "sample"
                 assert body[k + 1]["t"] == rec["t"]
+
+    def test_bytes_are_pinned(self):
+        # the jsonl text of two fixed paths, byte for byte
+        h = hashlib.sha256(pathio.dumps_jsonl(sample_path()))
+        h.update(pathio.dumps_jsonl(hjsim.simulate_path(two_component_model(), 20.0,
+                                                        em_cfg(0.25, 0.05), seed=23)))
+        assert h.hexdigest() == JSONL_SHA256
 
     def test_rejects_other_streams(self):
         with pytest.raises(ValueError):
