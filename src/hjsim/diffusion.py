@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import CoefficientSpec, ConstantDiffusion, LinearDrift
+from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, PowerBoundedJump
 from .rng import RandomStream
 
 __all__ = [
@@ -70,15 +70,23 @@ class IntegratorConfig:
                 raise ValueError("exact transition requires a constant diffusion coefficient")
 
 
-def _ou_moments(x, dt: float, drift: LinearDrift, sigma: float):
+def _ou_moments(x, dt, drift: LinearDrift, sigma: float, exp=math.exp):
+    """Mean and variance of the exact transition over dt from x.  With
+    ``exp=_exp_each``, x and dt may be arrays of per-row values."""
     beta, b0 = drift.rate, drift.intercept
     if beta == 0.0:
         return x + b0 * dt, sigma * sigma * dt
-    decay = math.exp(-beta * dt)
+    decay = exp(-beta * dt)
     mean_level = b0 / beta
     mean = mean_level + (x - mean_level) * decay
     var = sigma * sigma * (1.0 - decay * decay) / (2.0 * beta)
     return mean, var
+
+
+def _exp_each(v: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every element: numpy's vectorised exp does not round
+    as libm's does, and the array steps must equal the scalar ones."""
+    return np.array([math.exp(e) for e in v.tolist()])
 
 
 def _em_steps(dt: float, h: float) -> list[float]:
@@ -172,3 +180,12 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
 def apply_state_jump(x: float, coeffs: CoefficientSpec) -> float:
     """Post-event position x + a(x)."""
     return x + float(coeffs.jump(x))
+
+
+def _apply_state_jumps(xs: np.ndarray, coeffs: CoefficientSpec) -> np.ndarray:
+    """:func:`apply_state_jump` at every position of ``xs``, rounding as the
+    scalar call does.  numpy's array power does not round as libm's pow, so
+    a power-bounded map is applied one position at a time."""
+    if isinstance(coeffs.jump, PowerBoundedJump):
+        return np.array([apply_state_jump(x, coeffs) for x in xs.tolist()])
+    return xs + coeffs.jump(xs)

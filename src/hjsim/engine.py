@@ -54,10 +54,13 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import IntegratorConfig, _advance_segment, apply_state_jump
+from scipy.special import ndtri
+
+from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _apply_state_jumps,
+                        _exp_each, _ou_moments, apply_state_jump)
 from .intensity import RateRuntime
-from .model import ModelSpec, State, model_digest
-from .rng import RandomStream, derive_path_seed
+from .model import ConstantDiffusion, ModelSpec, State, model_digest
+from .rng import DrawBank, RandomStream, derive_path_seed
 
 __all__ = [
     "SimulationLimitError",
@@ -76,10 +79,11 @@ DEFAULT_MAX_EVENTS = 10_000_000
 # Below this many live paths a lockstep iteration costs more than thinning
 # the paths one at a time.
 _LOCKSTEP_MIN = 4
-# Live state a lockstep group may hold: each live path keeps a 1024-draw
-# uniform buffer and skeleton lists of about 64 bytes per sample time.
+# Live state a lockstep group may hold: each live path keeps about 2 KB (a
+# row of 64 buffered draws, its anchor state and the log records of a short
+# path) and about 64 bytes of log per sample time.
 _GROUP_BUDGET = 1 << 21
-_ROW_BYTES = 8192
+_ROW_BYTES = 2048
 _SAMPLE_BYTES = 64
 
 
@@ -128,9 +132,10 @@ class Path:
         rs = np.asarray(self.skeleton_row_sums, dtype=float)
         rs.setflags(write=False)
         object.__setattr__(self, "skeleton_row_sums", rs)
-        if len(self.event_times) and not np.all(np.diff(self.event_times) > 0):
+        et, st = self.event_times, self.skeleton_times
+        if not (et[1:] > et[:-1]).all():
             raise ValueError("event times must be strictly increasing")
-        if np.any(np.diff(self.skeleton_times) < 0):
+        if (st[1:] < st[:-1]).any():
             raise ValueError("skeleton times must be nondecreasing")
 
     @property
@@ -229,9 +234,48 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
     return times[keep]
 
 
+class _Segments:
+    """What advancing x over an inter-event segment needs of a run: the
+    coefficients, the scheme, the decay rates and the sample times."""
+
+    __slots__ = ("coeffs", "cfg", "alpha", "samples", "eps")
+
+    def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
+                 sample_times: np.ndarray):
+        self.coeffs = model.coefficients
+        self.cfg = cfg
+        self.alpha = model.kernel.alpha
+        self.samples = sample_times
+        self.eps = 1e-12 * max(1.0, horizon)
+
+    def advance(self, x: float, t0: float, y: np.ndarray, si: int, t_stop: float, rng):
+        """Advance x from ``t0`` (where the memory is ``y``) to ``t_stop``
+        through the samples from index ``si`` that lie before ``t_stop - eps``.
+
+        Returns x at ``t_stop``, the index of the next sample and the block
+        (times, x, row sums) of those samples, times and x as lists, or None
+        if there are none.
+        The segment's normals are the next draws of ``rng``, taken as one
+        block.
+        """
+        samples = self.samples
+        if si == len(samples) or samples[si] >= t_stop - self.eps:
+            if t_stop > t0:
+                x = _advance_segment(x, (t_stop - t0,), self.coeffs, self.cfg, rng)[0]
+            return x, si, None
+        hi = int(np.searchsorted(samples, t_stop - self.eps))
+        times = samples[si:hi]
+        ts = times.tolist()
+        dts = [b - a for a, b in zip([t0] + ts, ts + [t_stop])]
+        xs = _advance_segment(x, dts, self.coeffs, self.cfg, rng)
+        flow = np.exp(-self.alpha[None] * (times - t0)[:, None, None])
+        return xs[-1], hi, (ts, xs[:-1], (y[None] * flow).sum(axis=2))
+
+
 class _PathBuilder:
-    """Shared skeleton/diffusion bookkeeping for both simulation engines and
-    the Monte Carlo generator check (which passes no sample times).
+    """Skeleton/diffusion bookkeeping of one path, for the serial thinning
+    loop, the reference engine and the Monte Carlo generator check (which
+    passes no sample times).
 
     y is kept anchored at the last event time and flowed in closed form to
     sample times; x is advanced lazily so rejected candidates never touch
@@ -243,48 +287,46 @@ class _PathBuilder:
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, rng: RandomStream,
                  horizon: float, sample_times: np.ndarray):
-        self.coeffs = model.coefficients
-        self.alpha = model.kernel.alpha
+        self.seg = _Segments(model, cfg, horizon, sample_times)
         self.c = model.kernel.c
-        self.cfg = cfg
+        self.coeffs = model.coefficients
         self.rng = rng
         self.horizon = horizon
-        self.samples = sample_times
         self.si = 0
-        self.eps = 1e-12 * max(1.0, horizon)
         self.x = model.initial.x
         self.y = np.array(model.initial.y, dtype=float)
         self.t_anchor = 0.0
+        self.n_prior = 0
         self.ev_t: list[float] = []
         self.ev_c: list[int] = []
         self.sk_t: list[float] = [0.0]
         self.sk_x: list[float] = [self.x]
         self.sk_rs: list[np.ndarray] = [self.y.sum(axis=1)[None]]
 
-    def _advance(self, t_stop: float) -> None:
-        """Record the samples in (anchor, t_stop - eps) and advance x to t_stop."""
-        si, samples = self.si, self.samples
-        if si == len(samples) or samples[si] >= t_stop - self.eps:
-            if t_stop > self.t_anchor:
-                self.x = _advance_segment(self.x, (t_stop - self.t_anchor,), self.coeffs,
-                                          self.cfg, self.rng)[0]
-            return
-        hi = int(np.searchsorted(samples, t_stop - self.eps))
-        times = samples[si:hi]
-        ts = times.tolist()
-        dts = [b - a for a, b in zip([self.t_anchor] + ts, ts + [t_stop])]
-        xs = _advance_segment(self.x, dts, self.coeffs, self.cfg, self.rng)
-        flow = np.exp(-self.alpha[None] * (times - self.t_anchor)[:, None, None])
-        self.sk_t.extend(ts)
-        self.sk_x.extend(xs[:-1])
-        self.sk_rs.append((self.y[None] * flow).sum(axis=2))
-        self.si = hi
-        self.x = xs[-1]
+    def resume(self, x: float, y: np.ndarray, t_anchor: float, si: int, n_prior: int) -> None:
+        """Continue a path whose records up to its last event, at
+        ``t_anchor``, are kept elsewhere: the lists hold only what follows."""
+        self.x, self.y, self.t_anchor, self.si, self.n_prior = x, y, t_anchor, si, n_prior
+        self.sk_t, self.sk_x, self.sk_rs = [], [], []
+
+    def _advance(self, t_stop: float) -> float:
+        """Record the samples in (anchor, t_stop - eps) and advance x to
+        t_stop; returns the time of the last record (the anchor if none)."""
+        self.x, self.si, block = self.seg.advance(self.x, self.t_anchor, self.y, self.si,
+                                                  t_stop, self.rng)
+        if block is None:
+            return self.t_anchor
+        times, xs, rs = block
+        self.sk_t.extend(times)
+        self.sk_x.extend(xs)
+        self.sk_rs.append(rs)
+        return self.sk_t[-1]
 
     def jump(self, tau: float, comp: int, y_pre: np.ndarray) -> None:
         """Record the pre/post skeleton pair and apply the event updates."""
         self._advance(tau)
-        while self.si < len(self.samples) and abs(self.samples[self.si] - tau) <= self.eps:
+        samples, eps = self.seg.samples, self.seg.eps
+        while self.si < len(samples) and abs(samples[self.si] - tau) <= eps:
             self.si += 1
         x_pre = self.x
         rows = np.empty((2, len(y_pre)))
@@ -301,9 +343,9 @@ class _PathBuilder:
         self.t_anchor = tau
 
     def finish(self) -> None:
-        self._advance(self.horizon)
-        if self.horizon - self.sk_t[-1] > self.eps:
-            flow = np.exp(-self.alpha * (self.horizon - self.t_anchor))
+        last = self._advance(self.horizon)
+        if self.horizon - last > self.seg.eps:
+            flow = np.exp(-self.seg.alpha * (self.horizon - self.t_anchor))
             self.sk_t.append(self.horizon)
             self.sk_x.append(self.x)
             self.sk_rs.append((self.y * flow).sum(axis=1)[None])
@@ -319,6 +361,55 @@ class _PathBuilder:
             seed=seed,
             model_hash=digest,
         )
+
+
+class _GroupLog:
+    """The skeleton and event records of a lockstep group, appended in time
+    order for each path as float blocks: skeleton rows (path, time, x, row
+    sums) and event rows (path, time, component).  One stable sort by path
+    assembles all paths at the end."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.sk: list[np.ndarray] = []
+        self.ev: list[np.ndarray] = []
+
+    def samples(self, k, t, x, rs: np.ndarray) -> np.ndarray:
+        """Log skeleton records of path(s) ``k``; arguments broadcast."""
+        blk = np.empty((len(rs), 3 + self.m))
+        blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3:] = k, t, x, rs
+        self.sk.append(blk)
+
+    def builder(self, k: int, b: _PathBuilder) -> None:
+        """The records a resumed builder made for path k."""
+        if b.sk_t:
+            self.samples(k, b.sk_t, b.sk_x, np.concatenate(b.sk_rs))
+        if b.ev_t:
+            self.ev.append(np.column_stack((np.full(len(b.ev_t), k), b.ev_t, b.ev_c)))
+
+    @staticmethod
+    def _by_path(blocks: list, width: int, n: int) -> tuple[np.ndarray, list[int]]:
+        """The records sorted (stably) by path, and where each path's end."""
+        whole = np.concatenate(blocks) if blocks else np.empty((0, width))
+        blocks.clear()
+        rows = whole[:, 0].astype(np.intp)
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        return whole[np.argsort(rows, kind="stable")], ends
+
+    def paths(self, horizon: float, seeds: list[int], digest: str) -> list[Path]:
+        n = len(seeds)
+        sk, sk_ends = self._by_path(self.sk, 3 + self.m, n)
+        ev, ev_ends = self._by_path(self.ev, 3, n)
+        cols = (ev[:, 1].copy(), ev[:, 2].astype(np.int32), sk[:, 1].copy(), sk[:, 2].copy(),
+                sk[:, 3:].copy())
+        del sk, ev
+        ev_cuts = list(zip([0] + ev_ends, ev_ends))
+        sk_cuts = list(zip([0] + sk_ends, sk_ends))
+        return [Path(event_times=cols[0][a:b], event_components=cols[1][a:b],
+                     skeleton_times=cols[2][c:d], skeleton_x=cols[3][c:d],
+                     skeleton_row_sums=cols[4][c:d], horizon=horizon, seed=seeds[k],
+                     model_hash=digest)
+                for k, (a, b), (c, d) in zip(range(n), ev_cuts, sk_cuts)]
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
@@ -364,47 +455,136 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live, then each
     on its own through :func:`_run_events`."""
     rt = RateRuntime(model)
-    builders = [_PathBuilder(model, cfg, RandomStream(s), horizon, sample_times) for s in seeds]
-    paths: list[Optional[Path]] = [None] * len(seeds)
-    rows = list(range(len(seeds)))   # live paths; row r of t and y is path rows[r]
-    t = np.zeros(len(seeds))         # last candidate time, and the memory there
-    y = np.array([b.y for b in builders])
+    if len(seeds) < _LOCKSTEP_MIN:
+        paths = []
+        for seed in seeds:
+            builder = _PathBuilder(model, cfg, RandomStream(seed), horizon, sample_times)
+            _run_events(rt, builder, 0.0, builder.y, max_events)
+            builder.finish()
+            paths.append(builder.to_path(seed, digest))
+        return paths
 
-    def retire(k: int) -> None:
-        builders[k].finish()
-        paths[k] = builders[k].to_path(seeds[k], digest)
-        builders[k] = None
+    seg = _Segments(model, cfg, horizon, sample_times)
+    coeffs, eps = model.coefficients, seg.eps
+    ou = isinstance(cfg.scheme, ExactOU)
+    noiseless = isinstance(coeffs.diffusion, ConstantDiffusion) and coeffs.diffusion.value == 0.0
+    n, m = len(seeds), model.n_components
+    # c_added[j] holds column j of c in column j and -0.0 elsewhere: adding
+    # -0.0 leaves every float as it is, so an event of component j + 1 adds
+    # c_added[j] to the memory.
+    c_added = np.full((m, m, m), -0.0)
+    for j in range(m):
+        c_added[j, :, j] = model.kernel.c[:, j]
+    bank = DrawBank(seeds)
+    log = _GroupLog(m)
+    # The state of path k at its last event (its anchor): x, time, memory,
+    # next sample index and event count.
+    x = np.full(n, model.initial.x)
+    t_anchor = np.zeros(n)
+    y_anchor = np.repeat(model.initial.y[None], n, axis=0)
+    si = np.zeros(n, dtype=np.intp)
+    n_events = np.zeros(n, dtype=np.intp)
+    samples = np.append(sample_times, math.inf)
+    log.samples(np.arange(n), 0.0, x, y_anchor.sum(axis=2))
 
-    while len(rows) >= _LOCKSTEP_MIN:
+    def advance(rows: np.ndarray, t_stop: np.ndarray) -> np.ndarray:
+        """Advance x of paths ``rows`` to ``t_stop``, logging the samples
+        before it; returns the time of each path's last record."""
+        last = t_anchor[rows]
+        # exact-OU paths without samples before t_stop take one array step;
+        # the others advance one at a time
+        own = slice(None)
+        if ou:
+            no_samples = samples[si[rows]] >= t_stop - eps
+            step = no_samples & (t_stop > last)
+            if step.any():
+                k = rows[step]
+                mean, var = _ou_moments(x[k], t_stop[step] - last[step], coeffs.drift,
+                                        coeffs.diffusion.value, _exp_each)
+                x[k] = mean if noiseless else mean + np.sqrt(var) * ndtri(bank.uniforms(k)[0])
+            if no_samples.all():
+                return last
+            own = np.flatnonzero(~no_samples)
+        for j, k, x_k, t0, si_k, t1 in zip(np.arange(len(rows))[own].tolist(), *(
+                a[own].tolist() for a in (rows, x[rows], last, si[rows], t_stop))):
+            x[k], si[k], block = seg.advance(x_k, t0, y_anchor[k], si_k, t1, bank.row(k))
+            if block is not None:
+                times, xs, rs = block
+                log.samples(k, times, xs, rs)
+                last[j] = times[-1]
+        return last
+
+    ids = np.arange(n)   # live paths; row r of t and y is path ids[r]
+    t = np.zeros(n)      # last candidate time, and the memory there
+    y = y_anchor.copy()
+    n_iter = 0           # bounds every path's event count
+    while len(ids) >= _LOCKSTEP_MIN:
+        n_iter += 1
         bound = rt.bounds(y)
         bad = bound[~(np.isfinite(bound) & (bound > 0.0))]
         if bad.size:
             raise RuntimeError(f"dominating rate must be finite and positive, got {bad[0]}")
-        tau = t + np.array([builders[k].rng.exponential(b) for k, b in zip(rows, bound.tolist())])
+        # each path's exponential draw, then the uniform that picks the component
+        u_exp, u_pick = bank.uniforms(ids, 2)
+        tau = t + -np.log(u_exp) / bound
         done = tau > horizon
         if done.any():
-            for r in np.flatnonzero(done).tolist():
-                retire(rows[r])
+            k = ids[done]
+            bank.unread(k)   # a path past the horizon draws no pick
+            last = advance(k, np.full(len(k), horizon))
+            k = k[horizon - last > eps]
+            flow = np.exp(-rt.alpha * (horizon - t_anchor[k])[:, None, None])
+            log.samples(k, horizon, x[k], (y_anchor[k] * flow).sum(axis=2))
             keep = ~done
-            rows = [k for k, d in zip(rows, done.tolist()) if not d]
-            t, y, tau, bound = t[keep], y[keep], tau[keep], bound[keep]
+            ids, t, y, tau, bound = ids[keep], t[keep], y[keep], tau[keep], bound[keep]
+            u_pick = u_pick[keep]
         y = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
         lam = rt.intensities(y)
         if np.any(lam.sum(axis=1) > bound * (1.0 + 1e-9)):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
-        u = np.array([builders[k].rng.uniform() for k in rows]) * bound
-        cum = np.cumsum(lam, axis=1)
-        comp = np.where(u < cum[:, -1], (cum <= u[:, None]).sum(axis=1) + 1, 0)
-        for r in np.flatnonzero(comp).tolist():
-            builder = builders[rows[r]]
-            builder.jump(float(tau[r]), int(comp[r]), y[r].copy())
-            y[r] = builder.y
-            _check_events(builder, max_events)
+        # the 0-based component picked by each scaled uniform; m if rejected
+        u = u_pick * bound
+        comp = (np.cumsum(lam, axis=1) <= u[:, None]).sum(axis=1)
+        acc = np.flatnonzero(comp < m)
+        if acc.size:
+            k, tau_k, comp_k = ids[acc], tau[acc], comp[acc]
+            advance(k, tau_k)
+            # step past the samples that fall on the event time
+            s = si[k]
+            near = np.abs(samples[s] - tau_k) <= eps
+            while near.any():
+                s = s + near
+                near = np.abs(samples[s] - tau_k) <= eps
+            si[k] = s
+            # the pre- and post-jump records, as rows 0 and 1 of each pair
+            pair = np.empty((len(acc), 2, 3 + m))
+            pair[:, :, 0] = k[:, None]
+            pair[:, :, 1] = tau_k[:, None]
+            pair[:, 0, 2] = x[k]
+            y_k = y[acc]
+            y_k.sum(axis=2, out=pair[:, 0, 3:])
+            y_k += c_added[comp_k]
+            y_k.sum(axis=2, out=pair[:, 1, 3:])
+            pair[:, 1, 2] = x[k] = _apply_state_jumps(pair[:, 0, 2], coeffs)
+            log.sk.append(pair.reshape(-1, 3 + m))
+            events = np.empty((len(acc), 3))
+            events[:, 0], events[:, 1], events[:, 2] = k, tau_k, comp_k + 1
+            log.ev.append(events)
+            y[acc] = y_anchor[k] = y_k
+            t_anchor[k] = tau_k
+            n_events[k] += 1
+            if n_iter >= max_events:
+                worst = int(np.argmax(n_events[k]))
+                _check_events(int(n_events[k[worst]]), float(tau_k[worst]), max_events)
         t = tau
-    for k, t_k, y_k in zip(rows, t.tolist(), y):
-        _run_events(rt, builders[k], t_k, y_k, max_events)
-        retire(k)
-    return paths
+    for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y):
+        builder = _PathBuilder(model, cfg, bank.stream(k), horizon, sample_times)
+        builder.resume(float(x[k]), y_anchor[k].copy(), float(t_anchor[k]), int(si[k]),
+                       int(n_events[k]))
+        _run_events(rt, builder, t_k, y_k, max_events)
+        builder.finish()
+        log.builder(k, builder)
+    return log.paths(horizon, seeds, digest)
 
 
 def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
@@ -413,21 +593,21 @@ def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
     recording every accepted event in ``builder``.
 
     Returns the last candidate time (``t`` if none) and the memory there.
-    Raises :class:`SimulationLimitError` once the builder holds
-    ``max_events`` events.
+    Raises :class:`SimulationLimitError` once the path holds ``max_events``
+    events.
     """
     while True:
         t, comp, y = _next_event(rt, y, t, builder.horizon, builder.rng)
         if comp is None:
             return t, y
         builder.jump(t, comp, y)
-        _check_events(builder, max_events)
+        _check_events(builder.n_prior + len(builder.ev_t), t, max_events)
 
 
-def _check_events(builder: _PathBuilder, max_events: int) -> None:
-    if len(builder.ev_t) >= max_events:
+def _check_events(n_events: int, t: float, max_events: int) -> None:
+    if n_events >= max_events:
         raise SimulationLimitError(
-            f"exceeded {max_events} events before t = {builder.t_anchor:.6g} "
+            f"exceeded {max_events} events before t = {t:.6g} "
             "(supercritical model or horizon too long?)")
 
 

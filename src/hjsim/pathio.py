@@ -53,11 +53,10 @@ _HEADER = struct.Struct("<4sHHII QQ d Q 32s")
 _EVENT_DTYPE = np.dtype([("t", "<f8"), ("component", "<u4"), ("pad", "<u4")])
 
 
-def _merged_records(path: Path):
-    """Yield ("sample", i) / ("event", j) indices in chronological order,
-    putting each event between its pre- and post-jump skeleton records."""
-    st = path.skeleton_times
-    et = path.event_times
+def _merged_records(st: list[float], et: list[float]):
+    """Yield ("sample", i) / ("event", j) indices in chronological order for
+    skeleton times ``st`` and event times ``et``, putting each event
+    between its pre- and post-jump skeleton records."""
     i = j = 0
     while j < len(et):
         while i < len(st) and st[i] < et[j]:
@@ -73,20 +72,22 @@ def _merged_records(path: Path):
         i += 1
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_jsonl(path: Path, fh: TextIO) -> None:
     header = {"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
               "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
               "model_digest": path.model_hash}
-    fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-    for kind, idx in _merged_records(path):
-        if kind == "event":
-            rec = {"kind": "event", "t": float(path.event_times[idx]),
-                   "component": int(path.event_components[idx])}
-        else:
-            rec = {"kind": "sample", "t": float(path.skeleton_times[idx]),
-                   "x": float(path.skeleton_x[idx]),
-                   "row_sums": [float(v) for v in path.skeleton_row_sums[idx]]}
-        fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    encode = _ENCODER.encode
+    fh.write(encode(header) + "\n")
+    st, sx, rs = (path.skeleton_times.tolist(), path.skeleton_x.tolist(),
+                  path.skeleton_row_sums.tolist())
+    et, ec = path.event_times.tolist(), path.event_components.tolist()
+    fh.writelines(
+        encode({"kind": "event", "t": et[idx], "component": ec[idx]} if kind == "event" else
+               {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx]}) + "\n"
+        for kind, idx in _merged_records(st, et))
 
 
 def read_jsonl(fh: TextIO) -> Path:
