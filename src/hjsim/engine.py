@@ -13,17 +13,24 @@ the memory decays.  The rates and the bound come from
 time; it also continues the candidate-bearing paths of the Monte Carlo
 generator check in :mod:`hjsim.stability`.
 
-Ensembles thin their paths in lockstep groups (``_simulate_group``): the
-memory flow, the rates, the envelope and the component pick are array
-operations over the live paths, while each path keeps its own counter-based
-random stream and ``_PathBuilder``, draws its candidates and records its
-jumps as ``_run_events`` does.  No path's draws are reordered, so every path
-is byte-identical to the one :func:`simulate_path` makes from its seed.  A
-budget on the live state (a draw buffer and skeleton lists per path) sets
-the group width, so long grids give narrow groups.  Below
-``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
-and each remaining path continues through ``_run_events`` from its last
-candidate; a single path never enters the lockstep loop.
+Ensembles thin their paths in lockstep groups (``_simulate_group``), held
+as arrays over the paths: the memory flow, the rates, the envelope and the
+component pick are array operations over the live paths.  Each path keeps
+its own counter-based stream as a row of a :class:`hjsim.rng.DrawBank`, so
+its exponential and pick draws for all paths are one gather.  An accepted
+event adds its column of c, records the pre/post row sums and applies the
+jump map for all accepted paths at once; an exact-OU path with no sample
+before the event advances x in the same array step.  Paths whose segment
+crosses sample times, and Euler-Maruyama paths, advance x one at a time with
+the scalar stepper and normals from their bank row.  Records go to a group
+log that one stable sort by path turns into paths at the end.  No path's
+draws are reordered, so every path is byte-identical to the one
+:func:`simulate_path` makes from its seed.  A budget on the live state
+(buffered draws and log records per path) sets the group width, so long
+grids give narrow groups.  Below ``_LOCKSTEP_MIN`` live paths an iteration
+costs more than serial thinning, and each remaining path continues through
+``_run_events`` with a ``_PathBuilder`` resumed from its state and stream;
+a single path never enters the lockstep loop.
 
 ``simulate_path_reference`` keeps the alternative textbook construction as
 a cross-validation oracle: a one-dimensional dominating counting process
@@ -374,7 +381,7 @@ class _GroupLog:
         self.sk: list[np.ndarray] = []
         self.ev: list[np.ndarray] = []
 
-    def samples(self, k, t, x, rs: np.ndarray) -> np.ndarray:
+    def samples(self, k, t, x, rs: np.ndarray) -> None:
         """Log skeleton records of path(s) ``k``; arguments broadcast."""
         blk = np.empty((len(rs), 3 + self.m))
         blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3:] = k, t, x, rs

@@ -84,10 +84,12 @@ def write_jsonl(path: Path, fh: TextIO) -> None:
     st, sx, rs = (path.skeleton_times.tolist(), path.skeleton_x.tolist(),
                   path.skeleton_row_sums.tolist())
     et, ec = path.event_times.tolist(), path.event_components.tolist()
-    fh.writelines(
-        encode({"kind": "event", "t": et[idx], "component": ec[idx]} if kind == "event" else
-               {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx]}) + "\n"
-        for kind, idx in _merged_records(st, et))
+    for kind, idx in _merged_records(st, et):
+        if kind == "event":
+            rec = {"kind": "event", "t": et[idx], "component": ec[idx]}
+        else:
+            rec = {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx]}
+        fh.write(encode(rec) + "\n")
 
 
 def read_jsonl(fh: TextIO) -> Path:

@@ -120,7 +120,9 @@ class DrawBank:
     def __init__(self, seeds: list[int]):
         self.seeds = [int(s) & _MASK64 for s in seeds]
         self.gens = [_generator(s) for s in self.seeds]
-        # Wide groups are mostly short paths; narrow ones may be long.
+        # About _BANK_DRAWS buffered draws in all: short rows for a wide
+        # group (of short paths, since long grids make groups narrow), rows
+        # of up to a full block for a narrow one.
         width = min(_BLOCK, max(_FIRST_BLOCK, _BANK_DRAWS // len(seeds)))
         self.buf = np.empty((len(seeds), width))
         self.pos = np.full(len(seeds), width)
@@ -149,7 +151,7 @@ class DrawBank:
         have = self.buf.shape[1] - start
         if n <= have:
             self.pos[k] = start + n
-            return self.buf[k, start:start + n]
+            return self.buf[k, start:start + n].copy()
         # one generator call for the shortfall and a full row after it
         more = _draw(self.gens[k], n - have + self.buf.shape[1])
         out = np.concatenate((self.buf[k, start:], more[:n - have]))

@@ -2,14 +2,17 @@
 
 The engine draws a whole segment's normals with one ``normals(k)`` call, so
 a block of k draws must equal k single draws wherever the buffer stands, and
-the skeleton it assembles from blocks must keep its ordering invariant.
+the skeleton it assembles from blocks must keep its ordering invariant.  A
+lockstep group draws from a :class:`DrawBank`, whose rows must continue the
+paths' streams draw for draw.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjsim
-from hjsim.rng import RandomStream
+from hjsim.rng import DrawBank, RandomStream, _generator
 
 from helpers import em_cfg, ou_cfg, reference_model
 
@@ -50,3 +53,60 @@ def test_skeleton_times_pair_exactly_at_events(seed, horizon, grid_dt, em_step, 
     assert np.all(gaps >= 0)
     assert t[0] == 0.0 and t[-1] == horizon
     np.testing.assert_array_equal(t[:-1][gaps == 0], path.event_times)
+
+
+# The first refill draws 64 uniforms and the blocks double up to 1024, so
+# refills start at draws 64, 192, 448, 960, 1984 and 3008.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960,
+                               961, 1983, 1984, 1985, 3007, 3008, 3009])
+def test_growing_blocks_equal_one_block(n):
+    one_block = _generator(2024).integers(0, 2**53, size=n, dtype=np.uint64)
+    singles = RandomStream(2024)
+    assert [singles.uniform() for _ in range(n)] == ((one_block + 0.5) * 2.0**-53).tolist()
+    assert RandomStream(2024).uniforms(n).tolist() == ((one_block + 0.5) * 2.0**-53).tolist()
+
+
+_BANK_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("uniforms"), st.sets(st.integers(0, 2), min_size=1),
+              st.integers(1, 2), st.booleans()),
+    st.tuples(st.just("take"), st.integers(0, 2), st.integers(0, 70) | st.integers(0, 2100))),
+    max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, steps=_BANK_STEPS, n_rows=st.sampled_from([3, 100, 1100]))
+def test_bank_rows_continue_their_streams(seed, steps, n_rows):
+    # n_rows sets the bank's width: 1024, 655 and 64 buffered draws per row
+    seeds = [seed ^ k for k in range(n_rows)]
+    bank = DrawBank(seeds)
+    ref = [(_generator(s).integers(0, 2**53, size=90_000, dtype=np.uint64) + 0.5) * 2.0**-53
+           for s in seeds[:3]]
+    used = [0, 0, 0]
+
+    def expect(k, n):
+        used[k] += n
+        return ref[k][used[k] - n:used[k]].tolist()
+
+    for step in steps:
+        if step[0] == "take":
+            _, k, n = step
+            assert bank.take(k, n).tolist() == expect(k, n)
+            continue
+        _, rows, n, unread = step
+        rows = np.array(sorted(rows))
+        got = np.stack(bank.uniforms(rows, n), axis=1)
+        for k, row in zip(rows.tolist(), got.tolist()):
+            assert row == expect(k, n)
+        if unread:
+            bank.unread(rows)
+            for k in rows.tolist():
+                used[k] -= 1
+    for k in range(3):
+        # row k keeps k buffered draws before a pair of draws
+        skip = (bank.buf.shape[1] - int(bank.pos[k]) - k) % bank.buf.shape[1]
+        assert bank.take(k, skip).tolist() == expect(k, skip)
+        assert np.stack(bank.uniforms(np.array([k]), 2), axis=1)[0].tolist() == expect(k, 2)
+        assert bank.row(k).normals(3).tolist() == RandomStream(seeds[k]).normals(
+            used[k] + 3)[used[k]:].tolist()
+        used[k] += 3
+        assert bank.stream(k).uniforms(50).tolist() == expect(k, 50)
