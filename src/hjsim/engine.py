@@ -86,11 +86,13 @@ DEFAULT_MAX_EVENTS = 10_000_000
 # Below this many live paths a lockstep iteration costs more than thinning
 # the paths one at a time.
 _LOCKSTEP_MIN = 4
-# Live state a lockstep group may hold: each live path keeps about 2 KB (a
-# row of 64 buffered draws, its anchor state and the log records of a short
-# path) and about 64 bytes of log per sample time.
+# Live state a lockstep group may hold, counted as 8 KB per path and 64
+# bytes of log per sample time.  A short path holds about 3 KB at the peak
+# (buffered draws, anchor state, log records and their assembled copy), but
+# groups wider than about 250 short paths run no faster and raise the
+# process's peak memory.
 _GROUP_BUDGET = 1 << 21
-_ROW_BYTES = 2048
+_ROW_BYTES = 8192
 _SAMPLE_BYTES = 64
 
 
@@ -395,28 +397,29 @@ class _GroupLog:
             self.ev.append(np.column_stack((np.full(len(b.ev_t), k), b.ev_t, b.ev_c)))
 
     @staticmethod
-    def _by_path(blocks: list, width: int, n: int) -> tuple[np.ndarray, list[int]]:
-        """The records sorted (stably) by path, and where each path's end."""
-        whole = np.concatenate(blocks) if blocks else np.empty((0, width))
+    def _by_path(blocks: list, n: int, cols) -> list[list[np.ndarray]]:
+        """Each of the (column, dtype) ``cols`` of the records, sorted
+        (stably) by path and cut into the paths' parts."""
+        whole = np.concatenate(blocks)
         blocks.clear()
         rows = whole[:, 0].astype(np.intp)
+        order = np.argsort(rows, kind="stable")
         ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-        return whole[np.argsort(rows, kind="stable")], ends
+        out = []
+        for col, dtype in cols:
+            part = whole[order, col].astype(dtype, copy=False)
+            out.append([part[a:b] for a, b in zip([0] + ends, ends)])
+        return out
 
     def paths(self, horizon: float, seeds: list[int], digest: str) -> list[Path]:
         n = len(seeds)
-        sk, sk_ends = self._by_path(self.sk, 3 + self.m, n)
-        ev, ev_ends = self._by_path(self.ev, 3, n)
-        cols = (ev[:, 1].copy(), ev[:, 2].astype(np.int32), sk[:, 1].copy(), sk[:, 2].copy(),
-                sk[:, 3:].copy())
-        del sk, ev
-        ev_cuts = list(zip([0] + ev_ends, ev_ends))
-        sk_cuts = list(zip([0] + sk_ends, sk_ends))
-        return [Path(event_times=cols[0][a:b], event_components=cols[1][a:b],
-                     skeleton_times=cols[2][c:d], skeleton_x=cols[3][c:d],
-                     skeleton_row_sums=cols[4][c:d], horizon=horizon, seed=seeds[k],
-                     model_hash=digest)
-                for k, (a, b), (c, d) in zip(range(n), ev_cuts, sk_cuts)]
+        self.ev.append(np.empty((0, 3)))
+        ev_t, ev_c = self._by_path(self.ev, n, ((1, float), (2, np.int32)))
+        sk_t, sk_x, sk_rs = self._by_path(self.sk, n, ((1, float), (2, float),
+                                                       (slice(3, None), float)))
+        return [Path(event_times=ev_t[k], event_components=ev_c[k], skeleton_times=sk_t[k],
+                     skeleton_x=sk_x[k], skeleton_row_sums=sk_rs[k], horizon=horizon,
+                     seed=seeds[k], model_hash=digest) for k in range(n)]
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
@@ -591,6 +594,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         _run_events(rt, builder, t_k, y_k, max_events)
         builder.finish()
         log.builder(k, builder)
+    del bank, y, y_anchor   # before the log doubles for its assembly
     return log.paths(horizon, seeds, digest)
 
 

@@ -26,7 +26,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FIRST_BLOCK = 64
 _BLOCK = 1024
-_BANK_DRAWS = 1 << 16
+_BANK_DRAWS = 1 << 14
 _INV53 = 2.0 ** -53
 
 
@@ -120,9 +120,9 @@ class DrawBank:
     def __init__(self, seeds: list[int]):
         self.seeds = [int(s) & _MASK64 for s in seeds]
         self.gens = [_generator(s) for s in self.seeds]
-        # About _BANK_DRAWS buffered draws in all: short rows for a wide
-        # group (of short paths, since long grids make groups narrow), rows
-        # of up to a full block for a narrow one.
+        # About _BANK_DRAWS buffered draws in all: 64 per row for a wide
+        # group (of short paths, since long grids make groups narrow), up
+        # to a full block per row for a narrow one.
         width = min(_BLOCK, max(_FIRST_BLOCK, _BANK_DRAWS // len(seeds)))
         self.buf = np.empty((len(seeds), width))
         self.pos = np.full(len(seeds), width)

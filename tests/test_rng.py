@@ -76,7 +76,7 @@ _BANK_STEPS = st.lists(st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, steps=_BANK_STEPS, n_rows=st.sampled_from([3, 100, 1100]))
 def test_bank_rows_continue_their_streams(seed, steps, n_rows):
-    # n_rows sets the bank's width: 1024, 655 and 64 buffered draws per row
+    # n_rows sets the bank's width: 1024, 163 and 64 buffered draws per row
     seeds = [seed ^ k for k in range(n_rows)]
     bank = DrawBank(seeds)
     ref = [(_generator(s).integers(0, 2**53, size=90_000, dtype=np.uint64) + 0.5) * 2.0**-53
