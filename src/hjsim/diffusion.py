@@ -74,10 +74,12 @@ def _ou_moments(x, dt, drift: LinearDrift, sigma: float, exp=math.exp):
     """Mean and variance of the exact transition over dt from x.  With
     ``exp=_exp_each``, x and dt may be arrays of per-row values."""
     beta, b0 = drift.rate, drift.intercept
-    if beta == 0.0:
+    # A rate so small that b0 / beta overflows acts as a zero rate: its decay
+    # rounds to 1, and the formula below would take inf - inf.
+    mean_level = b0 / beta if beta else math.inf
+    if math.isinf(mean_level):
         return x + b0 * dt, sigma * sigma * dt
     decay = exp(-beta * dt)
-    mean_level = b0 / beta
     mean = mean_level + (x - mean_level) * decay
     var = sigma * sigma * (1.0 - decay * decay) / (2.0 * beta)
     return mean, var

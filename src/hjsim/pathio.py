@@ -81,14 +81,15 @@ def write_jsonl(path: Path, fh: TextIO) -> None:
               "model_digest": path.model_hash}
     encode = _ENCODER.encode
     fh.write(encode(header) + "\n")
-    st, sx, rs = (path.skeleton_times.tolist(), path.skeleton_x.tolist(),
-                  path.skeleton_row_sums.tolist())
+    st, sx, rs = path.skeleton_times.tolist(), path.skeleton_x.tolist(), path.skeleton_row_sums
     et, ec = path.event_times.tolist(), path.event_components.tolist()
     for kind, idx in _merged_records(st, et):
         if kind == "event":
             rec = {"kind": "event", "t": et[idx], "component": ec[idx]}
         else:
-            rec = {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx]}
+            # a row at a time: the whole matrix as nested lists is several
+            # times its size
+            rec = {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx].tolist()}
         fh.write(encode(rec) + "\n")
 
 

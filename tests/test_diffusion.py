@@ -41,6 +41,16 @@ class TestDeterministicLimits:
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("rate", [2.225073858507e-311, -1e-310])
+    def test_rate_too_small_for_the_mean_level(self, rate):
+        # intercept / rate overflows: the transition is the zero-rate one
+        cfg = IntegratorConfig(ExactOU(), 0.1)
+        cs = coeffs(rate=rate, intercept=1.0, sigma=0.0)
+        assert advance_diffusion(0.5, 2.0, cs, cfg, RandomStream(0)) == 2.5
+        noisy = coeffs(rate=rate, intercept=1.0, sigma=1.0)
+        z = float(RandomStream(0).normal())
+        assert advance_diffusion(0.5, 2.0, noisy, cfg, RandomStream(0)) == 2.5 + math.sqrt(2.0) * z
+
     def test_zero_noise_consumes_no_draws(self):
         cfg = IntegratorConfig(EulerMaruyama(0.01), 0.1)
         rng = RandomStream(77)
