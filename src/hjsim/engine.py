@@ -503,7 +503,6 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         last = t_anchor[rows]
         # exact-OU paths without samples before t_stop take one array step;
         # the others advance one at a time
-        own = slice(None)
         if ou:
             no_samples = samples[si[rows]] >= t_stop - eps
             step = no_samples & (t_stop > last)
@@ -515,7 +514,9 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
             if no_samples.all():
                 return last
             own = np.flatnonzero(~no_samples)
-        for j, k, x_k, t0, si_k, t1 in zip(np.arange(len(rows))[own].tolist(), *(
+        else:
+            own = np.arange(len(rows))
+        for j, k, x_k, t0, si_k, t1 in zip(own.tolist(), *(
                 a[own].tolist() for a in (rows, x[rows], last, si[rows], t_stop))):
             x[k], si[k], block = seg.advance(x_k, t0, y_anchor[k], si_k, t1, bank.row(k))
             if block is not None:
