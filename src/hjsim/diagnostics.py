@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+# mixing_curve's histograms hold bins**(1 + M) cells of 8 bytes each, two at
+# a time; above this many cells it refuses to run.
+_MAX_HISTOGRAM_CELLS = 10 ** 7
 
 
 def make_observable(spec, model: ModelSpec | None = None):
@@ -248,6 +251,10 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
         raise ValueError("times must be strictly increasing with at least 2 entries")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    cells = bins ** (1 + model.n_components)
+    if cells > _MAX_HISTOGRAM_CELLS:
+        raise ValueError(f"{bins} bins over {1 + model.n_components} dimensions give "
+                         f"{cells:.3g} histogram cells, more than {_MAX_HISTOGRAM_CELLS}")
     horizon = float(times[-1]) if times[-1] > 0 else 1e-6
     sample_times = times[times > 0]
 

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, PowerBoundedJump
+from .model import CoefficientSpec, ConstantDiffusion, LinearDrift
 from .rng import RandomStream
 
 __all__ = [
@@ -70,19 +70,25 @@ class IntegratorConfig:
                 raise ValueError("exact transition requires a constant diffusion coefficient")
 
 
-def _ou_moments(x, dt, drift: LinearDrift, sigma: float, exp=math.exp):
-    """Mean and variance of the exact transition over dt from x.  With
-    ``exp=_exp_each``, x and dt may be arrays of per-row values."""
+def _noiseless(coeffs: CoefficientSpec) -> bool:
+    diffusion = coeffs.diffusion
+    return isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
+
+
+def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
+    """The exact transition over each interval of ``dts`` as the map
+    x -> q + (x - p) * d plus sd times a normal: returns (p, q, d, sd), with
+    q, d and sd per interval.  numpy rounds these operations as the scalar
+    ones do, and ``_exp_each`` gives libm's exp."""
     beta, b0 = drift.rate, drift.intercept
     # A rate so small that b0 / beta overflows acts as a zero rate: its decay
-    # rounds to 1, and the formula below would take inf - inf.
-    mean_level = b0 / beta if beta else math.inf
-    if math.isinf(mean_level):
-        return x + b0 * dt, sigma * sigma * dt
-    decay = exp(-beta * dt)
-    mean = mean_level + (x - mean_level) * decay
-    var = sigma * sigma * (1.0 - decay * decay) / (2.0 * beta)
-    return mean, var
+    # rounds to 1, and the mean-reverting form would take inf - inf.
+    level = b0 / beta if beta else math.inf
+    if math.isinf(level):
+        return 0.0, b0 * dts, np.ones(len(dts)), np.sqrt(sigma * sigma * dts)
+    decay = _exp_each(-beta * dts)
+    sd = np.sqrt(sigma * sigma * (1.0 - decay * decay) / (2.0 * beta))
+    return level, np.full(len(dts), level), decay, sd
 
 
 def _exp_each(v: np.ndarray) -> np.ndarray:
@@ -99,37 +105,36 @@ def _em_steps(dt: float, h: float) -> list[float]:
     return [h] * n_full + ([rem] if rem >= _REL_EPS * max(h, dt) else [])
 
 
-def _normals(rng: RandomStream, n: int) -> list[float]:
-    """n standard normals; a single one skips the array round trip."""
-    return [rng.normal()] if n == 1 else rng.normals(n).tolist()
+def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
+    """The normals :func:`_advance_segment` takes over the intervals ``dts``:
+    one per exact-OU interval, one per Euler-Maruyama substep, none without
+    noise."""
+    if _noiseless(coeffs):
+        return 0
+    if isinstance(cfg.scheme, ExactOU):
+        return len(dts)
+    h = cfg.scheme.step
+    return sum(len(_em_steps(dt, h)) for dt in dts)
 
 
 def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConfig,
-                     rng: RandomStream) -> list[float]:
-    """Positions after each of the consecutive intervals ``dts`` (all > 0).
-
-    The normals of the whole segment (one per exact-OU interval, one per
-    Euler-Maruyama substep, none without noise) are drawn in one block;
-    since ``rng.normals(k)`` equals k calls to ``rng.normal()``, the stream
-    is the same as one draw per step.
-    """
-    diffusion = coeffs.diffusion
-    noiseless = isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
-    drift = coeffs.drift
+                     z) -> list[float]:
+    """Positions after each of the consecutive intervals ``dts`` (all > 0),
+    taking the next normal from the iterator ``z`` at each noisy step:
+    :func:`_n_normals` of them in all."""
+    noiseless = _noiseless(coeffs)
     out = []
     if isinstance(cfg.scheme, ExactOU):
-        sigma = diffusion.value
-        z = iter(() if noiseless else _normals(rng, len(dts)))
-        for dt in dts:
-            mean, var = _ou_moments(x, dt, drift, sigma)
-            x = mean if noiseless else mean + math.sqrt(var) * next(z)
+        p, qs, ds, sds = _ou_terms(np.asarray(dts, dtype=float), coeffs.drift,
+                                   coeffs.diffusion.value)
+        for q, d, sd in zip(qs.tolist(), ds.tolist(), sds.tolist()):
+            x = q + (x - p) * d if noiseless else q + (x - p) * d + sd * next(z)
             out.append(x)
         return out
 
-    plan = [_em_steps(dt, cfg.scheme.step) for dt in dts]
-    z = iter(() if noiseless else _normals(rng, sum(map(len, plan))))
-    for steps in plan:
-        for s in steps:
+    drift, diffusion, h = coeffs.drift, coeffs.diffusion, cfg.scheme.step
+    for dt in dts:
+        for s in _em_steps(dt, h):
             b = float(drift(x))
             if noiseless:
                 x = x + b * s
@@ -145,7 +150,10 @@ def advance_diffusion(x: float, dt: float, coeffs: CoefficientSpec,
     if not dt > 0:
         raise ValueError("dt must be > 0")
     cfg.validate_for(coeffs)
-    return _advance_segment(x, (dt,), coeffs, cfg, rng)[0]
+    n = _n_normals((dt,), coeffs, cfg)
+    # a single normal skips the array round trip
+    z = iter([rng.normal()] if n == 1 else rng.normals(n).tolist())
+    return _advance_segment(x, (dt,), coeffs, cfg, z)[0]
 
 
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
@@ -162,14 +170,14 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
     scheme = cfg.scheme
     if isinstance(scheme, ExactOU):
         cfg.validate_for(coeffs)
-        sigma = coeffs.diffusion.value
-        mean, var = _ou_moments(xs, dt, coeffs.drift, sigma)
-        if sigma == 0.0:
-            return np.asarray(mean)
-        return mean + math.sqrt(var) * rng.normals(n)
+        p, q, d, sd = _ou_terms(np.array([dt]), coeffs.drift, coeffs.diffusion.value)
+        mean = q[0] + (xs - p) * d[0]
+        if _noiseless(coeffs):
+            return mean
+        return mean + sd[0] * rng.normals(n)
 
     diffusion = coeffs.diffusion
-    noiseless = isinstance(diffusion, ConstantDiffusion) and diffusion.value == 0.0
+    noiseless = _noiseless(coeffs)
     for s in _em_steps(dt, scheme.step):
         b = coeffs.drift(xs)
         if noiseless:
@@ -183,11 +191,3 @@ def apply_state_jump(x: float, coeffs: CoefficientSpec) -> float:
     """Post-event position x + a(x)."""
     return x + float(coeffs.jump(x))
 
-
-def _apply_state_jumps(xs: np.ndarray, coeffs: CoefficientSpec) -> np.ndarray:
-    """:func:`apply_state_jump` at every position of ``xs``, rounding as the
-    scalar call does.  numpy's array power does not round as libm's pow, so
-    a power-bounded map is applied one position at a time."""
-    if isinstance(coeffs.jump, PowerBoundedJump):
-        return np.array([apply_state_jump(x, coeffs) for x in xs.tolist()])
-    return xs + coeffs.jump(xs)

@@ -1,59 +1,55 @@
 """Exact event-driven simulation of the coupled process z = (x, y).
 
-The default engine is acceptance-rejection thinning with a local dominating
-rate: candidates arrive at the Lipschitz-envelope rate B(y) of the current
-memory state, which dominates the total intensity along the whole decay
-flow until the next event (row absolute sums only shrink between events).
-A candidate at time tau is attributed to component i with probability
-lambda_i(y(tau-))/B using a single uniform that partitions [0, 1] into
-M + 1 ordered intervals, the last being the rejection mass; after a
-rejection the bound is recomputed at the flowed state, so it tightens as
-the memory decays.  The rates and the bound come from
-:class:`hjsim.intensity.RateRuntime`.  ``_run_events`` thins one path at a
-time; it also continues the candidate-bearing paths of the Monte Carlo
-generator check in :mod:`hjsim.stability`.
+The rates read only the memory y, never x, so a path's events do not depend
+on its diffusion.  Every simulation therefore runs in two phases:
 
-Ensembles thin their paths in lockstep groups (``_simulate_group``), held
-as arrays over the paths: the memory flow, the rates, the envelope and the
-component pick are array operations over the live paths.  Each path keeps
-its own counter-based stream as a row of a :class:`hjsim.rng.DrawBank`, so
-its exponential and pick draws for all paths are one gather.  An accepted
-event adds its column of c, records the pre/post row sums and applies the
-jump map for all accepted paths at once; an exact-OU path with no sample
-before the event advances x in the same array step.  Paths whose segment
-crosses sample times, and Euler-Maruyama paths, advance x one at a time with
-the scalar stepper and normals from their bank row.  Records go to a group
-log that one stable sort by path turns into paths at the end.  No path's
-draws are reordered, so every path is byte-identical to the one
-:func:`simulate_path` makes from its seed.  A budget on the live state
-(buffered draws and log records per path) sets the group width, so long
-grids give narrow groups.  Below ``_LOCKSTEP_MIN`` live paths an iteration
-costs more than serial thinning, and each remaining path continues through
-``_run_events`` with a ``_PathBuilder`` resumed from its state and stream;
-a single path never enters the lockstep loop.
+1. Thinning records the events.  Candidates arrive at the Lipschitz-envelope
+   rate B(y) of the current memory, which dominates the total intensity
+   along the decay flow until the next event (row absolute sums only shrink
+   between events).  A candidate at tau is attributed to component i with
+   probability lambda_i(y(tau-))/B by one uniform that partitions [0, 1]
+   into M + 1 ordered intervals, the last being the rejection mass; after a
+   rejection the bound is recomputed at the flowed memory.  The rates and
+   the bound come from :class:`hjsim.intensity.RateRuntime`.  Each event
+   records its time, component, pre-jump row sums and post-jump memory.
+2. The skeleton pass (``_skeleton``) turns a group's records into paths: it
+   flows each segment's anchor memory to the sample times in closed form,
+   steps x over the intervals between samples and events, and applies the
+   jump map at each event.
 
-``simulate_path_reference`` keeps the alternative textbook construction as
-a cross-validation oracle: a one-dimensional dominating counting process
-whose rate starts at the envelope of the initial state and gains a fixed
-increment M * gamma_bar * c_bar at every dominating event (with no decay),
-each dominating event then being thinned by the true intensities.  Both
-engines produce the same law; the reference construction is exponentially
-wasteful in time and is only practical over short horizons.
+The draw order is the contract every digest rests on: a segment's thinning
+draws come first, then its normals as one block (one per exact-OU interval,
+one per Euler-Maruyama substep, none without noise; ``_n_normals``).  Phase
+1 takes each block when the segment closes, at an acceptance or at the
+horizon, and phase 2 reads the blocks in order.
 
-The memory matrix y is never discretised: its flow is applied in closed
-form at candidate and sample times.  Only the diffusion needs a scheme.
+Ensembles thin their paths in lockstep groups (``_simulate_group``), held as
+arrays over the paths: the memory flow, the rates, the envelope, the
+component pick and the event records are array operations over the live
+paths.  Each path keeps its own counter-based stream as a row of a
+:class:`hjsim.rng.DrawBank`, so one draw for all paths is one gather.  Below
+``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
+and each remaining path continues through ``_run_events`` from its bank row.
+No path's draws are reordered, so every path is byte-identical to the one
+:func:`simulate_path` makes from its seed.  A budget on the live state sets
+the group width, so long grids give narrow groups.  ``_run_events`` also
+continues the candidate-bearing paths of the Monte Carlo generator check in
+:mod:`hjsim.stability`.
 
-The skeleton and the diffusion advance one inter-event segment at a time.
-All thinning draws up to an accepted event precede the diffusion draws of
-the segment it closes, so that segment's normals are contiguous in the
-stream and are drawn as one block: the same draws a sample-by-sample
-advance would make.
+``simulate_path_reference`` keeps the alternative textbook construction as a
+cross-validation oracle, with its own candidate loop: a one-dimensional
+dominating counting process whose rate starts at the envelope of the initial
+state and gains a fixed increment M * gamma_bar * c_bar at every dominating
+event (with no decay), each dominating event then being thinned by the true
+intensities.  Both engines produce the same law; the reference construction
+is exponentially wasteful in time and is only practical over short horizons.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -63,10 +59,10 @@ import numpy as np
 
 from scipy.special import ndtri
 
-from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _apply_state_jumps,
-                        _exp_each, _ou_moments, apply_state_jump)
+from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _n_normals, _noiseless,
+                        _ou_terms, apply_state_jump)
 from .intensity import RateRuntime
-from .model import ConstantDiffusion, ModelSpec, State, model_digest
+from .model import ModelSpec, State, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seed
 
 __all__ = [
@@ -87,10 +83,10 @@ DEFAULT_MAX_EVENTS = 10_000_000
 # the paths one at a time.
 _LOCKSTEP_MIN = 4
 # Live state a lockstep group may hold, counted as 8 KB per path and 64
-# bytes of log per sample time.  A short path holds about 3 KB at the peak
-# (buffered draws, anchor state, log records and their assembled copy), but
-# groups wider than about 250 short paths run no faster and raise the
-# process's peak memory.
+# bytes per sample time.  A short path holds about 3 KB at the peak
+# (buffered draws, memory state, records and its skeleton), but groups
+# wider than about 250 short paths run no faster and raise the process's
+# peak memory.
 _GROUP_BUDGET = 1 << 21
 _ROW_BYTES = 8192
 _SAMPLE_BYTES = 64
@@ -243,183 +239,241 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
     return times[keep]
 
 
-class _Segments:
-    """What advancing x over an inter-event segment needs of a run: the
-    coefficients, the scheme, the decay rates and the sample times."""
+class _GroupLog:
+    """Phase 1's records of a group of paths, and where each path stands.
 
-    __slots__ = ("coeffs", "cfg", "alpha", "samples", "eps")
-
-    def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
-                 sample_times: np.ndarray):
-        self.coeffs = model.coefficients
-        self.cfg = cfg
-        self.alpha = model.kernel.alpha
-        self.samples = sample_times
-        self.eps = 1e-12 * max(1.0, horizon)
-
-    def advance(self, x: float, t0: float, y: np.ndarray, si: int, t_stop: float, rng):
-        """Advance x from ``t0`` (where the memory is ``y``) to ``t_stop``
-        through the samples from index ``si`` that lie before ``t_stop - eps``.
-
-        Returns x at ``t_stop``, the index of the next sample and the block
-        (times, x, row sums) of those samples, times and x as lists, or None
-        if there are none.
-        The segment's normals are the next draws of ``rng``, taken as one
-        block.
-        """
-        samples = self.samples
-        if si == len(samples) or samples[si] >= t_stop - self.eps:
-            if t_stop > t0:
-                x = _advance_segment(x, (t_stop - t0,), self.coeffs, self.cfg, rng)[0]
-            return x, si, None
-        hi = int(np.searchsorted(samples, t_stop - self.eps))
-        times = samples[si:hi]
-        ts = times.tolist()
-        dts = [b - a for a, b in zip([t0] + ts, ts + [t_stop])]
-        xs = _advance_segment(x, dts, self.coeffs, self.cfg, rng)
-        flow = np.exp(-self.alpha[None] * (times - t0)[:, None, None])
-        return xs[-1], hi, (ts, xs[:-1], (y[None] * flow).sum(axis=2))
-
-
-class _PathBuilder:
-    """Skeleton/diffusion bookkeeping of one path, for the serial thinning
-    loop, the reference engine and the Monte Carlo generator check (which
-    passes no sample times).
-
-    y is kept anchored at the last event time and flowed in closed form to
-    sample times; x is advanced lazily so rejected candidates never touch
-    the diffusion.  ``jump`` and ``finish`` advance through every sample of
-    the segment since the anchor at once.  They must be called only after
-    the segment's last thinning draw: the segment's normals are then the
-    next draws of the stream, taken as one block.
+    A path's rows are its start (component 0, time 0, the initial memory),
+    then one per event: path, time, component, the index ``lo`` of the
+    path's next sample time, the pre-jump row sums and the post-jump memory.
+    Each segment's normals append a block: one normal for each of an array
+    of paths, or all of the segment's normals for one path.  Both are
+    appended in time order for each path.  ``t_anchor``, ``lo``,
+    ``n_events`` and ``n_normals`` hold each path's last event time, next
+    sample index, event count and normals count.
     """
 
-    def __init__(self, model: ModelSpec, cfg: IntegratorConfig, rng: RandomStream,
-                 horizon: float, sample_times: np.ndarray):
-        self.seg = _Segments(model, cfg, horizon, sample_times)
-        self.c = model.kernel.c
-        self.coeffs = model.coefficients
-        self.rng = rng
-        self.horizon = horizon
-        self.si = 0
-        self.x = model.initial.x
-        self.y = np.array(model.initial.y, dtype=float)
-        self.t_anchor = 0.0
-        self.n_prior = 0
-        self.ev_t: list[float] = []
-        self.ev_c: list[int] = []
-        self.sk_t: list[float] = [0.0]
-        self.sk_x: list[float] = [self.x]
-        self.sk_rs: list[np.ndarray] = [self.y.sum(axis=1)[None]]
+    def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
+                 sample_times: np.ndarray, n: int):
+        self.model, self.cfg, self.horizon, self.n = model, cfg, horizon, n
+        self.m = m = model.n_components
+        self.ou = isinstance(cfg.scheme, ExactOU)
+        self.noisy = not _noiseless(model.coefficients)
+        # a sentinel ends every scan of the sample times
+        self.samples = np.append(sample_times, math.inf)
+        self.eps = 1e-12 * max(1.0, horizon)
+        # c_added[j] holds column j of c in column j and -0.0 elsewhere:
+        # adding -0.0 leaves every float as it is, so an event of component
+        # j + 1 adds c_added[j] to the memory.
+        self.c_added = np.full((m, m, m), -0.0)
+        for j in range(m):
+            self.c_added[j, :, j] = model.kernel.c[:, j]
+        self.t_anchor = np.zeros(n)
+        self.lo = np.zeros(n, dtype=np.intp)
+        self.n_events = np.zeros(n, dtype=np.intp)
+        self.n_normals = np.zeros(n, dtype=np.intp)
+        start = np.zeros((n, 4 + m + m * m))
+        start[:, 0] = np.arange(n)
+        start[:, 4 + m:] = model.initial.y.ravel()
+        self.ev: list[np.ndarray] = [start]
+        self.zk: list = []
+        self.zv: list[np.ndarray] = []
 
-    def resume(self, x: float, y: np.ndarray, t_anchor: float, si: int, n_prior: int) -> None:
-        """Continue a path whose records up to its last event, at
-        ``t_anchor``, are kept elsewhere: the lists hold only what follows."""
-        self.x, self.y, self.t_anchor, self.si, self.n_prior = x, y, t_anchor, si, n_prior
-        self.sk_t, self.sk_x, self.sk_rs = [], [], []
+    def _hi(self, lo, t_stop):
+        """The end of the sample times before ``t_stop - eps``, from ``lo``."""
+        return np.maximum(np.searchsorted(self.samples, t_stop - self.eps), lo)
 
-    def _advance(self, t_stop: float) -> float:
-        """Record the samples in (anchor, t_stop - eps) and advance x to
-        t_stop; returns the time of the last record (the anchor if none)."""
-        self.x, self.si, block = self.seg.advance(self.x, self.t_anchor, self.y, self.si,
-                                                  t_stop, self.rng)
-        if block is None:
-            return self.t_anchor
-        times, xs, rs = block
-        self.sk_t.extend(times)
-        self.sk_x.extend(xs)
-        self.sk_rs.append(rs)
-        return self.sk_t[-1]
+    def _count(self, t0: float, lo: int, hi: int, t_stop: float) -> int:
+        """Normals of the segment from t0 to t_stop through samples[lo:hi]."""
+        if not self.noisy:
+            return 0
+        ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
+        dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
+        return _n_normals(dts, self.model.coefficients, self.cfg)
 
-    def jump(self, tau: float, comp: int, y_pre: np.ndarray) -> None:
-        """Record the pre/post skeleton pair and apply the event updates."""
-        self._advance(tau)
-        samples, eps = self.seg.samples, self.seg.eps
-        while self.si < len(samples) and abs(samples[self.si] - tau) <= eps:
-            self.si += 1
-        x_pre = self.x
-        rows = np.empty((2, len(y_pre)))
-        y_pre.sum(axis=1, out=rows[0])
-        y_pre[:, comp - 1] += self.c[:, comp - 1]
-        y_pre.sum(axis=1, out=rows[1])
-        self.x = apply_state_jump(self.x, self.coeffs)
-        self.sk_t += (tau, tau)
-        self.sk_x += (x_pre, self.x)
-        self.sk_rs.append(rows)
-        self.ev_t.append(tau)
-        self.ev_c.append(comp)
-        self.y = y_pre
-        self.t_anchor = tau
+    def take(self, k: int, t_stop: float, rng: RandomStream) -> int:
+        """Take path k's normals for its segment up to ``t_stop`` from rng,
+        after the segment's last thinning draw; returns the end of the
+        segment's sample times."""
+        lo = int(self.lo[k])
+        hi = int(self._hi(lo, t_stop))
+        n = self._count(float(self.t_anchor[k]), lo, hi, t_stop)
+        if n:
+            self.zk.append(k)
+            self.zv.append(rng.normals(n))
+            self.n_normals[k] += n
+        return hi
 
-    def finish(self) -> None:
-        last = self._advance(self.horizon)
-        if self.horizon - last > self.seg.eps:
-            flow = np.exp(-self.seg.alpha * (self.horizon - self.t_anchor))
-            self.sk_t.append(self.horizon)
-            self.sk_x.append(self.x)
-            self.sk_rs.append((self.y * flow).sum(axis=1)[None])
+    def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> np.ndarray:
+        """:meth:`take` for paths ``rows`` from their rows of ``bank``."""
+        t0, lo = self.t_anchor[rows], self.lo[rows]
+        hi = self._hi(lo, t_stop)
+        if not self.noisy:
+            return hi
+        # one normal per nonempty exact-OU interval; the segments with sample
+        # times, and Euler-Maruyama ones, are counted one by one
+        n = (t_stop > t0).astype(np.intp)
+        own = np.flatnonzero(hi > lo if self.ou else n).tolist()
+        for r in own:
+            n[r] = self._count(float(t0[r]), int(lo[r]), int(hi[r]), float(t_stop[r]))
+        self.n_normals[rows] += n
+        one = rows[n == 1]
+        if len(one):
+            self.zk.append(one)
+            self.zv.append(ndtri(bank.uniforms(one)[0]))
+        for r in own:
+            if n[r] > 1:
+                self.zk.append(rows[r])
+                self.zv.append(ndtri(bank.take(rows[r], n[r])))
+        return hi
 
-    def to_path(self, seed: int, digest: str) -> Path:
-        return Path(
-            event_times=np.array(self.ev_t, dtype=float),
-            event_components=np.array(self.ev_c, dtype=np.int32),
-            skeleton_times=np.array(self.sk_t, dtype=float),
-            skeleton_x=np.array(self.sk_x, dtype=float),
-            skeleton_row_sums=np.concatenate(self.sk_rs),
-            horizon=self.horizon,
-            seed=seed,
-            model_hash=digest,
-        )
+    def record(self, k, tau, comp, hi, y_pre: np.ndarray) -> None:
+        """Record the events of 1-based components ``comp`` at ``tau`` of path
+        k (or of paths k, an array), whose segments' normals are taken and
+        whose sample times end at ``hi``; adds each event's column of c to
+        the pre-jump memory ``y_pre`` in place."""
+        lo = hi
+        near = np.abs(self.samples[lo] - tau) <= self.eps
+        while near.any():   # step past the sample times on tau
+            lo = lo + near
+            near = np.abs(self.samples[lo] - tau) <= self.eps
+        m = self.m
+        y_pre = y_pre.reshape(-1, m, m)
+        rows = np.empty((len(y_pre), 4 + m + m * m))
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k, tau, comp, lo
+        y_pre.sum(axis=2, out=rows[:, 4:4 + m])
+        y_pre += self.c_added[np.subtract(comp, 1)]
+        rows[:, 4 + m:] = y_pre.reshape(len(y_pre), -1)
+        self.ev.append(rows)
+        self.t_anchor[k], self.lo[k] = tau, lo
+        self.n_events[k] += 1
 
 
-class _GroupLog:
-    """The skeleton and event records of a lockstep group, appended in time
-    order for each path as float blocks: skeleton rows (path, time, x, row
-    sums) and event rows (path, time, component).  One stable sort by path
-    assembles all paths at the end."""
+def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path], np.ndarray]:
+    """Phase 2: the paths of a group from its records, and each path's x at
+    the horizon.
 
-    def __init__(self, m: int):
-        self.m = m
-        self.sk: list[np.ndarray] = []
-        self.ev: list[np.ndarray] = []
+    Each row of a path (its start, then each event) anchors a segment that
+    ends at the path's next event or at the horizon: its time and memory,
+    flowed in closed form, give the row sums at the sample times in
+    [lo, hi).  x steps over the intervals between these times with the
+    segment's normals, and the jump map follows each event.  The horizon
+    record is kept if it lies more than eps after the record before it.
+    """
+    m, horizon, samples = log.m, log.horizon, log.samples
+    rows = np.concatenate(log.ev)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    log.ev.clear()
+    start = rows[:, 2] == 0
+    last = np.roll(start, -1)   # the next row starts a path
+    t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 4 + m:].reshape(-1, m, m)
+    stop = np.roll(t0, -1)
+    stop[last] = horizon
+    n_samples = log._hi(lo, stop) - lo
 
-    def samples(self, k, t, x, rs: np.ndarray) -> None:
-        """Log skeleton records of path(s) ``k``; arguments broadcast."""
-        blk = np.empty((len(rs), 3 + self.m))
-        blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3:] = k, t, x, rs
-        self.sk.append(blk)
+    # the records of a segment: its anchor (a path's start or an event's
+    # post-jump record), its sample times and its end (the next event's
+    # pre-jump record, or the horizon's)
+    seg0 = np.cumsum(n_samples + 2) - n_samples - 2
+    end = seg0 + 1 + n_samples
+    size = 2 * len(rows) + int(n_samples.sum())
+    times, rs = np.empty(size), np.empty((size, m))
+    kind = np.zeros(size, dtype=np.int8)   # how _walk reaches each record's x
+    times[seg0], rs[seg0], kind[seg0] = t0, anchors.sum(axis=2), np.where(start, 2, 6)
+    seg = np.repeat(np.arange(len(rows)), n_samples)
+    pos = np.arange(len(seg)) - (np.cumsum(n_samples) - n_samples)[seg]
+    rec = seg0[seg] + 1 + pos
+    times[rec] = samples[lo[seg] + pos]
+    alpha = log.model.kernel.alpha
+    chunk = max(1, _GROUP_BUDGET // (16 * m * m))   # bounds the flow's temporaries
+    for a in range(0, len(seg), chunk):
+        g, r = seg[a:a + chunk], rec[a:a + chunk]
+        flow = np.exp(-alpha[None] * (times[r] - t0[g])[:, None, None])
+        rs[r] = (anchors[g] * flow).sum(axis=2)
+    del seg, pos, rec
+    times[end] = stop
+    # an empty segment leaves x as it is
+    kind[end] = np.where((n_samples == 0) & ~(stop > t0), 4, 0) + ~last
+    rs[end[~last]] = rows[1:, 4:4 + m][~last[:-1]]
+    flow = np.exp(-alpha * (horizon - t0[last])[:, None, None])
+    rs[end[last]] = (anchors[last] * flow).sum(axis=2)
 
-    def builder(self, k: int, b: _PathBuilder) -> None:
-        """The records a resumed builder made for path k."""
-        if b.sk_t:
-            self.samples(k, b.sk_t, b.sk_x, np.concatenate(b.sk_rs))
-        if b.ev_t:
-            self.ev.append(np.column_stack((np.full(len(b.ev_t), k), b.ev_t, b.ev_c)))
+    x = _walk(log, times, kind, seg0, end, start)
+    ev_t, ev_c = t0[~start], rows[~start, 2].astype(np.int32)
+    del rows, anchors, t0
+    firsts, lasts = np.flatnonzero(start), np.flatnonzero(last)
+    ev_end = np.cumsum(lasts - firsts).tolist()
+    # a path's records end with the horizon's, unless the one before it is
+    # within eps
+    rec_end = end[lasts] + (horizon - times[end[lasts] - 1] > log.eps)
+    paths = [Path(event_times=ev_t[e0:e1], event_components=ev_c[e0:e1],
+                  skeleton_times=times[r0:r1], skeleton_x=x[r0:r1],
+                  skeleton_row_sums=rs[r0:r1], horizon=horizon, seed=seed, model_hash=digest)
+             for seed, e0, e1, r0, r1 in zip(seeds, [0] + ev_end, ev_end, seg0[firsts].tolist(),
+                                             rec_end.tolist())]
+    return paths, x[end[lasts]]
 
-    @staticmethod
-    def _by_path(blocks: list, n: int, cols) -> list[list[np.ndarray]]:
-        """Each of the (column, dtype) ``cols`` of the records, sorted
-        (stably) by path and cut into the paths' parts."""
-        whole = np.concatenate(blocks)
-        blocks.clear()
-        rows = whole[:, 0].astype(np.intp)
-        order = np.argsort(rows, kind="stable")
-        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-        out = []
-        for col, dtype in cols:
-            part = whole[order, col].astype(dtype, copy=False)
-            out.append([part[a:b] for a, b in zip([0] + ends, ends)])
-        return out
 
-    def paths(self, horizon: float, seeds: list[int], digest: str) -> list[Path]:
-        n = len(seeds)
-        self.ev.append(np.empty((0, 3)))
-        ev_t, ev_c = self._by_path(self.ev, n, ((1, float), (2, np.int32)))
-        sk_t, sk_x, sk_rs = self._by_path(self.sk, n, ((1, float), (2, float),
-                                                       (slice(3, None), float)))
-        return [Path(event_times=ev_t[k], event_components=ev_c[k], skeleton_times=sk_t[k],
-                     skeleton_x=sk_x[k], skeleton_row_sums=sk_rs[k], horizon=horizon,
-                     seed=seeds[k], model_hash=digest) for k in range(n)]
+def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
+    """x at every record of :func:`_skeleton`, from the normals in ``log``:
+    for exact-OU one flat scalar loop over every interval of the group, for
+    Euler-Maruyama :func:`_advance_segment` per segment.
+
+    ``kind`` says how each record's x is reached: 0 over an interval from the
+    record before, 2 at a path's start, 4 as the record before (an empty
+    segment), each plus 1 where an event's jump follows, and 6 for the
+    post-jump record that the jump gives.
+    """
+    coeffs, x0 = log.model.coefficients, log.model.initial.x
+    # the normals, path by path: a block holds one normal for each of an
+    # array of paths, or a segment's normals for one path
+    at = np.cumsum(log.n_normals) - log.n_normals
+    z = np.empty(int(log.n_normals.sum()))
+    for k, v in zip(log.zk, log.zv):
+        if isinstance(k, np.ndarray):
+            z[at[k]] = v
+            at[k] += 1
+        else:
+            z[at[k]:at[k] + len(v)] = v
+            at[k] += len(v)
+    log.zk.clear()
+    log.zv.clear()
+    if not log.ou:
+        dts = np.diff(times, prepend=0.0)   # read at the end of each interval
+        n_int = (end - seg0) * (kind[end] < 2)
+        out, it = [], iter(memoryview(z))
+        for s, a, k in zip(start.tolist(), seg0.tolist(), n_int.tolist()):
+            x = x0 if s else apply_state_jump(x, coeffs)
+            out.append(x)
+            if k:
+                out += _advance_segment(x, dts[a + 1:a + 1 + k].tolist(), coeffs, log.cfg, it)
+                x = out[-1]
+            else:
+                out.append(x)
+        return np.array(out)
+
+    steps = np.flatnonzero(kind != 6)
+    kind = kind[steps]
+    ends = np.flatnonzero(kind < 2)
+    p, q, d, sd = _ou_terms(times[steps[ends]] - times[steps[ends] - 1], coeffs.drift,
+                            coeffs.diffusion.value)
+    qs, ds, es = np.zeros(len(steps)), np.zeros(len(steps)), np.full(len(steps), -0.0)
+    qs[ends], ds[ends] = q, d
+    if log.noisy:
+        es[ends] = sd * z
+    # a noiseless step adds -0.0, which leaves every float as it is
+    del steps, ends, q, d, sd, z
+    out = array("d")
+    x, jump, append = x0, coeffs.jump, out.append
+    for k, q, d, e in zip(memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)):
+        if k < 2:
+            x = q + (x - p) * d + e
+        elif k == 2:
+            x = x0
+        append(x)
+        if k & 1:
+            x = x + float(jump(x))   # apply_state_jump
+            append(x)
+    return np.frombuffer(out)
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
@@ -463,71 +517,14 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                     max_events: int = DEFAULT_MAX_EVENTS) -> list[Path]:
     """The paths of ``seeds`` from the inputs :func:`_simulate_all` prepared:
     thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live, then each
-    on its own through :func:`_run_events`."""
+    on its own through :func:`_run_events`, and built by one skeleton pass."""
     rt = RateRuntime(model)
-    if len(seeds) < _LOCKSTEP_MIN:
-        paths = []
-        for seed in seeds:
-            builder = _PathBuilder(model, cfg, RandomStream(seed), horizon, sample_times)
-            _run_events(rt, builder, 0.0, builder.y, max_events)
-            builder.finish()
-            paths.append(builder.to_path(seed, digest))
-        return paths
-
-    seg = _Segments(model, cfg, horizon, sample_times)
-    coeffs, eps = model.coefficients, seg.eps
-    ou = isinstance(cfg.scheme, ExactOU)
-    noiseless = isinstance(coeffs.diffusion, ConstantDiffusion) and coeffs.diffusion.value == 0.0
     n, m = len(seeds), model.n_components
-    # c_added[j] holds column j of c in column j and -0.0 elsewhere: adding
-    # -0.0 leaves every float as it is, so an event of component j + 1 adds
-    # c_added[j] to the memory.
-    c_added = np.full((m, m, m), -0.0)
-    for j in range(m):
-        c_added[j, :, j] = model.kernel.c[:, j]
     bank = DrawBank(seeds)
-    log = _GroupLog(m)
-    # The state of path k at its last event (its anchor): x, time, memory,
-    # next sample index and event count.
-    x = np.full(n, model.initial.x)
-    t_anchor = np.zeros(n)
-    y_anchor = np.repeat(model.initial.y[None], n, axis=0)
-    si = np.zeros(n, dtype=np.intp)
-    n_events = np.zeros(n, dtype=np.intp)
-    samples = np.append(sample_times, math.inf)
-    log.samples(np.arange(n), 0.0, x, y_anchor.sum(axis=2))
-
-    def advance(rows: np.ndarray, t_stop: np.ndarray) -> np.ndarray:
-        """Advance x of paths ``rows`` to ``t_stop``, logging the samples
-        before it; returns the time of each path's last record."""
-        last = t_anchor[rows]
-        # exact-OU paths without samples before t_stop take one array step;
-        # the others advance one at a time
-        if ou:
-            no_samples = samples[si[rows]] >= t_stop - eps
-            step = no_samples & (t_stop > last)
-            if step.any():
-                k = rows[step]
-                mean, var = _ou_moments(x[k], t_stop[step] - last[step], coeffs.drift,
-                                        coeffs.diffusion.value, _exp_each)
-                x[k] = mean if noiseless else mean + np.sqrt(var) * ndtri(bank.uniforms(k)[0])
-            if no_samples.all():
-                return last
-            own = np.flatnonzero(~no_samples)
-        else:
-            own = np.arange(len(rows))
-        for j, k, x_k, t0, si_k, t1 in zip(own.tolist(), *(
-                a[own].tolist() for a in (rows, x[rows], last, si[rows], t_stop))):
-            x[k], si[k], block = seg.advance(x_k, t0, y_anchor[k], si_k, t1, bank.row(k))
-            if block is not None:
-                times, xs, rs = block
-                log.samples(k, times, xs, rs)
-                last[j] = times[-1]
-        return last
-
+    log = _GroupLog(model, cfg, horizon, sample_times, n)
     ids = np.arange(n)   # live paths; row r of t and y is path ids[r]
     t = np.zeros(n)      # last candidate time, and the memory there
-    y = y_anchor.copy()
+    y = np.repeat(model.initial.y[None], n, axis=0)
     n_iter = 0           # bounds every path's event count
     while len(ids) >= _LOCKSTEP_MIN:
         n_iter += 1
@@ -542,10 +539,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         if done.any():
             k = ids[done]
             bank.unread(k)   # a path past the horizon draws no pick
-            last = advance(k, np.full(len(k), horizon))
-            k = k[horizon - last > eps]
-            flow = np.exp(-rt.alpha * (horizon - t_anchor[k])[:, None, None])
-            log.samples(k, horizon, x[k], (y_anchor[k] * flow).sum(axis=2))
+            log.take_rows(k, np.full(len(k), horizon), bank)
             keep = ~done
             ids, t, y, tau, bound = ids[keep], t[keep], y[keep], tau[keep], bound[keep]
             u_pick = u_pick[keep]
@@ -558,62 +552,56 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         comp = (np.cumsum(lam, axis=1) <= u[:, None]).sum(axis=1)
         acc = np.flatnonzero(comp < m)
         if acc.size:
-            k, tau_k, comp_k = ids[acc], tau[acc], comp[acc]
-            advance(k, tau_k)
-            # step past the samples that fall on the event time
-            s = si[k]
-            near = np.abs(samples[s] - tau_k) <= eps
-            while near.any():
-                s = s + near
-                near = np.abs(samples[s] - tau_k) <= eps
-            si[k] = s
-            # the pre- and post-jump records, as rows 0 and 1 of each pair
-            pair = np.empty((len(acc), 2, 3 + m))
-            pair[:, :, 0] = k[:, None]
-            pair[:, :, 1] = tau_k[:, None]
-            pair[:, 0, 2] = x[k]
+            k, tau_k = ids[acc], tau[acc]
             y_k = y[acc]
-            y_k.sum(axis=2, out=pair[:, 0, 3:])
-            y_k += c_added[comp_k]
-            y_k.sum(axis=2, out=pair[:, 1, 3:])
-            pair[:, 1, 2] = x[k] = _apply_state_jumps(pair[:, 0, 2], coeffs)
-            log.sk.append(pair.reshape(-1, 3 + m))
-            events = np.empty((len(acc), 3))
-            events[:, 0], events[:, 1], events[:, 2] = k, tau_k, comp_k + 1
-            log.ev.append(events)
-            y[acc] = y_anchor[k] = y_k
-            t_anchor[k] = tau_k
-            n_events[k] += 1
+            log.record(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
+            y[acc] = y_k
             if n_iter >= max_events:
-                worst = int(np.argmax(n_events[k]))
-                _check_events(int(n_events[k[worst]]), float(tau_k[worst]), max_events)
+                worst = int(np.argmax(log.n_events[k]))
+                _check_events(int(log.n_events[k[worst]]), float(tau_k[worst]), max_events)
         t = tau
     for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y):
-        builder = _PathBuilder(model, cfg, bank.stream(k), horizon, sample_times)
-        builder.resume(float(x[k]), y_anchor[k].copy(), float(t_anchor[k]), int(si[k]),
-                       int(n_events[k]))
-        _run_events(rt, builder, t_k, y_k, max_events)
-        builder.finish()
-        log.builder(k, builder)
-    del bank, y, y_anchor   # before the log doubles for its assembly
-    return log.paths(horizon, seeds, digest)
+        _run_events(rt, log, k, bank.stream(k), t_k, y_k, max_events)
+    del bank, y   # before the skeleton pass
+    return _skeleton(log, seeds, digest)[0]
 
 
-def _run_events(rt: RateRuntime, builder: _PathBuilder, t: float, y: np.ndarray,
-                max_events: int) -> tuple[float, np.ndarray]:
-    """Thin from memory ``y`` at time ``t`` up to the builder's horizon,
-    recording every accepted event in ``builder``.
+def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: float,
+                y: np.ndarray, max_events: int) -> tuple[float, np.ndarray]:
+    """Thin path k of ``log`` from memory ``y`` at time ``t`` up to the
+    horizon, recording every accepted event and then the last segment.
 
     Returns the last candidate time (``t`` if none) and the memory there.
     Raises :class:`SimulationLimitError` once the path holds ``max_events``
     events.
     """
     while True:
-        t, comp, y = _next_event(rt, y, t, builder.horizon, builder.rng)
+        t, comp, y = _next_event(rt, y, t, log.horizon, rng)
         if comp is None:
+            log.take(k, log.horizon, rng)
             return t, y
-        builder.jump(t, comp, y)
-        _check_events(builder.n_prior + len(builder.ev_t), t, max_events)
+        log.record(k, t, comp, log.take(k, t, rng), y)
+        _check_events(int(log.n_events[k]), t, max_events)
+
+
+def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: float,
+                           rng: RandomStream, taus: np.ndarray,
+                           bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and memory at the horizon of paths from ``model.initial`` whose first
+    candidate at rate ``bound`` falls at each of ``taus`` (before the
+    horizon), thinned on from ``rng`` one after another; for the Monte Carlo
+    generator check."""
+    rt = RateRuntime(model)
+    log = _GroupLog(model, cfg, horizon, np.empty(0), len(taus))
+    y_end = np.empty((len(taus), model.n_components, model.n_components))
+    for k, tau in enumerate(taus.tolist()):
+        y = model.initial.y * np.exp(-rt.alpha * tau)
+        comp = _pick_component(rt.intensities(y), rng.uniform() * bound)
+        if comp:
+            log.record(k, tau, comp, log.take(k, tau, rng), y)
+        t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
+        y_end[k] = y * np.exp(-rt.alpha * (horizon - t))
+    return _skeleton(log, [0] * len(taus), "")[1], y_end
 
 
 def _check_events(n_events: int, t: float, max_events: int) -> None:
@@ -648,9 +636,9 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     cfg.validate_for(model.coefficients)
     rng = RandomStream(seed)
     rt = RateRuntime(model)
-    builder = _PathBuilder(model, cfg, rng, horizon,
-                           _build_sample_times(horizon, cfg.grid_dt, sample_at))
-    lam_star = rt.bound(builder.y)
+    log = _GroupLog(model, cfg, horizon, _build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
+    y = np.array(model.initial.y, dtype=float)   # the memory at the last event
+    lam_star = rt.bound(y)
     if k2_bound is not None:
         lam_star = max(lam_star,
                        rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
@@ -660,13 +648,13 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     while True:
         tau = t_cand + rng.exponential(lam_star)
         if tau > horizon:
-            builder.finish()
+            log.take(0, horizon, rng)
             break
         n_cand += 1
         if n_cand > max_candidates:
             raise SimulationLimitError(
                 f"exceeded {max_candidates} dominating events before t = {tau:.6g}")
-        y_pre = builder.y * np.exp(-rt.alpha * (tau - builder.t_anchor))
+        y_pre = y * np.exp(-rt.alpha * (tau - log.t_anchor[0]))
         lam = rt.intensities(y_pre)
         if float(lam.sum()) > lam_star * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated in reference construction")
@@ -674,10 +662,11 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
         if trace is not None:
             trace.append(CandidateEvent(tau, comp))
         if comp:
-            builder.jump(tau, comp, y_pre)
+            log.record(0, tau, comp, log.take(0, tau, rng), y_pre)
+            y = y_pre
         lam_star += step
         t_cand = tau
-    return builder.to_path(seed, model_digest(model))
+    return _skeleton(log, [seed], model_digest(model))[0][0]
 
 
 def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,

@@ -12,7 +12,9 @@ ensemble paths are short) and the blocks double up to ``_BLOCK``.
 
 A :class:`DrawBank` holds the streams of a group of paths that advance
 together: a matrix of buffered uniforms with one position per row, so that
-one draw for each of many rows is a single gather.
+one draw for each of many rows is a single gather.  A row's block of
+normals is ``ndtri`` of :meth:`DrawBank.take`, and a path that leaves the
+group continues from :meth:`DrawBank.stream`.
 """
 
 from __future__ import annotations
@@ -159,10 +161,6 @@ class DrawBank:
         self.pos[k] = 0
         return out
 
-    def row(self, k: int) -> "_BankRow":
-        """Row k as a source of normals for the diffusion steppers."""
-        return _BankRow(self, k)
-
     def stream(self, k: int) -> RandomStream:
         """Row k as a :class:`RandomStream` that continues from its position."""
         out = RandomStream.__new__(RandomStream)
@@ -170,19 +168,3 @@ class DrawBank:
         out._buf, out._pos = self.buf[k, self.pos[k]:].copy(), 0
         return out
 
-
-class _BankRow:
-    """The normals of one :class:`DrawBank` row, drawn as a
-    :class:`RandomStream` draws them."""
-
-    __slots__ = ("bank", "k")
-
-    def __init__(self, bank: DrawBank, k: int):
-        self.bank = bank
-        self.k = k
-
-    def normal(self) -> float:
-        return float(ndtri(self.bank.take(self.k, 1)[0]))
-
-    def normals(self, n: int) -> np.ndarray:
-        return ndtri(self.bank.take(self.k, n))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import IntegratorConfig, advance_diffusion_many
-from .engine import DEFAULT_MAX_EVENTS, _PathBuilder, _pick_component, _run_events
+from .engine import _from_first_candidates
 from .intensity import RateRuntime
 from .model import (AssumptionReport, DegenerateKernelError, KernelMatrix, ModelSpec, State,
                     check_assumptions)
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # exp() overflows just above this
+# drift_scan draws n_points * M * M memory entries (8 bytes each, and a few
+# arrays of that size follow); above this many it refuses to run.
+_MAX_SCAN_DRAWS = 10 ** 7
 
 
 class NonConvergenceError(RuntimeError):
@@ -299,6 +302,9 @@ def drift_scan(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     """
     x_lo, x_hi, y_lo, y_hi = region
     m = model.n_components
+    if n_points * m * m > _MAX_SCAN_DRAWS:
+        raise ValueError(f"{n_points} scan points on M = {m} take {n_points * m * m:.3g} "
+                         f"memory draws, more than {_MAX_SCAN_DRAWS}")
     gen = np.random.default_rng(seed)
     x = gen.uniform(x_lo, x_hi, size=n_points)
     y = gen.uniform(y_lo, y_hi, size=(n_points, m, m))
@@ -394,7 +400,7 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     dominating rate; paths without a candidate before dt (almost all of
     them, for small dt) reduce to one vectorised diffusion transition, while
     the rare candidate-bearing paths are continued exactly, one by one,
-    through the engine's event loop.
+    through the engine's event loop and skeleton pass.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -415,19 +421,13 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
         s = float((stab.exponent_weights * np.abs(y_end)).sum())
         v1, _, _ = _v1_terms(lyap, x_end)
         values[np.flatnonzero(quiet)] = v1 + math.exp(s)
-    started_at_z = ModelSpec(model.rates, model.kernel, model.coefficients, z)
-    for idx in np.flatnonzero(~quiet):
-        tau1 = float(first_candidate[idx])
-        builder = _PathBuilder(started_at_z, cfg, rng, dt, np.empty(0))
-        y = y0 * np.exp(-rt.alpha * tau1)
-        comp = _pick_component(rt.intensities(y), rng.uniform() * bound0)
-        if comp:
-            builder.jump(tau1, comp, y)
-        t, y = _run_events(rt, builder, tau1, y, DEFAULT_MAX_EVENTS)
-        builder.finish()
-        v1, _, _ = _v1_terms(lyap, builder.x)
-        s = float((stab.exponent_weights * np.abs(y * np.exp(-rt.alpha * (dt - t)))).sum())
-        values[idx] = float(v1) + math.exp(s)
+    busy = np.flatnonzero(~quiet)
+    x_end, y_end = _from_first_candidates(
+        ModelSpec(model.rates, model.kernel, model.coefficients, z), cfg, dt, rng,
+        first_candidate[busy], bound0)
+    for idx, x, y in zip(busy.tolist(), x_end.tolist(), y_end):
+        v1, _, _ = _v1_terms(lyap, x)
+        values[idx] = float(v1) + math.exp(float((stab.exponent_weights * np.abs(y)).sum()))
 
     v0 = lyapunov_value(lyap, stab, z)
     quotient = (float(values.mean()) - v0) / dt

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,3 +237,49 @@ class TestOtherCommands:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["field"] == "start-a"
+
+
+class TestSizeGuards:
+    """Runs whose arrays would not fit are refused before they allocate."""
+
+    @staticmethod
+    def _main_peak(argv):
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            return rc, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_oversized_histogram_is_structured_error(self, tmp_path, capsys):
+        # 200 bins over (x, 2 row sums) give 8e6 cells per histogram; 400 give 6.4e7
+        config = write_config(tmp_path, model=two_component_model())
+        rc, peak = self._main_peak(["mixing-test", "--config", config, "--times", "1,2",
+                                    "--paths", "100000", "--bins", "400",
+                                    "--start-a", '{"x": 0, "y": [0, 0, 0, 0]}',
+                                    "--start-b", '{"x": 1, "y": [0, 0, 0, 0]}',
+                                    "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "histogram cells" in err["message"]
+        assert peak < 1_000_000
+        assert not os.path.exists(tmp_path / "m.json")
+
+    def test_oversized_drift_scan_is_structured_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, model=two_component_model())
+        rc, peak = self._main_peak(["check-stability", "--config", config,
+                                    "--points", "1000000000", "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "scan points" in err["message"]
+        assert peak < 1_000_000
+
+    def test_memory_error_is_structured_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 80.0 GiB")
+
+        monkeypatch.setattr(cli, "stability_report", refuse)
+        config = write_config(tmp_path)
+        rc = cli.main(["check-stability", "--config", config, "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import hjsim
 from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             _advance_segment, advance_diffusion,
+                             _advance_segment, _n_normals, advance_diffusion,
                              advance_diffusion_many, apply_state_jump)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
@@ -140,8 +141,51 @@ class TestSegment:
         for dt in dts:
             x = advance_diffusion(x, dt, cs, cfg, b)
             chained.append(x)
-        assert _advance_segment(0.4, dts, cs, cfg, a) == chained
+        z = iter(a.normals(_n_normals(dts, cs, cfg)).tolist())
+        assert _advance_segment(0.4, dts, cs, cfg, z) == chained
+        assert next(z, None) is None
         assert a.uniform() == b.uniform()
+
+
+_COEFFS = [coeffs(), coeffs(sigma=0.0), coeffs(rate=0.0, intercept=0.5),
+           CoefficientSpec(BoundedSmoothDrift(2.0), SmoothBoundedDiffusion(0.5, 1.5),
+                           ConstantJump(0.0))]
+
+
+@st.composite
+def _segments(draw):
+    """A scheme, coefficients and a list of intervals; Euler-Maruyama steps
+    lie above and below the intervals, and some intervals are whole or
+    nearly whole multiples of the step."""
+    cs = draw(st.sampled_from(_COEFFS))
+    exact = isinstance(cs.drift, LinearDrift) and draw(st.booleans())
+    step = draw(st.floats(1e-2, 4.0))
+    interval = st.floats(1e-12, 3.0) | st.builds(
+        lambda k, r: k * step * r, st.integers(1, 30), st.sampled_from([1.0, 1 - 1e-13, 1 + 1e-13]))
+    dts = draw(st.lists(interval, min_size=1, max_size=8))
+    scheme = ExactOU() if exact else EulerMaruyama(step)
+    return cs, IntegratorConfig(scheme, 0.1), dts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segments(), st.integers(0, 2**64 - 1))
+def test_normals_count_is_what_the_stepper_draws(segment, seed):
+    # phase 1 of the engine takes _n_normals draws for a segment and phase 2
+    # steps through them; every golden digest rests on the two agreeing
+    cs, cfg, dts = segment
+    rng = RandomStream(seed)
+    drawn = []
+
+    def normals():
+        while True:
+            drawn.append(rng.normal())
+            yield drawn[-1]
+
+    xs = _advance_segment(0.4, dts, cs, cfg, normals())
+    n = _n_normals(dts, cs, cfg)
+    assert len(drawn) == n
+    assert rng.uniform() == RandomStream(seed).uniforms(n + 1)[n]
+    assert _advance_segment(0.4, dts, cs, cfg, iter(drawn)) == xs
 
 
 class TestJumps:

@@ -212,6 +212,15 @@ class TestGenerator:
             assert abs(quotient - exact) <= 3 * se
 
 
+    def test_no_candidate_bearing_paths(self):
+        # at dt = 1e-9 no path meets a thinning candidate
+        model = reference_model()
+        z = hjsim.State(0.5, np.array([[0.2]]))
+        quotient, se = dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model),
+                                       z, 1e-9, 5, seed=3, cfg=ou_cfg(0.01))
+        assert np.isfinite(quotient) and np.isfinite(se)
+
+
 class TestDriftScan:
     def test_reference_model_negative_drift(self):
         model = reference_model()
