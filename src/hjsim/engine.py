@@ -364,9 +364,9 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     log.ev.clear()
     start = rows[:, 2] == 0
-    last = np.roll(start, -1)   # the next row starts a path
     t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 4 + m:].reshape(-1, m, m)
-    stop = np.roll(t0, -1)
+    last, stop = np.ones_like(start), np.full(len(t0), horizon)
+    last[:-1], stop[:-1] = start[1:], t0[1:]   # the next row starts a path, or is an event
     stop[last] = horizon
     n_samples = log._hi(lo, stop) - lo
 
@@ -433,8 +433,9 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
             z[at[k]] = v
             at[k] += 1
         else:
-            z[at[k]:at[k] + len(v)] = v
-            at[k] += len(v)
+            a = int(at[k])
+            z[a:a + len(v)] = v
+            at[k] = a + len(v)
     log.zk.clear()
     log.zv.clear()
     if not log.ou:

@@ -211,7 +211,6 @@ class TestGenerator:
                                            seed=50 + k, cfg=cfg)
             assert abs(quotient - exact) <= 3 * se
 
-
     def test_no_candidate_bearing_paths(self):
         # at dt = 1e-9 no path meets a thinning candidate
         model = reference_model()
