@@ -94,7 +94,7 @@ def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
 def _exp_each(v: np.ndarray) -> np.ndarray:
     """``math.exp`` of every element: numpy's vectorised exp does not round
     as libm's does, and the array steps must equal the scalar ones."""
-    return np.array([math.exp(e) for e in v.tolist()])
+    return np.fromiter(map(math.exp, v.tolist()), float, len(v))
 
 
 def _em_steps(dt: float, h: float) -> list[float]:

@@ -82,11 +82,10 @@ DEFAULT_MAX_EVENTS = 10_000_000
 # Below this many live paths a lockstep iteration costs more than thinning
 # the paths one at a time.
 _LOCKSTEP_MIN = 4
-# Live state a lockstep group may hold, counted as 8 KB per path and 64
-# bytes per sample time.  A short path holds about 3 KB at the peak
-# (buffered draws, memory state, records and its skeleton), but groups
-# wider than about 250 short paths run no faster and raise the process's
-# peak memory.
+# Live state a lockstep group may hold, counted by _path_bytes.  A short
+# path holds about 3 KB at the peak (buffered draws, memory state, records
+# and its skeleton), but groups wider than about 250 short paths run no
+# faster and raise the process's peak memory.
 _GROUP_BUDGET = 1 << 21
 _ROW_BYTES = 8192
 _SAMPLE_BYTES = 64
@@ -365,8 +364,10 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     log.ev.clear()
     start = rows[:, 2] == 0
     t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 4 + m:].reshape(-1, m, m)
+    # a segment ends at the next row of its path, or at the horizon after
+    # the path's last row
     last, stop = np.ones_like(start), np.full(len(t0), horizon)
-    last[:-1], stop[:-1] = start[1:], t0[1:]   # the next row starts a path, or is an event
+    last[:-1], stop[:-1] = start[1:], t0[1:]
     stop[last] = horizon
     n_samples = log._hi(lo, stop) - lo
 
@@ -464,7 +465,8 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     # a noiseless step adds -0.0, which leaves every float as it is
     del steps, ends, q, d, sd, z
     out = array("d")
-    x, jump, append = x0, coeffs.jump, out.append
+    # the bound method calls faster than the jump map object itself
+    x, jump, append = x0, coeffs.jump.__call__, out.append
     for k, q, d, e in zip(memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)):
         if k < 2:
             x = q + (x - p) * d + e
@@ -504,13 +506,24 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
     run = partial(_simulate_group, model, horizon, cfg, sample_times, model_digest(model),
                   **kwargs)
     workers = min(workers, len(seeds), os.cpu_count() or 1)
-    width = max(1, min(_GROUP_BUDGET // (_ROW_BYTES + _SAMPLE_BYTES * len(sample_times)),
+    width = max(1, min(int(_GROUP_BUDGET // _path_bytes(model, horizon, cfg, len(sample_times))),
                        -(-len(seeds) // max(workers, 1))))
     groups = [seeds[i:i + width] for i in range(0, len(seeds), width)]
     if workers <= 1:
         return [p for group in groups for p in run(group)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [p for paths in pool.map(run, groups) for p in paths]
+
+
+def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_samples: int) -> float:
+    """The live state a path of a group holds: ``_ROW_BYTES``,
+    ``_SAMPLE_BYTES`` per sample time and, for noisy Euler-Maruyama, 16
+    bytes per substep for the normals it keeps from thinning to the
+    skeleton pass (their block and their place in the assembled array)."""
+    size = _ROW_BYTES + _SAMPLE_BYTES * n_samples
+    if not isinstance(cfg.scheme, ExactOU) and not _noiseless(model.coefficients):
+        size += 16 * horizon / cfg.scheme.step
+    return size
 
 
 def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,

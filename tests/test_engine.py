@@ -272,7 +272,7 @@ class TestLockstep:
         model, horizon, cfg, extra, seed = run
         # a budget for ``width`` live paths splits the ensemble into groups
         n_samples = len(_build_sample_times(horizon, cfg.grid_dt, extra))
-        budget = width * (engine._ROW_BYTES + engine._SAMPLE_BYTES * n_samples)
+        budget = math.ceil(width * engine._path_bytes(model, horizon, cfg, n_samples))
         with mock.patch.object(engine, "_GROUP_BUDGET", budget):
             paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
@@ -326,6 +326,20 @@ class TestLockstep:
                                      "skeleton_x", "skeleton_row_sums"))
         assert len(paths[0].skeleton_times) >= 20_001
         assert peak <= 1.25 * serial_floor
+
+
+    def test_group_memory_with_many_normals(self):
+        # 64 Euler-Maruyama paths of 10000 substeps and 2 samples each: the
+        # normals held between thinning and the skeleton pass set the width
+        model = make_model(1, [{"type": "constant", "level": 0.05}], [0.0], [1.0],
+                           {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                           {"type": "constant", "value": 1.0},
+                           {"type": "constant", "size": 0.0})
+        cfg = em_cfg(10.0, step=0.001)
+        peak, paths = self._peak(lambda: hjsim.simulate_ensemble(model, 10.0, cfg, 7, 64))
+        assert len(paths) == 64
+        # one group of all 64 paths would hold about 10 MB of normals
+        assert peak <= 4_000_000
 
 
 class TestSampleAt:
