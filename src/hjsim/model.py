@@ -37,6 +37,11 @@ Matrices may equivalently be written as nested row lists.  Rate types:
 ``smooth_bounded`` (lo + (hi-lo)/(1+x^2)).  Jump types: ``constant``,
 ``linear_damping`` (-eta*x) and ``power_bounded``
 (coeff*x*(1+x^2)^((exponent-1)/2), so |a(x)| <= |coeff|*|x|^exponent).
+
+A family's dataclass fields are its JSON parameters, in order, and its
+constructor is their only range check.  A parameter with a default (the
+linear drift's ``intercept``, the bounded drift's ``steepness``) may be
+left out of a config.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -85,11 +90,15 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class ConfigError(ValueError):
-    """Invalid model or run configuration; ``field`` names the first offending entry."""
+    """Invalid model or run configuration; ``field`` names the first offending entry.
+
+    A family's constructor names only the parameter, or nothing when its
+    parameters fail together; ``from_dict`` prefixes the variant's path."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field
+        self._message = message
 
 
 class DegenerateKernelError(ValueError):
@@ -115,13 +124,34 @@ def _get_number(d: dict, key: str, field: str) -> float:
     return float(v)
 
 
+class _Family:
+    """A closed-form family: its dataclass fields are its JSON parameters and
+    its ``__post_init__`` checks them, naming a bad one as the error's field
+    (or no field, when the parameters fail together)."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, d: dict, field: str):
+        values = {f.name: _get_number(d, f.name, field) for f in fields(cls)
+                  if f.default is MISSING or f.name in d}
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{field}.{exc.field}" if exc.field else field,
+                              exc._message) from None
+
+
 # ---------------------------------------------------------------------------
 # Rate functions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AffineClippedRate:
+class AffineClippedRate(_Family):
     """u -> max(floor, intercept + slope*u); strictly positive, Lipschitz |slope|."""
 
     floor: float
@@ -131,10 +161,9 @@ class AffineClippedRate:
     kind: ClassVar[str] = "affine_clipped"
 
     def __post_init__(self):
-        if not (self.floor > 0 and math.isfinite(self.floor)):
-            raise ValueError("floor must be a finite positive number")
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise ValueError("intercept and slope must be finite")
+        _require(self.floor > 0 and math.isfinite(self.floor), "floor", "must be finite and > 0")
+        _require(math.isfinite(self.intercept), "intercept", "must be finite")
+        _require(math.isfinite(self.slope), "slope", "must be finite")
 
     def __call__(self, u):
         return np.maximum(self.floor, self.intercept + self.slope * u)
@@ -142,19 +171,9 @@ class AffineClippedRate:
     def lipschitz_constant(self) -> float:
         return abs(self.slope)
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "floor": self.floor,
-                "intercept": self.intercept, "slope": self.slope}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "AffineClippedRate":
-        floor = _get_number(d, "floor", field)
-        _require(floor > 0, f"{field}.floor", "must be > 0")
-        return cls(floor, _get_number(d, "intercept", field), _get_number(d, "slope", field))
-
 
 @dataclass(frozen=True)
-class SigmoidRate:
+class SigmoidRate(_Family):
     """u -> height * expit(steepness*(u - center)); Lipschitz height*steepness/4.
 
     Evaluations are floored at the smallest positive double so the output
@@ -168,12 +187,10 @@ class SigmoidRate:
     kind: ClassVar[str] = "sigmoid"
 
     def __post_init__(self):
-        if not (self.height > 0 and math.isfinite(self.height)):
-            raise ValueError("height must be a finite positive number")
-        if not (self.steepness > 0 and math.isfinite(self.steepness)):
-            raise ValueError("steepness must be a finite positive number")
-        if not math.isfinite(self.center):
-            raise ValueError("center must be finite")
+        _require(self.height > 0 and math.isfinite(self.height), "height", "must be finite and > 0")
+        _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
+                 "must be finite and > 0")
+        _require(math.isfinite(self.center), "center", "must be finite")
 
     def __call__(self, u):
         return np.maximum(_TINY, self.height * expit(self.steepness * (u - self.center)))
@@ -182,21 +199,9 @@ class SigmoidRate:
         # max of height*steepness*s*(1-s) over s in (0,1), attained at s = 1/2
         return self.height * self.steepness / 4.0
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "height": self.height,
-                "steepness": self.steepness, "center": self.center}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "SigmoidRate":
-        height = _get_number(d, "height", field)
-        steep = _get_number(d, "steepness", field)
-        _require(height > 0, f"{field}.height", "must be > 0")
-        _require(steep > 0, f"{field}.steepness", "must be > 0")
-        return cls(height, steep, _get_number(d, "center", field))
-
 
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_Family):
     """u -> level, a strictly positive constant rate."""
 
     level: float
@@ -204,23 +209,13 @@ class ConstantRate:
     kind: ClassVar[str] = "constant"
 
     def __post_init__(self):
-        if not (self.level > 0 and math.isfinite(self.level)):
-            raise ValueError("level must be a finite positive number")
+        _require(self.level > 0 and math.isfinite(self.level), "level", "must be finite and > 0")
 
     def __call__(self, u):
         return self.level + 0.0 * u
 
     def lipschitz_constant(self) -> float:
         return 0.0
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "level": self.level}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "ConstantRate":
-        level = _get_number(d, "level", field)
-        _require(level > 0, f"{field}.level", "must be > 0")
-        return cls(level)
 
 
 RateFunction = Union[AffineClippedRate, SigmoidRate, ConstantRate]
@@ -234,7 +229,7 @@ _RATE_KINDS = {c.kind: c for c in (AffineClippedRate, SigmoidRate, ConstantRate)
 
 
 @dataclass(frozen=True)
-class LinearDrift:
+class LinearDrift(_Family):
     """b(x) = intercept - rate*x.
 
     ``rate`` may be negative (a repelling drift); such a model simulates
@@ -247,8 +242,8 @@ class LinearDrift:
     kind: ClassVar[str] = "linear"
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and math.isfinite(self.intercept)):
-            raise ValueError("rate and intercept must be finite")
+        _require(math.isfinite(self.rate), "rate", "must be finite")
+        _require(math.isfinite(self.intercept), "intercept", "must be finite")
 
     def __call__(self, x):
         return self.intercept - self.rate * x
@@ -272,18 +267,9 @@ class LinearDrift:
         s = max(r, vertex) if vertex > r else r
         return self.rate * s * s - abs(self.intercept) * s
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "rate": self.rate, "intercept": self.intercept}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "LinearDrift":
-        return cls(_get_number(d, "rate", field),
-                   float(d.get("intercept", 0.0)) if _finite(d.get("intercept", 0.0))
-                   else _get_number(d, "intercept", field))
-
 
 @dataclass(frozen=True)
-class BoundedSmoothDrift:
+class BoundedSmoothDrift(_Family):
     """b(x) = -amplitude * tanh(steepness * x); bounded, smooth, inward."""
 
     amplitude: float
@@ -292,10 +278,10 @@ class BoundedSmoothDrift:
     kind: ClassVar[str] = "bounded_smooth"
 
     def __post_init__(self):
-        if not (self.amplitude > 0 and math.isfinite(self.amplitude)):
-            raise ValueError("amplitude must be a finite positive number")
-        if not (self.steepness > 0 and math.isfinite(self.steepness)):
-            raise ValueError("steepness must be a finite positive number")
+        _require(self.amplitude > 0 and math.isfinite(self.amplitude), "amplitude",
+                 "must be finite and > 0")
+        _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
+                 "must be finite and > 0")
 
     def __call__(self, x):
         return -self.amplitude * np.tanh(self.steepness * x)
@@ -312,24 +298,13 @@ class BoundedSmoothDrift:
         # amplitude*|x|*tanh(steepness*|x|) is increasing in |x|
         return self.amplitude * r * math.tanh(self.steepness * r)
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "amplitude": self.amplitude, "steepness": self.steepness}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "BoundedSmoothDrift":
-        amp = _get_number(d, "amplitude", field)
-        steep = _get_number(d, "steepness", field) if "steepness" in d else 1.0
-        _require(amp > 0, f"{field}.amplitude", "must be > 0")
-        _require(steep > 0, f"{field}.steepness", "must be > 0")
-        return cls(amp, steep)
-
 
 Drift = Union[LinearDrift, BoundedSmoothDrift]
 _DRIFT_KINDS = {c.kind: c for c in (LinearDrift, BoundedSmoothDrift)}
 
 
 @dataclass(frozen=True)
-class ConstantDiffusion:
+class ConstantDiffusion(_Family):
     """sigma(x) = value.  value = 0 is allowed for deterministic test flows,
     but then the model fails the strict ellipticity check (see
     :func:`check_assumptions`)."""
@@ -339,8 +314,7 @@ class ConstantDiffusion:
     kind: ClassVar[str] = "constant"
 
     def __post_init__(self):
-        if not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError("value must be a finite nonnegative number")
+        _require(self.value >= 0 and math.isfinite(self.value), "value", "must be finite and >= 0")
 
     def __call__(self, x):
         return self.value + 0.0 * x
@@ -348,18 +322,9 @@ class ConstantDiffusion:
     def sigma_sq_bounds(self) -> tuple[float, float]:
         return (self.value ** 2, self.value ** 2)
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "ConstantDiffusion":
-        v = _get_number(d, "value", field)
-        _require(v >= 0, f"{field}.value", "must be >= 0")
-        return cls(v)
-
 
 @dataclass(frozen=True)
-class SmoothBoundedDiffusion:
+class SmoothBoundedDiffusion(_Family):
     """sigma(x) = lo + (hi - lo)/(1 + x^2); smooth with lo <= sigma <= hi."""
 
     lo: float
@@ -368,24 +333,14 @@ class SmoothBoundedDiffusion:
     kind: ClassVar[str] = "smooth_bounded"
 
     def __post_init__(self):
-        if not (0 < self.lo <= self.hi and math.isfinite(self.hi)):
-            raise ValueError("need 0 < lo <= hi, both finite")
+        _require(0 < self.lo <= self.hi and math.isfinite(self.hi), "",
+                 "need 0 < lo <= hi, both finite")
 
     def __call__(self, x):
         return self.lo + (self.hi - self.lo) / (1.0 + x * x)
 
     def sigma_sq_bounds(self) -> tuple[float, float]:
         return (self.lo ** 2, self.hi ** 2)
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "SmoothBoundedDiffusion":
-        lo = _get_number(d, "lo", field)
-        hi = _get_number(d, "hi", field)
-        _require(0 < lo <= hi, field, "needs 0 < lo <= hi")
-        return cls(lo, hi)
 
 
 Diffusion = Union[ConstantDiffusion, SmoothBoundedDiffusion]
@@ -398,7 +353,7 @@ _DIFFUSION_KINDS = {c.kind: c for c in (ConstantDiffusion, SmoothBoundedDiffusio
 
 
 @dataclass(frozen=True)
-class ConstantJump:
+class ConstantJump(_Family):
     """a(x) = size."""
 
     size: float
@@ -406,8 +361,7 @@ class ConstantJump:
     kind: ClassVar[str] = "constant"
 
     def __post_init__(self):
-        if not math.isfinite(self.size):
-            raise ValueError("size must be finite")
+        _require(math.isfinite(self.size), "size", "must be finite")
 
     def __call__(self, x):
         return self.size + 0.0 * x
@@ -416,16 +370,9 @@ class ConstantJump:
         """(C, eta) with |a(x)| <= C*|x|**eta and eta < 1, when representable."""
         return (abs(self.size), 0.0)
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "size": self.size}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "ConstantJump":
-        return cls(_get_number(d, "size", field))
-
 
 @dataclass(frozen=True)
-class LinearDampingJump:
+class LinearDampingJump(_Family):
     """a(x) = -eta*x with 0 <= eta <= 2 (the post-jump point |x + a(x)| <= |x|)."""
 
     eta: float
@@ -433,8 +380,7 @@ class LinearDampingJump:
     kind: ClassVar[str] = "linear_damping"
 
     def __post_init__(self):
-        if not (0 <= self.eta <= 2):
-            raise ValueError("eta must lie in [0, 2]")
+        _require(0 <= self.eta <= 2, "eta", "must lie in [0, 2]")
 
     def __call__(self, x):
         return -self.eta * x
@@ -442,18 +388,9 @@ class LinearDampingJump:
     def power_envelope(self):
         return (0.0, 0.0) if self.eta == 0 else None
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "eta": self.eta}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "LinearDampingJump":
-        eta = _get_number(d, "eta", field)
-        _require(0 <= eta <= 2, f"{field}.eta", "must lie in [0, 2]")
-        return cls(eta)
-
 
 @dataclass(frozen=True)
-class PowerBoundedJump:
+class PowerBoundedJump(_Family):
     """a(x) = coeff * x * (1 + x^2)^((exponent-1)/2), so |a(x)| <= |coeff|*|x|**exponent."""
 
     coeff: float
@@ -462,26 +399,15 @@ class PowerBoundedJump:
     kind: ClassVar[str] = "power_bounded"
 
     def __post_init__(self):
-        if not math.isfinite(self.coeff):
-            raise ValueError("coeff must be finite")
-        if not (self.exponent < 1 and math.isfinite(self.exponent)):
-            raise ValueError("exponent must be finite and < 1")
+        _require(math.isfinite(self.coeff), "coeff", "must be finite")
+        _require(self.exponent < 1 and math.isfinite(self.exponent), "exponent",
+                 "must be finite and < 1")
 
     def __call__(self, x):
         return self.coeff * x * (1.0 + x * x) ** ((self.exponent - 1.0) / 2.0)
 
     def power_envelope(self):
         return (abs(self.coeff), self.exponent)
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "coeff": self.coeff, "exponent": self.exponent}
-
-    @classmethod
-    def from_dict(cls, d: dict, field: str) -> "PowerBoundedJump":
-        coeff = _get_number(d, "coeff", field)
-        expo = _get_number(d, "exponent", field)
-        _require(expo < 1, f"{field}.exponent", "must be < 1")
-        return cls(coeff, expo)
 
 
 JumpMap = Union[ConstantJump, LinearDampingJump, PowerBoundedJump]
