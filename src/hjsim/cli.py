@@ -350,50 +350,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulator and long-run diagnostics for diffusions with "
                     "jumps driven by a mutually exciting point process.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", required=True)
+    simulating = argparse.ArgumentParser(add_help=False, parents=[common])
+    simulating.add_argument("--grid-dt", dest="grid_dt", type=float, default=None)
+    simulating.add_argument("--integrator", choices=["em", "exact-ou"], default=None)
 
-    sim = sub.add_parser("simulate", help="generate trajectories")
-    sim.add_argument("--config", required=True)
+    sim = sub.add_parser("simulate", parents=[simulating], help="generate trajectories")
     sim.add_argument("--horizon", type=float, default=None)
     sim.add_argument("--paths", dest="n_paths", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--grid-dt", dest="grid_dt", type=float, default=None)
     sim.add_argument("--format", choices=["jsonl", "bin"], default=None)
-    sim.add_argument("--integrator", choices=["em", "exact-ou"], default=None)
     sim.add_argument("--em-step", dest="em_step", type=float, default=None)
     sim.add_argument("--workers", type=int, default=None)
-    sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
-    chk = sub.add_parser("check-stability", help="stability report")
-    chk.add_argument("--config", required=True)
+    chk = sub.add_parser("check-stability", parents=[common], help="stability report")
     chk.add_argument("--scan-radius", dest="scan_radius", type=float, default=None)
     chk.add_argument("--points", type=int, default=None)
-    chk.add_argument("--seed", type=int, default=None)
-    chk.add_argument("--out", required=True)
     chk.set_defaults(func=_cmd_check_stability)
 
-    erg = sub.add_parser("ergodic-test", help="time-average diagnostics")
-    erg.add_argument("--config", required=True)
+    erg = sub.add_parser("ergodic-test", parents=[simulating], help="time-average diagnostics")
     erg.add_argument("--horizon", type=float, default=None)
     erg.add_argument("--burn-in", dest="burn_in", type=float, default=None)
     erg.add_argument("--g", choices=["x", "x2", "rate", "one"], default=None)
-    erg.add_argument("--seed", type=int, default=None)
-    erg.add_argument("--grid-dt", dest="grid_dt", type=float, default=None)
-    erg.add_argument("--integrator", choices=["em", "exact-ou"], default=None)
-    erg.add_argument("--out", required=True)
     erg.set_defaults(func=_cmd_ergodic_test)
 
-    mix = sub.add_parser("mixing-test", help="two-start mixing decay")
-    mix.add_argument("--config", required=True)
+    mix = sub.add_parser("mixing-test", parents=[simulating], help="two-start mixing decay")
     mix.add_argument("--times", type=_times_list, default=None)
     mix.add_argument("--paths", dest="n_paths", type=int, default=None)
     mix.add_argument("--bins", type=int, default=None)
     mix.add_argument("--start-a", dest="start_a", required=True)
     mix.add_argument("--start-b", dest="start_b", required=True)
-    mix.add_argument("--seed", type=int, default=None)
-    mix.add_argument("--grid-dt", dest="grid_dt", type=float, default=None)
-    mix.add_argument("--integrator", choices=["em", "exact-ou"], default=None)
-    mix.add_argument("--out", required=True)
     mix.set_defaults(func=_cmd_mixing_test)
     return parser
 
