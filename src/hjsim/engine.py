@@ -505,7 +505,8 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
     sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
     run = partial(_simulate_group, model, horizon, cfg, sample_times, model_digest(model),
                   **kwargs)
-    workers = min(workers, len(seeds), os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, len(seeds), os.cpu_count() or 1)
     width = max(1, min(int(_GROUP_BUDGET // _path_bytes(model, horizon, cfg, len(sample_times))),
                        -(-len(seeds) // max(workers, 1))))
     groups = [seeds[i:i + width] for i in range(0, len(seeds), width)]
