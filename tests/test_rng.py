@@ -4,16 +4,18 @@ The engine draws a whole segment's normals with one ``normals(k)`` call, so
 a block of k draws must equal k single draws wherever the buffer stands, and
 the skeleton it assembles from blocks must keep its ordering invariant.  A
 lockstep group draws from a :class:`DrawBank`, whose rows must continue the
-paths' streams draw for draw.
+paths' streams draw for draw, computed by a numpy Philox kernel that must equal
+numpy's own Philox word for word.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 import hjsim
-from hjsim.rng import DrawBank, RandomStream, _generator
+from hjsim.rng import (_GOLDEN, DrawBank, RandomStream, _generator, _philox,
+                       derive_path_seed, derive_path_seeds)
 
 from helpers import em_cfg, ou_cfg, reference_model
 
@@ -111,3 +113,63 @@ def test_bank_rows_continue_their_streams(seed, steps, n_rows):
             used[k] + 3)[used[k]:].tolist()
         used[k] += 3
         assert bank.stream(k).uniforms(50).tolist() == expect(k, 50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=SEEDS, n=st.integers(0, 40))
+@example(master=0, n=40)
+@example(master=2**64 - 1, n=40)
+@example(master=2**64 - _GOLDEN, n=3)   # path 0's sum wraps to exactly 0
+def test_path_seeds_equal_scalar_form(master, n):
+    # (i + 1) * golden wraps past 2**64 from i = 1 on, and so may the sum
+    assert derive_path_seeds(master, n).tolist() == [derive_path_seed(master, i)
+                                                      for i in range(n)]
+
+
+# Draw offsets around the 4-word blocks, and far beyond 2**34 draws.
+_OFFSETS = st.integers(0, 3000) | st.integers(2**34, 2**62)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(SEEDS, SEEDS, _OFFSETS), min_size=1, max_size=3),
+       n=st.integers(0, 1100))
+@example(rows=[(0, 0, 0), (2**64 - 1, 2**64 - 1, 1), (5, 7, 2**34 + 3)], n=1100)
+@example(rows=[(k, 7 * k, 5 * k) for k in range(40)], n=300)
+def test_kernel_equals_numpy_philox(rows, n):
+    keys = np.array([r[:2] for r in rows], dtype=np.uint64)
+    start = np.array([r[2] for r in rows], dtype=np.int64)
+    got = _philox(keys, start, n)
+    assert got.shape == (len(rows), n)
+    for key, d, words in zip(keys, start.tolist(), got):
+        if d <= 3000:
+            want = np.random.Philox(key=key).random_raw(d + n)[d:]
+        else:
+            ref = np.random.Philox(key=key, counter=d // 4)
+            want = ref.random_raw(d % 4 + n)[d % 4:]
+        assert words.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, steps=_BANK_STEPS, n_rows=st.sampled_from([3, 100, 1100]),
+       n=st.integers(0, 1100))
+def test_bank_stream_continues_at_its_draw(seed, steps, n_rows, n):
+    seeds = [seed ^ k for k in range(n_rows)]
+    bank = DrawBank(seeds)
+    used = [0, 0, 0]
+    for step in steps:
+        if step[0] == "take":
+            _, k, m = step
+            bank.take(k, m)
+            used[k] += m
+            continue
+        _, rows, m, unread = step
+        rows = np.array(sorted(rows))
+        bank.uniforms(rows, m)
+        for k in rows.tolist():
+            used[k] += m - unread
+        if unread:
+            bank.unread(rows)
+    for k in range(3):
+        skipped = RandomStream(seeds[k])
+        skipped.uniforms(used[k])
+        assert bank.stream(k).uniforms(n).tolist() == skipped.uniforms(n).tolist()
