@@ -25,7 +25,7 @@ from .engine import simulate_ensemble
 from .model import (ConfigError, ModelSpec, _finite, canonical_json, model_digest,
                     model_from_dict, model_to_dict, state_from_dict)
 from .pathio import dumps_binary, dumps_jsonl
-from .rng import derive_path_seed
+from .rng import derive_path_seeds
 from .stability import stability_report
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "config_digest", "main"]
@@ -65,8 +65,8 @@ class RunConfig:
             raise ConfigError("run.seed", "must be a 64-bit unsigned integer")
         if self.horizon is not None and not self.horizon > 0:
             raise ConfigError("run.horizon", "must be > 0")
-        if self.n_paths < 1:
-            raise ConfigError("run.n_paths", "must be >= 1")
+        if not 1 <= self.n_paths <= 10 ** 7:   # the cap of the grid, histogram and scan
+            raise ConfigError("run.n_paths", "must be between 1 and 10000000")
         if not self.grid_dt > 0:
             raise ConfigError("run.grid_dt", "must be > 0")
         if self.integrator not in ("em", "exact-ou"):
@@ -248,9 +248,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             name, data = f"path_{i:05d}.hjsm", dumps_binary(path)
         _atomic_write_bytes(os.path.join(args.out, name), data)
         outputs.append(name)
-    seeds = [derive_path_seed(config.seed, i) for i in range(config.n_paths)]
-    _write_manifest(args.out, "simulate", config, outputs,
-                    time.monotonic() - started, per_path_seeds=seeds)
+    _write_manifest(args.out, "simulate", config, outputs, time.monotonic() - started,
+                    per_path_seeds=derive_path_seeds(config.seed, config.n_paths).tolist())
     return 0
 
 

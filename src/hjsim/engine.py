@@ -27,7 +27,8 @@ Ensembles thin their paths in lockstep groups (``_simulate_group``), held as
 arrays over the paths: the memory flow, the rates, the envelope, the
 component pick and the event records are array operations over the live
 paths.  Each path keeps its own counter-based stream as a row of a
-:class:`hjsim.rng.DrawBank`, so one draw for all paths is one gather.  Below
+:class:`hjsim.rng.DrawBank`, addressed by (key, draw index) with no
+generator object per row, so one draw for all paths is one gather.  Below
 ``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
 and each remaining path continues through ``_run_events`` from its bank row.
 No path's draws are reordered, so every path is byte-identical to the one
@@ -63,7 +64,7 @@ from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _n_normals,
                         _ou_terms, apply_state_jump)
 from .intensity import RateRuntime
 from .model import ModelSpec, State, model_digest
-from .rng import DrawBank, RandomStream, derive_path_seed
+from .rng import DrawBank, RandomStream, derive_path_seeds
 
 __all__ = [
     "SimulationLimitError",
@@ -141,6 +142,14 @@ class Path:
             raise ValueError("event times must be strictly increasing")
         if (st[1:] < st[:-1]).any():
             raise ValueError("skeleton times must be nondecreasing")
+
+    @classmethod
+    def _built(cls, **fields) -> Path:
+        """A path from read-only arrays that pass :meth:`__post_init__`'s checks."""
+        path = object.__new__(cls)
+        for name, value in fields.items():   # keeps the instance's compact layout
+            object.__setattr__(path, name, value)
+        return path
 
     @property
     def n_events(self) -> int:
@@ -406,9 +415,12 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     # a path's records end with the horizon's, unless the one before it is
     # within eps
     rec_end = end[lasts] + (horizon - times[end[lasts] - 1] > log.eps)
-    paths = [Path(event_times=ev_t[e0:e1], event_components=ev_c[e0:e1],
-                  skeleton_times=times[r0:r1], skeleton_x=x[r0:r1],
-                  skeleton_row_sums=rs[r0:r1], horizon=horizon, seed=seed, model_hash=digest)
+    for a in (ev_t, ev_c, times, x, rs):   # and so every path's views of them
+        a.setflags(write=False)
+    paths = [Path._built(event_times=ev_t[e0:e1], event_components=ev_c[e0:e1],
+                         skeleton_times=times[r0:r1], skeleton_x=x[r0:r1],
+                         skeleton_row_sums=rs[r0:r1], horizon=horizon, seed=seed,
+                         model_hash=digest)
              for seed, e0, e1, r0, r1 in zip(seeds, [0] + ev_end, ev_end, seg0[firsts].tolist(),
                                              rec_end.tolist())]
     return paths, x[end[lasts]]
@@ -695,7 +707,6 @@ def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    return _simulate_all(model, horizon, cfg,
-                         [derive_path_seed(master_seed, i) for i in range(n_paths)],
+    return _simulate_all(model, horizon, cfg, derive_path_seeds(master_seed, n_paths).tolist(),
                          workers, **kwargs)
 

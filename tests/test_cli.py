@@ -274,6 +274,16 @@ class TestSizeGuards:
         assert err["error"] == "ValueError" and "scan points" in err["message"]
         assert peak < 1_000_000
 
+    def test_too_many_paths_is_structured_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, run={"horizon": 1.0, "n_paths": 10**12})
+        rc, peak = self._main_peak(["simulate", "--config", config,
+                                    "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["field"] == "run.n_paths"
+        assert peak < 1_000_000
+        assert not os.path.exists(tmp_path / "out")
+
     def test_memory_error_is_structured_error(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 80.0 GiB")

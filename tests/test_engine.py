@@ -151,6 +151,26 @@ class TestPathInvariants:
             hjsim.simulate_path(supercritical_model(), 200.0, em_cfg(0.1),
                                 seed=3, max_events=500)
 
+    def test_engine_paths_are_read_only(self):
+        model, cfg = reference_model(), ou_cfg(0.5)
+        for path in [hjsim.simulate_path(model, 20.0, cfg, seed=6),
+                     hjsim.simulate_path_reference(model, 2.0, cfg, seed=6),
+                     *hjsim.simulate_ensemble(model, 5.0, cfg, 6, 8)]:
+            for name in ("event_times", "event_components", "skeleton_times", "skeleton_x",
+                         "skeleton_row_sums"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(path, name)[:1] = 0
+
+    @pytest.mark.parametrize("event_times, skeleton_times, message", [
+        ([1.0, 0.5], [0.0, 0.5, 0.5, 1.0, 1.0, 2.0], "strictly increasing"),
+        ([0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5, 2.0], "strictly increasing"),
+        ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, 0.9], "nondecreasing")])
+    def test_public_constructor_checks_order(self, event_times, skeleton_times, message):
+        with pytest.raises(ValueError, match=message):
+            hjsim.Path(event_times=event_times, event_components=[1, 1],
+                       skeleton_times=skeleton_times, skeleton_x=np.zeros(6),
+                       skeleton_row_sums=np.zeros((6, 1)), horizon=2.0, seed=0, model_hash="")
+
     def test_sample_grid_breaker_allocates_nothing_large(self):
         tracemalloc.start()
         try:
