@@ -27,8 +27,9 @@ Ensembles thin their paths in lockstep groups (``_simulate_group``), held as
 arrays over the paths: the memory flow, the rates, the envelope, the
 component pick and the event records are array operations over the live
 paths.  Each path keeps its own counter-based stream as a row of a
-:class:`hjsim.rng.DrawBank`, addressed by (key, draw index) with no
-generator object per row, so one draw for all paths is one gather.  Below
+:class:`hjsim.rng.DrawBank`, addressed by (key, draw index) and read
+through the one positioned C Philox of :mod:`hjsim.rng`, with no generator
+object per row, so one draw for all paths is one gather.  Below
 ``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
 and each remaining path continues through ``_run_events`` from its bank row.
 No path's draws are reordered, so every path is byte-identical to the one
@@ -294,6 +295,8 @@ class _GroupLog:
         """Normals of the segment from t0 to t_stop through samples[lo:hi]."""
         if not self.noisy:
             return 0
+        if self.ou:   # sample times lie more than eps from the anchor and the stop
+            return hi - lo + 1 if hi > lo else int(t_stop > t0)
         ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
         dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
         return _n_normals(dts, self.model.coefficients, self.cfg)
@@ -317,21 +320,21 @@ class _GroupLog:
         hi = self._hi(lo, t_stop)
         if not self.noisy:
             return hi
-        # one normal per nonempty exact-OU interval; the segments with sample
-        # times, and Euler-Maruyama ones, are counted one by one
+        # as _count: Euler-Maruyama segments are counted one by one
         n = (t_stop > t0).astype(np.intp)
-        own = np.flatnonzero(hi > lo if self.ou else n).tolist()
-        for r in own:
-            n[r] = self._count(float(t0[r]), int(lo[r]), int(hi[r]), float(t_stop[r]))
+        if self.ou:
+            n = np.where(hi > lo, hi - lo + 1, n)
+        else:
+            for r in np.flatnonzero(n).tolist():
+                n[r] = self._count(float(t0[r]), int(lo[r]), int(hi[r]), float(t_stop[r]))
         self.n_normals[rows] += n
         one = rows[n == 1]
         if len(one):
             self.zk.append(one)
             self.zv.append(ndtri(bank.uniforms(one)[0]))
-        for r in own:
-            if n[r] > 1:
-                self.zk.append(rows[r])
-                self.zv.append(ndtri(bank.take(rows[r], n[r])))
+        for r in np.flatnonzero(n > 1).tolist():
+            self.zk.append(rows[r])
+            self.zv.append(ndtri(bank.take(rows[r], n[r])))
         return hi
 
     def record(self, k, tau, comp, hi, y_pre: np.ndarray) -> None:
@@ -525,7 +528,12 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
     if workers <= 1:
         return [p for group in groups for p in run(group)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [p for paths in pool.map(run, groups) for p in paths]
+        paths = [p for group in pool.map(run, groups) for p in group]
+    for p in paths:   # unpickling drops numpy's read-only flag
+        for a in (p.event_times, p.event_components, p.skeleton_times, p.skeleton_x,
+                  p.skeleton_row_sums):
+            a.setflags(write=False)
+    return paths
 
 
 def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_samples: int) -> float:

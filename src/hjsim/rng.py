@@ -6,19 +6,22 @@ consume identical draws.  A uniform is the top 53 bits of one 64-bit word
 mapped into (0, 1), and a normal is the inverse CDF of one uniform.  Philox
 is counter-based (Salmon et al., SC'11): draw d is lane d % 4 of the block
 the key makes of counter d // 4 + 1, so buffering never changes a stream.
-A :class:`RandomStream` draws from numpy's C Philox, the fastest per draw
-for one long stream, in blocks that double from ``_FIRST_BLOCK`` to
-``_BLOCK``; ``_generator`` builds it and is the oracle for the rest.
+
+Every draw is read by ``_words_at(key, d, n)``: one C Philox per thread,
+set to draw d of the stream keyed by ``key``, reads n words.  So no stream
+holds a generator object, and threads never share a positioned one.  A
+:class:`RandomStream` holds its key, the draw index after its buffer and
+the buffer, read in blocks that double from ``_FIRST_BLOCK`` to ``_BLOCK``.
+``_generator`` builds a stream's own numpy generator, the oracle for tests.
 
 A :class:`DrawBank` holds a group's streams as rows of one matrix of
-buffered uniforms, addressed by (key, draw index) with no generator object
-per row: one draw for many rows is a single gather, and the rows that run
-low are refilled together by a vectorised numpy Philox kernel (``_philox``,
-``_KERNEL_WORDS`` words a call).  A row's long block of normals and a path
-that leaves the group draw from a C Philox set to its key and draw index.
+buffered uniforms, addressed by (key, draw index): one draw for many rows
+is a single gather, and each row that runs out is refilled on its own.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,11 +34,6 @@ _FIRST_BLOCK = 64
 _BLOCK = 1024
 _BANK_DRAWS = 1 << 14
 _INV53 = 2.0 ** -53
-_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# Philox4x64's multipliers and key increments, along the kernel's first axis
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
-_KERNEL_WORDS = 1 << 11   # bounds a kernel call's temporaries at about 150 KB
 
 
 def mix64(z):
@@ -58,10 +56,31 @@ def derive_path_seeds(master_seed: int, n: int) -> np.ndarray:
     return mix64(np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN + (master_seed & _MASK64))
 
 
+def _key(seed):
+    """The Philox key of the stream (or, for a uint64 array, the streams) of ``seed``."""
+    return mix64(seed), mix64(seed ^ _GOLDEN)
+
+
 def _generator(seed: int) -> np.random.Generator:
     """The Philox generator of the stream keyed by a 64-bit seed."""
-    key = np.array([mix64(seed), mix64(seed ^ _GOLDEN)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(_key(seed), dtype=np.uint64)))
+
+
+class _PerThread(threading.local):
+    def __init__(self):
+        self.philox = np.random.Philox(0)
+
+
+_THREAD = _PerThread()
+
+
+def _words_at(key, d: int, n: int) -> np.ndarray:
+    """Words d .. d + n - 1 of the Philox stream keyed by ``key``: this
+    thread's C Philox at counter d // 4 with an empty buffer, less d % 4 words."""
+    bitgen = _THREAD.philox
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": (d >> 2, 0, 0, 0), "key": key},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return bitgen.random_raw((d & 3) + n)[d & 3:]
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -69,51 +88,20 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return ((words >> 11) + 0.5) * _INV53
 
 
-def _philox(keys: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-    """The n words from word ``start[r]`` on of ``Philox(key=keys[r])``, per row r.
-
-    A round multiplies lanes 0 and 2 into lanes 1 and 3, so the lanes are held as
-    (2, rows, blocks) arrays ``even`` = (c0, c2) and ``odd`` = (c1, c3) to share a multiply.
-    """
-    shape = (2, len(keys), (n + 6) // 4)   # the blocks n words span from any lane
-    even, odd = np.zeros(shape, dtype=np.uint64), np.zeros(shape, dtype=np.uint64)
-    even[0] = ((start >> 2) + 1).astype(np.uint64)[:, None] + np.arange(shape[2], dtype=np.uint64)
-    m, key, bump = (np.broadcast_to(c, shape).copy()   # full shapes run fastest
-                    for c in (_PHILOX_M, keys.T[:, :, None], _PHILOX_W))
-    m_lo, m_hi = m & _LOW32, m >> _32
-    for _ in range(10):
-        # the high words of even * m, from 32-bit halves so no partial sum overflows
-        a_lo, a_hi = even & _LOW32, even >> _32
-        t = a_hi * m_lo + ((a_lo * m_lo) >> _32)
-        hi = a_hi * m_hi + (t >> _32) + (((t & _LOW32) + a_lo * m_hi) >> _32)
-        # (c0, c1, c2, c3) <- (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
-        even, odd = hi[::-1] ^ odd ^ key, (even * m)[::-1]
-        key += bump
-    words = np.stack((even, odd), axis=3).transpose(1, 2, 0, 3).reshape(len(keys), -1)
-    return np.take_along_axis(words, (start & 3)[:, None] + np.arange(n), axis=1)
-
-
-def _philox_at(key: np.ndarray, d: int) -> np.random.Philox:
-    """numpy's C Philox with ``key`` at draw d: counter d // 4, d % 4 words read."""
-    bitgen = np.random.Philox(key=key, counter=d >> 2)
-    bitgen.random_raw(d & 3)
-    return bitgen
-
-
 class RandomStream:
     """Buffered uniform/normal/exponential draws from one Philox stream."""
 
-    __slots__ = ("seed", "_bits", "_buf", "_pos", "_block")
+    __slots__ = ("seed", "_key", "_end", "_buf", "_pos", "_block")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._bits = _generator(self.seed).bit_generator
-        self._buf = np.empty(0)
-        self._pos = 0
+        self._key = _key(self.seed)
+        self._buf, self._pos, self._end = np.empty(0), 0, 0   # _end: the draw after _buf
         self._block = _FIRST_BLOCK
 
     def _refill(self, need: int = 1) -> None:
-        self._buf = _uniforms(self._bits.random_raw(max(self._block, need)))
+        self._buf = _uniforms(_words_at(self._key, self._end, max(self._block, need)))
+        self._end += len(self._buf)
         self._pos = 0
         self._block = min(2 * self._block, _BLOCK)
 
@@ -154,8 +142,8 @@ class DrawBank:
     ``RandomStream(seeds[k])`` draw for draw.
 
     Uniforms wait in a ``(rows, width)`` matrix with one position per row,
-    and ``ends[k]`` is the draw index after row k's buffer; rows that run out
-    are refilled together from their keys and draw indices.
+    and ``ends[k]`` is the draw index after row k's buffer; a row that runs
+    out is refilled from its key and its next draw.
     """
 
     __slots__ = ("seeds", "keys", "buf", "pos", "ends")
@@ -163,7 +151,7 @@ class DrawBank:
     def __init__(self, seeds: list[int]):
         self.seeds = [int(s) & _MASK64 for s in seeds]
         s = np.array(self.seeds, dtype=np.uint64)
-        self.keys = np.stack((mix64(s), mix64(s ^ _GOLDEN)), axis=1)   # as _generator's
+        self.keys = np.stack(_key(s), axis=1).tolist()
         # About _BANK_DRAWS buffered draws in all: 64 per row for a wide
         # group (of short paths, since long grids make groups narrow), up
         # to a full block per row for a narrow one.
@@ -177,16 +165,12 @@ class DrawBank:
         draw i of every row is array i of the list."""
         width = self.buf.shape[1]
         pos = self.pos[rows]
-        if (pos > width - n).any():
-            # refill, from its next draw, each row past half its buffer with
-            # the rows that run out, so that refills come in fewer kernel calls
-            low = pos > min(width - n, width // 2)
+        low = pos > width - n
+        if low.any():
             k = rows[low]
             start = self.ends[k] - width + pos[low]
-            step = max(1, _KERNEL_WORDS // width)   # rows per kernel call
-            for a in range(0, len(k), step):
-                self.buf[k[a:a + step]] = _uniforms(_philox(self.keys[k[a:a + step]],
-                                                            start[a:a + step], width))
+            self.buf[k] = _uniforms(np.stack([_words_at(self.keys[r], d, width)   # from its next draw
+                                              for r, d in zip(k.tolist(), start.tolist())]))
             self.ends[k] = start + width
             pos[low] = 0
         self.pos[rows] = pos + n
@@ -203,8 +187,8 @@ class DrawBank:
         if n <= have:
             self.pos[k] = start + n
             return self.buf[k, start:start + n].copy()
-        # one C Philox call for the shortfall and a full row after it
-        more = _uniforms(_philox_at(self.keys[k], int(self.ends[k])).random_raw(start + n))
+        # one read for the shortfall and a full row after it
+        more = _uniforms(_words_at(self.keys[k], int(self.ends[k]), start + n))
         out = np.concatenate((self.buf[k, start:], more[:n - have]))
         self.buf[k] = more[n - have:]
         self.ends[k] += len(more)
@@ -215,6 +199,6 @@ class DrawBank:
         """Row k as a :class:`RandomStream` that continues from its position."""
         out = RandomStream.__new__(RandomStream)
         out.seed, out._block = self.seeds[k], _BLOCK
-        out._bits = _philox_at(self.keys[k], int(self.ends[k]))
+        out._key, out._end = self.keys[k], int(self.ends[k])
         out._buf, out._pos = self.buf[k, self.pos[k]:].copy(), 0
         return out

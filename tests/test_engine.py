@@ -151,11 +151,14 @@ class TestPathInvariants:
             hjsim.simulate_path(supercritical_model(), 200.0, em_cfg(0.1),
                                 seed=3, max_events=500)
 
-    def test_engine_paths_are_read_only(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_paths_are_read_only(self, monkeypatch, workers):
+        # paths from worker processes come back pickled
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         model, cfg = reference_model(), ou_cfg(0.5)
         for path in [hjsim.simulate_path(model, 20.0, cfg, seed=6),
                      hjsim.simulate_path_reference(model, 2.0, cfg, seed=6),
-                     *hjsim.simulate_ensemble(model, 5.0, cfg, 6, 8)]:
+                     *hjsim.simulate_ensemble(model, 5.0, cfg, 6, 8, workers=workers)]:
             for name in ("event_times", "event_components", "skeleton_times", "skeleton_x",
                          "skeleton_row_sums"):
                 with pytest.raises(ValueError, match="read-only"):

@@ -4,9 +4,13 @@ The engine draws a whole segment's normals with one ``normals(k)`` call, so
 a block of k draws must equal k single draws wherever the buffer stands, and
 the skeleton it assembles from blocks must keep its ordering invariant.  A
 lockstep group draws from a :class:`DrawBank`, whose rows must continue the
-paths' streams draw for draw, computed by a numpy Philox kernel that must equal
-numpy's own Philox word for word.
+paths' streams draw for draw.  Every draw is read by ``_words_at``, one C
+Philox per thread set to a (key, draw index), which must equal a Philox read
+from the stream's start word for word, and threads drawing at once must draw
+what a serial run draws.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,10 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 import hjsim
-from hjsim.rng import (_GOLDEN, DrawBank, RandomStream, _generator, _philox,
+from hjsim import pathio
+from hjsim.rng import (_GOLDEN, DrawBank, RandomStream, _generator, _words_at,
                        derive_path_seed, derive_path_seeds)
 
-from helpers import em_cfg, ou_cfg, reference_model
+from helpers import em_cfg, ou_cfg, reference_model, two_component_model
 
 SEEDS = st.integers(0, 2**64 - 1)
 # Block sizes around and beyond the 1024-draw refill, interleaved with single
@@ -136,11 +141,10 @@ _OFFSETS = st.integers(0, 3000) | st.integers(2**34, 2**62)
 @example(rows=[(0, 0, 0), (2**64 - 1, 2**64 - 1, 1), (5, 7, 2**34 + 3)], n=1100)
 @example(rows=[(k, 7 * k, 5 * k) for k in range(40)], n=300)
 def test_kernel_equals_numpy_philox(rows, n):
-    keys = np.array([r[:2] for r in rows], dtype=np.uint64)
-    start = np.array([r[2] for r in rows], dtype=np.int64)
-    got = _philox(keys, start, n)
-    assert got.shape == (len(rows), n)
-    for key, d, words in zip(keys, start.tolist(), got):
+    for k0, k1, d in rows:
+        key = np.array([k0, k1], dtype=np.uint64)
+        words = _words_at(key, d, n)
+        assert words.shape == (n,) and words.tolist() == _words_at((k0, k1), d, n).tolist()
         if d <= 3000:
             want = np.random.Philox(key=key).random_raw(d + n)[d:]
         else:
@@ -173,3 +177,25 @@ def test_bank_stream_continues_at_its_draw(seed, steps, n_rows, n):
         skipped = RandomStream(seeds[k])
         skipped.uniforms(used[k])
         assert bank.stream(k).uniforms(n).tolist() == skipped.uniforms(n).tolist()
+
+
+def test_threads_draw_as_a_serial_run():
+    # an ensemble and many short streams read their words at once
+    model, cfg = two_component_model(), ou_cfg(5.0)
+
+    def ensemble():
+        return [pathio.dumps_binary(p)
+                for p in hjsim.simulate_ensemble(model, 5.0, cfg, 17, 300)]
+
+    def streams():
+        out = []
+        for seed in range(200):
+            rng = RandomStream(seed)
+            out += [rng.uniforms(70).tolist(), rng.normals(300).tolist(), rng.uniform()]
+        return out
+
+    want = ensemble(), streams()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(4):
+            a, b = pool.submit(ensemble), pool.submit(streams)
+            assert (a.result(), b.result()) == want
