@@ -28,8 +28,8 @@ arrays over the paths: the memory flow, the rates, the envelope, the
 component pick and the event records are array operations over the live
 paths.  Each path keeps its own counter-based stream as a row of a
 :class:`hjsim.rng.DrawBank`, addressed by (key, draw index) and read
-through the one positioned C Philox of :mod:`hjsim.rng`, with no generator
-object per row, so one draw for all paths is one gather.  Below
+through the thread's one C Philox set to them, with no generator object
+per row, so one draw for all paths is one gather.  Below
 ``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
 and each remaining path continues through ``_run_events`` from its bank row.
 No path's draws are reordered, so every path is byte-identical to the one
@@ -295,7 +295,9 @@ class _GroupLog:
         """Normals of the segment from t0 to t_stop through samples[lo:hi]."""
         if not self.noisy:
             return 0
-        if self.ou:   # sample times lie more than eps from the anchor and the stop
+        if self.ou:
+            # sample times lie after the anchor and more than eps before the
+            # stop, so the intervals between them are nonempty
             return hi - lo + 1 if hi > lo else int(t_stop > t0)
         ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
         dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
@@ -320,7 +322,7 @@ class _GroupLog:
         hi = self._hi(lo, t_stop)
         if not self.noisy:
             return hi
-        # as _count: Euler-Maruyama segments are counted one by one
+        # as _count, with Euler-Maruyama segments counted one by one
         n = (t_stop > t0).astype(np.intp)
         if self.ou:
             n = np.where(hi > lo, hi - lo + 1, n)

@@ -67,7 +67,7 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 class _PerThread(threading.local):
-    def __init__(self):
+    def __init__(self):   # on a thread's first read
         self.philox = np.random.Philox(0)
 
 

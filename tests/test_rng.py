@@ -10,6 +10,7 @@ from the stream's start word for word, and threads drawing at once must draw
 what a serial run draws.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -195,7 +196,12 @@ def test_threads_draw_as_a_serial_run():
         return out
 
     want = ensemble(), streams()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for _ in range(4):
-            a, b = pool.submit(ensemble), pool.submit(streams)
-            assert (a.result(), b.result()) == want
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often, between any two reads
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(4):
+                a, b = pool.submit(ensemble), pool.submit(streams)
+                assert (a.result(timeout=120), b.result(timeout=120)) == want
+    finally:
+        sys.setswitchinterval(interval)
