@@ -168,8 +168,8 @@ class DrawBank:
         low = pos > width - n
         if low.any():
             k = rows[low]
-            start = self.ends[k] - width + pos[low]
-            self.buf[k] = _uniforms(np.stack([_words_at(self.keys[r], d, width)   # from its next draw
+            start = self.ends[k] - width + pos[low]   # each row's next draw
+            self.buf[k] = _uniforms(np.stack([_words_at(self.keys[r], d, width)
                                               for r, d in zip(k.tolist(), start.tolist())]))
             self.ends[k] = start + width
             pos[low] = 0
