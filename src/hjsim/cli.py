@@ -216,12 +216,19 @@ def _resolve_workers(flag_value: int | None) -> int:
     return max(1, flag_value or 1)
 
 
-def _merge_flags(config: RunConfig, args: argparse.Namespace) -> None:
+def _load(args: argparse.Namespace, required=()) -> RunConfig:
+    """The config file with the flags merged in; each run field in
+    ``required`` must then be set."""
+    config = parse_config(args.config)
     for key in _RUN_FIELDS:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             setattr(config, key, flag)
     config.validate()
+    for key in required:
+        if getattr(config, key) is None:
+            raise ConfigError(f"run.{key}", f"missing (set --{key} or run.{key})")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +237,24 @@ def _merge_flags(config: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    _merge_flags(config, args)
-    if config.horizon is None:
-        raise ConfigError("run.horizon", "missing (set --horizon or run.horizon)")
+    config = _load(args, ["horizon"])
     integ = config.integrator_config()
     workers = _resolve_workers(args.workers)
     started = time.monotonic()
     paths = simulate_ensemble(config.model, config.horizon, integ, config.seed,
                               config.n_paths, workers=workers)
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for i, path in enumerate(paths):
-        if config.format == "jsonl":
-            name, data = f"path_{i:05d}.jsonl", dumps_jsonl(path)
-        else:
-            name, data = f"path_{i:05d}.hjsm", dumps_binary(path)
-        _atomic_write_bytes(os.path.join(args.out, name), data)
-        outputs.append(name)
+    ext, dumps = ("jsonl", dumps_jsonl) if config.format == "jsonl" else ("hjsm", dumps_binary)
+    outputs = [f"path_{i:05d}.{ext}" for i in range(len(paths))]
+    for name, path in zip(outputs, paths):
+        _atomic_write_bytes(os.path.join(args.out, name), dumps(path))
     _write_manifest(args.out, "simulate", config, outputs, time.monotonic() - started,
                     per_path_seeds=derive_path_seeds(config.seed, config.n_paths).tolist())
     return 0
 
 
 def _cmd_check_stability(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    _merge_flags(config, args)
+    config = _load(args)
     started = time.monotonic()
     report = stability_report(config.model, scan_radius=config.scan_radius,
                               n_points=config.points, seed=config.seed)
@@ -266,10 +265,7 @@ def _cmd_check_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_ergodic_test(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    _merge_flags(config, args)
-    if config.horizon is None:
-        raise ConfigError("run.horizon", "missing (set --horizon or run.horizon)")
+    config = _load(args, ["horizon"])
     integ = config.integrator_config()
     started = time.monotonic()
     paths = simulate_ensemble(config.model, config.horizon, integ,
@@ -302,10 +298,7 @@ def _parse_state(text: str, m: int, which: str):
 
 
 def _cmd_mixing_test(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
-    _merge_flags(config, args)
-    if config.times is None:
-        raise ConfigError("run.times", "missing (set --times or run.times)")
+    config = _load(args, ["times"])
     start_a = _parse_state(args.start_a, config.model.n_components, "start-a")
     start_b = _parse_state(args.start_b, config.model.n_components, "start-b")
     integ = config.integrator_config()
@@ -320,10 +313,8 @@ def _cmd_mixing_test(args: argparse.Namespace) -> int:
     }
     _atomic_write_json(args.out, report)
     csv_path = os.path.splitext(args.out)[0] + ".csv"
-    lines = ["t,tv,fit"]
-    fit = curve.fitted_values()
-    for k, t in enumerate(curve.times):
-        lines.append(f"{float(t)!r},{float(curve.tv_estimates[k])!r},{float(fit[k])!r}")
+    lines = ["t,tv,fit"] + [f"{float(t)!r},{float(tv)!r},{float(fit)!r}" for t, tv, fit
+                            in zip(curve.times, curve.tv_estimates, curve.fitted_values())]
     _atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode())
     _write_manifest(args.out, "mixing-test", config,
                     [os.path.basename(args.out), os.path.basename(csv_path)],

@@ -181,12 +181,7 @@ def invariant_histogram(paths: list[Path], bins: int, compact: tuple[float, floa
 def tv_histogram(a: np.ndarray, b: np.ndarray, bins: int) -> float:
     """Total variation distance between two samples of equal dimension via
     shared-binning histograms (half l1 distance of bin masses)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, np.newaxis]
-    if b.ndim == 1:
-        b = b[:, np.newaxis]
+    a, b = (np.asarray(v, dtype=float).reshape(len(v), -1) for v in (a, b))   # rows of samples
     pooled = np.vstack([a, b])
     edges = []
     for d in range(pooled.shape[1]):
@@ -264,12 +259,7 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
         paths = simulate_ensemble(variant, horizon, cfg, mix64(master_seed + tag),
                                   n_paths, workers=workers, sample_at=sample_times)
         # stacked (n_paths, n_times, 1 + M) state summaries
-        block = np.empty((n_paths, len(times), 1 + model.n_components))
-        for i, p in enumerate(paths):
-            x, rs = states_at(p, times)
-            block[i, :, 0] = x
-            block[i, :, 1:] = rs
-        ensembles.append(block)
+        ensembles.append(np.array([np.column_stack(states_at(p, times)) for p in paths]))
     block_a, block_b = ensembles
 
     tv = np.empty(len(times))

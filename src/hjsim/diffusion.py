@@ -97,12 +97,13 @@ def _exp_each(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, v.tolist()), float, len(v))
 
 
-def _em_steps(dt: float, h: float) -> list[float]:
-    """Euler-Maruyama substeps over dt: full steps of length h, then the
-    partial step that lands on dt unless it is below rounding."""
-    n_full = int(dt / h + _REL_EPS)
-    rem = dt - n_full * h
-    return [h] * n_full + ([rem] if rem >= _REL_EPS * max(h, dt) else [])
+def _em_split(dt: float, h: float) -> tuple[int, float]:
+    """The number n of Euler-Maruyama substeps over dt, and the length rem
+    of the partial last one that lands on dt: every other substep is h long.
+    A partial step below rounding is dropped, and rem is then 0.0."""
+    n = int(dt / h + _REL_EPS)
+    rem = dt - n * h
+    return (n + 1, rem) if rem >= _REL_EPS * max(h, dt) else (n, 0.0)
 
 
 def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
@@ -114,7 +115,7 @@ def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
     if isinstance(cfg.scheme, ExactOU):
         return len(dts)
     h = cfg.scheme.step
-    return sum(len(_em_steps(dt, h)) for dt in dts)
+    return sum(_em_split(dt, h)[0] for dt in dts)
 
 
 def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConfig,
@@ -132,14 +133,19 @@ def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConf
             out.append(x)
         return out
 
-    drift, diffusion, h = coeffs.drift, coeffs.diffusion, cfg.scheme.step
+    # the bound methods call faster than the coefficient objects themselves
+    drift, sigma, h = coeffs.drift.__call__, coeffs.diffusion.__call__, cfg.scheme.step
+    sqrt_h = math.sqrt(h)
     for dt in dts:
-        for s in _em_steps(dt, h):
-            b = float(drift(x))
+        n, rem = _em_split(dt, h)
+        s, sqrt_s, full = h, sqrt_h, n - (rem > 0)
+        for i in range(n):
+            if i == full:   # the partial step
+                s, sqrt_s = rem, math.sqrt(rem)
             if noiseless:
-                x = x + b * s
+                x = x + float(drift(x)) * s
             else:
-                x = x + b * s + float(diffusion(x)) * math.sqrt(s) * next(z)
+                x = x + float(drift(x)) * s + float(sigma(x)) * sqrt_s * next(z)
         out.append(x)
     return out
 
@@ -176,14 +182,14 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
             return mean
         return mean + sd[0] * rng.normals(n)
 
-    diffusion = coeffs.diffusion
     noiseless = _noiseless(coeffs)
-    for s in _em_steps(dt, scheme.step):
+    n_sub, rem = _em_split(dt, scheme.step)
+    for s in (scheme.step,) * (n_sub - (rem > 0)) + (rem,) * (rem > 0):
         b = coeffs.drift(xs)
         if noiseless:
             xs = xs + b * s
         else:
-            xs = xs + b * s + diffusion(xs) * math.sqrt(s) * rng.normals(n)
+            xs = xs + b * s + coeffs.diffusion(xs) * math.sqrt(s) * rng.normals(n)
     return xs
 
 

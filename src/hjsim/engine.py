@@ -61,7 +61,7 @@ import numpy as np
 
 from scipy.special import ndtri
 
-from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _n_normals, _noiseless,
+from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _em_split, _noiseless,
                         _ou_terms, apply_state_jump)
 from .intensity import RateRuntime
 from .model import ModelSpec, State, model_digest
@@ -128,16 +128,12 @@ class Path:
     model_hash: str
 
     def __post_init__(self):
-        for name in ("event_times", "skeleton_times", "skeleton_x"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("event_times", "event_components", "skeleton_times", "skeleton_x",
+                     "skeleton_row_sums"):
+            arr = np.asarray(getattr(self, name),
+                             dtype=np.int32 if name == "event_components" else float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        comp = np.asarray(self.event_components, dtype=np.int32)
-        comp.setflags(write=False)
-        object.__setattr__(self, "event_components", comp)
-        rs = np.asarray(self.skeleton_row_sums, dtype=float)
-        rs.setflags(write=False)
-        object.__setattr__(self, "skeleton_row_sums", rs)
         et, st = self.event_times, self.skeleton_times
         if not (et[1:] > et[:-1]).all():
             raise ValueError("event times must be strictly increasing")
@@ -299,9 +295,13 @@ class _GroupLog:
             # sample times lie after the anchor and more than eps before the
             # stop, so the intervals between them are nonempty
             return hi - lo + 1 if hi > lo else int(t_stop > t0)
-        ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
-        dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
-        return _n_normals(dts, self.model.coefficients, self.cfg)
+        # the Euler-Maruyama substeps of each nonempty interval
+        h, n, a = self.cfg.scheme.step, 0, t0
+        for b in self.samples[lo:hi].tolist() + [t_stop]:
+            if b > a:
+                n += _em_split(b - a, h)[0]
+            a = b
+        return n
 
     def take(self, k: int, t_stop: float, rng: RandomStream) -> int:
         """Take path k's normals for its segment up to ``t_stop`` from rng,

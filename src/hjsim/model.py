@@ -721,6 +721,10 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
         notes.append("degenerate kernel: " + "; ".join(
             f"column {j} ({why})" for j, why in model.kernel.degenerate_columns()))
 
+    def report(frame, d=None, gamma=None, r=None, m_interval=None, violating_point=None):
+        return AssumptionReport(frame, d, gamma, r, m_interval, (sig_lo, sig_hi), sig_lo > 0, rho,
+                                stability_ok, degenerate, violating_point, "; ".join(notes))
+
     def jump_inward_ok(pts: np.ndarray) -> bool:
         a = jump(pts)
         return bool(np.max(2.0 * pts * a + a * a) <= 1e-12 * max(1.0, scan_radius ** 2))
@@ -738,12 +742,7 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
         if jump_inward_ok(pts) or envelope is not None:
             notes.append("exponential classification requires d > 0; "
                          "d = 0 is treated as inconclusive")
-            return AssumptionReport(
-                frame="exponential", d=float(d), gamma=None, r=float(r),
-                m_interval=None, sigma_sq_bounds=(sig_lo, sig_hi),
-                sigma_bounds_ok=sig_lo > 0, spectral_radius=rho,
-                stability_ok=stability_ok, degenerate_kernel=degenerate,
-                violating_point=None, notes="; ".join(notes))
+            return report("exponential", d=float(d), r=float(r))
 
     # polynomial frame: linear drift pull-back above sigma_hi/2 plus radial contraction
     for r in r_candidates:
@@ -756,12 +755,7 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
             m_interval = (2.0, upper) if upper > 2.0 else None
             if m_interval is None:
                 notes.append("documented exponent interval (2, 1 + 2*gamma/sigma_hi^2) is empty")
-            return AssumptionReport(
-                frame="polynomial", d=None, gamma=float(gamma), r=float(r),
-                m_interval=m_interval, sigma_sq_bounds=(sig_lo, sig_hi),
-                sigma_bounds_ok=sig_lo > 0, spectral_radius=rho,
-                stability_ok=stability_ok, degenerate_kernel=degenerate,
-                violating_point=None, notes="; ".join(notes))
+            return report("polynomial", gamma=float(gamma), r=float(r), m_interval=m_interval)
 
     # neither: report the innermost grid point past the largest candidate radius
     # at which the drift fails to pull inward (or, failing that, the jump map).
@@ -785,8 +779,4 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
                 break
     if viol is None:
         notes.append("drift confinement too weak for either frame on the scanned grid")
-    return AssumptionReport(
-        frame="neither", d=None, gamma=None, r=None, m_interval=None,
-        sigma_sq_bounds=(sig_lo, sig_hi), sigma_bounds_ok=sig_lo > 0,
-        spectral_radius=rho, stability_ok=stability_ok,
-        degenerate_kernel=degenerate, violating_point=viol, notes="; ".join(notes))
+    return report("neither", violating_point=viol)

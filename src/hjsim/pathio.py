@@ -28,8 +28,10 @@ Binary frame (all integers and doubles little-endian)::
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+from bisect import bisect_left
 from typing import BinaryIO, TextIO
 
 import numpy as np
@@ -53,76 +55,101 @@ _HEADER = struct.Struct("<4sHHII QQ d Q 32s")
 _EVENT_DTYPE = np.dtype([("t", "<f8"), ("component", "<u4"), ("pad", "<u4")])
 
 
-def _merged_records(st: list[float], et: list[float]):
-    """Yield ("sample", i) / ("event", j) indices in chronological order for
-    skeleton times ``st`` and event times ``et``, putting each event
-    between its pre- and post-jump skeleton records."""
-    i = j = 0
-    while j < len(et):
-        while i < len(st) and st[i] < et[j]:
-            yield "sample", i
-            i += 1
-        if i < len(st) and st[i] == et[j]:
-            yield "sample", i  # pre-jump value
-            i += 1
-        yield "event", j
-        j += 1
-    while i < len(st):
-        yield "sample", i
-        i += 1
-
-
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_BLOCK = 256   # sample records formatted at a time
+
+
+def _jsonl_blocks(path: Path):
+    """The JSONL text of ``path``: the header line, then the merged records in
+    blocks of about ``_BLOCK`` samples.  The text equals one
+    ``json.JSONEncoder`` call per record: ``%r`` of a float is its
+    ``float.__repr__``, as in the encoder, which writes the non-finite values
+    as ``NaN``, ``Infinity`` and ``-Infinity``."""
+    yield _ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
+                           "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
+                           "model_digest": path.model_hash}) + "\n"
+    st, sx, rs, et = path.skeleton_times, path.skeleton_x, path.skeleton_row_sums, path.event_times
+    sample = ('{"kind":"sample","t":%r,"x":%r,"row_sums":['
+              + ",".join(["%r"] * path.n_components) + "]}\n")
+    events = ['{"kind":"event","t":%r,"component":%d}\n' % e
+              for e in zip(et.tolist(), path.event_components.tolist())]
+    # event j follows the first ins[j] samples: those before it, then its
+    # pre-jump sample if one has its time (a NaN after the last sample
+    # matches none).  Event times increase and skeleton times do not
+    # decrease, so no event precedes an earlier one's samples.
+    ins = np.searchsorted(st, et)
+    ins = (ins + (np.append(st, np.nan)[ins] == et)).tolist()
+    finite = all(np.isfinite(v).all() for v in (st, sx, rs, et))
+    j0, n = 0, len(st)
+    for a in range(0, max(n, 1), _BLOCK):
+        b = min(a + _BLOCK, n)
+        # a block at a time: the whole matrix as nested lists is several
+        # times its size
+        lines = [sample % tuple(r) for r in np.column_stack([st[a:b], sx[a:b], rs[a:b]]).tolist()]
+        j1 = bisect_left(ins, b) if b < n else len(ins)
+        for j in range(j1 - 1, j0 - 1, -1):   # from the last, so equal places keep their order
+            lines.insert(ins[j] - a, events[j])
+        j0 = j1
+        text = "".join(lines)
+        # only repr's nan and inf hold these letters
+        yield text if finite else text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def write_jsonl(path: Path, fh: TextIO) -> None:
-    header = {"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
-              "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
-              "model_digest": path.model_hash}
-    encode = _ENCODER.encode
-    fh.write(encode(header) + "\n")
-    st, sx, rs = path.skeleton_times.tolist(), path.skeleton_x.tolist(), path.skeleton_row_sums
-    et, ec = path.event_times.tolist(), path.event_components.tolist()
-    for kind, idx in _merged_records(st, et):
-        if kind == "event":
-            rec = {"kind": "event", "t": et[idx], "component": ec[idx]}
-        else:
-            # a row at a time: the whole matrix as nested lists is several
-            # times its size
-            rec = {"kind": "sample", "t": st[idx], "x": sx[idx], "row_sums": rs[idx].tolist()}
-        fh.write(encode(rec) + "\n")
+    fh.writelines(_jsonl_blocks(path))
+
+
+_NUM = (int, float)   # json's numbers: not bool, str or null
+
+
+def _record(text: str, line: int) -> dict:
+    try:
+        rec = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"line {line}: not JSON ({exc})") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"line {line}: not a JSON object")
+    return rec
 
 
 def read_jsonl(fh: TextIO) -> Path:
-    header = json.loads(fh.readline())
-    if header.get("kind") != "header" or header.get("format") != "hjsm-jsonl":
-        raise ValueError("not a path JSONL stream (missing header record)")
-    ev_t, ev_c, sk_t, sk_x, sk_rs = [], [], [], [], []
-    for line in fh:
-        if not line.strip():
+    """The path a :func:`write_jsonl` stream holds; a malformed stream is a
+    ValueError naming its 1-based line."""
+    header = _record(fh.readline(), 1)
+    m = header.get("M")
+    if not (header.get("kind") == "header" and header.get("format") == "hjsm-jsonl"
+            and type(m) is int and m > 0 and type(header.get("horizon")) in _NUM
+            and type(header.get("seed")) is int and type(header.get("model_digest")) is str):
+        raise ValueError("line 1: not a path JSONL header (kind 'header', format 'hjsm-jsonl', "
+                         "an integer M > 0, a number horizon, an integer seed and a string "
+                         "model_digest)")
+    events, samples = [], []
+    for line, text in enumerate(fh, 2):
+        if not text.strip():
             continue
-        rec = json.loads(line)
-        if rec["kind"] == "event":
-            ev_t.append(rec["t"])
-            ev_c.append(rec["component"])
-        elif rec["kind"] == "sample":
-            sk_t.append(rec["t"])
-            sk_x.append(rec["x"])
-            sk_rs.append(rec["row_sums"])
+        rec = _record(text, line)
+        kind, t = rec.get("kind"), rec.get("t")
+        if kind == "event":
+            c = rec.get("component")
+            if not (type(t) in _NUM and type(c) is int and 1 <= c <= m):
+                raise ValueError(f"line {line}: an event needs a number t and an integer "
+                                 f"component in 1..{m}")
+            events.append((t, c))
+        elif kind == "sample":
+            x, rs = rec.get("x"), rec.get("row_sums")
+            if not (type(t) in _NUM and type(x) in _NUM and type(rs) is list and len(rs) == m
+                    and all(type(v) in _NUM for v in rs)):
+                raise ValueError(f"line {line}: a sample needs numbers t and x and a list "
+                                 f"row_sums of M = {m} numbers")
+            samples.append((t, x, *rs))
         else:
-            raise ValueError(f"unknown record kind {rec['kind']!r}")
-    m = header["M"]
-    return Path(
-        event_times=np.array(ev_t, dtype=float),
-        event_components=np.array(ev_c, dtype=np.int32),
-        skeleton_times=np.array(sk_t, dtype=float),
-        skeleton_x=np.array(sk_x, dtype=float),
-        skeleton_row_sums=(np.array(sk_rs, dtype=float)
-                           if sk_rs else np.empty((0, m))),
-        horizon=float(header["horizon"]),
-        seed=int(header["seed"]),
-        model_hash=str(header["model_digest"]),
-    )
+            raise ValueError(f"line {line}: unknown record kind {kind!r}")
+    ev = np.array(events, dtype=float).reshape(-1, 2)
+    sk = np.array(samples, dtype=float).reshape(-1, 2 + m)
+    return Path(event_times=ev[:, 0], event_components=ev[:, 1].astype(np.int32),
+                skeleton_times=sk[:, 0], skeleton_x=sk[:, 1], skeleton_row_sums=sk[:, 2:],
+                horizon=float(header["horizon"]), seed=header["seed"],
+                model_hash=header["model_digest"])
 
 
 def write_binary(path: Path, fh: BinaryIO) -> None:
@@ -173,16 +200,13 @@ def read_binary(fh: BinaryIO) -> Path:
 
 
 def dumps_jsonl(path: Path) -> bytes:
-    import io
-
-    buf = io.StringIO()
-    write_jsonl(path, buf)
-    return buf.getvalue().encode()
+    # getvalue hands over the BytesIO's own buffer: the text is held once
+    buf = io.BytesIO()
+    buf.writelines(text.encode() for text in _jsonl_blocks(path))
+    return buf.getvalue()
 
 
 def dumps_binary(path: Path) -> bytes:
-    import io
-
     buf = io.BytesIO()
     write_binary(path, buf)
     return buf.getvalue()

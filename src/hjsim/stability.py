@@ -101,14 +101,12 @@ def _perron(mat: np.ndarray) -> tuple[float, np.ndarray]:
 
 def spectral_radius(mat: np.ndarray) -> float:
     """Spectral radius of a nonnegative square matrix."""
-    lam, _ = _perron(mat)
-    return lam
+    return _perron(mat)[0]
 
 
 def perron_left_vector(mat: np.ndarray) -> np.ndarray:
     """l1-normalised nonnegative left eigenvector at the spectral radius."""
-    _, v = _perron(mat)
-    return v
+    return _perron(mat)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Model builders shared across the test modules."""
 
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -166,3 +168,58 @@ def simulation_runs(draw):
     cfg = em_cfg(grid_dt, grid_dt / draw(_finite(0.7, 4.0))) if em else ou_cfg(grid_dt)
     extra = draw(st.one_of(st.none(), st.lists(_finite(-1.0, 5.0), max_size=4)))
     return model, horizon, cfg, extra, draw(st.integers(0, 2**63))
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def jsonl_oracle(path) -> bytes:
+    """A path's JSONL text written one ``json.JSONEncoder`` call per record,
+    merging samples and events by walking both time lists: the reference
+    that ``pathio.dumps_jsonl`` must equal byte for byte."""
+    st, sx, rs = path.skeleton_times.tolist(), path.skeleton_x.tolist(), path.skeleton_row_sums
+    et, ec = path.event_times.tolist(), path.event_components.tolist()
+    lines = [{"kind": "header", "format": "hjsm-jsonl", "version": 1, "M": path.n_components,
+              "horizon": path.horizon, "seed": path.seed, "model_digest": path.model_hash}]
+
+    def sample(i):
+        lines.append({"kind": "sample", "t": st[i], "x": sx[i], "row_sums": rs[i].tolist()})
+
+    i = 0
+    for j in range(len(et)):
+        while i < len(st) and st[i] < et[j]:
+            sample(i)
+            i += 1
+        if i < len(st) and st[i] == et[j]:
+            sample(i)   # the pre-jump value
+            i += 1
+        lines.append({"kind": "event", "t": et[j], "component": ec[j]})
+    for i in range(i, len(st)):
+        sample(i)
+    return "".join(_ENCODER.encode(rec) + "\n" for rec in lines).encode()
+
+
+@st.composite
+def written_paths(draw):
+    """Paths for the jsonl writer: M = 1..3, up to 700 samples (several
+    writer blocks) with repeated times, events on and between sample times
+    (or none), and NaN, +-inf and -0.0 among x and the row sums."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 20) | st.integers(250, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times = np.sort(rng.integers(0, n // 2 + 2, n) * 0.25)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    rs = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
+    specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+    for row, col, v in draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, m),
+                                               specials), max_size=6)):
+        if n:
+            (x if col == 0 else rs[:, col - 1])[row % n] = v
+    # candidate event times: on a sample time, between two, before and after all
+    on_or_off = np.unique(np.concatenate([times, times + 0.125, [-1.0, n + 1.0]]))
+    k = draw(st.integers(0, min(len(on_or_off), 60)))
+    events = np.sort(rng.choice(on_or_off, k, replace=False))
+    return hjsim.Path(event_times=events, event_components=rng.integers(1, m + 1, k),
+                      skeleton_times=times, skeleton_x=x, skeleton_row_sums=rs.reshape(n, m),
+                      horizon=float(n + 1), seed=int(rng.integers(0, 2 ** 63)),
+                      model_hash="ab" * 32)

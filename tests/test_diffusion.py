@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import hjsim
 from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             _advance_segment, _n_normals, advance_diffusion,
+                             _advance_segment, _em_split, _n_normals, advance_diffusion,
                              advance_diffusion_many, apply_state_jump)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
@@ -186,6 +186,40 @@ def test_normals_count_is_what_the_stepper_draws(segment, seed):
     assert len(drawn) == n
     assert rng.uniform() == RandomStream(seed).uniforms(n + 1)[n]
     assert _advance_segment(0.4, dts, cs, cfg, iter(drawn)) == xs
+
+
+def _em_step_list(dt, h):
+    """The substep lengths over dt as a list: the form _em_split replaced,
+    kept as its oracle."""
+    n_full = int(dt / h + 1e-12)
+    rem = dt - n_full * h
+    return [h] * n_full + ([rem] if rem >= 1e-12 * max(h, dt) else [])
+
+
+@st.composite
+def _step_and_interval(draw):
+    """A step h and an interval dt: any, a whole multiple of h give or take
+    1e-13 relative, shorter than h, or a multiple of h plus a remainder
+    below the 1e-12 relative threshold."""
+    h = draw(st.floats(1e-4, 10.0))
+    k = draw(st.integers(1, 10 ** 4))
+    dt = draw(st.one_of(
+        st.floats(1e-12, 1e3),
+        st.builds(lambda r: k * h * (1 + r), st.floats(-1e-13, 1e-13)),
+        st.builds(lambda f: h * f, st.floats(1e-6, 1.0, exclude_max=True)),
+        st.builds(lambda f: k * h + f * 1e-12 * k * h, st.floats(0.0, 1.0))))
+    return h, dt
+
+
+@settings(max_examples=500, deadline=None)
+@given(_step_and_interval())
+def test_em_split_gives_the_step_list(step_and_interval):
+    h, dt = step_and_interval
+    assume(dt > 0)
+    n, rem = _em_split(dt, h)
+    steps = _em_step_list(dt, h)
+    assert n == len(steps)
+    assert [h] * (n - (rem > 0)) + [rem] * (rem > 0) == steps
 
 
 class TestJumps:

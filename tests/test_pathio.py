@@ -9,7 +9,8 @@ from hypothesis import given, settings
 import hjsim
 from hjsim import pathio
 
-from helpers import em_cfg, ou_cfg, reference_model, simulation_runs, two_component_model
+from helpers import (em_cfg, jsonl_oracle, ou_cfg, reference_model, simulation_runs,
+                     two_component_model, written_paths)
 
 JSONL_SHA256 = "891b8727e4b62f78f25ece3bd357ee6db650f3a8ddfa1f6f30ce1fb236d909e1"
 
@@ -59,6 +60,75 @@ class TestJsonl:
     def test_rejects_other_streams(self):
         with pytest.raises(ValueError):
             pathio.read_jsonl(io.StringIO('{"kind":"other"}\n'))
+
+    @settings(max_examples=150, deadline=None)
+    @given(written_paths())
+    def test_writer_equals_one_encoder_call_per_record(self, path):
+        blob = pathio.dumps_jsonl(path)
+        assert blob == jsonl_oracle(path)
+        buf = io.StringIO()
+        pathio.write_jsonl(path, buf)
+        assert buf.getvalue().encode() == blob
+
+    def test_simulated_paths_equal_the_oracle(self):
+        for path in (sample_path(), hjsim.simulate_path(two_component_model(), 20.0,
+                                                        em_cfg(0.25, 0.05), seed=23)):
+            assert pathio.dumps_jsonl(path) == jsonl_oracle(path)
+
+
+def _stream(*replace):
+    """The JSONL lines of a short two-component path (M = 2; line 2 is a
+    sample, and line ``n_event`` an event), with lines replaced by number."""
+    path = hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(0.5), seed=21)
+    lines = pathio.dumps_jsonl(path).decode().splitlines()
+    for line, text in replace:
+        lines[line - 1] = text
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+_EVENT_LINE = next(k for k, text in enumerate(_stream().read().splitlines(), 1)
+                   if '"event"' in text)
+
+
+class TestReadJsonlErrors:
+    # every malformed stream is a ValueError that names its 1-based line
+    @pytest.mark.parametrize("line,text", [
+        (1, "[1, 2]"),                                    # header not an object
+        (2, "3"),                                         # record not an object
+        (2, '{"kind":"sample","t":0.0'),                  # not JSON
+        (2, '{"kind":"sample","t":0.0,"row_sums":[0.0,0.0]}'),          # no x
+        (2, '{"kind":"sample","t":0.0,"x":"0.0","row_sums":[0.0,0.0]}'),  # x a string
+        (2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0]}'),       # one row sum for M = 2
+        (2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0,0.0,0.0]}'),
+        (2, '{"kind":"jump","t":0.0}'),
+        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":1.5}'),       # not an integer
+        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":"1"}'),
+        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":3}'),         # M = 2
+        (_EVENT_LINE, '{"kind":"event","component":1}'),                 # no t
+    ])
+    def test_bad_record_names_its_line(self, line, text):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            pathio.read_jsonl(_stream((line, text)))
+
+    @pytest.mark.parametrize("drop", ["M", "horizon", "seed", "model_digest"])
+    def test_header_missing_a_field_names_line_1(self, drop):
+        header = json.loads(_stream().readline())
+        del header[drop]
+        with pytest.raises(ValueError, match="^line 1: "):
+            pathio.read_jsonl(_stream((1, json.dumps(header))))
+
+    def test_header_with_non_integer_m_names_line_1(self):
+        header = json.loads(_stream().readline())
+        header["M"] = 2.0
+        with pytest.raises(ValueError, match="^line 1: "):
+            pathio.read_jsonl(_stream((1, json.dumps(header))))
+
+    def test_empty_stream_names_line_1(self):
+        with pytest.raises(ValueError, match="^line 1: "):
+            pathio.read_jsonl(io.StringIO(""))
+
+    def test_the_unedited_stream_reads(self):
+        assert pathio.read_jsonl(_stream()).n_components == 2
 
 
 class TestBinary:
