@@ -217,8 +217,7 @@ def _resolve_workers(flag_value: int | None) -> int:
 
 
 def _load(args: argparse.Namespace, required=()) -> RunConfig:
-    """The config file with the flags merged in; each run field in
-    ``required`` must then be set."""
+    """The config file with the flags merged in; the run fields ``required`` must be set."""
     config = parse_config(args.config)
     for key in _RUN_FIELDS:
         flag = getattr(args, key.replace("-", "_"), None)

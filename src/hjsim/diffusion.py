@@ -98,9 +98,8 @@ def _exp_each(v: np.ndarray) -> np.ndarray:
 
 
 def _em_split(dt: float, h: float) -> tuple[int, float]:
-    """The number n of Euler-Maruyama substeps over dt, and the length rem
-    of the partial last one that lands on dt: every other substep is h long.
-    A partial step below rounding is dropped, and rem is then 0.0."""
+    """Euler-Maruyama substeps over dt: their number n, and the length rem of a
+    partial last one landing on dt (0.0 if below rounding; the others are h)."""
     n = int(dt / h + _REL_EPS)
     rem = dt - n * h
     return (n + 1, rem) if rem >= _REL_EPS * max(h, dt) else (n, 0.0)

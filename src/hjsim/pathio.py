@@ -99,7 +99,9 @@ def write_jsonl(path: Path, fh: TextIO) -> None:
     fh.writelines(_jsonl_blocks(path))
 
 
-_NUM = (int, float)   # json's numbers: not bool, str or null
+def _num(v) -> bool:
+    """A JSON number a float holds: not a bool, str, null or too large an integer."""
+    return type(v) is float or type(v) is int and abs(v) < 1e308
 
 
 def _record(text: str, line: int) -> dict:
@@ -118,11 +120,10 @@ def read_jsonl(fh: TextIO) -> Path:
     header = _record(fh.readline(), 1)
     m = header.get("M")
     if not (header.get("kind") == "header" and header.get("format") == "hjsm-jsonl"
-            and type(m) is int and m > 0 and type(header.get("horizon")) in _NUM
+            and type(m) is int and m > 0 and _num(header.get("horizon"))
             and type(header.get("seed")) is int and type(header.get("model_digest")) is str):
-        raise ValueError("line 1: not a path JSONL header (kind 'header', format 'hjsm-jsonl', "
-                         "an integer M > 0, a number horizon, an integer seed and a string "
-                         "model_digest)")
+        raise ValueError("line 1: not a path JSONL header with an integer M > 0, a number "
+                         "horizon, an integer seed and a string model_digest")
     events, samples = [], []
     for line, text in enumerate(fh, 2):
         if not text.strip():
@@ -131,14 +132,14 @@ def read_jsonl(fh: TextIO) -> Path:
         kind, t = rec.get("kind"), rec.get("t")
         if kind == "event":
             c = rec.get("component")
-            if not (type(t) in _NUM and type(c) is int and 1 <= c <= m):
+            if not (_num(t) and type(c) is int and 1 <= c <= m):
                 raise ValueError(f"line {line}: an event needs a number t and an integer "
                                  f"component in 1..{m}")
             events.append((t, c))
         elif kind == "sample":
             x, rs = rec.get("x"), rec.get("row_sums")
-            if not (type(t) in _NUM and type(x) in _NUM and type(rs) is list and len(rs) == m
-                    and all(type(v) in _NUM for v in rs)):
+            if not (_num(t) and _num(x) and type(rs) is list and len(rs) == m
+                    and all(map(_num, rs))):
                 raise ValueError(f"line {line}: a sample needs numbers t and x and a list "
                                  f"row_sums of M = {m} numbers")
             samples.append((t, x, *rs))

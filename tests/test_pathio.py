@@ -78,7 +78,8 @@ class TestJsonl:
 
 def _stream(*replace):
     """The JSONL lines of a short two-component path (M = 2; line 2 is a
-    sample, and line ``n_event`` an event), with lines replaced by number."""
+    sample and line ``_EVENT_LINE`` an event), with the given (line number,
+    text) pairs put in."""
     path = hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(0.5), seed=21)
     lines = pathio.dumps_jsonl(path).decode().splitlines()
     for line, text in replace:
@@ -93,18 +94,26 @@ _EVENT_LINE = next(k for k, text in enumerate(_stream().read().splitlines(), 1)
 class TestReadJsonlErrors:
     # every malformed stream is a ValueError that names its 1-based line
     @pytest.mark.parametrize("line,text", [
-        (1, "[1, 2]"),                                    # header not an object
-        (2, "3"),                                         # record not an object
-        (2, '{"kind":"sample","t":0.0'),                  # not JSON
-        (2, '{"kind":"sample","t":0.0,"row_sums":[0.0,0.0]}'),          # no x
-        (2, '{"kind":"sample","t":0.0,"x":"0.0","row_sums":[0.0,0.0]}'),  # x a string
-        (2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0]}'),       # one row sum for M = 2
-        (2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0,0.0,0.0]}'),
-        (2, '{"kind":"jump","t":0.0}'),
-        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":1.5}'),       # not an integer
-        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":"1"}'),
-        (_EVENT_LINE, '{"kind":"event","t":1.0,"component":3}'),         # M = 2
-        (_EVENT_LINE, '{"kind":"event","component":1}'),                 # no t
+        pytest.param(1, "[1, 2]", id="header-not-an-object"),
+        pytest.param(2, "3", id="record-not-an-object"),
+        pytest.param(2, '{"kind":"sample","t":0.0', id="not-json"),
+        pytest.param(2, '{"kind":"sample","t":0.0,"row_sums":[0.0,0.0]}', id="no-x"),
+        pytest.param(2, '{"kind":"sample","t":0.0,"x":"0.0","row_sums":[0.0,0.0]}',
+                     id="x-a-string"),
+        pytest.param(2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0]}',
+                     id="one-row-sum-for-m-2"),
+        pytest.param(2, '{"kind":"sample","t":0.0,"x":0.0,"row_sums":[0.0,0.0,0.0]}',
+                     id="three-row-sums-for-m-2"),
+        pytest.param(2, '{"kind":"jump","t":0.0}', id="unknown-kind"),
+        pytest.param(2, '{"kind":"sample","t":0.0,"x":1%s,"row_sums":[0.0,0.0]}' % ("0" * 400),
+                     id="x-beyond-the-float-range"),
+        pytest.param(_EVENT_LINE, '{"kind":"event","t":1.0,"component":1.5}',
+                     id="component-not-an-integer"),
+        pytest.param(_EVENT_LINE, '{"kind":"event","t":1.0,"component":"1"}',
+                     id="component-a-string"),
+        pytest.param(_EVENT_LINE, '{"kind":"event","t":1.0,"component":3}',
+                     id="component-above-m"),
+        pytest.param(_EVENT_LINE, '{"kind":"event","component":1}', id="no-t"),
     ])
     def test_bad_record_names_its_line(self, line, text):
         with pytest.raises(ValueError, match=f"^line {line}: "):
