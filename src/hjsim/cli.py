@@ -22,7 +22,7 @@ from . import __version__
 from .diagnostics import invariant_histogram, mixing_curve, time_average
 from .diffusion import EulerMaruyama, ExactOU, IntegratorConfig
 from .engine import simulate_ensemble
-from .model import (ConfigError, ModelSpec, _finite, canonical_json, model_digest,
+from .model import (ConfigError, ModelSpec, _finite, _require, canonical_json, model_digest,
                     model_from_dict, model_to_dict, state_from_dict)
 from .pathio import dumps_binary, dumps_jsonl
 from .rng import derive_path_seeds
@@ -61,28 +61,19 @@ class RunConfig:
             value = getattr(self, key)
             if not (check(value) or value is None and optional):
                 raise ConfigError(f"run.{key}", f"must be {what}" + (" or null" if optional else ""))
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ConfigError("run.seed", "must be a 64-bit unsigned integer")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ConfigError("run.horizon", "must be > 0")
-        if not 1 <= self.n_paths <= 10 ** 7:   # the cap of the grid, histogram and scan
-            raise ConfigError("run.n_paths", "must be between 1 and 10000000")
-        if not self.grid_dt > 0:
-            raise ConfigError("run.grid_dt", "must be > 0")
-        if self.integrator not in ("em", "exact-ou"):
-            raise ConfigError("run.integrator", "must be 'em' or 'exact-ou'")
-        if self.em_step is not None and not self.em_step > 0:
-            raise ConfigError("run.em_step", "must be > 0")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ConfigError("run.burn_in", "must be >= 0")
-        if self.format not in ("jsonl", "bin"):
-            raise ConfigError("run.format", "must be 'jsonl' or 'bin'")
-        if self.bins < 2:
-            raise ConfigError("run.bins", "must be >= 2")
-        if self.points < 2:
-            raise ConfigError("run.points", "must be >= 2")
-        if not self.scan_radius > 0:
-            raise ConfigError("run.scan_radius", "must be > 0")
+        _require(0 <= self.seed <= _MAX_SEED, "run.seed", "must be a 64-bit unsigned integer")
+        _require(self.horizon is None or self.horizon > 0, "run.horizon", "must be > 0")
+        # the cap of the grid, histogram and scan
+        _require(1 <= self.n_paths <= 10 ** 7, "run.n_paths", "must be between 1 and 10000000")
+        _require(self.grid_dt > 0, "run.grid_dt", "must be > 0")
+        _require(self.integrator in ("em", "exact-ou"), "run.integrator",
+                 "must be 'em' or 'exact-ou'")
+        _require(self.em_step is None or self.em_step > 0, "run.em_step", "must be > 0")
+        _require(self.burn_in is None or self.burn_in >= 0, "run.burn_in", "must be >= 0")
+        _require(self.format in ("jsonl", "bin"), "run.format", "must be 'jsonl' or 'bin'")
+        _require(self.bins >= 2, "run.bins", "must be >= 2")
+        _require(self.points >= 2, "run.points", "must be >= 2")
+        _require(self.scan_radius > 0, "run.scan_radius", "must be > 0")
 
     def integrator_config(self) -> IntegratorConfig:
         if self.integrator == "exact-ou":
@@ -92,9 +83,7 @@ class RunConfig:
         return IntegratorConfig(scheme, self.grid_dt)
 
     def effective_burn_in(self) -> float:
-        if self.burn_in is not None:
-            return self.burn_in
-        return 0.1 * (self.horizon or 0.0)
+        return self.burn_in if self.burn_in is not None else 0.1 * (self.horizon or 0.0)
 
     def __eq__(self, other):
         if not isinstance(other, RunConfig):
@@ -135,27 +124,22 @@ def parse_config(path: str) -> RunConfig:
 
     Raises :class:`ConfigError` naming the first invalid field.
     """
-    if not os.path.exists(path):
-        raise ConfigError("<config>", f"no such file: {path}")
+    _require(os.path.exists(path), "<config>", f"no such file: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("<root>", f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
+    _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     known_model = {"M", "rates", "kernel", "coefficients", "initial"}
     for key in raw:
-        if key not in known_model | {"run"}:
-            raise ConfigError(key, "unknown top-level field")
+        _require(key in known_model | {"run"}, key, "unknown top-level field")
     model = model_from_dict({k: v for k, v in raw.items() if k in known_model})
     config = RunConfig(model=model, model_path=path)
     run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run", "must be an object")
+    _require(isinstance(run, dict), "run", "must be an object")
     for key, value in run.items():
-        if key not in _RUN_FIELDS:
-            raise ConfigError(f"run.{key}", "unknown run parameter")
+        _require(key in _RUN_FIELDS, f"run.{key}", "unknown run parameter")
         setattr(config, key, value)
     config.validate()
     return config
@@ -198,10 +182,8 @@ def _write_manifest(directory_or_file: str, command: str, config: RunConfig,
         "wall_clock_s": wall_clock,
         "outputs": outputs,
     }
-    if os.path.isdir(directory_or_file):
-        target = os.path.join(directory_or_file, "manifest.json")
-    else:
-        target = directory_or_file + ".manifest.json"
+    target = (os.path.join(directory_or_file, "manifest.json") if os.path.isdir(directory_or_file)
+              else directory_or_file + ".manifest.json")
     _atomic_write_json(target, manifest)
     return target
 

@@ -13,7 +13,7 @@ autocorrelation fit are standard proxies, not the coefficient itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,8 +40,9 @@ __all__ = [
 
 _TOL = 1e-9
 # mixing_curve's histograms hold bins**(1 + M) cells of 8 bytes each, two at
-# a time; above this many cells it refuses to run.
-_MAX_HISTOGRAM_CELLS = 10 ** 7
+# a time, and each state block n_paths * n_times * (1 + M) entries; above this
+# many cells or entries it refuses to run.
+_MAX_CELLS = 10 ** 7
 
 
 def make_observable(spec, model: ModelSpec | None = None):
@@ -78,8 +79,7 @@ class ErgodicEstimate:
     burn_in: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "batch_count": self.batch_count,
-                "standard_error": self.standard_error, "burn_in": self.burn_in}
+        return asdict(self)
 
 
 def time_average(path: Path, observable, burn_in: float = 0.0,
@@ -247,9 +247,13 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     cells = bins ** (1 + model.n_components)
-    if cells > _MAX_HISTOGRAM_CELLS:
+    if cells > _MAX_CELLS:
         raise ValueError(f"{bins} bins over {1 + model.n_components} dimensions give "
-                         f"{cells:.3g} histogram cells, more than {_MAX_HISTOGRAM_CELLS}")
+                         f"{cells:.3g} histogram cells, more than {_MAX_CELLS}")
+    entries = n_paths * len(times) * (1 + model.n_components)
+    if entries > _MAX_CELLS:
+        raise ValueError(f"{n_paths} paths at {len(times)} times give {entries:.3g} state "
+                         f"block entries, more than {_MAX_CELLS}")
     horizon = float(times[-1]) if times[-1] > 0 else 1e-6
     sample_times = times[times > 0]
 

@@ -19,22 +19,24 @@ on its diffusion.  Every simulation therefore runs in two phases:
 
 The draw order is the contract every digest rests on: a segment's thinning
 draws come first, then its normals as one block (one per exact-OU interval,
-one per Euler-Maruyama substep, none without noise; ``_n_normals``).  Phase
-1 takes each block when the segment closes, at an acceptance or at the
+one per Euler-Maruyama substep, none without noise; ``_GroupLog._count``).
+Phase 1 takes each block when the segment closes, at an acceptance or at the
 horizon, and phase 2 reads the blocks in order.
 
-Ensembles thin their paths in lockstep groups (``_simulate_group``), held as
-arrays over the paths: the memory flow, the rates, the envelope, the
+A path thinned on its own runs ``_run_events`` over ``_next_event``: scalar
+code on its memory as a row-major list of floats, which records into a float
+buffer.  Its sums round as numpy's do (``_fsum``) and its exponentials,
+logarithms and envelope dot product are numpy's, so it gives the bytes of
+the array code on one row.  Ensembles thin their paths in lockstep groups
+(``_simulate_group``): the memory flow, the rates, the envelope, the
 component pick and the event records are array operations over the live
-paths.  Each path keeps its own counter-based stream as a row of a
-:class:`hjsim.rng.DrawBank`, addressed by (key, draw index) and read
-through the thread's one C Philox set to them, with no generator object
-per row, so one draw for all paths is one gather.  Below
-``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
-and each remaining path continues through ``_run_events`` from its bank row.
-No path's draws are reordered, so every path is byte-identical to the one
-:func:`simulate_path` makes from its seed.  A budget on the live state sets
-the group width, so long grids give narrow groups.  ``_run_events`` also
+paths.  Each path's counter-based stream is a row of a
+:class:`hjsim.rng.DrawBank`, addressed by (key, draw index), so one draw for
+all paths is one gather.  Below ``_LOCKSTEP_MIN`` live paths an iteration
+costs more than serial thinning, and each remaining path continues through
+``_run_events`` from its bank row.  No path's draws are reordered, so every
+path is byte-identical to the one :func:`simulate_path` makes from its seed.
+A budget on the live state sets the group width.  ``_run_events`` also
 continues the candidate-bearing paths of the Monte Carlo generator check in
 :mod:`hjsim.stability`.
 
@@ -52,16 +54,19 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate
+from operator import add
 from typing import Optional
 
 import numpy as np
 
 from scipy.special import ndtri
 
-from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _em_split, _noiseless,
+from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _n_normals, _noiseless,
                         _ou_terms, apply_state_jump)
 from .intensity import RateRuntime
 from .model import ModelSpec, State, model_digest
@@ -137,8 +142,8 @@ class Path:
         et, st = self.event_times, self.skeleton_times
         if not (et[1:] > et[:-1]).all():
             raise ValueError("event times must be strictly increasing")
-        if (st[1:] < st[:-1]).any():
-            raise ValueError("skeleton times must be nondecreasing")
+        if not (np.isfinite(st).all() and (st[1:] >= st[:-1]).all()):
+            raise ValueError("skeleton times must be finite and nondecreasing")
 
     @classmethod
     def _built(cls, **fields) -> Path:
@@ -166,46 +171,61 @@ class Path:
                 for i, (t, x) in enumerate(zip(self.skeleton_times, self.skeleton_x))]
 
 
-def _pick_component(lam: np.ndarray, u_scaled: float) -> int:
-    """1-based component for a scaled uniform below sum(lam); 0 if rejected.
+def _fsum(vals) -> float:
+    """sum(vals) rounded as numpy's sum rounds it: in order from 0.0 below
+    eight terms, pairwise from eight on."""
+    return reduce(add, vals, 0.0) if len(vals) < 8 else float(np.add.reduce(vals))
 
-    The uniform partitions [0, bound] into M + 1 ordered intervals, interval
-    i having length lam[i-1], the remainder being the rejection mass.
+
+def _row_sums(y: list, m: int) -> list:
+    """Row sums of the m x m memory ``y``, a row-major list."""
+    return [_fsum(y[i:i + m]) for i in range(0, m * m, m)]
+
+
+def _bound(rt: RateRuntime, y: list) -> float:
+    """``rt.bound`` at the memory ``y``, a row-major list, rounded alike."""
+    return rt.f_zero_sum + float(rt.gammas @ _row_sums([abs(v) for v in y], len(rt.fs)))
+
+
+def _flow(rt: RateRuntime, y: list, dt: float) -> tuple[list, list, list]:
+    """The memory ``y`` (a row-major list) flowed over dt, its row sums, and
+    the running sums of the component rates there, in ``np.cumsum``'s order."""
+    y = [a * b for a, b in zip(y, np.exp(rt.decay * dt).tolist())]
+    rs = _row_sums(y, len(rt.fs))
+    return y, rs, list(accumulate(float(f(u)) for f, u in zip(rt.fs, rs)))
+
+
+def _pick(cum: list, u_scaled: float) -> int:
+    """The 1-based component whose interval of [0, bound] holds a scaled
+    uniform, interval i ending at the running rate sum cum[i-1]; 0 past the
+    last, in the rejection mass."""
+    return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
+
+
+def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomStream,
+                trace: Optional[list] = None):
+    """First accepted event strictly after t; y is the memory at t, a
+    row-major list.
+
+    Returns (tau, component, y(tau-), row sums of y(tau-)), or (t', None,
+    y(t'), None) for the last candidate time t' (``t`` if none) when no
+    event occurs before the horizon.  Does not mutate ``y``.
     """
-    cum = np.cumsum(lam)
-    if u_scaled >= cum[-1]:
-        return 0
-    return int(np.searchsorted(cum, u_scaled, side="right")) + 1
-
-
-def _next_event(rt: RateRuntime, y: np.ndarray, clock: float, horizon: float,
-                rng: RandomStream, trace: Optional[list] = None):
-    """First accepted event strictly after ``clock``; y is the state at ``clock``.
-
-    Returns (tau, component, y_at_tau_pre_jump), or (t, None, y_at_t) for the
-    last candidate time t (``clock`` if none) when no event occurs before the
-    horizon.  Does not mutate ``y``.
-    """
-    t = clock
-    y_cur = y
-    bound = rt.bound(y_cur)
     while True:
+        bound = _bound(rt, y)
         if not (bound > 0.0 and math.isfinite(bound)):
             raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
-        tau = t + rng.exponential(bound)
+        tau = t + float(rng.exponential(bound))
         if tau > horizon:
-            return t, None, y_cur
-        y_cur = y_cur * np.exp(-rt.alpha * (tau - t))
-        lam = rt.intensities(y_cur)
-        total = float(lam.sum())
-        if total > bound * (1.0 + 1e-9):
+            return t, None, y, None
+        y, rs, cum = _flow(rt, y, tau - t)
+        if cum[-1] > bound * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
-        comp = _pick_component(lam, rng.uniform() * bound)
+        comp = _pick(cum, rng.uniform() * bound)
         if trace is not None:
             trace.append(CandidateEvent(tau, comp))
         if comp:
-            return tau, comp, y_cur
-        bound = rt.bound(y_cur)
+            return tau, comp, y, rs
         t = tau
 
 
@@ -213,8 +233,8 @@ def next_event(model: ModelSpec, state: State, clock: float, horizon: float,
                rng: RandomStream, trace: Optional[list] = None) -> Optional[tuple[float, int]]:
     """Time and 1-based component of the first event after ``clock``, or None
     if no event occurs before ``horizon``."""
-    tau, comp, _ = _next_event(RateRuntime(model), np.asarray(state.y, dtype=float), clock,
-                               horizon, rng, trace)
+    tau, comp, _, _ = _next_event(RateRuntime(model), np.ravel(state.y).tolist(), clock, horizon,
+                                  rng, trace)
     return None if comp is None else (tau, comp)
 
 
@@ -247,73 +267,65 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
 class _GroupLog:
     """Phase 1's records of a group of paths, and where each path stands.
 
-    A path's rows are its start (component 0, time 0, the initial memory),
-    then one per event: path, time, component, the index ``lo`` of the
-    path's next sample time, the pre-jump row sums and the post-jump memory.
-    Each segment's normals append a block: one normal for each of an array
-    of paths, or all of the segment's normals for one path.  Both are
-    appended in time order for each path.  ``t_anchor``, ``lo``,
-    ``n_events`` and ``n_normals`` hold each path's last event time, next
-    sample index, event count and normals count.
+    The row buffer ``rec`` holds a path's start (component 0, time 0, the
+    initial memory), then a row per event: path, time, component, the index
+    ``lo`` of the path's next sample time, the pre-jump row sums and the
+    post-jump memory.  The lockstep loop appends blocks of normals to
+    ``zk``/``zv``: one normal for each of an array of paths, or a segment's
+    normals for one path.  A path thinned on its own appends its normals to
+    ``zs``, after any lockstep ones; such paths run one after another, in
+    increasing path order.  Each path's rows and normals are appended in time
+    order.  ``t_anchor``, ``lo``, ``n_events`` and ``n_normals`` hold each
+    path's last event time, next sample index, event count and normals count.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
                  sample_times: np.ndarray, n: int):
-        self.model, self.cfg, self.horizon, self.n = model, cfg, horizon, n
+        self.model, self.cfg, self.horizon = model, cfg, horizon
         self.m = m = model.n_components
         self.ou = isinstance(cfg.scheme, ExactOU)
         self.noisy = not _noiseless(model.coefficients)
-        # a sentinel ends every scan of the sample times
+        # a sentinel ends every scan of the sample times; one path reads them
+        # as floats through a view
         self.samples = np.append(sample_times, math.inf)
+        self.at = memoryview(self.samples)
         self.eps = 1e-12 * max(1.0, horizon)
-        # c_added[j] holds column j of c in column j and -0.0 elsewhere:
-        # adding -0.0 leaves every float as it is, so an event of component
-        # j + 1 adds c_added[j] to the memory.
-        self.c_added = np.full((m, m, m), -0.0)
-        for j in range(m):
-            self.c_added[j, :, j] = model.kernel.c[:, j]
-        self.t_anchor = np.zeros(n)
-        self.lo = np.zeros(n, dtype=np.intp)
-        self.n_events = np.zeros(n, dtype=np.intp)
-        self.n_normals = np.zeros(n, dtype=np.intp)
+        self.c = model.kernel.c.ravel().tolist()
+        self.t_anchor, self.lo = np.zeros(n), np.zeros(n, dtype=np.intp)
+        self.n_events, self.n_normals = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
         start = np.zeros((n, 4 + m + m * m))
-        start[:, 0] = np.arange(n)
-        start[:, 4 + m:] = model.initial.y.ravel()
-        self.ev: list[np.ndarray] = [start]
-        self.zk: list = []
-        self.zv: list[np.ndarray] = []
+        start[:, 0], start[:, 4 + m:] = np.arange(n), model.initial.y.ravel()
+        self.rec, self.zk, self.zv, self.zs = array("d", start.tobytes()), [], [], array("d")
 
     def _hi(self, lo, t_stop):
         """The end of the sample times before ``t_stop - eps``, from ``lo``."""
         return np.maximum(np.searchsorted(self.samples, t_stop - self.eps), lo)
 
     def _count(self, t0: float, lo: int, hi: int, t_stop: float) -> int:
-        """Normals of the segment from t0 to t_stop through samples[lo:hi]."""
+        """Normals of the segment from t0 to t_stop through samples[lo:hi]:
+        :func:`_n_normals` of its nonempty intervals."""
         if not self.noisy:
             return 0
         if self.ou:
             # sample times lie after the anchor and more than eps before the
             # stop, so the intervals between them are nonempty
             return hi - lo + 1 if hi > lo else int(t_stop > t0)
-        # the Euler-Maruyama substeps of each nonempty interval
-        h, n, a = self.cfg.scheme.step, 0, t0
-        for b in self.samples[lo:hi].tolist() + [t_stop]:
-            if b > a:
-                n += _em_split(b - a, h)[0]
-            a = b
-        return n
+        ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
+        return _n_normals([b - a for a, b in zip(ts, ts[1:]) if b > a], self.model.coefficients,
+                          self.cfg)
 
     def take(self, k: int, t_stop: float, rng: RandomStream) -> int:
         """Take path k's normals for its segment up to ``t_stop`` from rng,
         after the segment's last thinning draw; returns the end of the
         segment's sample times."""
         lo = int(self.lo[k])
-        hi = int(self._hi(lo, t_stop))
+        hi = bisect_left(self.at, t_stop - self.eps, lo)   # as _hi
         n = self._count(float(self.t_anchor[k]), lo, hi, t_stop)
-        if n:
-            self.zk.append(k)
-            self.zv.append(rng.normals(n))
-            self.n_normals[k] += n
+        if n == 1:
+            self.zs.append(rng.normal())
+        elif n:
+            self.zs.frombytes(rng.normals(n).tobytes())
+        self.n_normals[k] += n
         return hi
 
     def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> np.ndarray:
@@ -339,24 +351,39 @@ class _GroupLog:
             self.zv.append(ndtri(bank.take(rows[r], n[r])))
         return hi
 
-    def record(self, k, tau, comp, hi, y_pre: np.ndarray) -> None:
-        """Record the events of 1-based components ``comp`` at ``tau`` of path
-        k (or of paths k, an array), whose segments' normals are taken and
-        whose sample times end at ``hi``; adds each event's column of c to
-        the pre-jump memory ``y_pre`` in place."""
+    def record(self, k: int, tau: float, comp: int, hi: int, rs: list, y: list) -> None:
+        """Record path k's event of 1-based component ``comp`` at ``tau``,
+        whose segment's normals are taken and whose sample times end at
+        ``hi``; ``rs`` are the pre-jump row sums, and the pre-jump memory
+        ``y``, a row-major list, gains the event's column of c in place."""
+        lo, at = hi, self.at
+        while abs(at[lo] - tau) <= self.eps:   # step past the sample times on tau
+            lo += 1
+        for i in range(comp - 1, len(y), self.m):
+            y[i] += self.c[i]
+        self.rec.extend((k, tau, comp, lo))
+        self.rec.extend(rs)
+        self.rec.extend(y)
+        self.t_anchor[k], self.lo[k] = tau, lo
+        self.n_events[k] += 1
+
+    def record_rows(self, k: np.ndarray, tau: np.ndarray, comp: np.ndarray, hi: np.ndarray,
+                    y_pre: np.ndarray) -> None:
+        """:meth:`record` for the events of paths ``k`` from their pre-jump
+        memory ``y_pre`` (n, M, M), to which it adds each event's column of c."""
         lo = hi
         near = np.abs(self.samples[lo] - tau) <= self.eps
         while near.any():   # step past the sample times on tau
             lo = lo + near
             near = np.abs(self.samples[lo] - tau) <= self.eps
         m = self.m
-        y_pre = y_pre.reshape(-1, m, m)
-        rows = np.empty((len(y_pre), 4 + m + m * m))
+        rows = np.empty((len(k), 4 + m + m * m))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k, tau, comp, lo
         y_pre.sum(axis=2, out=rows[:, 4:4 + m])
-        y_pre += self.c_added[np.subtract(comp, 1)]
-        rows[:, 4 + m:] = y_pre.reshape(len(y_pre), -1)
-        self.ev.append(rows)
+        rows_k, cols = np.arange(len(k))[:, None], comp[:, None] - 1
+        y_pre[rows_k, np.arange(m), cols] += self.model.kernel.c.T[comp - 1]
+        rows[:, 4 + m:] = y_pre.reshape(len(k), -1)
+        self.rec.frombytes(rows.tobytes())
         self.t_anchor[k], self.lo[k] = tau, lo
         self.n_events[k] += 1
 
@@ -373,9 +400,8 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     record is kept if it lies more than eps after the record before it.
     """
     m, horizon, samples = log.m, log.horizon, log.samples
-    rows = np.concatenate(log.ev)
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    log.ev.clear()
+    rows = np.frombuffer(log.rec).reshape(-1, 4 + m + m * m)
+    rows, log.rec = rows[np.argsort(rows[:, 0], kind="stable")], None
     start = rows[:, 2] == 0
     t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 4 + m:].reshape(-1, m, m)
     # a segment ends at the next row of its path, or at the horizon after
@@ -454,8 +480,10 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
             a = int(at[k])
             z[a:a + len(v)] = v
             at[k] = a + len(v)
-    log.zk.clear()
-    log.zv.clear()
+    # then each path's own normals, path after path
+    left = np.cumsum(log.n_normals) - at
+    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
+    log.zk, log.zv, log.zs = [], [], None
     if not log.ou:
         dts = np.diff(times, prepend=0.0)   # read at the end of each interval
         n_int = (end - seg0) * (kind[end] < 2)
@@ -589,35 +617,35 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         comp = (np.cumsum(lam, axis=1) <= u[:, None]).sum(axis=1)
         acc = np.flatnonzero(comp < m)
         if acc.size:
-            k, tau_k = ids[acc], tau[acc]
-            y_k = y[acc]
-            log.record(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
+            k, tau_k, y_k = ids[acc], tau[acc], y[acc]
+            log.record_rows(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
             y[acc] = y_k
             if n_iter >= max_events:
                 worst = int(np.argmax(log.n_events[k]))
                 _check_events(int(log.n_events[k[worst]]), float(tau_k[worst]), max_events)
         t = tau
-    for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y):
+    for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y.reshape(len(ids), m * m).tolist()):
         _run_events(rt, log, k, bank.stream(k), t_k, y_k, max_events)
     del bank, y   # before the skeleton pass
     return _skeleton(log, seeds, digest)[0]
 
 
 def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: float,
-                y: np.ndarray, max_events: int) -> tuple[float, np.ndarray]:
-    """Thin path k of ``log`` from memory ``y`` at time ``t`` up to the
-    horizon, recording every accepted event and then the last segment.
+                y: list, max_events: int) -> tuple[float, list]:
+    """Thin path k of ``log`` from memory ``y`` (a row-major list) at time
+    ``t`` up to the horizon, recording every accepted event and then the
+    last segment.
 
     Returns the last candidate time (``t`` if none) and the memory there.
     Raises :class:`SimulationLimitError` once the path holds ``max_events``
     events.
     """
     while True:
-        t, comp, y = _next_event(rt, y, t, log.horizon, rng)
+        t, comp, y, rs = _next_event(rt, y, t, log.horizon, rng)
         if comp is None:
             log.take(k, log.horizon, rng)
             return t, y
-        log.record(k, t, comp, log.take(k, t, rng), y)
+        log.record(k, t, comp, log.take(k, t, rng), rs, y)
         _check_events(int(log.n_events[k]), t, max_events)
 
 
@@ -630,15 +658,15 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
     generator check."""
     rt = RateRuntime(model)
     log = _GroupLog(model, cfg, horizon, np.empty(0), len(taus))
-    y_end = np.empty((len(taus), model.n_components, model.n_components))
+    y0, y_end = model.initial.y.ravel().tolist(), np.empty((len(taus), len(rt.decay)))
     for k, tau in enumerate(taus.tolist()):
-        y = model.initial.y * np.exp(-rt.alpha * tau)
-        comp = _pick_component(rt.intensities(y), rng.uniform() * bound)
+        y, rs, cum = _flow(rt, y0, tau)
+        comp = _pick(cum, rng.uniform() * bound)
         if comp:
-            log.record(k, tau, comp, log.take(k, tau, rng), y)
+            log.record(k, tau, comp, log.take(k, tau, rng), rs, y)
         t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
-        y_end[k] = y * np.exp(-rt.alpha * (horizon - t))
-    return _skeleton(log, [0] * len(taus), "")[1], y_end
+        y_end[k] = np.multiply(y, np.exp(rt.decay * (horizon - t)))
+    return _skeleton(log, [0] * len(taus), "")[1], y_end.reshape(-1, *rt.alpha.shape)
 
 
 def _check_events(n_events: int, t: float, max_events: int) -> None:
@@ -671,19 +699,15 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     cfg.validate_for(model.coefficients)
-    rng = RandomStream(seed)
-    rt = RateRuntime(model)
+    rng, rt = RandomStream(seed), RateRuntime(model)
     log = _GroupLog(model, cfg, horizon, _build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
-    y = np.array(model.initial.y, dtype=float)   # the memory at the last event
-    lam_star = rt.bound(y)
+    y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event and its memory
+    lam_star = _bound(rt, y)
     if k2_bound is not None:
-        lam_star = max(lam_star,
-                       rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
-    step = reference_rate_step(model)
-    t_cand = 0.0
-    n_cand = 0
+        lam_star = max(lam_star, rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
+    step, t_cand, n_cand = reference_rate_step(model), 0.0, 0
     while True:
-        tau = t_cand + rng.exponential(lam_star)
+        tau = t_cand + float(rng.exponential(lam_star))
         if tau > horizon:
             log.take(0, horizon, rng)
             break
@@ -691,16 +715,15 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
         if n_cand > max_candidates:
             raise SimulationLimitError(
                 f"exceeded {max_candidates} dominating events before t = {tau:.6g}")
-        y_pre = y * np.exp(-rt.alpha * (tau - log.t_anchor[0]))
-        lam = rt.intensities(y_pre)
-        if float(lam.sum()) > lam_star * (1.0 + 1e-9):
+        y_pre, rs, cum = _flow(rt, y, tau - t_event)
+        if cum[-1] > lam_star * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated in reference construction")
-        comp = _pick_component(lam, rng.uniform() * lam_star)
+        comp = _pick(cum, rng.uniform() * lam_star)
         if trace is not None:
             trace.append(CandidateEvent(tau, comp))
         if comp:
-            log.record(0, tau, comp, log.take(0, tau, rng), y_pre)
-            y = y_pre
+            log.record(0, tau, comp, log.take(0, tau, rng), rs, y_pre)
+            y, t_event = y_pre, tau
         lam_star += step
         t_cand = tau
     return _skeleton(log, [seed], model_digest(model))[0][0]

@@ -29,10 +29,11 @@ class RateRuntime:
     """Rate functions, Lipschitz envelope and decay rates of one model,
     extracted once for the hot loops."""
 
-    __slots__ = ("alpha", "fs", "gammas", "f_zero_sum")
+    __slots__ = ("alpha", "decay", "fs", "gammas", "f_zero_sum")
 
     def __init__(self, model: ModelSpec):
         self.alpha = model.kernel.alpha
+        self.decay = -self.alpha.ravel()   # flow exponents per unit time, row-major
         self.fs = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())

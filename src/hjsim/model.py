@@ -117,9 +117,15 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
+def _field(d: dict, key: str, parent: str = ""):
+    """d[key], or a ConfigError naming ``parent.key`` if it is missing."""
+    name = f"{parent}.{key}" if parent else key
+    _require(key in d, name, "missing required field")
+    return d[key]
+
+
 def _get_number(d: dict, key: str, field: str) -> float:
-    _require(key in d, f"{field}.{key}", "missing required field")
-    v = d[key]
+    v = _field(d, key, field)
     _require(_finite(v), f"{field}.{key}", "must be a finite number")
     return float(v)
 
@@ -433,8 +439,7 @@ class CoefficientSpec:
         parts = []
         for key, registry in (("drift", _DRIFT_KINDS), ("diffusion", _DIFFUSION_KINDS),
                               ("jump", _JUMP_KINDS)):
-            _require(key in d, f"{field}.{key}", "missing required field")
-            parts.append(_variant_from_dict(d[key], registry, f"{field}.{key}"))
+            parts.append(_variant_from_dict(_field(d, key, field), registry, f"{field}.{key}"))
         return cls(*parts)
 
 
@@ -442,8 +447,7 @@ def _variant_from_dict(d, registry: dict, field: str):
     """The family in ``registry`` named by d["type"], built from d; ``field``
     names d in errors."""
     _require(isinstance(d, dict), field, "must be an object with a 'type' tag")
-    _require("type" in d, f"{field}.type", "missing required field")
-    kind = d["type"]
+    kind = _field(d, "type", field)
     _require(isinstance(kind, str) and kind in registry, f"{field}.type",
              f"unknown type {kind!r}; expected one of {sorted(registry)}")
     return registry[kind].from_dict(d, field)
@@ -524,13 +528,10 @@ class KernelMatrix:
     @classmethod
     def from_dict(cls, d: dict, m: int, field: str = "kernel") -> "KernelMatrix":
         _require(isinstance(d, dict), field, "must be an object")
-        _require("c" in d, f"{field}.c", "missing required field")
-        _require("alpha" in d, f"{field}.alpha", "missing required field")
-        c = _as_matrix(d["c"], m, f"{field}.c")
-        alpha = _as_matrix(d["alpha"], m, f"{field}.alpha")
-        for i in range(m):
-            for j in range(m):
-                _require(alpha[i, j] > 0, f"{field}.alpha[{i}][{j}]", "must be > 0")
+        c, alpha = _field(d, "c", field), _field(d, "alpha", field)
+        c, alpha = _as_matrix(c, m, f"{field}.c"), _as_matrix(alpha, m, f"{field}.alpha")
+        for k, a in enumerate(alpha.ravel().tolist()):
+            _require(a > 0, f"{field}.alpha[{k // m}][{k % m}]", "must be > 0")
         return cls(c, alpha)
 
 
@@ -564,8 +565,7 @@ def state_to_dict(state: State) -> dict:
 def state_from_dict(d: dict, m: int, field: str = "initial") -> State:
     _require(isinstance(d, dict), field, "must be an object")
     x = _get_number(d, "x", field)
-    _require("y" in d, f"{field}.y", "missing required field")
-    y = _as_matrix(d["y"], m, f"{field}.y")
+    y = _as_matrix(_field(d, "y", field), m, f"{field}.y")
     return State(x, y)
 
 
@@ -616,22 +616,17 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 def model_from_dict(d: dict) -> ModelSpec:
     _require(isinstance(d, dict), "<root>", "model config must be a JSON object")
-    _require("M" in d, "M", "missing required field")
-    m = d["M"]
+    m = _field(d, "M")
     _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
              "M", "must be a positive integer")
-    _require("rates" in d, "rates", "missing required field")
-    raw_rates = d["rates"]
+    raw_rates = _field(d, "rates")
     _require(isinstance(raw_rates, list), "rates", "must be an array")
     _require(len(raw_rates) == m, "rates",
              f"expected {m} rate functions, got {len(raw_rates)}")
     rates = [_variant_from_dict(rd, _RATE_KINDS, f"rates[{i}]") for i, rd in enumerate(raw_rates)]
-    _require("kernel" in d, "kernel", "missing required field")
-    kernel = KernelMatrix.from_dict(d["kernel"], m)
-    _require("coefficients" in d, "coefficients", "missing required field")
-    coeffs = CoefficientSpec.from_dict(d["coefficients"])
-    _require("initial" in d, "initial", "missing required field")
-    initial = state_from_dict(d["initial"], m)
+    kernel = KernelMatrix.from_dict(_field(d, "kernel"), m)
+    coeffs = CoefficientSpec.from_dict(_field(d, "coefficients"))
+    initial = state_from_dict(_field(d, "initial"), m)
     return ModelSpec(tuple(rates), kernel, coeffs, initial)
 
 
@@ -759,24 +754,18 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
 
     # neither: report the innermost grid point past the largest candidate radius
     # at which the drift fails to pull inward (or, failing that, the jump map).
-    r_max = r_candidates[-1]
-    pts = xs[np.abs(xs) > r_max]
-    order = np.argsort(np.abs(pts))
-    viol = None
-    for idx in order:
-        x = float(pts[idx])
-        if x * float(drift(x)) >= 0.0:
-            viol = x
-            notes.append(f"x*b(x) >= 0 at x = {x:.6g}")
-            break
-    if viol is None:
-        for idx in order:
-            x = float(pts[idx])
-            a = float(jump(x))
-            if 2 * x * a + a * a > 0 and abs(x + a) - abs(x) > 0:
-                viol = x
-                notes.append(f"jump conditions fail at x = {x:.6g}")
-                break
-    if viol is None:
+    pts = xs[np.abs(xs) > r_candidates[-1]]
+    pts = pts[np.argsort(np.abs(pts))].tolist()
+
+    def jump_fails(x: float) -> bool:
+        a = float(jump(x))
+        return 2 * x * a + a * a > 0 and abs(x + a) - abs(x) > 0
+
+    viol = next((x for x in pts if x * float(drift(x)) >= 0.0), None)
+    if viol is not None:
+        notes.append(f"x*b(x) >= 0 at x = {viol:.6g}")
+    elif (viol := next(filter(jump_fails, pts), None)) is not None:
+        notes.append(f"jump conditions fail at x = {viol:.6g}")
+    else:
         notes.append("drift confinement too weak for either frame on the scanned grid")
     return report("neither", violating_point=viol)

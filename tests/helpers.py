@@ -6,6 +6,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 import hjsim
+from hjsim import engine
+from hjsim.intensity import RateRuntime
+from hjsim.rng import RandomStream
 
 
 def make_model(m, rates, c, alpha, drift, diffusion, jump, x0=0.0, y0=None):
@@ -168,6 +171,57 @@ def simulation_runs(draw):
     cfg = em_cfg(grid_dt, grid_dt / draw(_finite(0.7, 4.0))) if em else ou_cfg(grid_dt)
     extra = draw(st.one_of(st.none(), st.lists(_finite(-1.0, 5.0), max_size=4)))
     return model, horizon, cfg, extra, draw(st.integers(0, 2**63))
+
+
+def serial_oracle(model, cfg, horizon, sample_at, seed):
+    """One path's thinning as the lockstep loop's array code runs it on a
+    single row: each event's record row (path 0, time, component, next
+    sample index, pre-jump row sums, post-jump memory) and every segment's
+    normals, in draw order.  ``engine._run_events`` must give the same bytes."""
+    rt, rng, m = RateRuntime(model), RandomStream(seed), model.n_components
+    log = engine._GroupLog(model, cfg, horizon,
+                           engine._build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
+    samples, eps = log.samples, log.eps
+    c_added = np.full((m, m, m), -0.0)
+    for j in range(m):
+        c_added[j, :, j] = model.kernel.c[:, j]
+    rows, normals = [], []
+    t, t0, lo, y = 0.0, 0.0, 0, model.initial.y.copy()
+
+    def take(t_stop):
+        hi = int(np.maximum(np.searchsorted(samples, t_stop - eps), lo))
+        n = log._count(t0, lo, hi, t_stop)
+        if n:
+            normals.append(rng.normals(n))
+        return hi
+
+    while True:
+        bound = rt.bound(y)
+        tau = t + rng.exponential(bound)
+        if tau > horizon:
+            take(horizon)
+            return (np.concatenate([np.empty((0, 4 + m + m * m))] + rows),
+                    np.concatenate([np.empty(0)] + normals))
+        y = y * np.exp(-rt.alpha * (tau - t))
+        cum = np.cumsum(rt.intensities(y))
+        u = rng.uniform() * bound
+        t = tau
+        if u >= cum[-1]:
+            continue   # rejected
+        comp = int(np.searchsorted(cum, u, side="right")) + 1
+        lo = take(tau)
+        near = np.abs(samples[lo] - tau) <= eps
+        while near.any():   # step past the sample times on tau
+            lo = lo + near
+            near = np.abs(samples[lo] - tau) <= eps
+        y = y.reshape(-1, m, m)
+        row = np.empty((1, 4 + m + m * m))
+        row[:, 0], row[:, 1], row[:, 2], row[:, 3] = 0, tau, comp, lo
+        y.sum(axis=2, out=row[:, 4:4 + m])
+        y += c_added[comp - 1]
+        row[:, 4 + m:] = y.reshape(1, -1)
+        rows.append(row)
+        y, t0, lo = y[0], tau, int(lo)
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))

@@ -265,6 +265,20 @@ class TestSizeGuards:
         assert peak < 1_000_000
         assert not os.path.exists(tmp_path / "m.json")
 
+    def test_oversized_mixing_block_is_structured_error(self, tmp_path, capsys):
+        # 10**6 paths at 4 times of (x, 2 row sums) give 1.2e7 state entries
+        config = write_config(tmp_path, model=two_component_model())
+        rc, peak = self._main_peak(["mixing-test", "--config", config, "--times", "1,2,3,4",
+                                    "--paths", "1000000", "--bins", "5",
+                                    "--start-a", '{"x": 0, "y": [0, 0, 0, 0]}',
+                                    "--start-b", '{"x": 1, "y": [0, 0, 0, 0]}',
+                                    "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "state block entries" in err["message"]
+        assert peak < 1_000_000
+        assert not os.path.exists(tmp_path / "m.json")
+
     def test_oversized_drift_scan_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path, model=two_component_model())
         rc, peak = self._main_peak(["check-stability", "--config", config,

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import hjsim
+from hjsim import diagnostics
 from hjsim.diagnostics import (autocorr_decay, invariant_histogram,
                                mixing_curve, regular_samples, states_at,
                                time_average, tv_histogram)
@@ -175,6 +176,17 @@ class TestMixingCurve:
         with pytest.raises(ValueError):
             mixing_curve(model, z, z, times=[1.0, 2.0], n_paths=1, bins=5,
                          cfg=ou_cfg(1.0))
+
+    def test_oversized_state_block_is_refused_before_simulating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated an oversized mixing run")
+
+        monkeypatch.setattr(diagnostics, "simulate_ensemble", refuse)
+        z = hjsim.State(0.0, np.zeros((1, 1)))
+        # 10**6 paths at 6 times of (x, one row sum): 1.2e7 entries
+        with pytest.raises(ValueError, match="state block entries"):
+            mixing_curve(reference_model(), z, z, times=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                         n_paths=10**6, bins=5, cfg=ou_cfg(1.0))
 
 
 class TestAutocorrelation:

@@ -13,7 +13,7 @@ from hjsim.engine import _build_sample_times, reference_rate_step
 from hjsim.intensity import RateRuntime, flow_memory, intensity_vector
 from hjsim.rng import RandomStream, derive_path_seed
 
-from helpers import (em_cfg, make_model, ou_cfg, poisson_model, reference_model,
+from helpers import (em_cfg, make_model, ou_cfg, poisson_model, reference_model, serial_oracle,
                      simulation_runs, supercritical_model, two_component_model)
 
 
@@ -167,7 +167,10 @@ class TestPathInvariants:
     @pytest.mark.parametrize("event_times, skeleton_times, message", [
         ([1.0, 0.5], [0.0, 0.5, 0.5, 1.0, 1.0, 2.0], "strictly increasing"),
         ([0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5, 2.0], "strictly increasing"),
-        ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, 0.9], "nondecreasing")])
+        ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, 0.9], "nondecreasing"),
+        # every comparison with NaN is false, so only a finiteness check sees these
+        ([0.5, 1.0], [0.0, 0.5, 0.5, math.nan, 1.0, 0.9], "finite and nondecreasing"),
+        ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, math.inf], "finite and nondecreasing")])
     def test_public_constructor_checks_order(self, event_times, skeleton_times, message):
         with pytest.raises(ValueError, match=message):
             hjsim.Path(event_times=event_times, event_components=[1, 1],
@@ -363,6 +366,48 @@ class TestLockstep:
         assert len(paths) == 64
         # one group of all 64 paths would hold about 10 MB of normals
         assert peak <= 4_000_000
+
+
+class TestOnePathLoop:
+    """A path thinned on its own runs scalar code that must give the bytes
+    of the lockstep loop's array code on a single row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_runs(), st.lists(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 0.9]), max_size=4))
+    def test_rows_and_normals_equal_the_array_oracle(self, run, offsets):
+        model, horizon, cfg, extra, seed = run
+        # sample times within eps of the first event times (drawn before any
+        # normal, so they stay put), which the records must step past
+        eps = 1e-12 * max(1.0, horizon)
+        firsts = serial_oracle(model, cfg, horizon, extra, seed)[0][:3, 1].tolist()
+        extra = list(extra or []) + [t + f * eps for t in firsts for f in offsets]
+        rows, normals = serial_oracle(model, cfg, horizon, extra, seed)
+        log = engine._GroupLog(model, cfg, horizon,
+                               _build_sample_times(horizon, cfg.grid_dt, extra), 1)
+        engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
+                           model.initial.y.ravel().tolist(), 10**6)
+        # the first row is the path's start
+        assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
+        assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_row_sums_round_as_numpy(self, m, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-8, 8, (m, m))
+        y[rng.random((m, m)) < 0.2] = -0.0
+        rs = engine._row_sums(y.ravel().tolist(), m)
+        assert np.array(rs).tobytes() == y.sum(axis=-1).tobytes()
+        assert np.float64(engine._fsum(y[0].tolist())).tobytes() == y[0].sum().tobytes()
+
+    @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
+                                                (math.nan, "finite and positive"),
+                                                (0.5, "dominating rate violated")])
+    def test_bound_checks(self, monkeypatch, scale, message):
+        bound = engine._bound
+        monkeypatch.setattr(engine, "_bound", lambda rt, y: scale * bound(rt, y))
+        with pytest.raises(RuntimeError, match=message):
+            hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(5.0), seed=3)
 
 
 class TestSampleAt:

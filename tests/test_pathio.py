@@ -136,6 +136,14 @@ class TestReadJsonlErrors:
         with pytest.raises(ValueError, match="^line 1: "):
             pathio.read_jsonl(io.StringIO(""))
 
+    def test_decreasing_times_behind_a_nan_are_rejected(self):
+        # samples at t = 0, 0.5 (line 3), NaN, then 0.2
+        lines = _stream().read().splitlines()
+        sample = '{"kind":"sample","t":%s,"x":0.0,"row_sums":[0.0,0.0]}'
+        text = "\n".join([lines[0]] + [sample % t for t in ("0.0", "0.5", "NaN", "0.2")])
+        with pytest.raises(ValueError, match="skeleton times must be finite and nondecreasing"):
+            pathio.read_jsonl(io.StringIO(text + "\n"))
+
     def test_the_unedited_stream_reads(self):
         assert pathio.read_jsonl(_stream()).n_components == 2
 
@@ -172,6 +180,17 @@ class TestBinary:
         body = len(blob) - 80
         with pytest.raises(ValueError, match=f"trailing.*need {body} bytes.*holds {body + 3}$"):
             pathio.read_binary(io.BytesIO(blob + b"\x00" * 3))
+
+    def test_decreasing_times_behind_a_nan_are_rejected(self):
+        path = sample_path()
+        blob = bytearray(pathio.dumps_binary(path))
+        # the first sample record follows the header and the events
+        at = 80 + path.n_events * pathio._EVENT_DTYPE.itemsize
+        width = 8 * (2 + path.n_components)
+        for i, t in enumerate([0.0, 0.5, np.nan, 0.2]):
+            blob[at + i * width:at + i * width + 8] = np.float64(t).tobytes()
+        with pytest.raises(ValueError, match="skeleton times must be finite and nondecreasing"):
+            pathio.read_binary(io.BytesIO(bytes(blob)))
 
     def test_empty_path_round_trip(self):
         path = hjsim.simulate_path(reference_model(), 1e-9, ou_cfg(0.01), seed=3)
