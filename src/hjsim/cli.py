@@ -207,8 +207,8 @@ def _load(args: argparse.Namespace, required=()) -> RunConfig:
             setattr(config, key, flag)
     config.validate()
     for key in required:
-        if getattr(config, key) is None:
-            raise ConfigError(f"run.{key}", f"missing (set --{key} or run.{key})")
+        _require(getattr(config, key) is not None, f"run.{key}",
+                 f"missing (set --{key} or run.{key})")
     return config
 
 

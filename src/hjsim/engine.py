@@ -25,20 +25,21 @@ horizon, and phase 2 reads the blocks in order.
 
 A path thinned on its own runs ``_run_events`` over ``_next_event``: scalar
 code on its memory as a row-major list of floats, which records into a float
-buffer.  Its sums round as numpy's do (``_fsum``) and its exponentials,
-logarithms and envelope dot product are numpy's, so it gives the bytes of
-the array code on one row.  Ensembles thin their paths in lockstep groups
-(``_simulate_group``): the memory flow, the rates, the envelope, the
-component pick and the event records are array operations over the live
-paths.  Each path's counter-based stream is a row of a
-:class:`hjsim.rng.DrawBank`, addressed by (key, draw index), so one draw for
-all paths is one gather.  Below ``_LOCKSTEP_MIN`` live paths an iteration
-costs more than serial thinning, and each remaining path continues through
-``_run_events`` from its bank row.  No path's draws are reordered, so every
-path is byte-identical to the one :func:`simulate_path` makes from its seed.
-A budget on the live state sets the group width.  ``_run_events`` also
-continues the candidate-bearing paths of the Monte Carlo generator check in
-:mod:`hjsim.stability`.
+buffer.  Its sums round as numpy's do (``RateRuntime.flow``), and its
+exponentials, logarithms and envelope dot product are numpy's, so it gives
+the bytes of the array code on one row.
+
+Ensembles thin their paths in lockstep groups (``_simulate_group``): the
+memory flow, the rates, the envelope, the component pick and the event
+records are array operations over the live paths.  Each path's
+counter-based stream is a row of a :class:`hjsim.rng.DrawBank`, addressed by
+(key, draw index), so one draw for all paths is one gather.  Below
+``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
+and each remaining path continues through ``_run_events`` from its bank row.
+No path's draws are reordered, so every path is byte-identical to the one
+:func:`simulate_path` makes from its seed.  A budget on the live state sets
+the group width.  ``_run_events`` also continues the candidate-bearing paths
+of the Monte Carlo generator check in :mod:`hjsim.stability`.
 
 ``simulate_path_reference`` keeps the alternative textbook construction as a
 cross-validation oracle, with its own candidate loop: a one-dimensional
@@ -57,9 +58,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import accumulate
-from operator import add
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -171,34 +170,9 @@ class Path:
                 for i, (t, x) in enumerate(zip(self.skeleton_times, self.skeleton_x))]
 
 
-def _fsum(vals) -> float:
-    """sum(vals) rounded as numpy's sum rounds it: in order from 0.0 below
-    eight terms, pairwise from eight on."""
-    return reduce(add, vals, 0.0) if len(vals) < 8 else float(np.add.reduce(vals))
-
-
-def _row_sums(y: list, m: int) -> list:
-    """Row sums of the m x m memory ``y``, a row-major list."""
-    return [_fsum(y[i:i + m]) for i in range(0, m * m, m)]
-
-
-def _bound(rt: RateRuntime, y: list) -> float:
-    """``rt.bound`` at the memory ``y``, a row-major list, rounded alike."""
-    return rt.f_zero_sum + float(rt.gammas @ _row_sums([abs(v) for v in y], len(rt.fs)))
-
-
-def _flow(rt: RateRuntime, y: list, dt: float) -> tuple[list, list, list]:
-    """The memory ``y`` (a row-major list) flowed over dt, its row sums, and
-    the running sums of the component rates there, in ``np.cumsum``'s order."""
-    y = [a * b for a, b in zip(y, np.exp(rt.decay * dt).tolist())]
-    rs = _row_sums(y, len(rt.fs))
-    return y, rs, list(accumulate(float(f(u)) for f, u in zip(rt.fs, rs)))
-
-
 def _pick(cum: list, u_scaled: float) -> int:
-    """The 1-based component whose interval of [0, bound] holds a scaled
-    uniform, interval i ending at the running rate sum cum[i-1]; 0 past the
-    last, in the rejection mass."""
+    """The 1-based component i whose interval, ending at the running rate sum
+    cum[i-1], holds a scaled uniform; 0 in the rejection mass above cum[-1]."""
     return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
 
 
@@ -212,13 +186,13 @@ def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomS
     event occurs before the horizon.  Does not mutate ``y``.
     """
     while True:
-        bound = _bound(rt, y)
+        bound = rt.bound(y)
         if not (bound > 0.0 and math.isfinite(bound)):
             raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
         tau = t + float(rng.exponential(bound))
         if tau > horizon:
             return t, None, y, None
-        y, rs, cum = _flow(rt, y, tau - t)
+        y, rs, cum = rt.flow(y, tau - t)
         if cum[-1] > bound * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
         comp = _pick(cum, rng.uniform() * bound)
@@ -288,13 +262,14 @@ class _GroupLog:
         # a sentinel ends every scan of the sample times; one path reads them
         # as floats through a view
         self.samples = np.append(sample_times, math.inf)
-        self.at = memoryview(self.samples)
+        self.sample_floats = memoryview(self.samples)
         self.eps = 1e-12 * max(1.0, horizon)
         self.c = model.kernel.c.ravel().tolist()
         self.t_anchor, self.lo = np.zeros(n), np.zeros(n, dtype=np.intp)
-        self.n_events, self.n_normals = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        self.n_events, self.n_normals = np.zeros((2, n), dtype=np.intp)
         start = np.zeros((n, 4 + m + m * m))
-        start[:, 0], start[:, 4 + m:] = np.arange(n), model.initial.y.ravel()
+        start[:, 0] = np.arange(n)
+        start[:, 4 + m:] = model.initial.y.ravel()
         self.rec, self.zk, self.zv, self.zs = array("d", start.tobytes()), [], [], array("d")
 
     def _hi(self, lo, t_stop):
@@ -319,7 +294,7 @@ class _GroupLog:
         after the segment's last thinning draw; returns the end of the
         segment's sample times."""
         lo = int(self.lo[k])
-        hi = bisect_left(self.at, t_stop - self.eps, lo)   # as _hi
+        hi = bisect_left(self.sample_floats, t_stop - self.eps, lo)   # as _hi
         n = self._count(float(self.t_anchor[k]), lo, hi, t_stop)
         if n == 1:
             self.zs.append(rng.normal())
@@ -356,14 +331,12 @@ class _GroupLog:
         whose segment's normals are taken and whose sample times end at
         ``hi``; ``rs`` are the pre-jump row sums, and the pre-jump memory
         ``y``, a row-major list, gains the event's column of c in place."""
-        lo, at = hi, self.at
+        lo, at = hi, self.sample_floats
         while abs(at[lo] - tau) <= self.eps:   # step past the sample times on tau
             lo += 1
         for i in range(comp - 1, len(y), self.m):
             y[i] += self.c[i]
-        self.rec.extend((k, tau, comp, lo))
-        self.rec.extend(rs)
-        self.rec.extend(y)
+        self.rec.extend((k, tau, comp, lo, *rs, *y))
         self.t_anchor[k], self.lo[k] = tau, lo
         self.n_events[k] += 1
 
@@ -480,7 +453,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
             a = int(at[k])
             z[a:a + len(v)] = v
             at[k] = a + len(v)
-    # then each path's own normals, path after path
+    # then each one-path run's normals, after its path's lockstep ones, in path order
     left = np.cumsum(log.n_normals) - at
     z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
     log.zk, log.zv, log.zs = [], [], None
@@ -617,7 +590,8 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         comp = (np.cumsum(lam, axis=1) <= u[:, None]).sum(axis=1)
         acc = np.flatnonzero(comp < m)
         if acc.size:
-            k, tau_k, y_k = ids[acc], tau[acc], y[acc]
+            k, tau_k = ids[acc], tau[acc]
+            y_k = y[acc]
             log.record_rows(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
             y[acc] = y_k
             if n_iter >= max_events:
@@ -660,7 +634,7 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
     log = _GroupLog(model, cfg, horizon, np.empty(0), len(taus))
     y0, y_end = model.initial.y.ravel().tolist(), np.empty((len(taus), len(rt.decay)))
     for k, tau in enumerate(taus.tolist()):
-        y, rs, cum = _flow(rt, y0, tau)
+        y, rs, cum = rt.flow(y0, tau)
         comp = _pick(cum, rng.uniform() * bound)
         if comp:
             log.record(k, tau, comp, log.take(k, tau, rng), rs, y)
@@ -699,13 +673,16 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     cfg.validate_for(model.coefficients)
-    rng, rt = RandomStream(seed), RateRuntime(model)
+    rng = RandomStream(seed)
+    rt = RateRuntime(model)
     log = _GroupLog(model, cfg, horizon, _build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
-    y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event and its memory
-    lam_star = _bound(rt, y)
+    y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
+    lam_star = rt.bound(y)
     if k2_bound is not None:
-        lam_star = max(lam_star, rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
-    step, t_cand, n_cand = reference_rate_step(model), 0.0, 0
+        lam_star = max(lam_star,
+                       rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
+    step = reference_rate_step(model)
+    t_cand, n_cand = 0.0, 0
     while True:
         tau = t_cand + float(rng.exponential(lam_star))
         if tau > horizon:
@@ -715,7 +692,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
         if n_cand > max_candidates:
             raise SimulationLimitError(
                 f"exceeded {max_candidates} dominating events before t = {tau:.6g}")
-        y_pre, rs, cum = _flow(rt, y, tau - t_event)
+        y_pre, rs, cum = rt.flow(y, tau - t_event)
         if cum[-1] > lam_star * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated in reference construction")
         comp = _pick(cum, rng.uniform() * lam_star)

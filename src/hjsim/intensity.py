@@ -11,6 +11,10 @@ it, and the public helpers below are checked wrappers around it.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
+from operator import add
+
 import numpy as np
 
 from .model import KernelMatrix, ModelSpec
@@ -25,9 +29,21 @@ __all__ = [
 ]
 
 
+def _fsum(vals) -> float:
+    """sum(vals) rounded as numpy's sum rounds it: in order from 0.0 below
+    eight terms, pairwise from eight on."""
+    return reduce(add, vals, 0.0) if len(vals) < 8 else float(np.add.reduce(vals))
+
+
+def _row_sums(y: list, m: int) -> list:
+    """Row sums of the m x m memory ``y``, a row-major list."""
+    return [_fsum(y[i:i + m]) for i in range(0, m * m, m)]
+
+
 class RateRuntime:
     """Rate functions, Lipschitz envelope and decay rates of one model,
-    extracted once for the hot loops."""
+    extracted once for the hot loops.  :meth:`bound` and :meth:`flow` take a
+    memory state as a row-major list and round as the array methods do."""
 
     __slots__ = ("alpha", "decay", "fs", "gammas", "f_zero_sum")
 
@@ -47,16 +63,23 @@ class RateRuntime:
         """Per-component rates at memory y of shape (M, M) or (n, M, M)."""
         return self.rates_at(y.sum(axis=-1))
 
-    def bound(self, y: np.ndarray) -> float:
+    def bound(self, y: list) -> float:
         """Lipschitz envelope sum_i [f_i(0) + gamma_i * sum_j |y[i, j]|] at one
         memory state.  It dominates the total rate along the whole decay flow
         started at y, because row absolute sums only shrink under the flow."""
-        return self.f_zero_sum + float(self.gammas @ np.abs(y).sum(axis=1))
+        return self.f_zero_sum + float(self.gammas @ _row_sums([abs(v) for v in y], len(self.fs)))
 
     def bounds(self, y: np.ndarray) -> np.ndarray:
         """:meth:`bound` at n memory states (n, M, M); the stacked product
         takes one dot product per state, so it rounds as :meth:`bound` does."""
         return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :], self.gammas)[:, 0]
+
+    def flow(self, y: list, dt: float) -> tuple[list, list, list]:
+        """The memory y flowed over dt, its row sums, and the running sums of
+        the component rates there (in ``np.cumsum``'s order)."""
+        y = [a * b for a, b in zip(y, np.exp(self.decay * dt).tolist())]
+        rs = _row_sums(y, len(self.fs))
+        return y, rs, list(accumulate(float(f(u)) for f, u in zip(self.fs, rs)))
 
 
 def _memory(model: ModelSpec, y) -> np.ndarray:
@@ -97,4 +120,4 @@ def total_event_rate(model: ModelSpec, y: np.ndarray) -> float:
 def dominating_rate(model: ModelSpec, y: np.ndarray) -> float:
     """Upper bound on the total rate along the whole decay flow started at y:
     the Lipschitz envelope of :meth:`RateRuntime.bound`."""
-    return RateRuntime(model).bound(_memory(model, y))
+    return RateRuntime(model).bound(_memory(model, y).ravel().tolist())

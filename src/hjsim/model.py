@@ -530,8 +530,9 @@ class KernelMatrix:
         _require(isinstance(d, dict), field, "must be an object")
         c, alpha = _field(d, "c", field), _field(d, "alpha", field)
         c, alpha = _as_matrix(c, m, f"{field}.c"), _as_matrix(alpha, m, f"{field}.alpha")
-        for k, a in enumerate(alpha.ravel().tolist()):
-            _require(a > 0, f"{field}.alpha[{k // m}][{k % m}]", "must be > 0")
+        for i in range(m):
+            for j in range(m):
+                _require(alpha[i, j] > 0, f"{field}.alpha[{i}][{j}]", "must be > 0")
         return cls(c, alpha)
 
 
@@ -764,8 +765,8 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
     viol = next((x for x in pts if x * float(drift(x)) >= 0.0), None)
     if viol is not None:
         notes.append(f"x*b(x) >= 0 at x = {viol:.6g}")
-    elif (viol := next(filter(jump_fails, pts), None)) is not None:
-        notes.append(f"jump conditions fail at x = {viol:.6g}")
     else:
-        notes.append("drift confinement too weak for either frame on the scanned grid")
+        viol = next(filter(jump_fails, pts), None)
+        notes.append("drift confinement too weak for either frame on the scanned grid"
+                     if viol is None else f"jump conditions fail at x = {viol:.6g}")
     return report("neither", violating_point=viol)

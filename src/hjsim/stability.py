@@ -406,7 +406,7 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     rng = RandomStream(seed)
     rt = RateRuntime(model)
     y0 = np.asarray(z.y, dtype=float)
-    bound0 = rt.bound(y0)
+    bound0 = rt.bound(y0.ravel().tolist())
     first_candidate = -np.log(rng.uniforms(n_paths)) / bound0
     quiet = first_candidate > dt
     n_quiet = int(quiet.sum())

@@ -196,7 +196,7 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         return hi
 
     while True:
-        bound = rt.bound(y)
+        bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
         tau = t + rng.exponential(bound)
         if tau > horizon:
             take(horizon)

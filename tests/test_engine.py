@@ -390,22 +390,12 @@ class TestOnePathLoop:
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
         assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
-    def test_row_sums_round_as_numpy(self, m, seed):
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-8, 8, (m, m))
-        y[rng.random((m, m)) < 0.2] = -0.0
-        rs = engine._row_sums(y.ravel().tolist(), m)
-        assert np.array(rs).tobytes() == y.sum(axis=-1).tobytes()
-        assert np.float64(engine._fsum(y[0].tolist())).tobytes() == y[0].sum().tobytes()
-
     @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
                                                 (math.nan, "finite and positive"),
                                                 (0.5, "dominating rate violated")])
     def test_bound_checks(self, monkeypatch, scale, message):
-        bound = engine._bound
-        monkeypatch.setattr(engine, "_bound", lambda rt, y: scale * bound(rt, y))
+        bound = RateRuntime.bound
+        monkeypatch.setattr(RateRuntime, "bound", lambda rt, y: scale * bound(rt, y))
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(5.0), seed=3)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjsim
+from hjsim import intensity
 from hjsim.intensity import (RateRuntime, apply_event, dominating_rate, flow_memory,
                              intensity_vector, total_event_rate)
 from hjsim.model import KernelMatrix
@@ -182,8 +183,33 @@ class TestRateRuntime:
         model, y = case
         rt = RateRuntime(model)
         flowed = flow_memory(model.kernel, y, t)
-        assert rt.intensities(flowed).sum() <= rt.bound(y) * (1 + 1e-12)
-        assert rt.bound(flowed) <= rt.bound(y) * (1 + 1e-12)
+        bound = rt.bound(y.ravel().tolist())
+        assert rt.intensities(flowed).sum() <= bound * (1 + 1e-12)
+        assert rt.bound(flowed.ravel().tolist()) <= bound * (1 + 1e-12)
         # one state and a batch of states give the same values
         batch = rt.intensities(np.stack([y, flowed]))
         assert np.array_equal(batch, [rt.intensities(y), rt.intensities(flowed)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(models_with_memory(), _finite(0.0, 50.0))
+    def test_list_state_rounds_as_arrays(self, case, t):
+        # the one-path loop's list form of a memory state against the array code
+        model, y = case
+        rt = RateRuntime(model)
+        flowed = y * np.exp(-rt.alpha * t)
+        bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
+        assert np.float64(rt.bound(y.ravel().tolist())).tobytes() == np.float64(bound).tobytes()
+        y_list, rs, cum = rt.flow(y.ravel().tolist(), t)
+        assert np.array(y_list).tobytes() == flowed.ravel().tobytes()
+        assert np.array(rs).tobytes() == flowed.sum(axis=-1).tobytes()
+        assert np.array(cum).tobytes() == np.cumsum(rt.intensities(flowed)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_row_sums_round_as_numpy(self, m, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-8, 8, (m, m))
+        y[rng.random((m, m)) < 0.2] = -0.0
+        rs = intensity._row_sums(y.ravel().tolist(), m)
+        assert np.array(rs).tobytes() == y.sum(axis=-1).tobytes()
+        assert np.float64(intensity._fsum(y[0].tolist())).tobytes() == y[0].sum().tobytes()
