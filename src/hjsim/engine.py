@@ -24,10 +24,9 @@ Phase 1 takes each block when the segment closes, at an acceptance or at the
 horizon, and phase 2 reads the blocks in order.
 
 A path thinned on its own runs ``_run_events`` over ``_next_event``: scalar
-code on its memory as a row-major list of floats, which records into a float
-buffer.  Its sums round as numpy's do (``RateRuntime.flow``), and its
-exponentials, logarithms and envelope dot product are numpy's, so it gives
-the bytes of the array code on one row.
+code on a row-major list of floats that rounds every sum as numpy does and
+calls numpy's exp, log and envelope dot product, so it gives the bytes of
+the array code on one row.  Its records and normals go to float buffers.
 
 Ensembles thin their paths in lockstep groups (``_simulate_group``): the
 memory flow, the rates, the envelope, the component pick and the event
@@ -241,16 +240,16 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
 class _GroupLog:
     """Phase 1's records of a group of paths, and where each path stands.
 
-    The row buffer ``rec`` holds a path's start (component 0, time 0, the
-    initial memory), then a row per event: path, time, component, the index
+    The row buffer ``rec`` holds each path's start (component 0, time 0, the
+    initial memory) and a row per event: path, time, component, the index
     ``lo`` of the path's next sample time, the pre-jump row sums and the
-    post-jump memory.  The lockstep loop appends blocks of normals to
-    ``zk``/``zv``: one normal for each of an array of paths, or a segment's
-    normals for one path.  A path thinned on its own appends its normals to
-    ``zs``, after any lockstep ones; such paths run one after another, in
-    increasing path order.  Each path's rows and normals are appended in time
-    order.  ``t_anchor``, ``lo``, ``n_events`` and ``n_normals`` hold each
-    path's last event time, next sample index, event count and normals count.
+    post-jump memory.  The lockstep loop appends normals to ``zk``/``zv`` in
+    blocks: one normal for each of an array of paths, or a segment's normals
+    for one path.  A path thinned on its own then appends its normals to
+    ``zs``; such paths run one after another, in path order.  Rows and
+    normals go in time order per path.  ``t_anchor``, ``lo``, ``n_events``
+    and ``n_normals`` hold each path's last event time, next sample index,
+    event count and normals count.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -265,6 +264,9 @@ class _GroupLog:
         self.sample_floats = memoryview(self.samples)
         self.eps = 1e-12 * max(1.0, horizon)
         self.c = model.kernel.c.ravel().tolist()
+        # c_added[j] holds column j of c in column j and -0.0 elsewhere, which
+        # leaves every float as it is: an event of component j + 1 adds it
+        self.c_added = np.where(np.eye(m, dtype=bool)[:, None], model.kernel.c, -0.0)
         self.t_anchor, self.lo = np.zeros(n), np.zeros(n, dtype=np.intp)
         self.n_events, self.n_normals = np.zeros((2, n), dtype=np.intp)
         start = np.zeros((n, 4 + m + m * m))
@@ -342,8 +344,7 @@ class _GroupLog:
 
     def record_rows(self, k: np.ndarray, tau: np.ndarray, comp: np.ndarray, hi: np.ndarray,
                     y_pre: np.ndarray) -> None:
-        """:meth:`record` for the events of paths ``k`` from their pre-jump
-        memory ``y_pre`` (n, M, M), to which it adds each event's column of c."""
+        """:meth:`record` for paths ``k``, with pre-jump memory ``y_pre`` (n, M, M)."""
         lo = hi
         near = np.abs(self.samples[lo] - tau) <= self.eps
         while near.any():   # step past the sample times on tau
@@ -353,8 +354,7 @@ class _GroupLog:
         rows = np.empty((len(k), 4 + m + m * m))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k, tau, comp, lo
         y_pre.sum(axis=2, out=rows[:, 4:4 + m])
-        rows_k, cols = np.arange(len(k))[:, None], comp[:, None] - 1
-        y_pre[rows_k, np.arange(m), cols] += self.model.kernel.c.T[comp - 1]
+        y_pre += self.c_added[comp - 1]
         rows[:, 4 + m:] = y_pre.reshape(len(k), -1)
         self.rec.frombytes(rows.tobytes())
         self.t_anchor[k], self.lo[k] = tau, lo
