@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hjsim
 from hjsim import engine
+from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
 from hjsim.rng import RandomStream
 
@@ -188,9 +189,17 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
     rows, normals = [], []
     t, t0, lo, y = 0.0, 0.0, 0, model.initial.y.copy()
 
+    def count(hi, t_stop):   # a segment's normals, interval by interval
+        if _noiseless(model.coefficients):
+            return 0
+        ts = [t0, *samples[lo:hi].tolist(), t_stop]
+        if isinstance(cfg.scheme, hjsim.ExactOU):
+            return sum(b > a for a, b in zip(ts, ts[1:]))
+        return sum(_em_split(b - a, cfg.scheme.step)[0] for a, b in zip(ts, ts[1:]) if b > a)
+
     def take(t_stop):
         hi = int(np.maximum(np.searchsorted(samples, t_stop - eps), lo))
-        n = log._count(t0, lo, hi, t_stop)
+        n = count(hi, t_stop)
         if n:
             normals.append(rng.normals(n))
         return hi

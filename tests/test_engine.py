@@ -168,7 +168,8 @@ class TestPathInvariants:
         ([1.0, 0.5], [0.0, 0.5, 0.5, 1.0, 1.0, 2.0], "strictly increasing"),
         ([0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5, 2.0], "strictly increasing"),
         ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, 0.9], "nondecreasing"),
-        # every comparison with NaN is false, so only a finiteness check sees these
+        # NaN compares false with everything and inf is in order: only a
+        # finiteness check sees these
         ([0.5, 1.0], [0.0, 0.5, 0.5, math.nan, 1.0, 0.9], "finite and nondecreasing"),
         ([0.5, 1.0], [0.0, 0.5, 0.5, 1.0, 1.0, math.inf], "finite and nondecreasing")])
     def test_public_constructor_checks_order(self, event_times, skeleton_times, message):
