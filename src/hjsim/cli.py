@@ -17,6 +17,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 from . import __version__
 from .diagnostics import invariant_histogram, mixing_curve, time_average
@@ -24,7 +25,7 @@ from .diffusion import EulerMaruyama, ExactOU, IntegratorConfig
 from .engine import simulate_ensemble
 from .model import (ConfigError, ModelSpec, _finite, _require, canonical_json, model_digest,
                     model_from_dict, model_to_dict, state_from_dict)
-from .pathio import dumps_binary, dumps_jsonl
+from .pathio import write_binary, write_jsonl
 from .rng import derive_path_seeds
 from .stability import stability_report
 
@@ -150,18 +151,25 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write, text: bool = False) -> None:
+    """Create ``path`` atomically: ``write(fh)`` fills a temporary file next
+    to it (text, UTF-8 with no newline translation, if ``text``), which then
+    replaces ``path``; on any failure the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with (open(fd, "w", encoding="utf-8", newline="") if text else open(fd, "wb")) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    _atomic_write(path, lambda fh: fh.write(data))
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -225,10 +233,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     paths = simulate_ensemble(config.model, config.horizon, integ, config.seed,
                               config.n_paths, workers=workers)
     os.makedirs(args.out, exist_ok=True)
-    ext, dumps = ("jsonl", dumps_jsonl) if config.format == "jsonl" else ("hjsm", dumps_binary)
+    jsonl = config.format == "jsonl"
+    ext, write = ("jsonl", write_jsonl) if jsonl else ("hjsm", write_binary)
     outputs = [f"path_{i:05d}.{ext}" for i in range(len(paths))]
     for name, path in zip(outputs, paths):
-        _atomic_write_bytes(os.path.join(args.out, name), dumps(path))
+        # each file is written as the writer yields it, never held whole
+        _atomic_write(os.path.join(args.out, name), partial(write, path), text=jsonl)
     _write_manifest(args.out, "simulate", config, outputs, time.monotonic() - started,
                     per_path_seeds=derive_path_seeds(config.seed, config.n_paths).tolist())
     return 0

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import CoefficientSpec, ConstantDiffusion, LinearDrift
+from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled
 from .rng import RandomStream
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _REL_EPS = 1e-12
+# substeps a run may count: beyond 2**53 the counts are no longer exact floats
+_MAX_SUBSTEPS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
         return 0.0, b0 * dts, np.ones(len(dts)), np.sqrt(sigma * sigma * dts)
     decay = _exp_each(-beta * dts)
     sd = np.sqrt(sigma * sigma * (1.0 - decay * decay) / (2.0 * beta))
+    # where the decay rounds to 1, 1 - decay^2 is 0: the noise is the
+    # zero-rate one to first order in beta * dt
+    sd = np.where(decay == 1.0, np.sqrt(sigma * sigma * dts), sd)
     return level, np.full(len(dts), level), decay, sd
 
 
@@ -105,6 +110,18 @@ def _em_split(dt: float, h: float) -> tuple[int, float]:
     return (n + 1, rem) if rem >= _REL_EPS * max(h, dt) else (n, 0.0)
 
 
+def _em_plan(dts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_em_split` of every interval of ``dts``, with its IEEE
+    operations on arrays: the number of whole steps h in each interval, and
+    the partial last step (0.0 if none)."""
+    if not dts.sum() <= _MAX_SUBSTEPS * h:
+        raise ValueError(f"an Euler-Maruyama step of {h!r} gives more than {_MAX_SUBSTEPS} "
+                         f"substeps over {dts.sum()!r}")
+    full = np.floor(dts / h + _REL_EPS)
+    rem = dts - full * h
+    return full.astype(np.intp), np.where(rem >= _REL_EPS * np.maximum(h, dts), rem, 0.0)
+
+
 def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
     """The normals :func:`_advance_segment` takes over the intervals ``dts``:
     one per exact-OU interval, one per Euler-Maruyama substep, none without
@@ -117,35 +134,55 @@ def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
     return sum(_em_split(dt, h)[0] for dt in dts)
 
 
+# x + b(x)*s + sigma(x)*sqrt(s)*z over each interval of a plan, rounded as
+# the coefficient objects round it: whole steps h first, then the partial one
+_EM_KERNEL = """\
+from itertools import islice
+from math import sqrt
+
+
+def f(x, plan, h, z, out):
+    sqrt_h, append = sqrt(h), out.append
+    for full, rem in plan:
+        for {z_h} in {whole}:
+            x = x + float({b}) * h{noise_h}
+        if rem:
+            x = x + float({b}) * rem{noise_rem}
+        append(x)
+    return x
+"""
+
+
+def _em_kernel(coeffs: CoefficientSpec):
+    """The scalar Euler-Maruyama stepper of ``coeffs``, compiled once per
+    coefficient pair: ``f(x, plan, h, z, out)`` steps x over each
+    (whole steps, partial step) pair of ``plan`` (:func:`_em_plan`), taking
+    a normal from the iterator ``z`` at each substep (none without noise),
+    appends x after each interval to ``out`` and returns it."""
+    b, sigma = coeffs.drift.expr(), coeffs.diffusion.expr()
+    noisy = not _noiseless(coeffs)
+    return _compiled(_EM_KERNEL.format(
+        b=b, z_h="z_i" if noisy else "_", whole="islice(z, full)" if noisy else "range(full)",
+        noise_h=f" + float({sigma}) * sqrt_h * z_i" if noisy else "",
+        noise_rem=f" + float({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
+
+
 def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConfig,
                      z) -> list[float]:
     """Positions after each of the consecutive intervals ``dts`` (all > 0),
     taking the next normal from the iterator ``z`` at each noisy step:
     :func:`_n_normals` of them in all."""
-    noiseless = _noiseless(coeffs)
     out = []
     if isinstance(cfg.scheme, ExactOU):
+        noiseless = _noiseless(coeffs)
         p, qs, ds, sds = _ou_terms(np.asarray(dts, dtype=float), coeffs.drift,
                                    coeffs.diffusion.value)
         for q, d, sd in zip(qs.tolist(), ds.tolist(), sds.tolist()):
             x = q + (x - p) * d if noiseless else q + (x - p) * d + sd * next(z)
             out.append(x)
         return out
-
-    # the bound methods call faster than the coefficient objects themselves
-    drift, sigma, h = coeffs.drift.__call__, coeffs.diffusion.__call__, cfg.scheme.step
-    sqrt_h = math.sqrt(h)
-    for dt in dts:
-        n, rem = _em_split(dt, h)
-        s, sqrt_s, full = h, sqrt_h, n - (rem > 0)
-        for i in range(n):
-            if i == full:   # the partial step
-                s, sqrt_s = rem, math.sqrt(rem)
-            if noiseless:
-                x = x + float(drift(x)) * s
-            else:
-                x = x + float(drift(x)) * s + float(sigma(x)) * sqrt_s * next(z)
-        out.append(x)
+    full, rem = _em_plan(np.asarray(dts, dtype=float), cfg.scheme.step)
+    _em_kernel(coeffs)(x, zip(full.tolist(), rem.tolist()), cfg.scheme.step, z, out)
     return out
 
 

@@ -58,14 +58,15 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from scipy.special import ndtri
 
-from .diffusion import (ExactOU, IntegratorConfig, _advance_segment, _n_normals, _noiseless,
-                        _ou_terms, apply_state_jump)
+from .diffusion import (ExactOU, IntegratorConfig, _em_kernel, _em_plan, _em_split, _noiseless,
+                        _ou_terms)
 from .intensity import RateRuntime
 from .model import ModelSpec, State, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seeds
@@ -89,8 +90,11 @@ DEFAULT_MAX_EVENTS = 10_000_000
 _LOCKSTEP_MIN = 4
 # Live state a lockstep group may hold, counted by _path_bytes.  A short
 # path holds about 3 KB at the peak (buffered draws, memory state, records
-# and its skeleton), but groups wider than about 250 short paths run no
-# faster and raise the process's peak memory.
+# and its skeleton), so a group holds about 250 short paths.  Wider groups
+# run faster but raise the process's peak memory: 1000 short exact-OU paths
+# (M = 2, horizon 5) took 0.025-0.042 s as one group against 0.050-0.052 s
+# in groups of 250, at 66.8 MB peak RSS against 64.9 MB (2-core Xeon,
+# Python 3.11, numpy 2.4).
 _GROUP_BUDGET = 1 << 21
 _ROW_BYTES = 8192
 _SAMPLE_BYTES = 64
@@ -113,12 +117,12 @@ class CandidateEvent:
 class Path:
     """One realised trajectory.
 
-    Events carry 1-based component labels and strictly increasing times in
-    (0, horizon].  The skeleton records (time, x, row sums of y) at time 0,
-    at every global multiple of the output grid step, at the horizon, and
-    twice at every event time (the values immediately before and after the
-    jump), so skeleton times are nondecreasing with equal times exactly at
-    jumps.
+    Events carry 1-based component labels in 1..M (M >= 1, the width of the
+    row sums) and strictly increasing finite times in (0, horizon].  The
+    skeleton records (time, x, row sums of y) at time 0, at every global
+    multiple of the output grid step, at the horizon, and twice at every
+    event time (the values immediately before and after the jump), so
+    skeleton times are nondecreasing with equal times exactly at jumps.
     """
 
     event_times: np.ndarray
@@ -137,9 +141,20 @@ class Path:
                              dtype=np.int32 if name == "event_components" else float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        et, st = self.event_times, self.skeleton_times
+        et, ec, st, rs = (self.event_times, self.event_components, self.skeleton_times,
+                          self.skeleton_row_sums)
+        if not (et.ndim == ec.ndim == st.ndim == self.skeleton_x.ndim == 1 and rs.ndim == 2
+                and len(et) == len(ec) and len(st) == len(self.skeleton_x) == len(rs)):
+            raise ValueError("a path needs as many event components as event times, and as "
+                             "many skeleton x values and row-sum rows as skeleton times")
+        if rs.shape[1] < 1:
+            raise ValueError("a path needs M >= 1 components")
+        if not (np.isfinite(et) & (et > 0.0) & (et <= self.horizon)).all():
+            raise ValueError(f"event times must be finite and in (0, horizon = {self.horizon!r}]")
         if not (et[1:] > et[:-1]).all():
             raise ValueError("event times must be strictly increasing")
+        if not ((ec >= 1) & (ec <= rs.shape[1])).all():
+            raise ValueError(f"event components must lie in 1..M = {rs.shape[1]}")
         if not (np.isfinite(st).all() and (st[1:] >= st[:-1]).all()):
             raise ValueError("skeleton times must be finite and nondecreasing")
 
@@ -273,6 +288,11 @@ class _GroupLog:
         start[:, 0] = np.arange(n)
         start[:, 4 + m:] = model.initial.y.ravel()
         self.rec, self.zk, self.zv, self.zs = array("d", start.tobytes()), [], [], array("d")
+        if self.noisy and not self.ou:
+            # em_cum[j]: the Euler-Maruyama substeps from the first sample
+            # time to sample time j
+            full, rem = _em_plan(np.diff(sample_times), cfg.scheme.step)
+            self.em_cum = memoryview(np.cumsum(np.append(0, full + (rem > 0))))
 
     def _hi(self, lo, t_stop):
         """The end of the sample times before ``t_stop - eps``, from ``lo``."""
@@ -280,16 +300,22 @@ class _GroupLog:
 
     def _count(self, t0: float, lo: int, hi: int, t_stop: float) -> int:
         """Normals of the segment from t0 to t_stop through samples[lo:hi]:
-        :func:`_n_normals` of its nonempty intervals."""
+        :func:`_n_normals` of its nonempty intervals, in O(1)."""
         if not self.noisy:
             return 0
+        if hi == lo:
+            if not t_stop > t0:
+                return 0
+            return 1 if self.ou else _em_split(t_stop - t0, self.cfg.scheme.step)[0]
         if self.ou:
             # sample times lie after the anchor and more than eps before the
             # stop, so the intervals between them are nonempty
-            return hi - lo + 1 if hi > lo else int(t_stop > t0)
-        ts = [t0, *self.samples[lo:hi].tolist(), t_stop]
-        return _n_normals([b - a for a, b in zip(ts, ts[1:]) if b > a], self.model.coefficients,
-                          self.cfg)
+            return hi - lo + 1
+        at, h = self.sample_floats, self.cfg.scheme.step
+        first, last = at[lo] - t0, t_stop - at[hi - 1]
+        return (self.em_cum[hi - 1] - self.em_cum[lo]
+                + (_em_split(first, h)[0] if first > 0 else 0)
+                + (_em_split(last, h)[0] if last > 0 else 0))
 
     def take(self, k: int, t_stop: float, rng: RandomStream) -> int:
         """Take path k's normals for its segment up to ``t_stop`` from rng,
@@ -433,7 +459,8 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
 def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     """x at every record of :func:`_skeleton`, from the normals in ``log``:
     for exact-OU one flat scalar loop over every interval of the group, for
-    Euler-Maruyama :func:`_advance_segment` per segment.
+    Euler-Maruyama one call of the scalar kernel per segment, with the
+    substeps of every interval planned in one pass.
 
     ``kind`` says how each record's x is reached: 0 over an interval from the
     record before, 2 at a path's start, 4 as the record before (an empty
@@ -457,16 +484,22 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     left = np.cumsum(log.n_normals) - at
     z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
     log.zk, log.zv, log.zs = [], [], None
+    # the bound method calls faster than the jump map object itself
+    jump = coeffs.jump.__call__
     if not log.ou:
-        dts = np.diff(times, prepend=0.0)   # read at the end of each interval
-        n_int = (end - seg0) * (kind[end] < 2)
-        out, it = [], iter(memoryview(z))
-        for s, a, k in zip(start.tolist(), seg0.tolist(), n_int.tolist()):
-            x = x0 if s else apply_state_jump(x, coeffs)
+        # the records reached over an interval, segment by segment
+        steps = np.flatnonzero(kind < 2)
+        h = log.cfg.scheme.step
+        full, rem = _em_plan(times[steps] - times[steps - 1], h)
+        plan = zip(full.tolist(), rem.tolist())
+        del steps, full, rem
+        n_int = ((end - seg0) * (kind[end] < 2)).tolist()
+        em, normals, out = _em_kernel(coeffs), iter(memoryview(z)), []
+        for s, k in zip(start.tolist(), n_int):
+            x = x0 if s else x + float(jump(x))   # apply_state_jump
             out.append(x)
             if k:
-                out += _advance_segment(x, dts[a + 1:a + 1 + k].tolist(), coeffs, log.cfg, it)
-                x = out[-1]
+                x = em(x, islice(plan, k), h, normals, out)
             else:
                 out.append(x)
         return np.array(out)
@@ -483,8 +516,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     # a noiseless step adds -0.0, which leaves every float as it is
     del steps, ends, q, d, sd, z
     out = array("d")
-    # the bound method calls faster than the jump map object itself
-    x, jump, append = x0, coeffs.jump.__call__, out.append
+    x, append = x0, out.append
     for k, q, d, e in zip(memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)):
         if k < 2:
             x = q + (x - p) * d + e

@@ -45,12 +45,13 @@ class RateRuntime:
     extracted once for the hot loops.  :meth:`bound` and :meth:`flow` take a
     memory state as a row-major list and round as the array methods do."""
 
-    __slots__ = ("alpha", "decay", "fs", "gammas", "f_zero_sum")
+    __slots__ = ("alpha", "decay", "fs", "fs_at", "gammas", "f_zero_sum")
 
     def __init__(self, model: ModelSpec):
         self.alpha = model.kernel.alpha
         self.decay = -self.alpha.ravel()   # flow exponents per unit time, row-major
         self.fs = model.rates
+        self.fs_at = tuple(f.at for f in self.fs)   # the rates at one float, to the bit
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())
 
@@ -79,7 +80,7 @@ class RateRuntime:
         the component rates there (in ``np.cumsum``'s order)."""
         y = [a * b for a, b in zip(y, np.exp(self.decay * dt).tolist())]
         rs = _row_sums(y, len(self.fs))
-        return y, rs, list(accumulate(float(f(u)) for f, u in zip(self.fs, rs)))
+        return y, rs, list(accumulate(f(u) for f, u in zip(self.fs_at, rs)))
 
 
 def _memory(model: ModelSpec, y) -> np.ndarray:

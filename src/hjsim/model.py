@@ -50,6 +50,7 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
@@ -174,6 +175,12 @@ class AffineClippedRate(_Family):
     def __call__(self, u):
         return np.maximum(self.floor, self.intercept + self.slope * u)
 
+    def at(self, u: float) -> float:
+        """:meth:`__call__` at one float, to the bit (NaN stays NaN, as in
+        ``np.maximum``)."""
+        v = self.intercept + self.slope * u
+        return self.floor if v < self.floor else v
+
     def lipschitz_constant(self) -> float:
         return abs(self.slope)
 
@@ -201,6 +208,17 @@ class SigmoidRate(_Family):
     def __call__(self, u):
         return np.maximum(_TINY, self.height * expit(self.steepness * (u - self.center)))
 
+    def at(self, u: float) -> float:
+        """:meth:`__call__` at one float, to the bit: ``expit`` is
+        1 / (1 + exp(-v)) with libm's exp, which is 0 where exp overflows;
+        NaN stays NaN, as in ``np.maximum``."""
+        v = self.steepness * (u - self.center)
+        try:
+            r = self.height * (1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            r = self.height * 0.0
+        return _TINY if r < _TINY else r
+
     def lipschitz_constant(self) -> float:
         # max of height*steepness*s*(1-s) over s in (0,1), attained at s = 1/2
         return self.height * self.steepness / 4.0
@@ -220,6 +238,8 @@ class ConstantRate(_Family):
     def __call__(self, u):
         return self.level + 0.0 * u
 
+    at = __call__   # a float in, a float out
+
     def lipschitz_constant(self) -> float:
         return 0.0
 
@@ -234,8 +254,36 @@ _RATE_KINDS = {c.kind: c for c in (AffineClippedRate, SigmoidRate, ConstantRate)
 # ---------------------------------------------------------------------------
 
 
+class _Coefficient(_Family):
+    """A drift or diffusion coefficient.  Its ``formula`` is its one
+    expression, in x, numpy's ``tanh`` and its fields; the scalar
+    Euler-Maruyama kernel (:func:`hjsim.diffusion._em_kernel`) inlines the
+    same text."""
+
+    formula: ClassVar[str]
+
+    def expr(self) -> str:
+        """The formula with each field as the repr of its float value: the
+        fields are validated finite, and repr gives a float back exactly."""
+        return self.formula.format(**{f.name: f"({float(getattr(self, f.name))!r})"
+                                      for f in fields(self)})
+
+    def __call__(self, x):
+        return _compiled(f"def f(x): return {self.expr()}")(x)
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function ``f`` that a generated source defines, with numpy's
+    ``tanh`` in scope.  Only reprs of validated floats are ever put into
+    one."""
+    namespace = {"tanh": np.tanh}
+    exec(source, namespace)
+    return namespace["f"]
+
+
 @dataclass(frozen=True)
-class LinearDrift(_Family):
+class LinearDrift(_Coefficient):
     """b(x) = intercept - rate*x.
 
     ``rate`` may be negative (a repelling drift); such a model simulates
@@ -246,13 +294,11 @@ class LinearDrift(_Family):
     intercept: float = 0.0
 
     kind: ClassVar[str] = "linear"
+    formula: ClassVar[str] = "{intercept} - {rate} * x"
 
     def __post_init__(self):
         _require(math.isfinite(self.rate), "rate", "must be finite")
         _require(math.isfinite(self.intercept), "intercept", "must be finite")
-
-    def __call__(self, x):
-        return self.intercept - self.rate * x
 
     def lipschitz_constant(self) -> float:
         return abs(self.rate)
@@ -275,22 +321,20 @@ class LinearDrift(_Family):
 
 
 @dataclass(frozen=True)
-class BoundedSmoothDrift(_Family):
+class BoundedSmoothDrift(_Coefficient):
     """b(x) = -amplitude * tanh(steepness * x); bounded, smooth, inward."""
 
     amplitude: float
     steepness: float = 1.0
 
     kind: ClassVar[str] = "bounded_smooth"
+    formula: ClassVar[str] = "-{amplitude} * tanh({steepness} * x)"
 
     def __post_init__(self):
         _require(self.amplitude > 0 and math.isfinite(self.amplitude), "amplitude",
                  "must be finite and > 0")
         _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
                  "must be finite and > 0")
-
-    def __call__(self, x):
-        return -self.amplitude * np.tanh(self.steepness * x)
 
     def lipschitz_constant(self) -> float:
         return self.amplitude * self.steepness
@@ -310,7 +354,7 @@ _DRIFT_KINDS = {c.kind: c for c in (LinearDrift, BoundedSmoothDrift)}
 
 
 @dataclass(frozen=True)
-class ConstantDiffusion(_Family):
+class ConstantDiffusion(_Coefficient):
     """sigma(x) = value.  value = 0 is allowed for deterministic test flows,
     but then the model fails the strict ellipticity check (see
     :func:`check_assumptions`)."""
@@ -318,32 +362,28 @@ class ConstantDiffusion(_Family):
     value: float
 
     kind: ClassVar[str] = "constant"
+    formula: ClassVar[str] = "{value} + 0.0 * x"
 
     def __post_init__(self):
         _require(self.value >= 0 and math.isfinite(self.value), "value", "must be finite and >= 0")
-
-    def __call__(self, x):
-        return self.value + 0.0 * x
 
     def sigma_sq_bounds(self) -> tuple[float, float]:
         return (self.value ** 2, self.value ** 2)
 
 
 @dataclass(frozen=True)
-class SmoothBoundedDiffusion(_Family):
+class SmoothBoundedDiffusion(_Coefficient):
     """sigma(x) = lo + (hi - lo)/(1 + x^2); smooth with lo <= sigma <= hi."""
 
     lo: float
     hi: float
 
     kind: ClassVar[str] = "smooth_bounded"
+    formula: ClassVar[str] = "{lo} + ({hi} - {lo}) / (1.0 + x * x)"
 
     def __post_init__(self):
         _require(0 < self.lo <= self.hi and math.isfinite(self.hi), "",
                  "need 0 < lo <= hi, both finite")
-
-    def __call__(self, x):
-        return self.lo + (self.hi - self.lo) / (1.0 + x * x)
 
     def sigma_sq_bounds(self) -> tuple[float, float]:
         return (self.lo ** 2, self.hi ** 2)

@@ -1,13 +1,14 @@
 """Model builders shared across the test modules."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 import hjsim
 from hjsim import engine
-from hjsim.diffusion import _em_split, _noiseless
+from hjsim.diffusion import _em_split, _n_normals, _noiseless
 from hjsim.intensity import RateRuntime
 from hjsim.rng import RandomStream
 
@@ -174,6 +175,15 @@ def simulation_runs(draw):
     return model, horizon, cfg, extra, draw(st.integers(0, 2**63))
 
 
+@st.composite
+def em_runs(draw):
+    """:func:`simulation_runs` with an Euler-Maruyama step that divides the
+    grid step a whole number of times, or does not."""
+    model, horizon, cfg, extra, seed = draw(simulation_runs())
+    divisor = draw(st.integers(1, 8).map(float) | _finite(0.3, 8.0))
+    return model, horizon, em_cfg(cfg.grid_dt, cfg.grid_dt / divisor), extra, seed
+
+
 def serial_oracle(model, cfg, horizon, sample_at, seed):
     """One path's thinning as the lockstep loop's array code runs it on a
     single row: each event's record row (path 0, time, component, next
@@ -189,17 +199,9 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
     rows, normals = [], []
     t, t0, lo, y = 0.0, 0.0, 0, model.initial.y.copy()
 
-    def count(hi, t_stop):   # a segment's normals, interval by interval
-        if _noiseless(model.coefficients):
-            return 0
-        ts = [t0, *samples[lo:hi].tolist(), t_stop]
-        if isinstance(cfg.scheme, hjsim.ExactOU):
-            return sum(b > a for a, b in zip(ts, ts[1:]))
-        return sum(_em_split(b - a, cfg.scheme.step)[0] for a, b in zip(ts, ts[1:]) if b > a)
-
     def take(t_stop):
         hi = int(np.maximum(np.searchsorted(samples, t_stop - eps), lo))
-        n = count(hi, t_stop)
+        n = count_oracle(samples, model.coefficients, cfg, t0, lo, hi, t_stop)
         if n:
             normals.append(rng.normals(n))
         return hi
@@ -231,6 +233,54 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         row[:, 4 + m:] = y.reshape(1, -1)
         rows.append(row)
         y, t0, lo = y[0], tau, int(lo)
+
+
+def count_oracle(samples, coeffs, cfg, t0, lo, hi, t_stop) -> int:
+    """The normals of the segment from t0 to t_stop through samples[lo:hi],
+    counted interval by interval: the form ``engine._GroupLog._count``
+    replaced with a running sum over the sample grid."""
+    ts = [t0, *samples[lo:hi].tolist(), t_stop]
+    return _n_normals([b - a for a, b in zip(ts, ts[1:]) if b > a], coeffs, cfg)
+
+
+def em_segment_oracle(x, dts, coeffs, cfg, z) -> list:
+    """Euler-Maruyama positions after each interval of ``dts``, one call of
+    each coefficient object per substep, taking the next normal from the
+    iterator ``z`` at each noisy step: the loop the compiled scalar kernel
+    (``diffusion._em_kernel``) replaced."""
+    noiseless = _noiseless(coeffs)
+    drift, sigma, h = coeffs.drift, coeffs.diffusion, cfg.scheme.step
+    sqrt_h = math.sqrt(h)
+    out = []
+    for dt in dts:
+        n, rem = _em_split(dt, h)
+        s, sqrt_s, full = h, sqrt_h, n - (rem > 0)
+        for i in range(n):
+            if i == full:   # the partial step
+                s, sqrt_s = rem, math.sqrt(rem)
+            if noiseless:
+                x = x + float(drift(x)) * s
+            else:
+                x = x + float(drift(x)) * s + float(sigma(x)) * sqrt_s * next(z)
+        out.append(x)
+    return out
+
+
+def skeleton_x_oracle(path, model, cfg, normals):
+    """x at every skeleton record of a one-path run, stepped record to
+    record from the path's start with :func:`em_segment_oracle` (or the jump
+    map, at a repeated time) from the path's normals in order.  Returns
+    the x values and the normals left, which are those of a last interval
+    closer to the horizon than eps, whose record is not kept."""
+    coeffs, z = model.coefficients, iter(normals.tolist())
+    times, xs = path.skeleton_times.tolist(), [model.initial.x]
+    for a, b in zip(times, times[1:]):
+        x = xs[-1]
+        if b == a:
+            xs.append(hjsim.apply_state_jump(x, coeffs))
+        else:
+            xs.append(em_segment_oracle(x, [b - a], coeffs, cfg, z)[0])
+    return np.array(xs), len(list(z))
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -270,7 +320,8 @@ def written_paths(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(0, 20) | st.integers(250, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    times = np.sort(rng.integers(0, n // 2 + 2, n) * 0.25)
+    # sample times from 0, or from 0.25 so that an event may come before all
+    times = np.sort(rng.integers(0, n // 2 + 2, n) * 0.25 + draw(st.sampled_from([0.0, 0.25])))
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     rs = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
     specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
@@ -278,8 +329,10 @@ def written_paths(draw):
                                                specials), max_size=6)):
         if n:
             (x if col == 0 else rs[:, col - 1])[row % n] = v
-    # candidate event times: on a sample time, between two, before and after all
-    on_or_off = np.unique(np.concatenate([times, times + 0.125, [-1.0, n + 1.0]]))
+    # candidate event times in (0, horizon]: on a sample time, between two,
+    # before all (when they start at 0.25) and after all
+    on_or_off = np.unique(np.concatenate([times, times + 0.125, [0.0625, n + 1.0]]))
+    on_or_off = on_or_off[on_or_off > 0.0]
     k = draw(st.integers(0, min(len(on_or_off), 60)))
     events = np.sort(rng.choice(on_or_off, k, replace=False))
     return hjsim.Path(event_times=events, event_components=rng.integers(1, m + 1, k),

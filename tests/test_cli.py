@@ -92,6 +92,34 @@ class TestSimulate:
         assert len(manifest["per_path_seeds"]) == 2
         assert not [f for f in os.listdir(out) if ".tmp" in f]
 
+    def test_streamed_jsonl_is_the_writer_text(self, tmp_path):
+        # each file goes to disk block by block; its bytes are those of the
+        # pinned writer, as the Euler-Maruyama and exact-OU runs give them
+        config = write_config(tmp_path, model=two_component_model())
+        for integrator in ("em", "exact-ou"):
+            out = tmp_path / integrator
+            assert cli.main(["simulate", "--config", config, "--horizon", "20", "--paths", "2",
+                             "--seed", "23", "--grid-dt", "0.25", "--integrator", integrator,
+                             "--em-step", "0.05", "--out", str(out)]) == 0
+            integ = hjsim.IntegratorConfig(hjsim.EulerMaruyama(0.05) if integrator == "em"
+                                           else hjsim.ExactOU(), 0.25)
+            paths = hjsim.simulate_ensemble(two_component_model(), 20.0, integ, 23, 2)
+            for i, path in enumerate(paths):
+                assert (out / f"path_{i:05d}.jsonl").read_bytes() == pathio.dumps_jsonl(path)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def half_then_fail(path, fh):
+            fh.write(next(pathio._jsonl_blocks(path)))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_jsonl", half_then_fail)
+        out = tmp_path / "runs"
+        rc = cli.main(["simulate", "--config", write_config(tmp_path), "--horizon", "5",
+                       "--paths", "2", "--seed", "3", "--grid-dt", "0.5", "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "disk full"
+        assert os.listdir(out) == []
+
     def test_reruns_are_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         args = ["simulate", "--config", config, "--horizon", "5", "--paths", "2",

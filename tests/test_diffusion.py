@@ -7,12 +7,15 @@ from scipy import stats
 
 import hjsim
 from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             _advance_segment, _em_split, _n_normals, advance_diffusion,
-                             advance_diffusion_many, apply_state_jump)
+                             _advance_segment, _em_kernel, _em_plan, _em_split, _n_normals,
+                             _noiseless, advance_diffusion, advance_diffusion_many,
+                             apply_state_jump)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
                          SmoothBoundedDiffusion)
 from hjsim.rng import RandomStream
+
+from helpers import _DIFFUSION_SPECS, _DRIFT_SPECS, _finite, em_segment_oracle, make_model
 
 
 def coeffs(rate=1.0, intercept=0.0, sigma=1.0, jump=None):
@@ -51,6 +54,16 @@ class TestDeterministicLimits:
         noisy = coeffs(rate=rate, intercept=1.0, sigma=1.0)
         z = float(RandomStream(0).normal())
         assert advance_diffusion(0.5, 2.0, noisy, cfg, RandomStream(0)) == 2.5 + math.sqrt(2.0) * z
+
+    @pytest.mark.parametrize("rate", [1e-20, 1e-300, -1e-20])
+    def test_noise_survives_a_decay_that_rounds_to_one(self, rate):
+        # exp(-rate * dt) rounds to 1, so 1 - decay^2 is 0; the variance is
+        # still sigma^2 * dt to first order in rate * dt
+        cfg = IntegratorConfig(ExactOU(), 0.1)
+        cs = coeffs(rate=rate, sigma=2.0)
+        for k, dt in enumerate((0.01, 0.5, 3.0)):
+            xs = advance_diffusion_many(np.zeros(100_000), dt, cs, cfg, RandomStream(40 + k))
+            assert xs.var() == pytest.approx(4.0 * dt, rel=0.03)
 
     def test_zero_noise_consumes_no_draws(self):
         cfg = IntegratorConfig(EulerMaruyama(0.01), 0.1)
@@ -220,6 +233,67 @@ def test_em_split_gives_the_step_list(step_and_interval):
     steps = _em_step_list(dt, h)
     assert n == len(steps)
     assert [h] * (n - (rem > 0)) + [rem] * (rem > 0) == steps
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_step_and_interval(), min_size=1, max_size=6))
+def test_em_plan_is_em_split_on_arrays(pairs):
+    # the sample-grid table and the skeleton pass plan substeps on arrays
+    for h, dt in pairs:
+        assume(dt > 0)
+        full, rem = _em_plan(np.array([dt, dt]), h)
+        n, r = _em_split(dt, h)
+        assert full.tolist() == [n - (r > 0)] * 2
+        assert rem.tobytes() == np.array([r, r]).tobytes()
+
+
+@st.composite
+def _em_segments(draw):
+    """Coefficients of every drift and diffusion kind (zero noise included),
+    an Euler-Maruyama step, a start and a list of intervals, some of them
+    whole or nearly whole multiples of the step."""
+    cs = CoefficientSpec.from_dict({"drift": draw(_DRIFT_SPECS),
+                                    "diffusion": draw(_DIFFUSION_SPECS),
+                                    "jump": {"type": "constant", "size": 0.0}})
+    step = draw(st.floats(1e-3, 2.0))
+    interval = st.floats(1e-12, 3.0) | st.builds(
+        lambda k, r: k * step * r, st.integers(1, 30), st.sampled_from([1.0, 1 - 1e-13, 1 + 1e-13]))
+    return (cs, IntegratorConfig(EulerMaruyama(step), 0.1),
+            draw(st.lists(interval, min_size=1, max_size=8)), draw(_finite(-3.0, 3.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_em_segments(), st.integers(0, 2**64 - 1))
+def test_em_kernel_equals_one_call_per_substep(segment, seed):
+    # the compiled kernel against the coefficient objects called at every
+    # substep, bit for bit, taking the same normals
+    cs, cfg, dts, x0 = segment
+    n = 0 if _noiseless(cs) else sum(_em_split(dt, cfg.scheme.step)[0] for dt in dts)
+    z = RandomStream(seed).normals(n).tolist()
+    got, want = iter(z), iter(z)
+    xs = np.array(_advance_segment(x0, dts, cs, cfg, got))
+    assert xs.tobytes() == np.array(em_segment_oracle(x0, dts, cs, cfg, want)).tobytes()
+    assert next(got, None) is None and next(want, None) is None
+    assert _n_normals(dts, cs, cfg) == n
+
+
+def test_em_kernel_compiled_once_per_coefficient_pair():
+    cs = _COEFFS[3]
+    again = CoefficientSpec(BoundedSmoothDrift(2.0), SmoothBoundedDiffusion(0.5, 1.5),
+                            LinearDampingJump(0.5))
+    assert _em_kernel(cs) is _em_kernel(again)
+    assert _em_kernel(cs) is not _em_kernel(_COEFFS[0])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_em_substeps_beyond_exact_counts_are_refused(sigma):
+    # before any normal is drawn, or any of 1e300 noiseless steps taken
+    model = make_model(1, [{"type": "constant", "level": 1.0}], [0.0], [1.0],
+                       {"type": "linear", "rate": 1.0}, {"type": "constant", "value": sigma},
+                       {"type": "constant", "size": 0.0})
+    cfg = IntegratorConfig(EulerMaruyama(1e-300), 0.1)
+    with pytest.raises(ValueError, match="substeps"):
+        hjsim.simulate_path(model, 1.0, cfg, seed=0)
 
 
 class TestJumps:

@@ -13,8 +13,9 @@ from hjsim.engine import _build_sample_times, reference_rate_step
 from hjsim.intensity import RateRuntime, flow_memory, intensity_vector
 from hjsim.rng import RandomStream, derive_path_seed
 
-from helpers import (em_cfg, make_model, ou_cfg, poisson_model, reference_model, serial_oracle,
-                     simulation_runs, supercritical_model, two_component_model)
+from helpers import (count_oracle, em_cfg, em_runs, make_model, ou_cfg, poisson_model,
+                     reference_model, serial_oracle, simulation_runs, skeleton_x_oracle,
+                     supercritical_model, two_component_model)
 
 
 class InProcessPool:
@@ -390,6 +391,44 @@ class TestOnePathLoop:
         # the first row is the path's start
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
         assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(em_runs())
+    def test_euler_maruyama_path_equals_the_oracles(self, run):
+        # event rows and normals against the array oracle, and every x of
+        # the skeleton against one coefficient call per substep
+        model, horizon, cfg, extra, seed = run
+        rows, normals = serial_oracle(model, cfg, horizon, extra, seed)
+        log = engine._GroupLog(model, cfg, horizon,
+                               _build_sample_times(horizon, cfg.grid_dt, extra), 1)
+        engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
+                           model.initial.y.ravel().tolist(), 10**6)
+        assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
+        assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
+        path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra)
+        xs, left = skeleton_x_oracle(path, model, cfg, normals)
+        assert path.skeleton_x.tobytes() == xs.tobytes()
+        last = horizon - path.skeleton_times[-1]
+        assert left == (count_oracle(np.empty(0), model.coefficients, cfg, 0.0, 0, 0, last))
+
+    @settings(max_examples=300, deadline=None)
+    @given(em_runs() | simulation_runs(), st.data())
+    def test_segment_count_equals_the_interval_sum(self, run, data):
+        # the running sum over the sample grid, against the normals of
+        # every interval of a segment counted one by one
+        model, horizon, cfg, extra, _ = run
+        samples = _build_sample_times(horizon, cfg.grid_dt, extra)
+        log = engine._GroupLog(model, cfg, horizon, samples, 1)
+        # an anchor and a stop, with their sample indices placed as the
+        # thinning loops place them
+        t0 = data.draw(st.sampled_from([0.0, *samples.tolist()]) | st.floats(0.0, horizon))
+        lo = int(log._hi(0, t0))
+        while lo < len(samples) and abs(samples[lo] - t0) <= log.eps:
+            lo += 1
+        t_stop = data.draw(st.floats(t0, horizon))
+        hi = int(log._hi(lo, t_stop))
+        assert log._count(t0, lo, hi, t_stop) == count_oracle(samples, model.coefficients, cfg,
+                                                             t0, lo, hi, t_stop)
 
     @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
                                                 (math.nan, "finite and positive"),

@@ -62,6 +62,25 @@ class TestRateFunctions:
         u = rng.uniform(-1e6, 1e6, size=1_000_000)
         assert np.all(f(u) > 0)
 
+    @pytest.mark.parametrize("f", [
+        SigmoidRate(2.0, 1.0, 0.0),
+        SigmoidRate(0.3, 50.0, -2.0),     # exp overflows for most u below the center
+        SigmoidRate(1e-300, 3.0, 1.0),    # the floor holds wherever the sigmoid is small
+        AffineClippedRate(0.1, 1.0, 1.0),
+        AffineClippedRate(0.5, -1.0, -2.5),
+        ConstantRate(0.7),
+    ])
+    def test_scalar_form_equals_the_array_form(self, f):
+        # the thinning loop's one-float rates give the bits of __call__ on
+        # arrays, through exp's overflow region and on NaN and infinities
+        us = np.concatenate([np.linspace(-1e3, 1e3, 200_001),
+                             np.random.default_rng(4).uniform(-1e3, 1e3, 100_000),
+                             [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -745.2, -709.8]])
+        with np.errstate(invalid="ignore"):
+            want = f(us)
+        got = np.array([f.at(u) for u in us.tolist()])
+        assert got.tobytes() == want.tobytes()
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AffineClippedRate(floor=0.0, intercept=1.0, slope=1.0)
@@ -72,6 +91,23 @@ class TestRateFunctions:
 
 
 class TestCoefficients:
+    @pytest.mark.parametrize("f, by_hand", [
+        (LinearDrift(0.7, -0.3), lambda x: -0.3 - 0.7 * x),
+        (LinearDrift(-0.0, -0.0), lambda x: -0.0 - -0.0 * x),
+        (BoundedSmoothDrift(2.0, 1.3), lambda x: -2.0 * np.tanh(1.3 * x)),
+        (ConstantDiffusion(0.9), lambda x: 0.9 + 0.0 * x),
+        (SmoothBoundedDiffusion(0.5, 1.5), lambda x: 0.5 + (1.5 - 0.5) / (1.0 + x * x)),
+    ])
+    def test_formula_is_the_expression_by_hand(self, f, by_hand):
+        # each coefficient states its formula once, as text; it must round
+        # as the expression written out does, on arrays and on one float
+        xs = np.concatenate([np.random.default_rng(5).normal(0.0, 3.0, 10_000),
+                             [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert f(xs).tobytes() == by_hand(xs).tobytes()
+            one = np.array([float(f(x)) for x in xs.tolist()])
+            assert one.tobytes() == np.array([float(by_hand(x)) for x in xs.tolist()]).tobytes()
+
     def test_linear_drift(self):
         b = LinearDrift(rate=2.0, intercept=1.0)
         assert b(3.0) == 1.0 - 6.0

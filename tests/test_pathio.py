@@ -192,6 +192,31 @@ class TestBinary:
         with pytest.raises(ValueError, match="skeleton times must be finite and nondecreasing"):
             pathio.read_binary(io.BytesIO(bytes(blob)))
 
+    @pytest.mark.parametrize("times, components, message", [
+        ([np.nan], [1], "finite and in"),
+        ([0.5], [7], r"1\.\.M = 1"),
+        ([0.0], [1], "finite and in"),
+        ([25.0], [1], "finite and in"),
+    ])
+    def test_events_the_jsonl_reader_refuses_are_refused(self, times, components, message):
+        # the frame holds what Path checks: bytes written around its checks
+        path = sample_path()
+        fields = {name: getattr(path, name) for name in (
+            "skeleton_times", "skeleton_x", "skeleton_row_sums", "horizon", "seed", "model_hash")}
+        bad = hjsim.Path._built(event_times=np.array(times), event_components=np.array(components),
+                                **fields)
+        with pytest.raises(ValueError, match=message):
+            pathio.read_binary(io.BytesIO(pathio.dumps_binary(bad)))
+
+    def test_zero_components_are_refused(self):
+        blob = bytearray(pathio.dumps_binary(hjsim.simulate_path(reference_model(), 1e-9,
+                                                                 ou_cfg(0.01), seed=3)))
+        blob[8:12] = (0).to_bytes(4, "little")   # M = 0: each sample record is (t, x)
+        n_samples = int.from_bytes(blob[24:32], "little")
+        body = blob[80:80 + 16 * n_samples]
+        with pytest.raises(ValueError, match="M >= 1"):
+            pathio.read_binary(io.BytesIO(bytes(blob[:80] + body)))
+
     def test_empty_path_round_trip(self):
         path = hjsim.simulate_path(reference_model(), 1e-9, ou_cfg(0.01), seed=3)
         buf = io.BytesIO(pathio.dumps_binary(path))
@@ -203,6 +228,40 @@ class TestBinary:
         assert path.n_components == 2
         assert_paths_equal(path, pathio.read_binary(io.BytesIO(pathio.dumps_binary(path))))
         assert_paths_equal(path, pathio.read_jsonl(io.StringIO(pathio.dumps_jsonl(path).decode())))
+
+
+class TestPathChecks:
+    """The public constructor refuses what no simulation makes; engine-built
+    paths skip these checks."""
+
+    def fields(self, **changes):
+        fields = dict(event_times=[0.5, 1.0], event_components=[1, 2],
+                      skeleton_times=[0.0, 0.5, 0.5, 1.0, 1.0, 2.0], skeleton_x=np.zeros(6),
+                      skeleton_row_sums=np.zeros((6, 2)), horizon=2.0, seed=0, model_hash="")
+        fields.update(changes)
+        return fields
+
+    def test_valid_fields_construct(self):
+        assert hjsim.Path(**self.fields()).n_components == 2
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(event_times=[0.5, np.nan]), "finite and in"),
+        (dict(event_times=[0.5, np.inf], horizon=np.inf), "finite and in"),
+        (dict(event_times=[0.0, 1.0]), "finite and in"),
+        (dict(event_times=[-0.5, 1.0]), "finite and in"),
+        (dict(event_times=[0.5, 2.5]), "finite and in"),
+        (dict(event_components=[0, 2]), r"1\.\.M = 2"),
+        (dict(event_components=[1, 3]), r"1\.\.M = 2"),
+        (dict(skeleton_row_sums=np.zeros((6, 0)), event_times=[], event_components=[]),
+         "M >= 1"),
+        (dict(event_components=[1]), "as many event components"),
+        (dict(skeleton_x=np.zeros(5)), "as many skeleton x"),
+        (dict(skeleton_row_sums=np.zeros((5, 2))), "as many skeleton x"),
+        (dict(skeleton_row_sums=np.zeros(6)), "row-sum rows"),
+    ])
+    def test_invalid_fields_are_refused(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            hjsim.Path(**self.fields(**changes))
 
 
 class TestRoundTripProperty:
