@@ -182,7 +182,7 @@ def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConf
             out.append(x)
         return out
     full, rem = _em_plan(np.asarray(dts, dtype=float), cfg.scheme.step)
-    _em_kernel(coeffs)(x, zip(full.tolist(), rem.tolist()), cfg.scheme.step, z, out)
+    _em_kernel(coeffs)(x, zip(memoryview(full), memoryview(rem)), cfg.scheme.step, z, out)
     return out
 
 

@@ -491,7 +491,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
         steps = np.flatnonzero(kind < 2)
         h = log.cfg.scheme.step
         full, rem = _em_plan(times[steps] - times[steps - 1], h)
-        plan = zip(full.tolist(), rem.tolist())
+        plan = zip(memoryview(full), memoryview(rem))
         del steps, full, rem
         n_int = ((end - seg0) * (kind[end] < 2)).tolist()
         em, normals, out = _em_kernel(coeffs), iter(memoryview(z)), []

@@ -51,6 +51,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
+from string import Formatter
 from typing import ClassVar, Union
 
 import numpy as np
@@ -254,13 +255,31 @@ _RATE_KINDS = {c.kind: c for c in (AffineClippedRate, SigmoidRate, ConstantRate)
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function ``f`` that a generated source defines, with numpy's
+    ``tanh`` in scope.  Only field names and reprs of validated floats are
+    ever put into one."""
+    namespace = {"tanh": np.tanh}
+    exec(source, namespace)
+    return namespace["f"]
+
+
 class _Coefficient(_Family):
     """A drift or diffusion coefficient.  Its ``formula`` is its one
-    expression, in x, numpy's ``tanh`` and its fields; the scalar
-    Euler-Maruyama kernel (:func:`hjsim.diffusion._em_kernel`) inlines the
-    same text."""
+    expression, in x, numpy's ``tanh`` and its fields; ``__call__``
+    evaluates it on arrays and floats, and the scalar Euler-Maruyama kernel
+    (:func:`hjsim.diffusion._em_kernel`) inlines the same text."""
 
     formula: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # compiled once per family, reading the fields of the instance it is
+        # given; a compiled function kept on an instance would not pickle
+        names = {name for _, name, _, _ in Formatter().parse(cls.formula) if name}
+        source = cls.formula.format(**{name: f"self.{name}" for name in names})
+        cls._f = staticmethod(_compiled(f"def f(x, self): return {source}"))
 
     def expr(self) -> str:
         """The formula with each field as the repr of its float value: the
@@ -269,17 +288,7 @@ class _Coefficient(_Family):
                                       for f in fields(self)})
 
     def __call__(self, x):
-        return _compiled(f"def f(x): return {self.expr()}")(x)
-
-
-@lru_cache(maxsize=256)
-def _compiled(source: str):
-    """The function ``f`` that a generated source defines, with numpy's
-    ``tanh`` in scope.  Only reprs of validated floats are ever put into
-    one."""
-    namespace = {"tanh": np.tanh}
-    exec(source, namespace)
-    return namespace["f"]
+        return self._f(x, self)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestCoefficients:
             assert f(xs).tobytes() == by_hand(xs).tobytes()
             one = np.array([float(f(x)) for x in xs.tolist()])
             assert one.tobytes() == np.array([float(by_hand(x)) for x in xs.tolist()]).tobytes()
+
+    def test_coefficients_pickle_after_a_call(self):
+        # the compiled formula belongs to the family, not to the instance,
+        # so a called coefficient still goes to worker processes
+        for f in (LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3),
+                  ConstantDiffusion(0.9), SmoothBoundedDiffusion(0.5, 1.5)):
+            f(0.25)
+            again = pickle.loads(pickle.dumps(f))
+            assert again == f and again(0.25) == f(0.25)
 
     def test_linear_drift(self):
         b = LinearDrift(rate=2.0, intercept=1.0)

@@ -5,8 +5,8 @@
 
 Each side runs ``perfbench/run.py --trace 0`` from a ``git archive`` copy of
 its commit, so neither sees the other's files or this checkout's working
-tree.  Pair i uses ``--seed i`` (plus ``--first-seed``); the parent runs
-first in even pairs and the change first in odd pairs.  The output file
+tree.  Every run lasts the benchmark's 30 s, and pair i uses ``--seed i``;
+the parent runs first in even pairs and the change first in odd pairs.  The output file
 holds both commits, the machine, each run's end-to-end medians, and per
 metric each side's quartiles over its runs, the change's median over the
 parent's, and the number of pairs in which the change is better (ties
@@ -27,6 +27,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 30.0   # the run length BENCHMARK.json sets
 
 
 def parse_args(argv=None):
@@ -34,8 +35,6 @@ def parse_args(argv=None):
     p.add_argument("--parent", required=True, help="the commit measured against")
     p.add_argument("--change", required=True, help="the commit measured")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--first-seed", type=int, default=0)
     p.add_argument("--workloads", nargs="+", default=["cli_simulate", "short_paths", "long_path"])
     p.add_argument("--out", required=True, help="the summary file to write")
     p.add_argument("--workdir", help="where the copies go (default: a temporary directory)")
@@ -55,10 +54,10 @@ def export(commit: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(copy: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(copy: str, workload: str, seed: int) -> dict:
     """One benchmark run in ``copy``: its machine record and result line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", repr(SECONDS), "--trace", "0"],
                           cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {copy} exited {proc.returncode}:\n"
@@ -100,13 +99,12 @@ def main(argv=None) -> int:
     try:
         for workload in args.workloads:
             runs[workload] = []
-            for pair in range(args.pairs):
-                seed = args.first_seed + pair
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for seed in range(args.pairs):
+                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(copies[side], workload, seed, args.seconds)
+                    result = run_once(copies[side], workload, seed)
                     machine = {k: v for k, v in result["machine"].items() if k != "commit"}
-                    record = {"pair": pair, "seed": seed, "side": side,
+                    record = {"pair": seed, "seed": seed, "side": side,
                               "failed": result["failed"], "attempted": result["attempted"]}
                     record.update({k: v["value"] for k, v in result["metrics"].items()})
                     runs[workload].append(record)
@@ -116,10 +114,10 @@ def main(argv=None) -> int:
             shutil.rmtree(workdir, ignore_errors=True)
     summary = {
         "benchmark": f"python3 perfbench/run.py --workload W --seed S "
-                     f"--seconds {args.seconds:g} --trace 0",
+                     f"--seconds {SECONDS:g} --trace 0",
         "parent": commits["parent"],
         "change": commits["change"],
-        "protocol": f"{args.pairs} pairs per workload; pair i uses --seed {args.first_seed} + i; "
+        "protocol": f"{args.pairs} pairs per workload; pair i uses --seed i; "
                     "the parent runs first in even pairs, the change first in odd pairs; each "
                     "side runs from a git archive of its commit; quartiles are numpy linear "
                     "percentiles over the per-run medians; 'failed' is [failed, attempted] "
