@@ -114,9 +114,10 @@ def _em_plan(dts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_em_split` of every interval of ``dts``, with its IEEE
     operations on arrays: the number of whole steps h in each interval, and
     the partial last step (0.0 if none)."""
-    if not dts.sum() <= _MAX_SUBSTEPS * h:
+    total = float(dts.sum())
+    if not total <= _MAX_SUBSTEPS * h:
         raise ValueError(f"an Euler-Maruyama step of {h!r} gives more than {_MAX_SUBSTEPS} "
-                         f"substeps over {dts.sum()!r}")
+                         f"substeps over {total!r}")
     full = np.floor(dts / h + _REL_EPS)
     rem = dts - full * h
     return full.astype(np.intp), np.where(rem >= _REL_EPS * np.maximum(h, dts), rem, 0.0)

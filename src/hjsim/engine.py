@@ -86,18 +86,29 @@ __all__ = [
 DEFAULT_MAX_EVENTS = 10_000_000
 
 # Below this many live paths a lockstep iteration costs more than thinning
-# the paths one at a time.
+# the paths one at a time.  That holds for long Euler-Maruyama paths too:
+# 4 paths of the M = 3 sigmoid benchmark model (horizon 200, grid 0.05,
+# step 0.005) thinned in 0.15-0.16 s as one lockstep group against
+# 0.11-0.12 s serially (0.30 s against 0.25 s with the skeleton pass).
 _LOCKSTEP_MIN = 4
-# Live state a lockstep group may hold, counted by _path_bytes.  A short
-# path holds about 3 KB at the peak (buffered draws, memory state, records
-# and its skeleton), so a group holds about 250 short paths.  Wider groups
-# run faster but raise the process's peak memory: 1000 short exact-OU paths
-# (M = 2, horizon 5) took 0.025-0.042 s as one group against 0.050-0.052 s
-# in groups of 250, at 66.8 MB peak RSS against 64.9 MB (2-core Xeon,
-# Python 3.11, numpy 2.4).
+# Live state a lockstep group may hold, counted by _path_bytes.  The 1000
+# short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no
+# grid) count 1.7 KB each and run as one group: 0.042 s against 0.060 s in
+# groups of 250, at 68.8 MB peak RSS against 67.1 MB (2-core Xeon, Python
+# 3.11, numpy 2.4).  The 4 long Euler-Maruyama paths above count 1.3 MB
+# each, so each runs as its own group and thins serially.
 _GROUP_BUDGET = 1 << 21
-_ROW_BYTES = 8192
-_SAMPLE_BYTES = 64
+# The footprint of a path in a group: its share of the group's tracemalloc
+# peak, measured on one group of 1000 paths of an M-component affine model
+# (M = 1..4, horizons 5 and 40, with and without a grid, exact-OU and
+# Euler-Maruyama step 0.05; Python 3.11, numpy 2.4).  Per path 390-720 B
+# whatever its length:
+_PATH_BYTES = 512
+# per sample time 96-130 B (of which the path keeps 16 + 8 M):
+_SAMPLE_BYTES = 128
+# per event 162, 210, 287 and 419 B for M = 1..4, this plus 16 M^2 (records
+# hold the M x M memory); Euler-Maruyama paths 15-75 B more:
+_EVENT_BYTES = 144
 
 
 class SimulationLimitError(RuntimeError):
@@ -437,9 +448,9 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     flow = np.exp(-alpha * (horizon - t0[last])[:, None, None])
     rs[end[last]] = (anchors[last] * flow).sum(axis=2)
 
-    x = _walk(log, times, kind, seg0, end, start)
     ev_t, ev_c = t0[~start], rows[~start, 2].astype(np.int32)
-    del rows, anchors, t0
+    del rows, anchors, t0   # before _walk's peak
+    x = _walk(log, times, kind, seg0, end, start)
     firsts, lasts = np.flatnonzero(start), np.flatnonzero(last)
     ev_end = np.cumsum(lasts - firsts).tolist()
     # a path's records end with the horizon's, unless the one before it is
@@ -546,20 +557,24 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
 def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],
                   workers: int = 1, sample_at=None, **kwargs) -> list[Path]:
     """One path per seed, in order; the checks, the sample times and the
-    model digest are done once for all of them.  Paths run in groups of at
-    most ``_GROUP_BUDGET`` bytes of live state; at most one worker process
-    runs per group and per CPU."""
+    model digest are done once for all of them.  Paths run in the fewest
+    groups of at most ``_GROUP_BUDGET`` bytes of live state that differ in
+    size by at most one; at most one worker process runs per group and per
+    CPU."""
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
+    horizon = float(horizon)   # an integer horizon would make integer time arrays
     cfg.validate_for(model.coefficients)
     sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
     run = partial(_simulate_group, model, horizon, cfg, sample_times, model_digest(model),
                   **kwargs)
     if workers > 1:
         workers = min(workers, len(seeds), os.cpu_count() or 1)
-    width = max(1, min(int(_GROUP_BUDGET // _path_bytes(model, horizon, cfg, len(sample_times))),
-                       -(-len(seeds) // max(workers, 1))))
-    groups = [seeds[i:i + width] for i in range(0, len(seeds), width)]
+    # the paths that fit the budget: 0 or NaN for an envelope too large or
+    # not finite, which thinning then reports
+    fit = _GROUP_BUDGET // _path_bytes(model, horizon, cfg, len(sample_times))
+    width = min(int(fit) if fit >= 1 else 1, -(-len(seeds) // max(workers, 1)))
+    groups = _split(seeds, width)
     if workers <= 1:
         return [p for group in groups for p in run(group)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -571,12 +586,26 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
     return paths
 
 
+def _split(seeds: list, width: int) -> list[list]:
+    """``seeds`` in order, in ceil(n / width) groups whose sizes differ by at most one."""
+    n_groups = -(-len(seeds) // width)
+    size, extra = divmod(len(seeds), n_groups)
+    ends = [i * size + min(i, extra) for i in range(n_groups + 1)]
+    return [seeds[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_samples: int) -> float:
-    """The live state a path of a group holds: ``_ROW_BYTES``,
-    ``_SAMPLE_BYTES`` per sample time and, for noisy Euler-Maruyama, 16
-    bytes per substep for the normals it keeps from thinning to the
-    skeleton pass (their block and their place in the assembled array)."""
-    size = _ROW_BYTES + _SAMPLE_BYTES * n_samples
+    """The live state a path of a group holds: ``_PATH_BYTES``,
+    ``_SAMPLE_BYTES`` per sample time, ``_EVENT_BYTES`` plus 16 M^2 per
+    expected event and, for noisy Euler-Maruyama, 16 bytes per substep for
+    the normals it keeps from thinning to the skeleton pass (their block and
+    their place in the assembled array; measured 17.4-17.8 B).  The expected
+    event count is the horizon times the envelope at the initial memory, an
+    undercount for a self-exciting model: the M = 2 benchmark model has 8.1
+    events by horizon 5 where it expects 5."""
+    m = model.n_components
+    events = horizon * RateRuntime(model).bound(model.initial.y.ravel().tolist())
+    size = _PATH_BYTES + _SAMPLE_BYTES * n_samples + (_EVENT_BYTES + 16 * m * m) * events
     if not isinstance(cfg.scheme, ExactOU) and not _noiseless(model.coefficients):
         size += 16 * horizon / cfg.scheme.step
     return size
@@ -704,6 +733,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    horizon = float(horizon)
     cfg.validate_for(model.coefficients)
     rng = RandomStream(seed)
     rt = RateRuntime(model)

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import struct
 from bisect import bisect_left
 from typing import BinaryIO, TextIO
@@ -53,6 +55,7 @@ BINARY_MAGIC = b"HJSM"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHII QQ d Q 32s")
 _EVENT_DTYPE = np.dtype([("t", "<f8"), ("component", "<u4"), ("pad", "<u4")])
+_DIGEST = re.compile("[0-9a-f]{64}")   # a sha256 hexdigest, which the binary frame holds raw
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -104,6 +107,11 @@ def _num(v) -> bool:
     return type(v) is float or type(v) is int and abs(v) < 1e308
 
 
+def _horizon(v) -> bool:
+    """A horizon a path can have: a finite number >= 0."""
+    return _num(v) and math.isfinite(v) and v >= 0
+
+
 def _record(text: str, line: int) -> dict:
     try:
         rec = json.loads(text)
@@ -118,12 +126,14 @@ def read_jsonl(fh: TextIO) -> Path:
     """The path a :func:`write_jsonl` stream holds; a malformed stream is a
     ValueError naming its 1-based line."""
     header = _record(fh.readline(), 1)
-    m = header.get("M")
+    m, seed, digest = header.get("M"), header.get("seed"), header.get("model_digest")
     if not (header.get("kind") == "header" and header.get("format") == "hjsm-jsonl"
-            and type(m) is int and m > 0 and _num(header.get("horizon"))
-            and type(header.get("seed")) is int and type(header.get("model_digest")) is str):
-        raise ValueError("line 1: not a path JSONL header with an integer M > 0, a number "
-                         "horizon, an integer seed and a string model_digest")
+            and type(m) is int and m > 0 and _horizon(header.get("horizon"))
+            and type(seed) is int and 0 <= seed < 2 ** 64
+            and type(digest) is str and _DIGEST.fullmatch(digest)):
+        raise ValueError("line 1: not a path JSONL header with an integer M > 0, a finite "
+                         "horizon >= 0, an integer seed in 0..2**64 - 1 and a model_digest "
+                         "of 64 lowercase hex digits")
     events, samples = [], []
     for line, text in enumerate(fh, 2):
         if not text.strip():
@@ -149,8 +159,7 @@ def read_jsonl(fh: TextIO) -> Path:
     sk = np.array(samples, dtype=float).reshape(-1, 2 + m)
     return Path(event_times=ev[:, 0], event_components=ev[:, 1].astype(np.int32),
                 skeleton_times=sk[:, 0], skeleton_x=sk[:, 1], skeleton_row_sums=sk[:, 2:],
-                horizon=float(header["horizon"]), seed=header["seed"],
-                model_hash=header["model_digest"])
+                horizon=float(header["horizon"]), seed=seed, model_hash=digest)
 
 
 def write_binary(path: Path, fh: BinaryIO) -> None:
@@ -177,6 +186,8 @@ def read_binary(fh: BinaryIO) -> Path:
         raise ValueError(f"bad magic {magic!r}; not a binary path file")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
+    if not _horizon(horizon):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
     width = 2 + m
     event_bytes = n_events * _EVENT_DTYPE.itemsize
     expected = event_bytes + n_samples * width * 8

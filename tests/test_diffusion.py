@@ -296,6 +296,13 @@ def test_em_substeps_beyond_exact_counts_are_refused(sigma):
         hjsim.simulate_path(model, 1.0, cfg, seed=0)
 
 
+def test_em_substep_limit_message_prints_plain_floats():
+    with pytest.raises(ValueError) as info:
+        _em_plan(np.array([2.5, 2.49]), 1e-300)
+    assert str(info.value) == ("an Euler-Maruyama step of 1e-300 gives more than "
+                               f"{2 ** 53} substeps over 4.99")
+
+
 class TestJumps:
     def test_constant_jump(self):
         cs = coeffs(jump=ConstantJump(1.0))

@@ -323,6 +323,49 @@ class TestLockstep:
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 400))
+    def test_split_keeps_order_and_evens_group_sizes(self, n, width):
+        seeds = list(range(100, 100 + n))
+        groups = engine._split(seeds, width)
+        assert [s for g in groups for s in g] == seeds
+        assert len(groups) == math.ceil(n / width)
+        sizes = [len(g) for g in groups]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= width
+
+    def test_short_paths_run_as_one_group(self):
+        # the benchmark's short_paths ensemble: M = 2, exact-OU, horizon 5, no grid
+        with mock.patch.object(engine, "_simulate_group", wraps=engine._simulate_group) as group:
+            paths = hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 1000)
+        assert len(paths) == 1000 and group.call_count == 1
+
+    def test_long_euler_maruyama_groups_thin_serially(self):
+        # the benchmark's cli_simulate run: M = 3 sigmoid rates, horizon 200,
+        # grid 0.05, step 0.005; lockstep would thin these paths slower
+        model = make_model(
+            3, [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}] * 3,
+            [0.5, -0.3, 0.2, 0.2, 0.4, -0.3, -0.3, 0.2, 0.4],
+            [1.0, 2.0, 1.5, 1.2, 1.0, 0.8, 2.0, 1.5, 1.0],
+            {"type": "bounded_smooth", "amplitude": 2.0, "steepness": 1.0},
+            {"type": "smooth_bounded", "lo": 0.5, "hi": 1.5},
+            {"type": "linear_damping", "eta": 0.5})
+        sizes = []
+
+        def group(model, horizon, cfg, sample_times, digest, seeds, **kwargs):
+            sizes.append(len(seeds))
+            return []
+
+        with mock.patch.object(engine, "_simulate_group", group):
+            hjsim.simulate_ensemble(model, 200.0, em_cfg(0.05, 0.005), 3, 4)
+        assert sum(sizes) == 4 and max(sizes) < engine._LOCKSTEP_MIN
+
+    def test_integer_horizons_run_as_floats(self):
+        model, cfg = two_component_model(), ou_cfg(1.0)
+        for run in (lambda h: hjsim.simulate_ensemble(model, h, cfg, 3, 6),
+                    lambda h: [hjsim.simulate_path_reference(model, h, cfg, 3)]):
+            assert ([pathio.dumps_binary(p) for p in run(5)]
+                    == [pathio.dumps_binary(p) for p in run(5.0)])
+
     @staticmethod
     def _peak(run):
         tracemalloc.start()

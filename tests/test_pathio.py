@@ -132,6 +132,28 @@ class TestReadJsonlErrors:
         with pytest.raises(ValueError, match="^line 1: "):
             pathio.read_jsonl(_stream((1, json.dumps(header))))
 
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"horizon": float("nan")}, id="nan-horizon"),
+        pytest.param({"horizon": float("inf")}, id="infinite-horizon"),
+        pytest.param({"horizon": -2.0}, id="negative-horizon"),
+        pytest.param({"seed": -3}, id="negative-seed"),
+        pytest.param({"seed": 2 ** 64}, id="seed-past-64-bits"),
+        pytest.param({"model_digest": "zz"}, id="digest-not-hex"),
+        pytest.param({"model_digest": "ab" * 31}, id="digest-of-62-digits"),
+        pytest.param({"seed": -3, "model_digest": "zz"}, id="negative-seed-and-bad-digest"),
+    ])
+    def test_header_out_of_range_names_line_1(self, changes):
+        # json.dumps writes NaN and Infinity, as the writer does
+        header = {**json.loads(_stream().readline()), **changes}
+        with pytest.raises(ValueError, match="^line 1: "):
+            pathio.read_jsonl(_stream((1, json.dumps(header))))
+
+    def test_header_at_the_range_ends_reads(self):
+        header = {**json.loads(_stream().readline()), "seed": 2 ** 64 - 1}
+        path = pathio.read_jsonl(_stream((1, json.dumps(header))))
+        assert path.seed == 2 ** 64 - 1
+        assert pathio.read_binary(io.BytesIO(pathio.dumps_binary(path))).seed == 2 ** 64 - 1
+
     def test_empty_stream_names_line_1(self):
         with pytest.raises(ValueError, match="^line 1: "):
             pathio.read_jsonl(io.StringIO(""))
@@ -166,6 +188,13 @@ class TestBinary:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             pathio.read_binary(io.BytesIO(b"NOPE" + b"\x00" * 76))
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -2.0])
+    def test_horizon_not_finite_or_negative_is_refused(self, horizon):
+        blob = bytearray(pathio.dumps_binary(sample_path()))
+        blob[32:40] = np.float64(horizon).tobytes()
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            pathio.read_binary(io.BytesIO(bytes(blob)))
 
     @pytest.mark.parametrize("where", ["events", "samples"])
     def test_truncated_body_names_byte_counts(self, where):

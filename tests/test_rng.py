@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 import hjsim
 from hjsim import pathio
-from hjsim.rng import (_GOLDEN, DrawBank, RandomStream, _generator, _words_at,
+from hjsim.rng import (_GOLDEN, _REFILL_ROWS, DrawBank, RandomStream, _generator, _words_at,
                        derive_path_seed, derive_path_seeds)
 
 from helpers import em_cfg, ou_cfg, reference_model, two_component_model
@@ -178,6 +178,22 @@ def test_bank_stream_continues_at_its_draw(seed, steps, n_rows, n):
         skipped = RandomStream(seeds[k])
         skipped.uniforms(used[k])
         assert bank.stream(k).uniforms(n).tolist() == skipped.uniforms(n).tolist()
+
+
+def test_wide_bank_refills_every_row_from_its_own_draw():
+    # more rows than one refill batch, which refill at different draws
+    seeds = [17 ^ k for k in range(3 * _REFILL_ROWS + 5)]
+    bank, rows = DrawBank(seeds), np.arange(len(seeds))
+    got = [[] for _ in seeds]
+    for i in range(150):
+        for k, pair in enumerate(np.stack(bank.uniforms(rows, 2), axis=1).tolist()):
+            got[k] += pair
+        back = rows[rows % 3 == i % 3]
+        bank.unread(back)
+        for k in back.tolist():
+            got[k].pop()
+    for k, seed in enumerate(seeds):
+        assert got[k] == RandomStream(seed).uniforms(len(got[k])).tolist()
 
 
 def test_threads_draw_as_a_serial_run():

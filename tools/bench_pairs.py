@@ -9,9 +9,12 @@ tree.  Every run lasts the benchmark's 30 s, and pair i uses ``--seed i``;
 the parent runs first in even pairs and the change first in odd pairs.  The output file
 holds both commits, the machine, each run's end-to-end medians, and per
 metric each side's quartiles over its runs, the change's median over the
-parent's, and the number of pairs in which the change is better (ties
-count for neither side).  The benchmark's raw repetitions stay in each
-copy's ``.bench_out/`` and are not kept.
+parent's, the number of pairs in which the change is better (ties count
+for neither side), and whether the change's median is worse than the
+parent's by more than the metric's bound in ``BENCHMARK.json``.  The
+benchmark's raw repetitions stay in each copy's ``.bench_out/`` and are not
+kept.  The two commits must hold the same benchmark: the tool refuses to run
+when they differ under ``perfbench/`` or in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 30.0   # the run length BENCHMARK.json sets
+BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 
 
 def parse_args(argv=None):
@@ -44,6 +48,11 @@ def parse_args(argv=None):
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def benchmark_changes(parent: str, change: str) -> list[str]:
+    """The files of the benchmark itself that differ between two commits."""
+    return git("diff", "--name-only", parent, change, "--", *BENCHMARK_FILES).splitlines()
 
 
 def export(commit: str, dest: str) -> None:
@@ -66,8 +75,10 @@ def run_once(copy: str, workload: str, seed: int) -> dict:
     return {"machine": json.loads(lines[-2])["machine"], **json.loads(lines[-1])}
 
 
-def summarise(runs: list[dict], better: dict) -> dict:
-    """Quartiles per side, the median ratio and the pairs the change wins."""
+def summarise(runs: list[dict], better: dict, bounds: dict | None = None) -> dict:
+    """Quartiles per side, the median ratio and the pairs the change wins;
+    with ``bounds``, whether the change's median is worse than the parent's
+    by more than the metric's bound, a fraction of the parent's median."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {"pairs": len(sides["change"]),
            "failed": {side: [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
@@ -76,20 +87,31 @@ def summarise(runs: list[dict], better: dict) -> dict:
         values = {side: np.array([r[metric] for r in rs]) for side, rs in sides.items()}
         parent, change = values["parent"], values["change"]
         wins = (change < parent) if direction == "lower" else (change > parent)
+        ratio = float(np.median(change) / np.median(parent))
         out[metric] = {
             "parent_q1_med_q3": np.percentile(parent, [25, 50, 75]).tolist(),
             "change_q1_med_q3": np.percentile(change, [25, 50, 75]).tolist(),
-            "change_over_parent_median": float(np.median(change) / np.median(parent)),
+            "change_over_parent_median": ratio,
             "change_better_pairs": f"{int(wins.sum())}/{len(wins)}",
         }
+        if bounds is not None:
+            worse = ratio - 1.0 if direction == "lower" else 1.0 - ratio
+            out[metric]["worse_than_bound"] = bool(worse > bounds[metric])
     return out
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    changed = benchmark_changes(commits["parent"], commits["change"])
+    if changed:
+        print(f"the commits hold different benchmarks, so their runs cannot be compared: "
+              f"{', '.join(changed)} differ", file=sys.stderr)
+        return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
     copies = {side: os.path.join(workdir, sha[:12]) for side, sha in commits.items()}
     for side, copy in copies.items():
@@ -121,14 +143,23 @@ def main(argv=None) -> int:
                     "the parent runs first in even pairs, the change first in odd pairs; each "
                     "side runs from a git archive of its commit; quartiles are numpy linear "
                     "percentiles over the per-run medians; 'failed' is [failed, attempted] "
-                    "repetitions. Raw repetitions are not kept; 'runs' holds each run's medians.",
+                    "repetitions; 'worse_than_bound' says whether the change's median is worse "
+                    "than the parent's by more than the metric's BENCHMARK.json bound. Raw "
+                    "repetitions are not kept; 'runs' holds each run's medians.",
         "machine": machine,
-        "summary": {w: summarise(rs, better) for w, rs in runs.items()},
+        "summary": {w: summarise(rs, better, bounds) for w, rs in runs.items()},
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
+    for workload, metrics in summary["summary"].items():
+        for metric in bounds:
+            entry = metrics.get(metric, {})
+            if entry.get("worse_than_bound"):
+                print(f"{workload} {metric}: the change's median is "
+                      f"{entry['change_over_parent_median']:.3f} of the parent's, worse than "
+                      f"its bound {bounds[metric]}", file=sys.stderr)
     return 0
 
 
