@@ -93,10 +93,10 @@ DEFAULT_MAX_EVENTS = 10_000_000
 _LOCKSTEP_MIN = 4
 # Live state a lockstep group may hold, counted by _path_bytes.  The 1000
 # short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no
-# grid) count 1.7 KB each and run as one group: 0.042 s against 0.060 s in
-# groups of 250, at 68.8 MB peak RSS against 67.1 MB (2-core Xeon, Python
-# 3.11, numpy 2.4).  The 4 long Euler-Maruyama paths above count 1.3 MB
-# each, so each runs as its own group and thins serially.
+# grid) count 1.7 KB each and run as one group: 0.044 s against 0.064 s in
+# groups of 250, at 69.0 MB peak RSS against 67.4 MB (medians of 10 runs,
+# 2-core Xeon, Python 3.11, numpy 2.4).  The 4 long Euler-Maruyama paths
+# above count 1.3 MB each, so each runs as its own group and thins serially.
 _GROUP_BUDGET = 1 << 21
 # The footprint of a path in a group: its share of the group's tracemalloc
 # peak, measured on one group of 1000 paths of an M-component affine model

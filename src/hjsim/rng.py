@@ -33,9 +33,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _FIRST_BLOCK = 64
 _BLOCK = 1024
 _BANK_DRAWS = 1 << 14
-# DrawBank rows refilled per batch.  The first fill of a 1000-row bank (64
-# draws a row, buffer already touched) in one batch raised ru_maxrss by
-# 1.76-1.88 MB; in batches of 64 rows by 0-0.25 MB, with every draw the same.
+# DrawBank rows refilled per batch, so that a wide bank's first fill holds
+# no bank-sized temporaries.  The first fill of a 1000-row bank (64 draws a
+# row, buffer already touched) in one batch raised ru_maxrss by 1.76-1.88
+# MB; in batches of 64 rows by 0-0.25 MB, with every draw the same.
 _REFILL_ROWS = 64
 _INV53 = 2.0 ** -53
 
@@ -173,8 +174,6 @@ class DrawBank:
         if low.any():
             k = rows[low]
             start = self.ends[k] - width + pos[low]   # each row's next draw
-            # _REFILL_ROWS rows at a time: the first fill of a wide bank
-            # would otherwise hold several bank-sized temporaries
             for a in range(0, len(k), _REFILL_ROWS):
                 part = slice(a, a + _REFILL_ROWS)
                 self.buf[k[part]] = _uniforms(np.stack(

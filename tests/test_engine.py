@@ -359,6 +359,16 @@ class TestLockstep:
             hjsim.simulate_ensemble(model, 200.0, em_cfg(0.05, 0.005), 3, 4)
         assert sum(sizes) == 4 and max(sizes) < engine._LOCKSTEP_MIN
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_envelope_not_finite_at_the_start_is_reported(self):
+        # a row sum that overflows times a zero Lipschitz constant: the
+        # group width sees a NaN footprint, and thinning names the envelope
+        model = make_model(2, [{"type": "constant", "level": 1.0}] * 2, [0.1] * 4, [1.0] * 4,
+                           {"type": "linear", "rate": 1.0}, {"type": "constant", "value": 1.0},
+                           {"type": "constant", "size": 0.0}, y0=[1e308, 1e308, 0.0, 0.0])
+        with pytest.raises(RuntimeError, match="finite and positive, got nan"):
+            hjsim.simulate_ensemble(model, 1.0, ou_cfg(1.0), 1, 5)
+
     def test_integer_horizons_run_as_floats(self):
         model, cfg = two_component_model(), ou_cfg(1.0)
         for run in (lambda h: hjsim.simulate_ensemble(model, h, cfg, 3, 6),

@@ -153,13 +153,6 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    for workload, metrics in summary["summary"].items():
-        for metric in bounds:
-            entry = metrics.get(metric, {})
-            if entry.get("worse_than_bound"):
-                print(f"{workload} {metric}: the change's median is "
-                      f"{entry['change_over_parent_median']:.3f} of the parent's, worse than "
-                      f"its bound {bounds[metric]}", file=sys.stderr)
     return 0
 
 
