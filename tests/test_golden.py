@@ -12,12 +12,14 @@ inhibitory amplitudes; and a power-bounded jump map.
 """
 
 import hashlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hjsim
-from hjsim import pathio
+from hjsim import engine, pathio
 from hjsim.stability import LyapunovSpec, dynkin_quotient, stability_data
 
 from helpers import (em_cfg, make_model, ou_cfg, reference_model,
@@ -84,6 +86,22 @@ def ensemble(model, horizon, cfg, seed, n, **kwargs):
     return lambda: hjsim.simulate_ensemble(model(), horizon, cfg, seed, n, **kwargs)
 
 
+def ensemble_in_groups(model, horizon, cfg, seed, n, width):
+    """An ensemble run under a budget for ``width`` live paths, so that it
+    spans ceil(n / width) lockstep groups; a path is the same whatever its
+    group."""
+    def run():
+        spec = model()
+        n_samples = len(engine._build_sample_times(horizon, cfg.grid_dt, None))
+        budget = math.ceil(width * engine._path_bytes(spec, horizon, cfg, n_samples))
+        with mock.patch.object(engine, "_GROUP_BUDGET", budget), \
+                mock.patch.object(engine, "_simulate_group", wraps=engine._simulate_group) as group:
+            paths = hjsim.simulate_ensemble(spec, horizon, cfg, seed, n)
+        assert group.call_count == -(-n // width)
+        return paths
+    return run
+
+
 CASES = {
     "m1_ou_fine": path(reference_model, 20.0, ou_cfg(0.01), 11),
     "m1_ou_coarse": path(reference_model, 20.0, ou_cfg(5.0), 12),
@@ -115,8 +133,10 @@ CASES = {
     "ensemble_m1_em_sample_at": ensemble(reference_model, 5.0, em_cfg(0.1, 0.02), 35, 3,
                                          sample_at=[1.23]),
     # Ensembles large enough to advance their paths in lockstep groups, to
-    # span more than one group and to finish their last paths serially.
-    "ensemble_m2_ou_groups": ensemble(two_component_model, 5.0, ou_cfg(5.0), 38, 300),
+    # span more than one group (under a budget for 128 paths) and to finish
+    # their last paths serially.
+    "ensemble_m2_ou_groups": ensemble_in_groups(two_component_model, 5.0, ou_cfg(5.0), 38,
+                                                300, width=128),
     "ensemble_inhibitory_em_sample_at": ensemble(inhibitory_model, 10.0, em_cfg(0.004, 0.002),
                                                  39, 16, sample_at=[0.5, 3.3, 7.77]),
     "ensemble_m3_sigmoid_ou": ensemble(lambda: sigmoid_model(False), 10.0, ou_cfg(0.5), 40, 9),

@@ -75,10 +75,10 @@ def run_once(copy: str, workload: str, seed: int) -> dict:
     return {"machine": json.loads(lines[-2])["machine"], **json.loads(lines[-1])}
 
 
-def summarise(runs: list[dict], better: dict, bounds: dict | None = None) -> dict:
-    """Quartiles per side, the median ratio and the pairs the change wins;
-    with ``bounds``, whether the change's median is worse than the parent's
-    by more than the metric's bound, a fraction of the parent's median."""
+def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
+    """Quartiles per side, the median ratio, the pairs the change wins and
+    whether the change's median is worse than the parent's by more than the
+    metric's bound, a fraction of the parent's median."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {"pairs": len(sides["change"]),
            "failed": {side: [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
@@ -88,15 +88,14 @@ def summarise(runs: list[dict], better: dict, bounds: dict | None = None) -> dic
         parent, change = values["parent"], values["change"]
         wins = (change < parent) if direction == "lower" else (change > parent)
         ratio = float(np.median(change) / np.median(parent))
+        worse = ratio - 1.0 if direction == "lower" else 1.0 - ratio
         out[metric] = {
             "parent_q1_med_q3": np.percentile(parent, [25, 50, 75]).tolist(),
             "change_q1_med_q3": np.percentile(change, [25, 50, 75]).tolist(),
             "change_over_parent_median": ratio,
             "change_better_pairs": f"{int(wins.sum())}/{len(wins)}",
+            "worse_than_bound": bool(worse > bounds[metric]),
         }
-        if bounds is not None:
-            worse = ratio - 1.0 if direction == "lower" else 1.0 - ratio
-            out[metric]["worse_than_bound"] = bool(worse > bounds[metric])
     return out
 
 
