@@ -24,9 +24,11 @@ Phase 1 takes each block when the segment closes, at an acceptance or at the
 horizon, and phase 2 reads the blocks in order.
 
 A path thinned on its own runs ``_run_events`` over ``_next_event``: scalar
-code on a row-major list of floats that rounds every sum as numpy does and
-calls numpy's exp, log and envelope dot product, so it gives the bytes of
-the array code on one row.  Its records and normals go to float buffers.
+code on a row-major list of floats.  Its envelope and memory flow are
+``RateRuntime``'s ``bound`` and ``flow``, straight-line code compiled once
+per M, which round every sum as numpy does and call numpy's exp and
+envelope dot product, so they give the bytes of the array code on one row.
+Its records and normals go to float buffers.
 
 Ensembles thin their paths in lockstep groups (``_simulate_group``): the
 memory flow, the rates, the envelope, the component pick and the event

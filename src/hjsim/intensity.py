@@ -6,18 +6,19 @@ component i is f_i applied to the i-th row sum of y.
 
 :class:`RateRuntime` is the one evaluator of the rates and of the thinning
 envelope: the engine, the diagnostics and the stability analysis all call
-it, and the public helpers below are checked wrappers around it.
+it, and the public helpers below are checked wrappers around it.  Its
+one-state ``bound`` and ``flow``, which a serially thinned path calls at
+every candidate, are straight-line code generated and compiled once per M;
+the generated source names no model value, which enters as an argument.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import accumulate
-from operator import add
+from functools import lru_cache
 
 import numpy as np
 
-from .model import KernelMatrix, ModelSpec
+from .model import KernelMatrix, ModelSpec, _compiled
 
 __all__ = [
     "RateRuntime",
@@ -29,31 +30,81 @@ __all__ = [
 ]
 
 
-def _fsum(vals) -> float:
-    """sum(vals) rounded as numpy's sum rounds it: in order from 0.0 below
-    eight terms, pairwise from eight on."""
-    return reduce(add, vals, 0.0) if len(vals) < 8 else float(np.add.reduce(vals))
+_EVALUATORS = """\
+from numpy import add, exp
+
+reduce = add.reduce
 
 
-def _row_sums(y: list, m: int) -> list:
-    """Row sums of the m x m memory ``y``, a row-major list."""
-    return [_fsum(y[i:i + m]) for i in range(0, m * m, m)]
+def f(decay, gammas, fz, {ats}):
+    def bound(y):
+        {ys}, = y
+        return fz + float(gammas @ [{abs_sums}])
+
+    def flow(y, dt):
+        {es}, = exp(decay * dt).tolist()
+        {ys}, = y
+        {body}
+        return [{ys}], [{ss}], [{cs}]
+
+    return bound, flow
+"""
+
+
+def _row_sum(terms: list) -> str:
+    """The sum of ``terms`` rounded as numpy's sum rounds it: in order from
+    0.0 below eight terms, pairwise (``np.add.reduce``) from eight on."""
+    if len(terms) < 8:
+        return " + ".join(["0.0", *terms])
+    return f"float(reduce([{', '.join(terms)}]))"
+
+
+@lru_cache(maxsize=None)
+def _evaluators(m: int):
+    """The factory ``f(decay, gammas, fz, at0, ..., at{m-1})`` of the
+    straight-line ``(bound, flow)`` pair for M = m, compiled once per m.  Its
+    source holds only names derived from m: every model value is an
+    argument of the factory, bound in the closures it returns."""
+    ys, es = [f"y{k}" for k in range(m * m)], [f"e{k}" for k in range(m * m)]
+    ats, ss, cs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c"))
+    rows = [ys[i:i + m] for i in range(0, m * m, m)]
+    body = ([f"{y} = {y} * {e}" for y, e in zip(ys, es)]
+            + [f"{s} = {_row_sum(row)}" for s, row in zip(ss, rows)]
+            + [f"{cs[i]} = {f'{cs[i - 1]} + ' if i else ''}{ats[i]}({ss[i]})" for i in range(m)])
+    return _compiled(_EVALUATORS.format(
+        ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
+        cs=", ".join(cs), abs_sums=", ".join(_row_sum([f"abs({y})" for y in row]) for row in rows),
+        body="\n        ".join(body)))
 
 
 class RateRuntime:
     """Rate functions, Lipschitz envelope and decay rates of one model,
-    extracted once for the hot loops.  :meth:`bound` and :meth:`flow` take a
-    memory state as a row-major list and round as the array methods do."""
+    extracted once for the hot loops.
 
-    __slots__ = ("alpha", "decay", "fs", "fs_at", "gammas", "f_zero_sum")
+    ``bound(y)`` and ``flow(y, dt)`` take one memory state as a row-major
+    list and round as the array methods do.  They are straight-line code
+    unrolled over the M x M memory (:func:`_evaluators`), closures over this
+    model's decay rates, Lipschitz constants and scalar rates ``at``:
+
+    - ``bound(y)`` is the Lipschitz envelope sum_i [f_i(0) + gamma_i *
+      sum_j |y[i, j]|] at y.  It dominates the total rate along the whole
+      decay flow started at y, because row absolute sums only shrink under
+      the flow; :meth:`bounds` is the same at n states.
+    - ``flow(y, dt)`` is the memory y flowed over dt, its row sums, and the
+      running sums of the component rates there (in ``np.cumsum``'s order).
+    """
+
+    __slots__ = ("alpha", "decay", "fs", "gammas", "f_zero_sum", "bound", "flow")
 
     def __init__(self, model: ModelSpec):
         self.alpha = model.kernel.alpha
         self.decay = -self.alpha.ravel()   # flow exponents per unit time, row-major
         self.fs = model.rates
-        self.fs_at = tuple(f.at for f in self.fs)   # the rates at one float, to the bit
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())
+        # ``at`` is a rate at one float, equal to ``__call__`` to the bit
+        self.bound, self.flow = _evaluators(model.n_components)(
+            self.decay, self.gammas, self.f_zero_sum, *(f.at for f in self.fs))
 
     def rates_at(self, row_sums: np.ndarray) -> np.ndarray:
         """f_i(row_sums[..., i]) for every component i, over the last axis:
@@ -64,23 +115,10 @@ class RateRuntime:
         """Per-component rates at memory y of shape (M, M) or (n, M, M)."""
         return self.rates_at(y.sum(axis=-1))
 
-    def bound(self, y: list) -> float:
-        """Lipschitz envelope sum_i [f_i(0) + gamma_i * sum_j |y[i, j]|] at one
-        memory state.  It dominates the total rate along the whole decay flow
-        started at y, because row absolute sums only shrink under the flow."""
-        return self.f_zero_sum + float(self.gammas @ _row_sums([abs(v) for v in y], len(self.fs)))
-
     def bounds(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`bound` at n memory states (n, M, M); the stacked product
-        takes one dot product per state, so it rounds as :meth:`bound` does."""
+        """``bound`` at n memory states (n, M, M); the stacked product takes
+        one dot product per state, so it rounds as ``bound`` does."""
         return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :], self.gammas)[:, 0]
-
-    def flow(self, y: list, dt: float) -> tuple[list, list, list]:
-        """The memory y flowed over dt, its row sums, and the running sums of
-        the component rates there (in ``np.cumsum``'s order)."""
-        y = [a * b for a, b in zip(y, np.exp(self.decay * dt).tolist())]
-        rs = _row_sums(y, len(self.fs))
-        return y, rs, list(accumulate(f(u) for f, u in zip(self.fs_at, rs)))
 
 
 def _memory(model: ModelSpec, y) -> np.ndarray:

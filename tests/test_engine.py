@@ -487,8 +487,15 @@ class TestOnePathLoop:
                                                 (math.nan, "finite and positive"),
                                                 (0.5, "dominating rate violated")])
     def test_bound_checks(self, monkeypatch, scale, message):
-        bound = RateRuntime.bound
-        monkeypatch.setattr(RateRuntime, "bound", lambda rt, y: scale * bound(rt, y))
+        # bound is a compiled closure per instance: scale it as it is made
+        init = RateRuntime.__init__
+
+        def scaled_init(rt, model):
+            init(rt, model)
+            bound = rt.bound
+            rt.bound = lambda y: scale * bound(y)
+
+        monkeypatch.setattr(RateRuntime, "__init__", scaled_init)
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(5.0), seed=3)
 

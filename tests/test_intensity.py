@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hjsim
-from hjsim import intensity
 from hjsim.intensity import (RateRuntime, apply_event, dominating_rate, flow_memory,
                              intensity_vector, total_event_rate)
 from hjsim.model import KernelMatrix
@@ -160,10 +159,22 @@ _RATE_SPECS = st.one_of(
               _finite(0.1, 5.0), _finite(0.1, 5.0), _finite(-3.0, 3.0)))
 
 
+_AFFINE = {"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": 0.5}
+
+
+def _model(rates):
+    """An M = len(rates) model with small amplitudes and unit decay."""
+    m = len(rates)
+    return make_model(m, rates, [0.1 / m] * (m * m), [1.0] * (m * m),
+                      {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                      {"type": "constant", "value": 1.0}, {"type": "constant", "size": 0.0})
+
+
 @st.composite
 def models_with_memory(draw):
-    """Random M <= 3 model (clipped or sigmoid rates, signed amplitudes) and memory y."""
-    m = draw(st.integers(1, 3))
+    """Random M <= 9 model (clipped or sigmoid rates, signed amplitudes) and
+    memory y: rows on both sides of numpy's eight-term pairwise sum."""
+    m = draw(st.integers(1, 9))
 
     def entries(lo, hi):
         return draw(st.lists(_finite(lo, hi), min_size=m * m, max_size=m * m))
@@ -192,6 +203,9 @@ class TestRateRuntime:
 
     @settings(max_examples=300, deadline=None)
     @given(models_with_memory(), _finite(0.0, 50.0))
+    # a sigmoid whose exp(-v) overflows in ``at``: v = 5 * (-200 - 0) < -709
+    @example((_model([{"type": "sigmoid", "height": 2.0, "steepness": 5.0, "center": 0.0}]),
+              np.array([[-200.0]])), 0.0)
     def test_list_state_rounds_as_arrays(self, case, t):
         # the one-path loop's list form of a memory state against the array code
         model, y = case
@@ -207,9 +221,20 @@ class TestRateRuntime:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
     def test_row_sums_round_as_numpy(self, m, seed):
+        # the compiled row sums, below and from eight terms, with -0.0 entries
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-8, 8, (m, m))
         y[rng.random((m, m)) < 0.2] = -0.0
-        rs = intensity._row_sums(y.ravel().tolist(), m)
-        assert np.array(rs).tobytes() == y.sum(axis=-1).tobytes()
-        assert np.float64(intensity._fsum(y[0].tolist())).tobytes() == y[0].sum().tobytes()
+        rt = RateRuntime(_model([_AFFINE] * m))
+        assert np.array(rt.flow(y.ravel().tolist(), 0.0)[1]).tobytes() == y.sum(axis=-1).tobytes()
+        bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
+        assert np.float64(rt.bound(y.ravel().tolist())).tobytes() == np.float64(bound).tobytes()
+
+    def test_one_compiled_evaluator_per_m(self):
+        # models of one M share the code of bound and flow, whatever their rates
+        rt_a = RateRuntime(_model([_AFFINE] * 3))
+        rt_b = RateRuntime(_model([{"type": "sigmoid", "height": 1.0, "steepness": 2.0,
+                                    "center": 0.5}] * 3))
+        assert rt_a.flow.__code__ is rt_b.flow.__code__
+        assert rt_a.bound.__code__ is rt_b.bound.__code__
+        assert rt_a.flow is not rt_b.flow
