@@ -70,7 +70,7 @@ def _evaluators(m: int):
     rows = [ys[i:i + m] for i in range(0, m * m, m)]
     body = ([f"{y} = {y} * {e}" for y, e in zip(ys, es)]
             + [f"{s} = {_row_sum(row)}" for s, row in zip(ss, rows)]
-            + [f"{cs[i]} = {f'{cs[i - 1]} + ' if i else ''}{ats[i]}({ss[i]})" for i in range(m)])
+            + ["c0 = at0(s0)"] + [f"c{i} = c{i - 1} + at{i}(s{i})" for i in range(1, m)])
     return _compiled(_EVALUATORS.format(
         ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
         cs=", ".join(cs), abs_sums=", ".join(_row_sum([f"abs({y})" for y in row]) for row in rows),
