@@ -15,7 +15,10 @@ on its diffusion.  Every simulation therefore runs in two phases:
 2. The skeleton pass (``_skeleton``) turns a group's records into paths: it
    flows each segment's anchor memory to the sample times in closed form,
    steps x over the intervals between samples and events, and applies the
-   jump map at each event.
+   jump map at each event.  Exact-OU x steps record k of every path at once
+   while ``_WALK_MIN`` paths are live, then path by path (``_walk``).  Each
+   :class:`Path` is a slotted object whose arrays are views into the
+   group's columns.
 
 The draw order is the contract every digest rests on: a segment's thinning
 draws come first, then its normals as one block (one per exact-OU interval,
@@ -70,7 +73,7 @@ from scipy.special import ndtri
 from .diffusion import (ExactOU, IntegratorConfig, _em_kernel, _em_plan, _em_split, _noiseless,
                         _ou_terms)
 from .intensity import RateRuntime
-from .model import ModelSpec, State, model_digest
+from .model import ModelSpec, PowerBoundedJump, State, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seeds
 
 __all__ = [
@@ -93,6 +96,13 @@ DEFAULT_MAX_EVENTS = 10_000_000
 # step 0.005) thinned in 0.15-0.16 s as one lockstep group against
 # 0.11-0.12 s serially (0.30 s against 0.25 s with the skeleton pass).
 _LOCKSTEP_MIN = 4
+# Below this many live paths a lockstep step of the exact-OU walk costs more
+# than stepping their records one at a time: a step cost 16-18 us plus
+# 0.02 us per live path, a scalar record 0.32 us, so they break even near 56
+# paths (Python 3.11, numpy 2.4, 2-core Xeon).  The 1000-path short_paths
+# group walked in 1.8 ms with any value from 16 to 64, 2.0 ms at 150 and
+# 6.3 ms all scalar (best of 61).
+_WALK_MIN = 64
 # Live state a lockstep group may hold, counted by _path_bytes.  The 1000
 # short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no
 # grid) count 1.7 KB each and run as one group: 0.044 s against 0.064 s in
@@ -126,7 +136,7 @@ class CandidateEvent:
     accepted_component: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Path:
     """One realised trajectory.
 
@@ -172,11 +182,20 @@ class Path:
             raise ValueError("skeleton times must be finite and nondecreasing")
 
     @classmethod
-    def _built(cls, **fields) -> Path:
-        """A path from read-only arrays that pass :meth:`__post_init__`'s checks."""
+    def _built(cls, *, event_times, event_components, skeleton_times, skeleton_x,
+               skeleton_row_sums, horizon, seed, model_hash) -> Path:
+        """A path from read-only arrays that pass :meth:`__post_init__`'s
+        checks, its slots set through their own setters, which the frozen
+        ``__setattr__`` does not reach."""
         path = object.__new__(cls)
-        for name, value in fields.items():   # keeps the instance's compact layout
-            object.__setattr__(path, name, value)
+        _set_event_times(path, event_times)
+        _set_event_components(path, event_components)
+        _set_skeleton_times(path, skeleton_times)
+        _set_skeleton_x(path, skeleton_x)
+        _set_skeleton_row_sums(path, skeleton_row_sums)
+        _set_horizon(path, horizon)
+        _set_seed(path, seed)
+        _set_model_hash(path, model_hash)
         return path
 
     @property
@@ -187,14 +206,10 @@ class Path:
     def n_components(self) -> int:
         return self.skeleton_row_sums.shape[1]
 
-    @property
-    def events(self) -> list[tuple[float, int]]:
-        return [(float(t), int(c)) for t, c in zip(self.event_times, self.event_components)]
 
-    @property
-    def skeleton(self) -> list[tuple[float, float, np.ndarray]]:
-        return [(float(t), float(x), self.skeleton_row_sums[i])
-                for i, (t, x) in enumerate(zip(self.skeleton_times, self.skeleton_x))]
+(_set_event_times, _set_event_components, _set_skeleton_times, _set_skeleton_x,
+ _set_skeleton_row_sums, _set_horizon, _set_seed, _set_model_hash) = (
+    Path.__dict__[name].__set__ for name in Path.__slots__)
 
 
 def _pick(cum: list, u_scaled: float) -> int:
@@ -470,10 +485,13 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
 
 
 def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
-    """x at every record of :func:`_skeleton`, from the normals in ``log``:
-    for exact-OU one flat scalar loop over every interval of the group, for
-    Euler-Maruyama one call of the scalar kernel per segment, with the
-    substeps of every interval planned in one pass.
+    """x at every record of :func:`_skeleton`, from the normals in ``log``.
+
+    Exact-OU steps record k of every live path at once, in lockstep, while
+    ``_WALK_MIN`` paths have a record k; each remaining path then resumes
+    from its x in one scalar loop, which a narrower group runs from the
+    start.  Euler-Maruyama calls the scalar kernel once per segment, with
+    the substeps of every interval planned in one pass.
 
     ``kind`` says how each record's x is reached: 0 over an interval from the
     record before, 2 at a path's start, 4 as the record before (an empty
@@ -527,19 +545,65 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     if log.noisy:
         es[ends] = sd * z
     # a noiseless step adds -0.0, which leaves every float as it is
-    del steps, ends, q, d, sd, z
-    out = array("d")
-    x, append = x0, out.append
-    for k, q, d, e in zip(memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)):
-        if k < 2:
-            x = q + (x - p) * d + e
-        elif k == 2:
-            x = x0
-        append(x)
-        if k & 1:
-            x = x + float(jump(x))   # apply_state_jump
+    del ends, q, d, sd, z
+    # each path's records from its start on; in lockstep the paths with the
+    # most records come first, so that the live paths are a prefix
+    first = np.flatnonzero(kind == 2)
+    n_rec = np.diff(first, append=len(kind))
+    out, k, live = None, 0, len(first)
+    if live >= _WALK_MIN:
+        order = np.argsort(-n_rec, kind="stable")
+        first, n_rec = first[order], n_rec[order]
+        out = np.empty(len(times))
+        out[steps[first]] = x0
+        xs, k, counts = np.full(live, x0), 1, n_rec.tolist()
+        per_row = isinstance(coeffs.jump, PowerBoundedJump)
+        with np.errstate(all="ignore"):   # as the scalar loop, which never warns
+            while True:
+                while live and counts[live - 1] <= k:
+                    live -= 1
+                if live < _WALK_MIN:
+                    break
+                r = first[:live] + k
+                kr, x = kind[r], xs[:live]
+                x = np.where(kr < 2, qs[r] + (x - p) * ds[r] + es[r], x)
+                at = steps[r]
+                out[at] = x
+                hit = np.flatnonzero(kr & 1)
+                if len(hit):
+                    xj = x[hit]
+                    if per_row:   # numpy's array power does not round as libm's pow
+                        xj = np.array([v + float(jump(v)) for v in xj.tolist()])
+                    else:
+                        xj = xj + jump(xj)
+                    x[hit] = xj
+                    out[at[hit] + 1] = xj
+                xs[:live] = x
+                k += 1
+    # each remaining path resumes from record k in one scalar loop
+    tail = array("d")
+    append = tail.append
+    kinds, qs, ds, es = memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)
+    starts, stops = first[:live] + k, first[:live] + n_rec[:live]
+    if out is not None:   # a path's records run on to its last, which has no jump
+        at = steps[starts]
+        n = steps[stops - 1] + 1 - at
+    del steps
+    for x, a, b in zip([x0] * live if out is None else xs[:live].tolist(), starts.tolist(),
+                       stops.tolist()):
+        for kr, q, d, e in zip(kinds[a:b], qs[a:b], ds[a:b], es[a:b]):
+            if kr < 2:
+                x = q + (x - p) * d + e
+            elif kr == 2:
+                x = x0
             append(x)
-    return np.frombuffer(out)
+            if kr & 1:
+                x = x + float(jump(x))   # apply_state_jump
+                append(x)
+    if out is None:   # every path ran here, in order
+        return np.frombuffer(tail)
+    out[np.repeat(at - np.cumsum(n) + n, n) + np.arange(len(tail))] = tail
+    return out
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,

@@ -89,6 +89,11 @@ __all__ = [
 # Strict positivity floor for rate evaluations: the sigmoid underflows to
 # exactly 0.0 around u ~ -745/steepness, which would break thinning.
 _TINY = float(np.finfo(float).tiny)
+# The largest M a model may have.  A path thinned on its own runs code
+# unrolled over the M x M memory and compiled once per M: 0.13 s and 32 MB
+# of peak RSS at M = 64, 0.35 s and 75 MB at M = 100, growing as M^2
+# (Python 3.11, 2-core Xeon).
+_MAX_COMPONENTS = 64
 
 
 class ConfigError(ValueError):
@@ -636,6 +641,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(self.rates))
         m = self.kernel.n_components
+        _require(m <= _MAX_COMPONENTS, "M", f"must be at most {_MAX_COMPONENTS}, got {m}")
         if len(self.rates) != m:
             raise ValueError(f"expected {m} rate functions, got {len(self.rates)}")
         if self.initial.n_components != m:

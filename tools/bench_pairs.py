@@ -15,6 +15,11 @@ parent's by more than the metric's bound in ``BENCHMARK.json``.  The
 benchmark's raw repetitions stay in each copy's ``.bench_out/`` and are not
 kept.  The two commits must hold the same benchmark: the tool refuses to run
 when they differ under ``perfbench/`` or in ``BENCHMARK.json``.
+
+A run that exits non-zero ends the series: the output file then holds the
+runs so far, summarised over the pairs both sides finished, the failed
+run's workload, side, seed, exit code and the end of its stderr, and
+``"incomplete": true``; the tool exits 1.
 """
 
 from __future__ import annotations
@@ -63,14 +68,21 @@ def export(commit: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run that exited non-zero."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(f"exited {exit_code}")
+        self.exit_code, self.stderr = exit_code, stderr
+
+
 def run_once(copy: str, workload: str, seed: int) -> dict:
     """One benchmark run in ``copy``: its machine record and result line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", repr(SECONDS), "--trace", "0"],
                           cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} in {copy} exited {proc.returncode}:\n"
-                           f"{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     lines = proc.stdout.strip().splitlines()
     return {"machine": json.loads(lines[-2])["machine"], **json.loads(lines[-1])}
 
@@ -99,6 +111,23 @@ def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
     return out
 
 
+def schedule(workloads: list[str], pairs: int):
+    """(workload, seed, side) of every run in order: pair i uses seed i, the
+    parent first in even pairs and the change first in odd pairs."""
+    for workload in workloads:
+        for seed in range(pairs):
+            for side in ("parent", "change") if seed % 2 == 0 else ("change", "parent"):
+                yield workload, seed, side
+
+
+def paired(records: list[dict]) -> list[dict]:
+    """The records of the pairs both sides finished."""
+    sides = {}
+    for r in records:
+        sides.setdefault(r["pair"], set()).add(r["side"])
+    return [r for r in records if len(sides[r["pair"]]) == 2]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
@@ -116,20 +145,23 @@ def main(argv=None) -> int:
     for side, copy in copies.items():
         shutil.rmtree(copy, ignore_errors=True)
         export(commits[side], copy)
-    runs, machine = {}, None
+    runs, machine, failure = {w: [] for w in args.workloads}, None, None
     try:
-        for workload in args.workloads:
-            runs[workload] = []
-            for seed in range(args.pairs):
-                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = run_once(copies[side], workload, seed)
-                    machine = {k: v for k, v in result["machine"].items() if k != "commit"}
-                    record = {"pair": seed, "seed": seed, "side": side,
-                              "failed": result["failed"], "attempted": result["attempted"]}
-                    record.update({k: v["value"] for k, v in result["metrics"].items()})
-                    runs[workload].append(record)
-                    print(json.dumps({"workload": workload, **record}), flush=True)
+        for workload, seed, side in schedule(args.workloads, args.pairs):
+            try:
+                result = run_once(copies[side], workload, seed)
+            except RunFailed as exc:
+                failure = {"workload": workload, "side": side, "seed": seed,
+                           "exit_code": exc.exit_code, "stderr_tail": exc.stderr[-2000:]}
+                print(f"{workload} seed {seed} ({side}) exited {exc.exit_code}:\n{exc.stderr}",
+                      file=sys.stderr)
+                break
+            machine = {k: v for k, v in result["machine"].items() if k != "commit"}
+            record = {"pair": seed, "seed": seed, "side": side,
+                      "failed": result["failed"], "attempted": result["attempted"]}
+            record.update({k: v["value"] for k, v in result["metrics"].items()})
+            runs[workload].append(record)
+            print(json.dumps({"workload": workload, **record}), flush=True)
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -144,15 +176,20 @@ def main(argv=None) -> int:
                     "percentiles over the per-run medians; 'failed' is [failed, attempted] "
                     "repetitions; 'worse_than_bound' says whether the change's median is worse "
                     "than the parent's by more than the metric's BENCHMARK.json bound. Raw "
-                    "repetitions are not kept; 'runs' holds each run's medians.",
+                    "repetitions are not kept; 'runs' holds each run's medians. A failed run "
+                    "ends the series: 'incomplete' is then true, 'failed_run' names it and "
+                    "the summary covers the pairs both sides finished.",
         "machine": machine,
-        "summary": {w: summarise(rs, better, bounds) for w, rs in runs.items()},
+        "incomplete": failure is not None,
+        "failed_run": failure,
+        "summary": {w: summarise(paired(rs), better, bounds)
+                    for w, rs in runs.items() if paired(rs)},
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    return 0
+    return 1 if failure else 0
 
 
 if __name__ == "__main__":
