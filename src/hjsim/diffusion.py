@@ -107,7 +107,8 @@ def _exp_each(v: np.ndarray) -> np.ndarray:
     than a call per element.  Above about 709 glibc's complex exp rescales
     against overflow and differs; there each element takes ``math.exp``,
     which raises ``OverflowError`` where exp overflows."""
-    out = np.exp(v + 0j).real.copy()
+    with np.errstate(over="ignore"):   # math.exp below raises instead
+        out = np.exp(v + 0j).real.copy()
     for i in np.flatnonzero(v > _CEXP_EXACT).tolist():
         out[i] = math.exp(v[i])
     return out

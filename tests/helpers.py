@@ -51,6 +51,17 @@ def poisson_model(levels=(1.0, 2.0)):
     )
 
 
+def constant_rate_config(m):
+    """The JSON config of an M = m model with constant rates and zero
+    amplitudes; it builds for any m up to the cap on M."""
+    return {"M": m, "rates": [{"type": "constant", "level": 1.0}] * m,
+            "kernel": {"c": [0.0] * (m * m), "alpha": [1.0] * (m * m)},
+            "coefficients": {"drift": {"type": "linear", "rate": 1.0},
+                             "diffusion": {"type": "constant", "value": 1.0},
+                             "jump": {"type": "constant", "size": 0.0}},
+            "initial": {"x": 0.0, "y": [0.0] * (m * m)}}
+
+
 def pure_ou_model(rate_level=1e-4, x0=0.0):
     """Events are present but invisible: zero amplitudes, zero displacement."""
     return make_model(
@@ -129,16 +140,21 @@ _RATE_SPECS = st.one_of(
               _finite(0.2, 3.0), _finite(0.2, 2.0), _finite(-2.0, 2.0)))
 
 
+_LINEAR_DRIFT_SPECS = st.builds(
+    lambda rate, intercept: {"type": "linear", "rate": rate, "intercept": intercept},
+    st.one_of(st.just(0.0), _finite(-0.5, 2.0)), _finite(-1.0, 1.0))
+
 _DRIFT_SPECS = st.one_of(
-    st.builds(lambda rate, intercept: {"type": "linear", "rate": rate, "intercept": intercept},
-              st.one_of(st.just(0.0), _finite(-0.5, 2.0)), _finite(-1.0, 1.0)),
+    _LINEAR_DRIFT_SPECS,
     st.builds(lambda amplitude, steepness: {"type": "bounded_smooth", "amplitude": amplitude,
                                             "steepness": steepness},
               _finite(0.1, 3.0), _finite(0.2, 3.0)))
 
+_CONSTANT_NOISE_SPECS = st.builds(lambda value: {"type": "constant", "value": value},
+                                  st.one_of(st.just(0.0), _finite(0.1, 1.5)))
+
 _DIFFUSION_SPECS = st.one_of(
-    st.builds(lambda value: {"type": "constant", "value": value},
-              st.one_of(st.just(0.0), _finite(0.1, 1.5))),
+    _CONSTANT_NOISE_SPECS,
     st.builds(lambda lo, extra: {"type": "smooth_bounded", "lo": lo, "hi": lo + extra},
               _finite(0.1, 1.0), _finite(0.0, 1.0)))
 
@@ -151,20 +167,23 @@ _JUMP_SPECS = st.one_of(
 
 
 @st.composite
-def simulation_runs(draw):
+def simulation_runs(draw, exact_ou=False):
     """A random M <= 3 model (clipped rates with signed slope or sigmoid
     rates, signed amplitudes, nonzero start, every kind of drift, noise and
     jump map, zero rate and zero noise included) with a horizon, an
-    integrator config (exact-OU only where it is admissible), optional
-    extra sample times and a seed."""
+    integrator config (exact-OU only where it is admissible, and always
+    with ``exact_ou``), optional extra sample times and a seed."""
     m = draw(st.integers(1, 3))
 
     def entries(lo, hi):
         return draw(st.lists(_finite(lo, hi), min_size=m * m, max_size=m * m))
 
-    drift, noise = draw(_DRIFT_SPECS), draw(_DIFFUSION_SPECS)
+    if exact_ou:
+        drift, noise = draw(_LINEAR_DRIFT_SPECS), draw(_CONSTANT_NOISE_SPECS)
+    else:
+        drift, noise = draw(_DRIFT_SPECS), draw(_DIFFUSION_SPECS)
     ou_admissible = drift["type"] == "linear" and noise["type"] == "constant"
-    em = not ou_admissible or draw(st.booleans())
+    em = not exact_ou and (not ou_admissible or draw(st.booleans()))
     model = make_model(m, draw(st.lists(_RATE_SPECS, min_size=m, max_size=m)),
                        entries(-0.6, 0.6), entries(0.5, 3.0), drift, noise, draw(_JUMP_SPECS),
                        x0=draw(_finite(-2.0, 2.0)), y0=entries(-1.0, 1.0))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -80,3 +81,55 @@ def test_refuses_commits_with_different_benchmarks(repo, tmp_path, capsys, monke
     rc = bench_pairs.main(["--parent", repo["src"], "--change", repo["bench"], "--out", str(out)])
     assert rc == 2 and not out.exists()
     assert "perfbench/run.py" in capsys.readouterr().err
+
+
+def test_a_failed_run_ends_the_series_and_keeps_the_runs_so_far(repo, tmp_path, monkeypatch,
+                                                                capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
+    calls = []
+
+    def run_once(copy, workload, seed):
+        calls.append((workload, seed))
+        if len(calls) == 4:   # pair 1 runs the change first, so this is its parent
+            raise bench_pairs.RunFailed(3, "Traceback ...\nMemoryError\n")
+        return {"machine": {"cpu": "test", "commit": "unknown"}, "failed": 0, "attempted": 5,
+                "metrics": {"wall_s": {"value": float(len(calls))}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    rc = bench_pairs.main(["--parent", repo["base"], "--change", repo["src"], "--pairs", "3",
+                           "--workloads", "short_paths", "long_path", "--out", str(out),
+                           "--workdir", str(tmp_path / "work")])
+    assert rc == 1 and len(calls) == 4
+    data = json.loads(out.read_text())
+    assert data["incomplete"] is True
+    failed = data["failed_run"]
+    assert (failed["workload"], failed["side"], failed["seed"], failed["exit_code"]) == (
+        "short_paths", "parent", 1, 3)
+    assert "MemoryError" in failed["stderr_tail"]
+    assert [(r["side"], r["seed"]) for r in data["runs"]["short_paths"]] == [
+        ("parent", 0), ("change", 0), ("change", 1)]
+    assert data["runs"]["long_path"] == []
+    # the summary covers the one pair both sides finished
+    assert list(data["summary"]) == ["short_paths"]
+    assert data["summary"]["short_paths"]["pairs"] == 1
+    assert data["summary"]["short_paths"]["wall_s"]["change_over_parent_median"] == 2.0
+    assert "exited 3" in capsys.readouterr().err
+
+
+def test_a_finished_series_is_complete(repo, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda copy, workload, seed: {
+        "machine": {"cpu": "test"}, "failed": 0, "attempted": 5,
+        "metrics": {"wall_s": {"value": 1.0}}})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", repo["base"], "--change", repo["src"], "--pairs", "2",
+                             "--workloads", "short_paths", "--out", str(out),
+                             "--workdir", str(tmp_path / "work")]) == 0
+    data = json.loads(out.read_text())
+    assert data["incomplete"] is False and data["failed_run"] is None
+    assert data["summary"]["short_paths"]["pairs"] == 2

@@ -9,7 +9,8 @@ import hjsim
 from hjsim import cli, pathio
 from hjsim.model import ConfigError, model_to_dict
 
-from helpers import reference_model, supercritical_model, two_component_model
+from helpers import (constant_rate_config, reference_model, supercritical_model,
+                     two_component_model)
 
 
 def write_config(tmp_path, model=None, run=None, name="model.json"):
@@ -194,6 +195,17 @@ class TestSimulate:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("ConfigError", field)
+
+    def test_too_many_components_is_structured_error(self, tmp_path, capsys):
+        d = constant_rate_config(65)
+        d["run"] = {"horizon": 1.0}
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps(d))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("ConfigError", "M")
+        assert "at most 64" in err["message"]
 
     def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -7,8 +7,8 @@ from scipy import stats
 
 import hjsim
 from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             _advance_segment, _em_kernel, _em_plan, _em_split, _n_normals,
-                             _noiseless, advance_diffusion, advance_diffusion_many,
+                             _advance_segment, _em_kernel, _em_plan, _em_split, _exp_each,
+                             _n_normals, _noiseless, advance_diffusion, advance_diffusion_many,
                              apply_state_jump)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
@@ -315,3 +315,24 @@ class TestJumps:
     def test_zero_jump_is_identity(self):
         cs = coeffs(jump=ConstantJump(0.0))
         assert apply_state_jump(1.234, cs) == 1.234
+
+
+class TestExpEach:
+    """``_exp_each`` must give ``math.exp`` of every element, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-800.0, 709.78, allow_nan=False), max_size=40))
+    def test_is_libm_exp(self, values):
+        want = np.array([math.exp(v) for v in values], dtype=float)
+        assert _exp_each(np.array(values, dtype=float)).tobytes() == want.tobytes()
+
+    def test_is_libm_exp_on_a_dense_range(self):
+        # past 709 the complex exp rescales and the elementwise form takes over
+        values = np.concatenate([np.linspace(-746.0, 709.78, 400_001),
+                                 -np.geomspace(1e-300, 1.0, 1001), [0.0, -0.0, -math.inf]])
+        want = np.fromiter(map(math.exp, values.tolist()), float, len(values))
+        assert _exp_each(values).tobytes() == want.tobytes()
+
+    def test_overflow_raises_as_libm_exp(self):
+        with pytest.raises(OverflowError):
+            _exp_each(np.array([0.0, 710.0]))

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -179,6 +182,15 @@ class TestPathInvariants:
                        skeleton_times=skeleton_times, skeleton_x=np.zeros(6),
                        skeleton_row_sums=np.zeros((6, 1)), horizon=2.0, seed=0, model_hash="")
 
+    def test_paths_are_slotted_and_round_trip(self):
+        path = hjsim.simulate_ensemble(reference_model(), 5.0, ou_cfg(0.5), 6, 3)[1]
+        assert not hasattr(path, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.seed = 1
+        for twin in (pickle.loads(pickle.dumps(path)), copy.copy(path)):
+            assert type(twin) is hjsim.Path
+            assert pathio.dumps_binary(twin) == pathio.dumps_binary(path)
+
     def test_sample_grid_breaker_allocates_nothing_large(self):
         tracemalloc.start()
         try:
@@ -302,6 +314,18 @@ class TestLockstep:
         n_samples = len(_build_sample_times(horizon, cfg.grid_dt, extra))
         budget = math.ceil(width * engine._path_bytes(model, horizon, cfg, n_samples))
         with mock.patch.object(engine, "_GROUP_BUDGET", budget):
+            paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
+        serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
+                                      sample_at=extra) for i in range(n)]
+        assert [pathio.dumps_binary(p) for p in paths] == [pathio.dumps_binary(p) for p in serial]
+
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_runs(exact_ou=True), st.integers(2, 12), st.integers(1, 4))
+    def test_walk_in_lockstep_equals_serial_paths(self, run, n, walk_min):
+        # a low _WALK_MIN walks these narrow exact-OU groups in lockstep, and
+        # hands each path still live below walk_min paths to the scalar loop
+        model, horizon, cfg, extra, seed = run
+        with mock.patch.object(engine, "_WALK_MIN", walk_min):
             paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
                                       sample_at=extra) for i in range(n)]

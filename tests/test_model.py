@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import hjsim
-from hjsim.model import (AffineClippedRate, BoundedSmoothDrift, ConfigError,
+from hjsim.model import (_MAX_COMPONENTS, AffineClippedRate, BoundedSmoothDrift, ConfigError,
                          ConstantDiffusion, ConstantJump, ConstantRate,
-                         KernelMatrix, LinearDampingJump, LinearDrift,
+                         KernelMatrix, LinearDampingJump, LinearDrift, ModelSpec,
                          PowerBoundedJump, SigmoidRate, SmoothBoundedDiffusion,
                          State, model_digest, model_from_dict, model_to_dict)
 
-from helpers import make_model, polynomial_model, reference_model
+from helpers import constant_rate_config, make_model, polynomial_model, reference_model
 
 
 class TestRateFunctions:
@@ -183,6 +183,19 @@ class TestKernelAndState:
         k = KernelMatrix(c=[[1.0]], alpha=[[1.0]])
         with pytest.raises(ValueError):
             k.c[0, 0] = 2.0
+
+    def test_components_above_the_cap_are_refused(self):
+        model = model_from_dict(constant_rate_config(_MAX_COMPONENTS))
+        assert model.n_components == _MAX_COMPONENTS
+        m = _MAX_COMPONENTS + 1
+        with pytest.raises(ConfigError) as info:
+            model_from_dict(constant_rate_config(m))
+        assert info.value.field == "M"
+        with pytest.raises(ConfigError) as info:   # built directly, too
+            ModelSpec(model.rates + model.rates[:1],
+                      KernelMatrix(np.zeros((m, m)), np.ones((m, m))), model.coefficients,
+                      State(0.0, np.zeros((m, m))))
+        assert info.value.field == "M"
 
 
 class TestAssumptions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjsim
+from hjsim import engine
 from hjsim.model import DegenerateKernelError, KernelMatrix
 from hjsim.stability import (LyapunovSpec, drift_scan, dynkin_quotient,
                              generator_apply, interaction_matrix,
@@ -218,6 +219,19 @@ class TestGenerator:
         quotient, se = dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model),
                                        z, 1e-9, 5, seed=3, cfg=ou_cfg(0.01))
         assert np.isfinite(quotient) and np.isfinite(se)
+
+
+    @pytest.mark.parametrize("dt", [1e-9, 0.05])
+    def test_quotient_does_not_depend_on_the_walk(self, monkeypatch, dt):
+        # 400 paths hold about 23 candidate-bearing ones at dt = 0.05 and none
+        # at dt = 1e-9; a _WALK_MIN of 1 walks them, or the empty group, in lockstep
+        model = reference_model()
+        args = (model, LyapunovSpec("exponential"), stability_data(model),
+                hjsim.State(0.5, np.array([[0.2]])), dt, 400)
+        scalar = dynkin_quotient(*args, seed=3, cfg=ou_cfg(0.01))
+        monkeypatch.setattr(engine, "_WALK_MIN", 1)
+        assert dynkin_quotient(*args, seed=3, cfg=ou_cfg(0.01)) == scalar
+        assert np.isfinite(scalar).all()
 
 
 class TestDriftScan:
