@@ -28,25 +28,14 @@ from .model import (
     model_from_dict,
     model_to_dict,
 )
-from .intensity import (
-    apply_event,
-    dominating_rate,
-    flow_memory,
-    intensity_vector,
-    total_event_rate,
-)
 from .diffusion import (
     EulerMaruyama,
     ExactOU,
     IntegratorConfig,
-    advance_diffusion,
-    apply_state_jump,
 )
 from .engine import (
-    CandidateEvent,
     Path,
     SimulationLimitError,
-    next_event,
     simulate_ensemble,
     simulate_path,
     simulate_path_reference,

@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         payload = {"error": "ConfigError", "field": exc.field, "message": str(exc)}
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError, OverflowError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(json.dumps(payload) + "\n")
     return 1

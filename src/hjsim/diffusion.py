@@ -1,10 +1,14 @@
-"""Integration of the diffusion between events and the event displacement.
+"""Integration of the diffusion between events.
 
 Two schemes: Euler-Maruyama substepping with a fixed step (the last partial
 substep lands exactly on the requested interval), and the exact Gaussian
 transition for linear drift with constant noise.  With a zero diffusion
 coefficient no noise draws are consumed, so the integrator is a
 deterministic ODE step.
+
+The engine's skeleton pass steps x with ``_ou_terms``, ``_em_plan`` and the
+compiled ``_em_kernel``; :func:`advance_diffusion_many` serves the Monte
+Carlo generator check.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ __all__ = [
     "EulerMaruyama",
     "ExactOU",
     "IntegratorConfig",
-    "advance_diffusion",
     "advance_diffusion_many",
-    "apply_state_jump",
 ]
 
 _REL_EPS = 1e-12
@@ -135,18 +137,6 @@ def _em_plan(dts: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return full.astype(np.intp), np.where(rem >= _REL_EPS * np.maximum(h, dts), rem, 0.0)
 
 
-def _n_normals(dts, coeffs: CoefficientSpec, cfg: IntegratorConfig) -> int:
-    """The normals :func:`_advance_segment` takes over the intervals ``dts``:
-    one per exact-OU interval, one per Euler-Maruyama substep, none without
-    noise."""
-    if _noiseless(coeffs):
-        return 0
-    if isinstance(cfg.scheme, ExactOU):
-        return len(dts)
-    h = cfg.scheme.step
-    return sum(_em_split(dt, h)[0] for dt in dts)
-
-
 # x + b(x)*s + sigma(x)*sqrt(s)*z over each interval of a plan, rounded as
 # the coefficient objects round it: whole steps h first, then the partial one
 _EM_KERNEL = """\
@@ -180,43 +170,12 @@ def _em_kernel(coeffs: CoefficientSpec):
         noise_rem=f" + float({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
 
 
-def _advance_segment(x: float, dts, coeffs: CoefficientSpec, cfg: IntegratorConfig,
-                     z) -> list[float]:
-    """Positions after each of the consecutive intervals ``dts`` (all > 0),
-    taking the next normal from the iterator ``z`` at each noisy step:
-    :func:`_n_normals` of them in all."""
-    out = []
-    if isinstance(cfg.scheme, ExactOU):
-        noiseless = _noiseless(coeffs)
-        p, qs, ds, sds = _ou_terms(np.asarray(dts, dtype=float), coeffs.drift,
-                                   coeffs.diffusion.value)
-        for q, d, sd in zip(qs.tolist(), ds.tolist(), sds.tolist()):
-            x = q + (x - p) * d if noiseless else q + (x - p) * d + sd * next(z)
-            out.append(x)
-        return out
-    full, rem = _em_plan(np.asarray(dts, dtype=float), cfg.scheme.step)
-    _em_kernel(coeffs)(x, zip(memoryview(full), memoryview(rem)), cfg.scheme.step, z, out)
-    return out
-
-
-def advance_diffusion(x: float, dt: float, coeffs: CoefficientSpec,
-                      cfg: IntegratorConfig, rng: RandomStream) -> float:
-    """Advance the diffusion from x over an interval of length dt > 0."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    cfg.validate_for(coeffs)
-    n = _n_normals((dt,), coeffs, cfg)
-    # a single normal skips the array round trip
-    z = iter([rng.normal()] if n == 1 else rng.normals(n).tolist())
-    return _advance_segment(x, (dt,), coeffs, cfg, z)[0]
-
-
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
                            cfg: IntegratorConfig, rng: RandomStream) -> np.ndarray:
     """Vectorised advance of many independent positions over the same dt.
 
-    Uses one normal draw per position per substep, in position-major order;
-    the marginal law of each output matches :func:`advance_diffusion`.
+    Uses one normal draw per substep for every position, in position order;
+    the marginal law of each output matches a path's step over dt.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -240,9 +199,4 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
         else:
             xs = xs + b * s + coeffs.diffusion(xs) * math.sqrt(s) * rng.normals(n)
     return xs
-
-
-def apply_state_jump(x: float, coeffs: CoefficientSpec) -> float:
-    """Post-event position x + a(x)."""
-    return x + float(coeffs.jump(x))
 

@@ -64,7 +64,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -73,14 +72,12 @@ from scipy.special import ndtri
 from .diffusion import (ExactOU, IntegratorConfig, _em_kernel, _em_plan, _em_split, _noiseless,
                         _ou_terms)
 from .intensity import RateRuntime
-from .model import ModelSpec, PowerBoundedJump, State, model_digest
+from .model import ModelSpec, PowerBoundedJump, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seeds
 
 __all__ = [
     "SimulationLimitError",
-    "CandidateEvent",
     "Path",
-    "next_event",
     "simulate_path",
     "simulate_path_reference",
     "simulate_ensemble",
@@ -126,14 +123,6 @@ _EVENT_BYTES = 144
 class SimulationLimitError(RuntimeError):
     """Event-count circuit breaker tripped; the model is likely supercritical
     (interaction spectral radius >= 1) or the horizon is too long."""
-
-
-@dataclass(frozen=True)
-class CandidateEvent:
-    """One thinning candidate: ``accepted_component`` is 1..M, or 0 if rejected."""
-
-    time: float
-    accepted_component: int
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -218,8 +207,7 @@ def _pick(cum: list, u_scaled: float) -> int:
     return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
 
 
-def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomStream,
-                trace: Optional[list] = None):
+def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomStream):
     """First accepted event strictly after t; y is the memory at t, a
     row-major list.
 
@@ -238,20 +226,9 @@ def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomS
         if cum[-1] > bound * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
         comp = _pick(cum, rng.uniform() * bound)
-        if trace is not None:
-            trace.append(CandidateEvent(tau, comp))
         if comp:
             return tau, comp, y, rs
         t = tau
-
-
-def next_event(model: ModelSpec, state: State, clock: float, horizon: float,
-               rng: RandomStream, trace: Optional[list] = None) -> Optional[tuple[float, int]]:
-    """Time and 1-based component of the first event after ``clock``, or None
-    if no event occurs before ``horizon``."""
-    tau, comp, _, _ = _next_event(RateRuntime(model), np.ravel(state.y).tolist(), clock, horizon,
-                                  rng, trace)
-    return None if comp is None else (tau, comp)
 
 
 def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
@@ -327,8 +304,8 @@ class _GroupLog:
         return np.maximum(np.searchsorted(self.samples, t_stop - self.eps), lo)
 
     def _count(self, t0: float, lo: int, hi: int, t_stop: float) -> int:
-        """Normals of the segment from t0 to t_stop through samples[lo:hi]:
-        :func:`_n_normals` of its nonempty intervals, in O(1)."""
+        """Normals of the segment from t0 to t_stop through samples[lo:hi],
+        one per noisy interval or substep that ``_walk`` steps, in O(1)."""
         if not self.noisy:
             return 0
         if hi == lo:
@@ -527,7 +504,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
         n_int = ((end - seg0) * (kind[end] < 2)).tolist()
         em, normals, out = _em_kernel(coeffs), iter(memoryview(z)), []
         for s, k in zip(start.tolist(), n_int):
-            x = x0 if s else x + float(jump(x))   # apply_state_jump
+            x = x0 if s else x + float(jump(x))   # the event's jump
             out.append(x)
             if k:
                 x = em(x, islice(plan, k), h, normals, out)
@@ -598,7 +575,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
                 x = x0
             append(x)
             if kr & 1:
-                x = x + float(jump(x))   # apply_state_jump
+                x = x + float(jump(x))   # the event's jump
                 append(x)
     if out is None:   # every path ran here, in order
         return np.frombuffer(tail)
@@ -786,8 +763,7 @@ def reference_rate_step(model: ModelSpec) -> float:
 
 def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                             seed: int, *, k2_bound: float | None = None,
-                            sample_at=None, max_candidates: int = DEFAULT_MAX_EVENTS,
-                            trace: Optional[list] = None) -> Path:
+                            sample_at=None, max_candidates: int = DEFAULT_MAX_EVENTS) -> Path:
     """Textbook dominating-process construction; same law as :func:`simulate_path`.
 
     The dominating rate starts at the Lipschitz envelope of the initial
@@ -824,8 +800,6 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
         if cum[-1] > lam_star * (1.0 + 1e-9):
             raise RuntimeError("dominating rate violated in reference construction")
         comp = _pick(cum, rng.uniform() * lam_star)
-        if trace is not None:
-            trace.append(CandidateEvent(tau, comp))
         if comp:
             log.record(0, tau, comp, log.take(0, tau, rng), rs, y_pre)
             y, t_event = y_pre, tau

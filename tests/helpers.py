@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hjsim
 from hjsim import engine
-from hjsim.diffusion import _em_split, _n_normals, _noiseless
+from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
 from hjsim.rng import RandomStream
 
@@ -256,10 +256,17 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
 
 def count_oracle(samples, coeffs, cfg, t0, lo, hi, t_stop) -> int:
     """The normals of the segment from t0 to t_stop through samples[lo:hi],
-    counted interval by interval: the form ``engine._GroupLog._count``
-    replaced with a running sum over the sample grid."""
+    counted interval by interval (one per exact-OU interval, one per
+    Euler-Maruyama substep, none without noise): the form
+    ``engine._GroupLog._count`` replaced with a running sum over the sample
+    grid."""
     ts = [t0, *samples[lo:hi].tolist(), t_stop]
-    return _n_normals([b - a for a, b in zip(ts, ts[1:]) if b > a], coeffs, cfg)
+    dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
+    if _noiseless(coeffs):
+        return 0
+    if isinstance(cfg.scheme, hjsim.ExactOU):
+        return len(dts)
+    return sum(_em_split(dt, cfg.scheme.step)[0] for dt in dts)
 
 
 def em_segment_oracle(x, dts, coeffs, cfg, z) -> list:
@@ -296,7 +303,7 @@ def skeleton_x_oracle(path, model, cfg, normals):
     for a, b in zip(times, times[1:]):
         x = xs[-1]
         if b == a:
-            xs.append(hjsim.apply_state_jump(x, coeffs))
+            xs.append(x + float(coeffs.jump(x)))
         else:
             xs.append(em_segment_oracle(x, [b - a], coeffs, cfg, z)[0])
     return np.array(xs), len(list(z))

@@ -1,0 +1,48 @@
+"""The public surface: each module's ``__all__`` and what the package
+re-exports from it."""
+
+import ast
+import importlib
+import inspect
+
+import pytest
+
+import hjsim
+
+MODULES = ["cli", "diagnostics", "diffusion", "engine", "intensity", "model", "pathio", "rng",
+           "stability"]
+
+# test-only wrappers that were removed, with their module
+REMOVED = {"flow_memory": "intensity", "apply_event": "intensity",
+           "intensity_vector": "intensity", "total_event_rate": "intensity",
+           "dominating_rate": "intensity", "advance_diffusion": "diffusion",
+           "apply_state_jump": "diffusion", "next_event": "engine", "CandidateEvent": "engine"}
+
+
+def package_imports():
+    """(module, name) for every name that ``hjsim/__init__`` imports."""
+    tree = ast.parse(inspect.getsource(hjsim))
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"hjsim.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_only_exported_names():
+    imports = package_imports()
+    assert len(imports) > 50
+    for module, name in imports:
+        assert name in importlib.import_module(f"hjsim.{module}").__all__, (module, name)
+        assert hasattr(hjsim, name)
+
+
+@pytest.mark.parametrize("name, module", sorted(REMOVED.items()))
+def test_removed_wrappers_are_gone(name, module):
+    mod = importlib.import_module(f"hjsim.{module}")
+    assert not hasattr(hjsim, name)
+    assert not hasattr(mod, name)
+    assert name not in mod.__all__

@@ -207,6 +207,21 @@ class TestSimulate:
         assert (err["error"], err["field"]) == ("ConfigError", "M")
         assert "at most 64" in err["message"]
 
+    def test_overflowing_transition_is_structured_error(self, tmp_path, capsys):
+        # a repelling drift over one interval of 1000: exp(1000) overflows
+        d = constant_rate_config(1)
+        d["rates"] = [{"type": "constant", "level": 1e-6}]
+        d["coefficients"]["drift"]["rate"] = -1.0
+        config = tmp_path / "repelling.json"
+        config.write_text(json.dumps(d))
+        rc = cli.main(["simulate", "--config", str(config), "--horizon", "1000",
+                       "--grid-dt", "1000", "--integrator", "exact-ou",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OverflowError"
+
     def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         rc = cli.main(["simulate", "--config", config, "--horizon", "1e6",

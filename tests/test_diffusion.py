@@ -6,16 +6,15 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import hjsim
-from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig,
-                             _advance_segment, _em_kernel, _em_plan, _em_split, _exp_each,
-                             _n_normals, _noiseless, advance_diffusion, advance_diffusion_many,
-                             apply_state_jump)
+from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig, _em_kernel, _em_plan,
+                             _em_split, _exp_each, _noiseless, advance_diffusion_many)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
                          SmoothBoundedDiffusion)
 from hjsim.rng import RandomStream
 
-from helpers import _DIFFUSION_SPECS, _DRIFT_SPECS, _finite, em_segment_oracle, make_model
+from helpers import (_DIFFUSION_SPECS, _DRIFT_SPECS, _finite, count_oracle, em_segment_oracle,
+                     make_model)
 
 
 def coeffs(rate=1.0, intercept=0.0, sigma=1.0, jump=None):
@@ -23,16 +22,20 @@ def coeffs(rate=1.0, intercept=0.0, sigma=1.0, jump=None):
                            jump or ConstantJump(0.0))
 
 
+def advance(x, dt, cs, cfg, rng):
+    """One position advanced over dt."""
+    return float(advance_diffusion_many(np.array([x]), dt, cs, cfg, rng)[0])
+
+
 class TestDeterministicLimits:
     def test_exact_decay_without_noise(self):
         cfg = IntegratorConfig(ExactOU(), 0.1)
-        x = advance_diffusion(1.0, 1.0, coeffs(sigma=0.0), cfg, RandomStream(0))
+        x = advance(1.0, 1.0, coeffs(sigma=0.0), cfg, RandomStream(0))
         assert x == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_pure_drift(self):
         cfg = IntegratorConfig(ExactOU(), 0.1)
-        x = advance_diffusion(0.0, 2.5, coeffs(rate=0.0, intercept=1.0, sigma=0.0),
-                              cfg, RandomStream(0))
+        x = advance(0.0, 2.5, coeffs(rate=0.0, intercept=1.0, sigma=0.0), cfg, RandomStream(0))
         assert x == pytest.approx(2.5, rel=1e-12)
 
     def test_euler_first_order_convergence_deterministic(self):
@@ -40,7 +43,7 @@ class TestDeterministicLimits:
         hs = [1e-1, 1e-2, 1e-3]
         for h in hs:
             cfg = IntegratorConfig(EulerMaruyama(h), 0.1)
-            x = advance_diffusion(1.0, 1.0, coeffs(sigma=0.0), cfg, RandomStream(0))
+            x = advance(1.0, 1.0, coeffs(sigma=0.0), cfg, RandomStream(0))
             errors.append(abs(x - math.exp(-1.0)))
         slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.05)
@@ -50,10 +53,10 @@ class TestDeterministicLimits:
         # intercept / rate overflows: the transition is the zero-rate one
         cfg = IntegratorConfig(ExactOU(), 0.1)
         cs = coeffs(rate=rate, intercept=1.0, sigma=0.0)
-        assert advance_diffusion(0.5, 2.0, cs, cfg, RandomStream(0)) == 2.5
+        assert advance(0.5, 2.0, cs, cfg, RandomStream(0)) == 2.5
         noisy = coeffs(rate=rate, intercept=1.0, sigma=1.0)
         z = float(RandomStream(0).normal())
-        assert advance_diffusion(0.5, 2.0, noisy, cfg, RandomStream(0)) == 2.5 + math.sqrt(2.0) * z
+        assert advance(0.5, 2.0, noisy, cfg, RandomStream(0)) == 2.5 + math.sqrt(2.0) * z
 
     @pytest.mark.parametrize("rate", [1e-20, 1e-300, -1e-20])
     def test_noise_survives_a_decay_that_rounds_to_one(self, rate):
@@ -68,7 +71,7 @@ class TestDeterministicLimits:
     def test_zero_noise_consumes_no_draws(self):
         cfg = IntegratorConfig(EulerMaruyama(0.01), 0.1)
         rng = RandomStream(77)
-        advance_diffusion(1.0, 1.0, coeffs(sigma=0.0), cfg, rng)
+        advance(1.0, 1.0, coeffs(sigma=0.0), cfg, rng)
         assert rng.uniform() == RandomStream(77).uniform()
 
 
@@ -93,16 +96,16 @@ class TestExactTransition:
         assert xs.var() == pytest.approx(8.0, rel=0.02)
 
     def test_rejects_nonlinear_drift(self):
-        cfg = IntegratorConfig(ExactOU(), 0.1)
-        cs = CoefficientSpec(BoundedSmoothDrift(1.0, 1.0), ConstantDiffusion(1.0),
-                             ConstantJump(0.0))
-        with pytest.raises(ValueError):
-            advance_diffusion(0.0, 1.0, cs, cfg, RandomStream(0))
+        model = make_model(1, [{"type": "constant", "level": 1.0}], [0.0], [1.0],
+                           {"type": "bounded_smooth", "amplitude": 1.0},
+                           {"type": "constant", "value": 1.0}, {"type": "constant", "size": 0.0})
+        with pytest.raises(ValueError, match="linear drift"):
+            hjsim.simulate_path(model, 1.0, IntegratorConfig(ExactOU(), 0.1), seed=0)
 
     def test_rejects_nonpositive_dt(self):
         cfg = IntegratorConfig(ExactOU(), 0.1)
         with pytest.raises(ValueError):
-            advance_diffusion(0.0, 0.0, coeffs(), cfg, RandomStream(0))
+            advance(0.0, 0.0, coeffs(), cfg, RandomStream(0))
 
 
 class TestWeakError:
@@ -126,7 +129,7 @@ class TestWeakError:
     def test_partial_substep_lands_exactly(self):
         # dt = 0.25 with step 0.1 runs substeps 0.1, 0.1, 0.05 (deterministic check)
         cfg = IntegratorConfig(EulerMaruyama(0.1), 0.1)
-        x = advance_diffusion(1.0, 0.25, coeffs(sigma=0.0), cfg, RandomStream(0))
+        x = advance(1.0, 0.25, coeffs(sigma=0.0), cfg, RandomStream(0))
         expected = 1.0
         for s in (0.1, 0.1, 0.05):
             expected = expected - expected * s
@@ -144,20 +147,21 @@ class TestSegment:
                                               SmoothBoundedDiffusion(0.5, 1.5), ConstantJump(0.0))),
     ])
     def test_block_equals_chained_intervals(self, scheme, cs):
-        # one block of draws for the whole segment, against one advance per interval
-        cfg = IntegratorConfig(scheme, 0.1)
-        dts = [0.3, 0.07, 1e-3, 0.25, 0.14, 2.0, 0.07 * 3]
-        a, b = RandomStream(5), RandomStream(5)
-        for rng in (a, b):
-            rng.uniforms(1020)  # the block crosses a buffer refill
-        x, chained = 0.4, []
-        for dt in dts:
-            x = advance_diffusion(x, dt, cs, cfg, b)
+        # the engine steps an event-free path as one segment, from one block
+        # of normals; against one advance per interval, each drawing its own
+        cfg = IntegratorConfig(scheme, 1e3)
+        times = np.cumsum([0.3, 0.07, 1e-3, 0.25, 0.14, 2.0, 0.07 * 3])
+        model = make_model(1, [{"type": "constant", "level": 1e-300}], [0.0], [1.0],
+                           **cs.to_dict(), x0=0.4)
+        path = hjsim.simulate_path(model, float(times[-1]), cfg, seed=5, sample_at=times)
+        assert path.n_events == 0 and path.skeleton_times[1:].tolist() == times.tolist()
+        rng = RandomStream(5)
+        rng.uniform()   # the one candidate, beyond the horizon
+        x, chained = 0.4, [0.4]
+        for dt in np.diff(path.skeleton_times).tolist():
+            x = advance(x, dt, cs, cfg, rng)
             chained.append(x)
-        z = iter(a.normals(_n_normals(dts, cs, cfg)).tolist())
-        assert _advance_segment(0.4, dts, cs, cfg, z) == chained
-        assert next(z, None) is None
-        assert a.uniform() == b.uniform()
+        assert path.skeleton_x.tolist() == chained
 
 
 _COEFFS = [coeffs(), coeffs(sigma=0.0), coeffs(rate=0.0, intercept=0.5),
@@ -183,22 +187,16 @@ def _segments(draw):
 @settings(max_examples=300, deadline=None)
 @given(_segments(), st.integers(0, 2**64 - 1))
 def test_normals_count_is_what_the_stepper_draws(segment, seed):
-    # phase 1 of the engine takes _n_normals draws for a segment and phase 2
-    # steps through them; every golden digest rests on the two agreeing
+    # the interval-by-interval count that the engine's ``_GroupLog._count``
+    # equals, against the draws of the array stepper over the same intervals
     cs, cfg, dts = segment
-    rng = RandomStream(seed)
-    drawn = []
-
-    def normals():
-        while True:
-            drawn.append(rng.normal())
-            yield drawn[-1]
-
-    xs = _advance_segment(0.4, dts, cs, cfg, normals())
-    n = _n_normals(dts, cs, cfg)
-    assert len(drawn) == n
+    times = np.cumsum(dts)
+    rng, x = RandomStream(seed), 0.4
+    for dt in np.diff(times, prepend=0.0).tolist():
+        if dt > 0:
+            x = advance(x, dt, cs, cfg, rng)
+    n = count_oracle(times, cs, cfg, 0.0, 0, len(times) - 1, float(times[-1]))
     assert rng.uniform() == RandomStream(seed).uniforms(n + 1)[n]
-    assert _advance_segment(0.4, dts, cs, cfg, iter(drawn)) == xs
 
 
 def _em_step_list(dt, h):
@@ -271,10 +269,11 @@ def test_em_kernel_equals_one_call_per_substep(segment, seed):
     n = 0 if _noiseless(cs) else sum(_em_split(dt, cfg.scheme.step)[0] for dt in dts)
     z = RandomStream(seed).normals(n).tolist()
     got, want = iter(z), iter(z)
-    xs = np.array(_advance_segment(x0, dts, cs, cfg, got))
-    assert xs.tobytes() == np.array(em_segment_oracle(x0, dts, cs, cfg, want)).tobytes()
+    full, rem = _em_plan(np.array(dts), cfg.scheme.step)
+    xs = []
+    _em_kernel(cs)(x0, zip(memoryview(full), memoryview(rem)), cfg.scheme.step, got, xs)
+    assert np.array(xs).tobytes() == np.array(em_segment_oracle(x0, dts, cs, cfg, want)).tobytes()
     assert next(got, None) is None and next(want, None) is None
-    assert _n_normals(dts, cs, cfg) == n
 
 
 def test_em_kernel_compiled_once_per_coefficient_pair():
@@ -306,15 +305,15 @@ def test_em_substep_limit_message_prints_plain_floats():
 class TestJumps:
     def test_constant_jump(self):
         cs = coeffs(jump=ConstantJump(1.0))
-        assert apply_state_jump(0.0, cs) == 1.0
+        assert 0.0 + cs.jump(0.0) == 1.0
 
     def test_damping_jump(self):
         cs = coeffs(jump=LinearDampingJump(0.5))
-        assert apply_state_jump(4.0, cs) == 2.0
+        assert 4.0 + cs.jump(4.0) == 2.0
 
     def test_zero_jump_is_identity(self):
         cs = coeffs(jump=ConstantJump(0.0))
-        assert apply_state_jump(1.234, cs) == 1.234
+        assert 1.234 + cs.jump(1.234) == 1.234
 
 
 class TestExpEach:

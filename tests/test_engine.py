@@ -13,7 +13,7 @@ from scipy import stats
 import hjsim
 from hjsim import engine, pathio
 from hjsim.engine import _build_sample_times, reference_rate_step
-from hjsim.intensity import RateRuntime, flow_memory, intensity_vector
+from hjsim.intensity import RateRuntime
 from hjsim.rng import RandomStream, derive_path_seed
 
 from helpers import (count_oracle, em_cfg, em_runs, make_model, ou_cfg, poisson_model,
@@ -78,31 +78,17 @@ class TestPoissonDegeneracy:
 
 class TestNextEvent:
     def test_first_event_mean_from_rest(self):
-        # from y = 0 the intensity stays 1 until the first event
-        model = reference_model(floor=0.01)
-        state = hjsim.State(0.0, np.zeros((1, 1)))
-        times = []
-        rng = RandomStream(31)
-        for _ in range(10_000):
-            ev = hjsim.next_event(model, state, 0.0, 1e9, rng)
-            times.append(ev[0])
-        times = np.asarray(times)
+        # from y = 0 the intensity stays 1 until the first event; a path
+        # has none by horizon 20 with probability e^-20
+        paths = hjsim.simulate_ensemble(reference_model(floor=0.01), 20.0, ou_cfg(20.0), 31,
+                                        10_000)
+        times = np.array([p.event_times[0] for p in paths])
         se = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - 1.0) <= 3 * se
 
     def test_none_when_horizon_too_close(self):
-        model = reference_model()
-        state = hjsim.State(0.0, np.zeros((1, 1)))
-        assert hjsim.next_event(model, state, 0.0, 1e-9, RandomStream(1)) is None
-
-    def test_candidate_trace_probabilities(self):
-        model = reference_model()
-        state = hjsim.State(0.0, np.array([[2.0]]))
-        trace = []
-        rng = RandomStream(5)
-        hjsim.next_event(model, state, 0.0, 1e9, rng, trace=trace)
-        assert trace[-1].accepted_component == 1
-        assert all(c.accepted_component in (0, 1) for c in trace)
+        paths = hjsim.simulate_ensemble(reference_model(), 1e-9, ou_cfg(0.01), 1, 100)
+        assert all(p.n_events == 0 for p in paths)
 
 
 class TestPathInvariants:
@@ -225,13 +211,15 @@ class TestReferenceConstruction:
         assert stats.ks_2samp(eng, ref).pvalue > 0.01
 
     def test_k2_bound_inflates_initial_rate(self):
-        model = reference_model(y0=0.0)
-        t1, t2 = [], []
-        hjsim.simulate_path_reference(model, 2.0, ou_cfg(2.0), seed=1, trace=t1)
-        hjsim.simulate_path_reference(model, 2.0, ou_cfg(2.0), seed=1,
-                                      k2_bound=10.0, trace=t2)
-        # envelope over the ball rate = f(0) sum + gamma_bar * 10 = 11 > 1
-        assert len(t2) > len(t1)
+        # envelope over the ball rate = f(0) sum + gamma_bar * 10 = 11 > 1:
+        # the plain run draws 2 candidates, the k2_bound run many more
+        model, cfg = reference_model(y0=0.0), ou_cfg(2.0)
+        hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, max_candidates=2)
+        with pytest.raises(hjsim.SimulationLimitError):
+            hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, max_candidates=1)
+        with pytest.raises(hjsim.SimulationLimitError):
+            hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, k2_bound=10.0,
+                                          max_candidates=2)
 
     def test_supercritical_candidate_breaker(self):
         with pytest.raises(hjsim.SimulationLimitError):

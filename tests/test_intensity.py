@@ -5,75 +5,96 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hjsim
-from hjsim.intensity import (RateRuntime, apply_event, dominating_rate, flow_memory,
-                             intensity_vector, total_event_rate)
-from hjsim.model import KernelMatrix
+from hjsim.intensity import RateRuntime
 
-from helpers import make_model
+from helpers import make_model, ou_cfg, reference_model, two_component_model
 
 
-def one_by_one_kernel(c=0.5, alpha=math.log(2)):
-    return KernelMatrix(c=[[c]], alpha=[[alpha]])
+def kernel_runtime(alpha, c=None):
+    """The rate runtime of a model with decay matrix ``alpha`` (M x M),
+    amplitudes ``c`` (default 1) and clipped affine rates."""
+    alpha = np.asarray(alpha, dtype=float)
+    m = len(alpha)
+    c = np.ones((m, m)) if c is None else np.asarray(c, dtype=float)
+    return RateRuntime(make_model(m, [{"type": "affine_clipped", "floor": 0.1,
+                                       "intercept": 1.0, "slope": 1.0}] * m,
+                                  c.ravel().tolist(), alpha.ravel().tolist(),
+                                  {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                                  {"type": "constant", "value": 1.0},
+                                  {"type": "constant", "size": 0.0}))
+
+
+def flowed(rt, y, dt):
+    """The memory y (M x M) flowed over dt by ``rt.flow``, as an array."""
+    return np.reshape(rt.flow(np.ravel(y).tolist(), dt)[0], np.shape(y))
 
 
 class TestFlow:
     def test_identity_at_zero(self):
-        k = one_by_one_kernel()
-        y = np.array([[3.7]])
-        assert flow_memory(k, y, 0.0) == pytest.approx(y)
+        rt = kernel_runtime([[math.log(2)]], [[0.5]])
+        assert flowed(rt, [[3.7]], 0.0)[0, 0] == 3.7
 
     def test_half_life(self):
-        k = one_by_one_kernel(alpha=math.log(2))
-        assert flow_memory(k, np.array([[1.0]]), 1.0)[0, 0] == pytest.approx(0.5)
-        two_steps = flow_memory(k, flow_memory(k, np.array([[1.0]]), 1.0), 1.0)
-        assert two_steps[0, 0] == pytest.approx(0.25)
+        rt = kernel_runtime([[math.log(2)]], [[0.5]])
+        assert flowed(rt, [[1.0]], 1.0)[0, 0] == pytest.approx(0.5)
+        assert flowed(rt, flowed(rt, [[1.0]], 1.0), 1.0)[0, 0] == pytest.approx(0.25)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(3)
-        k = KernelMatrix(c=np.ones((2, 2)),
-                         alpha=rng.uniform(0.2, 3.0, size=(2, 2)))
+        rt = kernel_runtime(rng.uniform(0.2, 3.0, size=(2, 2)))
         for _ in range(200):
             y = rng.normal(size=(2, 2)) * 5
             s, t = rng.uniform(0, 10, size=2)
-            direct = flow_memory(k, y, s + t)
-            chained = flow_memory(k, flow_memory(k, y, s), t)
+            direct = flowed(rt, y, s + t)
+            chained = flowed(rt, flowed(rt, y, s), t)
             assert np.max(np.abs(direct - chained)) <= 1e-12 * max(1.0, np.abs(y).max())
 
     def test_l1_contraction(self):
         rng = np.random.default_rng(4)
-        k = KernelMatrix(c=np.ones((3, 3)), alpha=rng.uniform(0.1, 2.0, size=(3, 3)))
+        rt = kernel_runtime(rng.uniform(0.1, 2.0, size=(3, 3)))
         for _ in range(200):
             y = rng.normal(size=(3, 3)) * 10
             t = rng.uniform(0, 20)
-            assert np.abs(flow_memory(k, y, t)).sum() <= np.abs(y).sum() + 1e-12
+            assert np.abs(flowed(rt, y, t)).sum() <= np.abs(y).sum() + 1e-12
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            flow_memory(one_by_one_kernel(), np.zeros((1, 1)), -0.1)
+
+def event_records(path):
+    """Per event: its component and the skeleton's row sums just before
+    and just after it (the pre- and post-jump records at its time)."""
+    at = np.searchsorted(path.skeleton_times, path.event_times)
+    return path.event_components, path.skeleton_row_sums[at], path.skeleton_row_sums[at + 1]
 
 
 class TestEvents:
+    """An event of component j adds column j of the amplitudes to the
+    memory; read off the engine's pre- and post-jump records."""
+
     def test_column_gains_amplitudes(self):
-        k = KernelMatrix(c=[[0.3, 0.2], [0.1, 0.4]], alpha=np.ones((2, 2)))
-        y = apply_event(k, np.zeros((2, 2)), 1)
-        assert y[:, 0] == pytest.approx([0.3, 0.1])
-        assert y[:, 1] == pytest.approx([0.0, 0.0])
+        model = two_component_model()
+        path = hjsim.simulate_path(model, 50.0, ou_cfg(1.0), seed=3)
+        comps, pre, post = event_records(path)
+        assert set(comps.tolist()) == {1, 2}
+        for j, a, b in zip(comps, pre, post):
+            assert b - a == pytest.approx(model.kernel.c[:, j - 1], abs=1e-12)
 
     def test_additivity(self):
-        k = KernelMatrix(c=[[0.3, 0.2], [0.1, 0.4]], alpha=np.ones((2, 2)))
-        y = apply_event(k, apply_event(k, np.zeros((2, 2)), 2), 2)
-        assert y[:, 1] == pytest.approx([0.4, 0.8])
+        # unit decays: the row sums at t are the sum of every earlier event's
+        # column, each decayed over its age
+        model = two_component_model()
+        path = hjsim.simulate_path(model, 20.0, ou_cfg(0.25), seed=4)
+        assert path.n_events > 5
+        on_event = np.isin(path.skeleton_times, path.event_times)
+        for t, rs in zip(path.skeleton_times[~on_event], path.skeleton_row_sums[~on_event]):
+            past = path.event_times < t
+            want = (model.kernel.c[:, path.event_components[past] - 1]
+                    * np.exp(path.event_times[past] - t)).sum(axis=1)
+            assert rs == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_inhibition_subtracts(self):
-        k = one_by_one_kernel(c=-1.0)
-        assert apply_event(k, np.array([[3.0]]), 1)[0, 0] == 2.0
-
-    def test_component_out_of_range(self):
-        k = one_by_one_kernel()
-        with pytest.raises(IndexError):
-            apply_event(k, np.zeros((1, 1)), 0)
-        with pytest.raises(IndexError):
-            apply_event(k, np.zeros((1, 1)), 2)
+        path = hjsim.simulate_path(reference_model(y0=3.0, c=-1.0), 10.0, ou_cfg(1.0), seed=5)
+        _, pre, post = event_records(path)
+        assert len(pre) > 0
+        assert (post - pre).ravel().tolist() == pytest.approx([-1.0] * len(pre), abs=1e-12)
 
 
 class TestIntensities:
@@ -83,9 +104,9 @@ class TestIntensities:
                            {"type": "linear", "rate": 1.0, "intercept": 0.0},
                            {"type": "constant", "value": 1.0},
                            {"type": "constant", "size": 0.0})
-        lam = intensity_vector(model, np.array([[5.0, -2.0], [0.1, 0.9]]))
-        assert lam == pytest.approx([2.0, 2.0])
-        assert total_event_rate(model, np.zeros((2, 2))) == pytest.approx(4.0)
+        rt = RateRuntime(model)
+        assert rt.intensities(np.array([[5.0, -2.0], [0.1, 0.9]])) == pytest.approx([2.0, 2.0])
+        assert rt.intensities(np.zeros((2, 2))).sum() == pytest.approx(4.0)
 
     def test_affine_row_sum(self):
         model = make_model(1, [{"type": "affine_clipped", "floor": 0.1,
@@ -94,7 +115,7 @@ class TestIntensities:
                            {"type": "linear", "rate": 1.0, "intercept": 0.0},
                            {"type": "constant", "value": 1.0},
                            {"type": "constant", "size": 0.0})
-        assert intensity_vector(model, np.array([[0.5]]))[0] == pytest.approx(1.5)
+        assert RateRuntime(model).intensities(np.array([[0.5]]))[0] == pytest.approx(1.5)
 
     def test_row_sums_drive_components(self):
         model = make_model(2, [{"type": "affine_clipped", "floor": 0.1,
@@ -103,47 +124,27 @@ class TestIntensities:
                            {"type": "linear", "rate": 1.0, "intercept": 0.0},
                            {"type": "constant", "value": 1.0},
                            {"type": "constant", "size": 0.0})
-        lam = intensity_vector(model, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        lam = RateRuntime(model).intensities(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert lam == pytest.approx([3.0, 7.0])
-        assert total_event_rate(model, np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(10.0)
+        assert lam.sum() == pytest.approx(10.0)
 
 
 class TestDominatingRate:
-    def affine_model(self):
-        return make_model(1, [{"type": "affine_clipped", "floor": 0.1,
-                               "intercept": 1.0, "slope": 1.0}],
-                          [0.5], [1.0],
-                          {"type": "linear", "rate": 1.0, "intercept": 0.0},
-                          {"type": "constant", "value": 1.0},
-                          {"type": "constant", "size": 0.0})
+    def affine_runtime(self):
+        return RateRuntime(make_model(1, [{"type": "affine_clipped", "floor": 0.1,
+                                           "intercept": 1.0, "slope": 1.0}],
+                                      [0.5], [1.0],
+                                      {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                                      {"type": "constant", "value": 1.0},
+                                      {"type": "constant", "size": 0.0}))
 
     def test_zero_state_equals_rates_at_zero(self):
-        model = self.affine_model()
-        assert dominating_rate(model, np.zeros((1, 1))) == pytest.approx(1.0)
+        assert self.affine_runtime().bound([0.0]) == pytest.approx(1.0)
 
     def test_envelope_dominates_at_negative_memory(self):
-        model = self.affine_model()
-        y = np.array([[-2.0]])
-        assert dominating_rate(model, y) == pytest.approx(3.0)
-        assert total_event_rate(model, y) == pytest.approx(0.1)
-
-    def test_bound_dominates_along_flow(self):
-        model = make_model(2, [{"type": "affine_clipped", "floor": 0.2,
-                                "intercept": 0.5, "slope": 0.8},
-                               {"type": "sigmoid", "height": 2.0,
-                                "steepness": 1.0, "center": 0.0}],
-                           [0.3, -0.2, 0.1, 0.4], [1.0, 2.0, 0.5, 1.5],
-                           {"type": "linear", "rate": 1.0, "intercept": 0.0},
-                           {"type": "constant", "value": 1.0},
-                           {"type": "constant", "size": 0.0})
-        rng = np.random.default_rng(5)
-        for _ in range(2_000):
-            y = rng.normal(size=(2, 2)) * 3
-            t = rng.uniform(0, 100)
-            bound = dominating_rate(model, y)
-            flowed = flow_memory(model.kernel, y, t)
-            assert total_event_rate(model, flowed) <= bound * (1 + 1e-12)
-            assert dominating_rate(model, flowed) <= bound * (1 + 1e-12)
+        rt = self.affine_runtime()
+        assert rt.bound([-2.0]) == pytest.approx(3.0)
+        assert rt.intensities(np.array([[-2.0]])).sum() == pytest.approx(0.1)
 
 
 def _finite(lo, hi):
@@ -193,13 +194,13 @@ class TestRateRuntime:
     def test_bound_dominates_total_rate_along_flow(self, case, t):
         model, y = case
         rt = RateRuntime(model)
-        flowed = flow_memory(model.kernel, y, t)
+        y_t = y * np.exp(-rt.alpha * t)
         bound = rt.bound(y.ravel().tolist())
-        assert rt.intensities(flowed).sum() <= bound * (1 + 1e-12)
-        assert rt.bound(flowed.ravel().tolist()) <= bound * (1 + 1e-12)
+        assert rt.intensities(y_t).sum() <= bound * (1 + 1e-12)
+        assert rt.bound(y_t.ravel().tolist()) <= bound * (1 + 1e-12)
         # one state and a batch of states give the same values
-        batch = rt.intensities(np.stack([y, flowed]))
-        assert np.array_equal(batch, [rt.intensities(y), rt.intensities(flowed)])
+        batch = rt.intensities(np.stack([y, y_t]))
+        assert np.array_equal(batch, [rt.intensities(y), rt.intensities(y_t)])
 
     @settings(max_examples=300, deadline=None)
     @given(models_with_memory(), _finite(0.0, 50.0))
