@@ -260,10 +260,10 @@ def count_oracle(samples, coeffs, cfg, t0, lo, hi, t_stop) -> int:
     Euler-Maruyama substep, none without noise): the form
     ``engine._GroupLog._count`` replaced with a running sum over the sample
     grid."""
-    ts = [t0, *samples[lo:hi].tolist(), t_stop]
-    dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
     if _noiseless(coeffs):
         return 0
+    ts = [t0, *samples[lo:hi].tolist(), t_stop]
+    dts = [b - a for a, b in zip(ts, ts[1:]) if b > a]
     if isinstance(cfg.scheme, hjsim.ExactOU):
         return len(dts)
     return sum(_em_split(dt, cfg.scheme.step)[0] for dt in dts)

@@ -10,15 +10,13 @@ from hjsim.intensity import RateRuntime
 from helpers import make_model, ou_cfg, reference_model, two_component_model
 
 
-def kernel_runtime(alpha, c=None):
+def kernel_runtime(alpha):
     """The rate runtime of a model with decay matrix ``alpha`` (M x M),
-    amplitudes ``c`` (default 1) and clipped affine rates."""
-    alpha = np.asarray(alpha, dtype=float)
+    unit amplitudes and clipped affine rates."""
     m = len(alpha)
-    c = np.ones((m, m)) if c is None else np.asarray(c, dtype=float)
     return RateRuntime(make_model(m, [{"type": "affine_clipped", "floor": 0.1,
                                        "intercept": 1.0, "slope": 1.0}] * m,
-                                  c.ravel().tolist(), alpha.ravel().tolist(),
+                                  [1.0] * (m * m), np.ravel(alpha).tolist(),
                                   {"type": "linear", "rate": 1.0, "intercept": 0.0},
                                   {"type": "constant", "value": 1.0},
                                   {"type": "constant", "size": 0.0}))
@@ -31,11 +29,11 @@ def flowed(rt, y, dt):
 
 class TestFlow:
     def test_identity_at_zero(self):
-        rt = kernel_runtime([[math.log(2)]], [[0.5]])
+        rt = kernel_runtime([[math.log(2)]])
         assert flowed(rt, [[3.7]], 0.0)[0, 0] == 3.7
 
     def test_half_life(self):
-        rt = kernel_runtime([[math.log(2)]], [[0.5]])
+        rt = kernel_runtime([[math.log(2)]])
         assert flowed(rt, [[1.0]], 1.0)[0, 0] == pytest.approx(0.5)
         assert flowed(rt, flowed(rt, [[1.0]], 1.0), 1.0)[0, 0] == pytest.approx(0.25)
 
@@ -58,6 +56,12 @@ class TestFlow:
             assert np.abs(flowed(rt, y, t)).sum() <= np.abs(y).sum() + 1e-12
 
 
+def event_paths(model, horizon, grid_dt, seed):
+    """Eight paths of one ensemble: they thin in lockstep, then one by one
+    once fewer than four are left, so both event updates run."""
+    return hjsim.simulate_ensemble(model, horizon, ou_cfg(grid_dt), seed, 8)
+
+
 def event_records(path):
     """Per event: its component and the skeleton's row sums just before
     and just after it (the pre- and post-jump records at its time)."""
@@ -71,30 +75,30 @@ class TestEvents:
 
     def test_column_gains_amplitudes(self):
         model = two_component_model()
-        path = hjsim.simulate_path(model, 50.0, ou_cfg(1.0), seed=3)
-        comps, pre, post = event_records(path)
-        assert set(comps.tolist()) == {1, 2}
-        for j, a, b in zip(comps, pre, post):
-            assert b - a == pytest.approx(model.kernel.c[:, j - 1], abs=1e-12)
+        for path in event_paths(model, 50.0, 1.0, 3):
+            comps, pre, post = event_records(path)
+            assert set(comps.tolist()) == {1, 2}
+            for j, a, b in zip(comps, pre, post):
+                assert b - a == pytest.approx(model.kernel.c[:, j - 1], abs=1e-12)
 
     def test_additivity(self):
         # unit decays: the row sums at t are the sum of every earlier event's
         # column, each decayed over its age
         model = two_component_model()
-        path = hjsim.simulate_path(model, 20.0, ou_cfg(0.25), seed=4)
-        assert path.n_events > 5
-        on_event = np.isin(path.skeleton_times, path.event_times)
-        for t, rs in zip(path.skeleton_times[~on_event], path.skeleton_row_sums[~on_event]):
-            past = path.event_times < t
-            want = (model.kernel.c[:, path.event_components[past] - 1]
-                    * np.exp(path.event_times[past] - t)).sum(axis=1)
-            assert rs == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for path in event_paths(model, 20.0, 0.25, 4):
+            assert path.n_events > 5
+            on_event = np.isin(path.skeleton_times, path.event_times)
+            for t, rs in zip(path.skeleton_times[~on_event], path.skeleton_row_sums[~on_event]):
+                past = path.event_times < t
+                want = (model.kernel.c[:, path.event_components[past] - 1]
+                        * np.exp(path.event_times[past] - t)).sum(axis=1)
+                assert rs == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_inhibition_subtracts(self):
-        path = hjsim.simulate_path(reference_model(y0=3.0, c=-1.0), 10.0, ou_cfg(1.0), seed=5)
-        _, pre, post = event_records(path)
-        assert len(pre) > 0
-        assert (post - pre).ravel().tolist() == pytest.approx([-1.0] * len(pre), abs=1e-12)
+        for path in event_paths(reference_model(y0=3.0, c=-1.0), 10.0, 1.0, 5):
+            _, pre, post = event_records(path)
+            assert len(pre) > 0
+            assert (post - pre).ravel().tolist() == pytest.approx([-1.0] * len(pre), abs=1e-12)
 
 
 class TestIntensities:
