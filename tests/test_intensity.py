@@ -150,6 +150,25 @@ class TestDominatingRate:
         assert rt.bound([-2.0]) == pytest.approx(3.0)
         assert rt.intensities(np.array([[-2.0]])).sum() == pytest.approx(0.1)
 
+    def test_bound_dominates_along_flow(self):
+        rt = RateRuntime(make_model(2, [{"type": "affine_clipped", "floor": 0.2,
+                                         "intercept": 0.5, "slope": 0.8},
+                                        {"type": "sigmoid", "height": 2.0,
+                                         "steepness": 1.0, "center": 0.0}],
+                                    [0.3, -0.2, 0.1, 0.4], [1.0, 2.0, 0.5, 1.5],
+                                    {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                                    {"type": "constant", "value": 1.0},
+                                    {"type": "constant", "size": 0.0}))
+        rng = np.random.default_rng(5)
+        for _ in range(2_000):
+            y = (rng.normal(size=(2, 2)) * 3).ravel().tolist()
+            t = rng.uniform(0, 100)
+            bound = rt.bound(y)
+            y_t, _, cum = rt.flow(y, t)
+            assert cum[-1] <= bound * (1 + 1e-12)
+            assert rt.intensities(np.reshape(y_t, (2, 2))).sum() <= bound * (1 + 1e-12)
+            assert rt.bound(y_t) <= bound * (1 + 1e-12)
+
 
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
