@@ -8,7 +8,8 @@ and Euler-Maruyama, with and without noise; output grids finer and coarser
 than the typical gap between events, one that misses the horizon and one
 beyond it; extra sample times, some within the time tolerance of an event;
 the reference construction; ensembles; sigmoid and clipped rates;
-inhibitory amplitudes; and a power-bounded jump map.
+inhibitory amplitudes; a power-bounded jump map; and a one-path exact-OU
+walk that meets every kind of record.
 """
 
 import hashlib
@@ -58,6 +59,16 @@ def sigmoid_model(polynomial, jump=HALVING):
         3, [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}] * 3,
         [0.5, -0.3, 0.2, 0.2, 0.4, -0.3, -0.3, 0.2, 0.4],
         [1.0, 2.0, 1.5, 1.2, 1.0, 0.8, 2.0, 1.5, 1.0], drift, noise, jump)
+
+
+def drifting_model():
+    """Noiseless M=1 model whose drift does not revert (rate 0, intercept
+    0.3), so every exact-OU interval has its own offset, with a power-bounded
+    jump map."""
+    return make_model(
+        1, [{"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": 1.0}],
+        [0.5], [1.0], {"type": "linear", "rate": 0.0, "intercept": 0.3},
+        {"type": "constant", "value": 0.0}, POWER, x0=1.0)
 
 
 def near_events(model, horizon, cfg, seed):
@@ -118,6 +129,11 @@ CASES = {
                             sample_at=[1.0, 2.5, 11.11]),
     "m1_near_events_ou": with_extras(quiet_model, 20.0, ou_cfg(0.5), 30),
     "m1_near_events_em": with_extras(quiet_model, 20.0, em_cfg(0.5, 0.07), 37),
+    # One path's scalar exact-OU walk over every kind of record: plain
+    # intervals, intervals ending in a jump, sample times on events, and
+    # (at a zero horizon) an empty segment.
+    "m1_drift_power_near_events_ou": with_extras(drifting_model, 20.0, ou_cfg(0.01), 43),
+    "reference_zero_horizon_ou": reference(drifting_model, 0.0, ou_cfg(0.01), 44),
     "m2_ou": path(two_component_model, 20.0, ou_cfg(0.05), 21),
     "m2_em": path(two_component_model, 20.0, em_cfg(0.2, 0.03), 22),
     "m2_inhibitory_ou": path(inhibitory_model, 30.0, ou_cfg(0.1), 24),
@@ -165,6 +181,8 @@ GOLDEN = {
     "ensemble_m3_polynomial_power_em":
         "39fed770dab5511d5f63e906c39eee5ef76dd300defecd4e75584f4c84c59eec",
     "ensemble_m3_sigmoid_ou": "4534963d7511b52b3b4df317e9095449f4e807ed709648fa4aefb1d181416754",
+    "m1_drift_power_near_events_ou":
+        "ea5429bcd917842169fc22a5ce86d80dea9f51620de80ee27cc1f5fd40e8a5cf",
     "m1_em_coarse": "5284dceef6ef143e6e1f268bb1d91a2b904cefbf466f7ac1b759ba2ee1a7cff4",
     "m1_em_fine": "14c12ea2db7075f1567ee8584d1d1a6d32d5de5ac4556a933454fd7605f6ecf3",
     "m1_em_sample_at": "a8f1eacfc0a300fd97d1af2c7132402550940b22873ec2df6498ba18f598c2c5",
@@ -188,6 +206,8 @@ GOLDEN = {
     "reference_inhibitory_k2": "900e4ea43e66ffbb4bd1253417f04bac9e635951afa6175e67251e5b3a74c267",
     "reference_m1_ou": "9d7ea65938d4866610445a747583663befa7825df68cd0984d01e6daea4981a2",
     "reference_m2_em": "ee5593c9ca30d2a99de72bc6efc04950d59e088d9dc2243c21f374adaef31b8a",
+    "reference_zero_horizon_ou":
+        "c2449cc1bd327d23feef5e0c076b1898049b99373b1eaa4338ddefbdf929a787",
 }
 
 
