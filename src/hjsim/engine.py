@@ -26,12 +26,12 @@ one per Euler-Maruyama substep, none without noise; ``_GroupLog._count``).
 Phase 1 takes each block when the segment closes, at an acceptance or at the
 horizon, and phase 2 reads the blocks in order.
 
-A path thinned on its own runs ``_run_events`` over ``_next_event``: scalar
-code on a row-major list of floats.  Its envelope and memory flow are
-``RateRuntime``'s ``bound`` and ``flow``, straight-line code compiled once
-per M, which round every sum as numpy does and call numpy's exp and
-envelope dot product, so they give the bytes of the array code on one row.
-Its records and normals go to float buffers.
+A path thinned on its own runs ``_run_events``: one candidate loop of scalar
+code on a row-major list of floats, with the path's place in locals.  Its
+envelope and memory flow are ``RateRuntime``'s ``bound`` and ``flow``,
+straight-line code compiled once per M that rounds every sum, exp and dot
+product as numpy does, so they give the bytes of the array code on one row.
+Its records and the uniforms of its normals go to float buffers.
 
 Ensembles thin their paths in lockstep groups (``_simulate_group``): the
 memory flow, the rates, the envelope, the component pick and the event
@@ -88,17 +88,17 @@ __all__ = [
 DEFAULT_MAX_EVENTS = 10_000_000
 
 # Below this many live paths a lockstep iteration costs more than thinning
-# the paths one at a time.  That holds for long Euler-Maruyama paths too:
-# 4 paths of the M = 3 sigmoid benchmark model (horizon 200, grid 0.05,
-# step 0.005) thinned in 0.15-0.16 s as one lockstep group against
-# 0.11-0.12 s serially (0.30 s against 0.25 s with the skeleton pass).
+# the paths one at a time.  4 paths of the M = 3 sigmoid Euler-Maruyama
+# benchmark model (horizon 200, grid 0.05, step 0.005) thinned in 0.20 s as
+# one lockstep group against 0.08 s serially; the 1000-path short_paths group
+# thinned in 22 ms with any value from 4 to 32 (medians of 7 and 61 runs).
 _LOCKSTEP_MIN = 4
 # Below this many live paths a lockstep step of the exact-OU walk costs more
-# than stepping their records one at a time: a step cost 16-18 us plus
-# 0.02 us per live path, a scalar record 0.32 us, so they break even near 56
-# paths (Python 3.11, numpy 2.4, 2-core Xeon).  The 1000-path short_paths
-# group walked in 1.8 ms with any value from 16 to 64, 2.0 ms at 150 and
-# 6.3 ms all scalar (best of 61).
+# than stepping their records one at a time: a step cost 16-18 us plus 0.02 us
+# per live path, a scalar record 0.17-0.25 us (0.44 us where most end in a
+# jump), so they break even near 40-100 paths (Python 3.11, numpy 2.4, 2-core
+# Xeon).  The 1000-path short_paths group walked in 2.5 ms with any value from
+# 16 to 100, 2.7 ms at 150 and 7.2 ms all scalar (medians of 41).
 _WALK_MIN = 64
 # Live state a lockstep group may hold, counted by _path_bytes.  The 1000
 # short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no
@@ -207,30 +207,6 @@ def _pick(cum: list, u_scaled: float) -> int:
     return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
 
 
-def _next_event(rt: RateRuntime, y: list, t: float, horizon: float, rng: RandomStream):
-    """First accepted event strictly after t; y is the memory at t, a
-    row-major list.
-
-    Returns (tau, component, y(tau-), row sums of y(tau-)), or (t', None,
-    y(t'), None) for the last candidate time t' (``t`` if none) when no
-    event occurs before the horizon.  Does not mutate ``y``.
-    """
-    while True:
-        bound = rt.bound(y)
-        if not (bound > 0.0 and math.isfinite(bound)):
-            raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
-        tau = t + float(rng.exponential(bound))
-        if tau > horizon:
-            return t, None, y, None
-        y, rs, cum = rt.flow(y, tau - t)
-        if cum[-1] > bound * (1.0 + 1e-9):
-            raise RuntimeError("dominating rate violated; rate functions inconsistent")
-        comp = _pick(cum, rng.uniform() * bound)
-        if comp:
-            return tau, comp, y, rs
-        t = tau
-
-
 def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
     """Sorted grid multiples, extra times and the horizon, with times closer
     than ``eps`` to the last kept one dropped (scanning in order)."""
@@ -241,12 +217,12 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
             f"a grid step of {grid_dt:.6g} over horizon {horizon:.6g} gives about "
             f"{n_grid:.3g} samples, more than {DEFAULT_MAX_EVENTS}")
     grid = np.arange(1, int(n_grid) + 1) * grid_dt
-    parts = [grid[grid <= horizon + eps]]
+    # the grid and then the horizon are in order; the minimum commutes with sorting
+    times = np.minimum(np.append(grid[grid <= horizon + eps], horizon), horizon)
     if extra is not None:
         extra = np.fromiter(map(float, extra), dtype=float)
-        parts.append(extra[(0.0 < extra) & (extra <= horizon + eps)])
-    parts.append([horizon])
-    times = np.sort(np.minimum(np.concatenate(parts), horizon))
+        times = np.sort(np.concatenate((times, np.minimum(
+            extra[(0.0 < extra) & (extra <= horizon + eps)], horizon))))
     keep = np.ones(len(times), dtype=bool)
     # A time more than eps after its predecessor is also more than eps after
     # the last kept time, so only the close pairs need the sequential scan.
@@ -265,11 +241,11 @@ class _GroupLog:
     ``lo`` of the path's next sample time, the pre-jump row sums and the
     post-jump memory.  The lockstep loop appends normals to ``zk``/``zv`` in
     blocks: one normal for each of an array of paths, or a segment's normals
-    for one path.  A path thinned on its own then appends its normals to
-    ``zs``; such paths run one after another, in path order.  Rows and
-    normals go in time order per path.  ``t_anchor``, ``lo``, ``n_events``
-    and ``n_normals`` hold each path's last event time, next sample index,
-    event count and normals count.
+    for one path.  A path thinned on its own then appends the uniforms of
+    its normals to ``zs``; such paths run one after another, in path order.
+    Rows and normals go in time order per path.  ``t_anchor``, ``lo``,
+    ``n_events`` and ``n_normals`` hold each path's last event time, next
+    sample index, event count and normals count.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -322,19 +298,18 @@ class _GroupLog:
                 + (_em_split(first, h)[0] if first > 0 else 0)
                 + (_em_split(last, h)[0] if last > 0 else 0))
 
-    def take(self, k: int, t_stop: float, rng: RandomStream) -> int:
-        """Take path k's normals for its segment up to ``t_stop`` from rng,
-        after the segment's last thinning draw; returns the end of the
-        segment's sample times."""
-        lo = int(self.lo[k])
+    def take(self, t0: float, lo: int, t_stop: float, rng: RandomStream) -> tuple[int, int]:
+        """Take the normals of a path's segment from its anchor time t0 and
+        next sample index lo up to ``t_stop`` from rng, after the segment's
+        last thinning draw; returns the end of the segment's sample times and
+        the number of normals taken."""
         hi = bisect_left(self.sample_floats, t_stop - self.eps, lo)   # as _hi
-        n = self._count(float(self.t_anchor[k]), lo, hi, t_stop)
-        if n == 1:
-            self.zs.append(rng.normal())
+        n = self._count(t0, lo, hi, t_stop)
+        if n == 1:   # a normal's uniform: _walk takes the normals of all at once
+            self.zs.append(rng.uniform())
         elif n:
-            self.zs.frombytes(rng.normals(n).tobytes())
-        self.n_normals[k] += n
-        return hi
+            self.zs.frombytes(rng.uniforms(n).tobytes())
+        return hi, n
 
     def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> np.ndarray:
         """:meth:`take` for paths ``rows`` from their rows of ``bank``."""
@@ -359,19 +334,19 @@ class _GroupLog:
             self.zv.append(ndtri(bank.take(rows[r], n[r])))
         return hi
 
-    def record(self, k: int, tau: float, comp: int, hi: int, rs: list, y: list) -> None:
+    def record(self, k: int, tau: float, comp: int, hi: int, rs: list, y: list) -> int:
         """Record path k's event of 1-based component ``comp`` at ``tau``,
         whose segment's normals are taken and whose sample times end at
         ``hi``; ``rs`` are the pre-jump row sums, and the pre-jump memory
-        ``y``, a row-major list, gains the event's column of c in place."""
+        ``y``, a row-major list, gains the event's column of c in place.
+        Returns the path's next sample index."""
         lo, at = hi, self.sample_floats
         while abs(at[lo] - tau) <= self.eps:   # step past the sample times on tau
             lo += 1
         for i in range(comp - 1, len(y), self.m):
             y[i] += self.c[i]
         self.rec.extend((k, tau, comp, lo, *rs, *y))
-        self.t_anchor[k], self.lo[k] = tau, lo
-        self.n_events[k] += 1
+        return lo
 
     def record_rows(self, k: np.ndarray, tau: np.ndarray, comp: np.ndarray, hi: np.ndarray,
                     y_pre: np.ndarray) -> None:
@@ -490,7 +465,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
             at[k] = a + len(v)
     # then each one-path run's normals, after its path's lockstep ones, in path order
     left = np.cumsum(log.n_normals) - at
-    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
+    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = ndtri(log.zs)
     log.zk, log.zv, log.zs = [], [], None
     # the bound method calls faster than the jump map object itself
     jump = coeffs.jump.__call__
@@ -557,7 +532,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
                     out[at[hit] + 1] = xj
                 xs[:live] = x
                 k += 1
-    # each remaining path resumes from record k in one scalar loop
+    # each remaining path resumes from record k in one scalar loop, intervals first
     tail = array("d")
     append = tail.append
     kinds, qs, ds, es = memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)
@@ -571,11 +546,16 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
         for kr, q, d, e in zip(kinds[a:b], qs[a:b], ds[a:b], es[a:b]):
             if kr < 2:
                 x = q + (x - p) * d + e
-            elif kr == 2:
+                append(x)
+                if kr:
+                    x = x + float(jump(x))   # the event's jump
+                    append(x)
+                continue
+            if kr == 2:
                 x = x0
             append(x)
             if kr & 1:
-                x = x + float(jump(x))   # the event's jump
+                x = x + float(jump(x))
                 append(x)
     if out is None:   # every path ran here, in order
         return np.frombuffer(tail)
@@ -700,7 +680,8 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
             y[acc] = y_k
             if n_iter >= max_events:
                 worst = int(np.argmax(log.n_events[k]))
-                _check_events(int(log.n_events[k[worst]]), float(tau_k[worst]), max_events)
+                if log.n_events[k[worst]] >= max_events:
+                    raise _limit_error(max_events, float(tau_k[worst]))
         t = tau
     for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y.reshape(len(ids), m * m).tolist()):
         _run_events(rt, log, k, bank.stream(k), t_k, y_k, max_events)
@@ -712,19 +693,35 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
                 y: list, max_events: int) -> tuple[float, list]:
     """Thin path k of ``log`` from memory ``y`` (a row-major list) at time
     ``t`` up to the horizon, recording every accepted event and then the
-    last segment.
-
-    Returns the last candidate time (``t`` if none) and the memory there.
-    Raises :class:`SimulationLimitError` once the path holds ``max_events``
-    events.
+    last segment.  The path's anchor time, next sample index, event count
+    and normals count stay in locals, and go back to ``log`` when it ends.
+    Returns the last candidate time (``t`` if none) and the memory there;
+    raises :class:`SimulationLimitError` once it holds ``max_events`` events.
     """
-    while True:
-        t, comp, y, rs = _next_event(rt, y, t, log.horizon, rng)
-        if comp is None:
-            log.take(k, log.horizon, rng)
-            return t, y
-        log.record(k, t, comp, log.take(k, t, rng), rs, y)
-        _check_events(int(log.n_events[k]), t, max_events)
+    bound_at, flow, uniform, take, record = rt.bound, rt.flow, rng.uniform, log.take, log.record
+    horizon, t0, lo = log.horizon, float(log.t_anchor[k]), int(log.lo[k])
+    n_events, n_normals = int(log.n_events[k]), int(log.n_normals[k])
+    try:
+        while True:
+            bound = bound_at(y)
+            if not (bound > 0.0 and math.isfinite(bound)):
+                raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
+            tau = t + float(-np.log(uniform()) / bound)   # RandomStream.exponential's operations
+            if tau > horizon:
+                n_normals += take(t0, lo, horizon, rng)[1]
+                return t, y
+            y, rs, cum = flow(y, tau - t)
+            if cum[-1] > bound * (1.0 + 1e-9):
+                raise RuntimeError("dominating rate violated; rate functions inconsistent")
+            u, t = uniform() * bound, tau
+            if u < cum[-1]:   # accepted, as _pick
+                hi, n = take(t0, lo, tau, rng)
+                t0, lo = tau, record(k, tau, bisect_right(cum, u) + 1, hi, rs, y)
+                n_events, n_normals = n_events + 1, n_normals + n
+                if n_events >= max_events:
+                    raise _limit_error(max_events, tau)
+    finally:
+        log.t_anchor[k], log.lo[k], log.n_events[k], log.n_normals[k] = t0, lo, n_events, n_normals
 
 
 def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -741,17 +738,17 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
         y, rs, cum = rt.flow(y0, tau)
         comp = _pick(cum, rng.uniform() * bound)
         if comp:
-            log.record(k, tau, comp, log.take(k, tau, rng), rs, y)
+            hi, log.n_normals[k] = log.take(0.0, 0, tau, rng)
+            log.lo[k] = log.record(k, tau, comp, hi, rs, y)
+            log.t_anchor[k], log.n_events[k] = tau, 1
         t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
         y_end[k] = np.multiply(y, np.exp(rt.decay * (horizon - t)))
     return _skeleton(log, [0] * len(taus), "")[1], y_end.reshape(-1, *rt.alpha.shape)
 
 
-def _check_events(n_events: int, t: float, max_events: int) -> None:
-    if n_events >= max_events:
-        raise SimulationLimitError(
-            f"exceeded {max_events} events before t = {t:.6g} "
-            "(supercritical model or horizon too long?)")
+def _limit_error(max_events: int, t: float) -> SimulationLimitError:
+    return SimulationLimitError(f"exceeded {max_events} events before t = {t:.6g} "
+                                "(supercritical model or horizon too long?)")
 
 
 def reference_rate_step(model: ModelSpec) -> float:
@@ -781,6 +778,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     rt = RateRuntime(model)
     log = _GroupLog(model, cfg, horizon, _build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
     y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
+    lo, n_normals = 0, 0   # the path's next sample index and normals count
     lam_star = rt.bound(y)
     if k2_bound is not None:
         lam_star = max(lam_star,
@@ -790,7 +788,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     while True:
         tau = t_cand + float(rng.exponential(lam_star))
         if tau > horizon:
-            log.take(0, horizon, rng)
+            n_normals += log.take(t_event, lo, horizon, rng)[1]
             break
         n_cand += 1
         if n_cand > max_candidates:
@@ -801,10 +799,12 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
             raise RuntimeError("dominating rate violated in reference construction")
         comp = _pick(cum, rng.uniform() * lam_star)
         if comp:
-            log.record(0, tau, comp, log.take(0, tau, rng), rs, y_pre)
+            hi, n = log.take(t_event, lo, tau, rng)
+            lo, n_normals = log.record(0, tau, comp, hi, rs, y_pre), n_normals + n
             y, t_event = y_pre, tau
         lam_star += step
         t_cand = tau
+    log.n_normals[0] = n_normals   # which the skeleton pass reads
     return _skeleton(log, [seed], model_digest(model))[0][0]
 
 

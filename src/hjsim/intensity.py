@@ -31,12 +31,14 @@ reduce = add.reduce
 
 
 def f(decay, gammas, fz, {ats}):
+    ({gs},), ({ds},) = gammas.tolist(), decay.tolist()
+
     def bound(y):
         {ys}, = y
-        return fz + float(gammas @ [{abs_sums}])
+        return fz + {envelope}
 
     def flow(y, dt):
-        {es}, = exp(decay * dt).tolist()
+        {es}, = {exps}
         {ys}, = y
         {body}
         return [{ys}], [{ss}], [{cs}]
@@ -60,14 +62,18 @@ def _evaluators(m: int):
     source holds only names derived from m: every model value is an
     argument of the factory, bound in the closures it returns."""
     ys, es = [f"y{k}" for k in range(m * m)], [f"e{k}" for k in range(m * m)]
-    ats, ss, cs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c"))
+    ats, ss, cs, gs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c", "g"))
     rows = [ys[i:i + m] for i in range(0, m * m, m)]
     body = ([f"{y} = {y} * {e}" for y, e in zip(ys, es)]
             + [f"{s} = {_row_sum(row)}" for s, row in zip(ss, rows)]
             + ["c0 = at0(s0)"] + [f"c{i} = c{i - 1} + at{i}(s{i})" for i in range(1, m)])
+    abs_sums = ", ".join(_row_sum([f"abs({y})" for y in row]) for row in rows)
+    one = m == 1   # numpy's dot of one term is 0.0 plus it; its exp of a float is its array exp
     return _compiled(_EVALUATORS.format(
         ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
-        cs=", ".join(cs), abs_sums=", ".join(_row_sum([f"abs({y})" for y in row]) for row in rows),
+        cs=", ".join(cs), gs=", ".join(gs), ds=", ".join(f"d{k}" for k in range(m * m)),
+        envelope=f"(0.0 + g0 * ({abs_sums}))" if one else f"float(gammas @ [{abs_sums}])",
+        exps="float(exp(d0 * dt))," if one else "exp(decay * dt).tolist()",
         body="\n        ".join(body)))
 
 

@@ -12,7 +12,6 @@ set to draw d of the stream keyed by ``key``, reads n words.  So no stream
 holds a generator object, and threads never share a positioned one.  A
 :class:`RandomStream` holds its key, the draw index after its buffer and
 the buffer, read in blocks that double from ``_FIRST_BLOCK`` to ``_BLOCK``.
-``_generator`` builds a stream's own numpy generator, the oracle for tests.
 
 A :class:`DrawBank` holds a group's streams as rows of one matrix of
 buffered uniforms, addressed by (key, draw index): one draw for many rows
@@ -64,11 +63,6 @@ def derive_path_seeds(master_seed: int, n: int) -> np.ndarray:
 def _key(seed):
     """The Philox key of the stream (or, for a uint64 array, the streams) of ``seed``."""
     return mix64(seed), mix64(seed ^ _GOLDEN)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    """The Philox generator of the stream keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=np.array(_key(seed), dtype=np.uint64)))
 
 
 class _PerThread(threading.local):

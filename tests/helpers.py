@@ -10,7 +10,13 @@ import hjsim
 from hjsim import engine
 from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
-from hjsim.rng import RandomStream
+from hjsim.rng import RandomStream, _key
+
+
+def philox_generator(seed: int) -> np.random.Generator:
+    """numpy's own Philox generator of the stream keyed by a 64-bit seed:
+    the oracle that every draw of :mod:`hjsim.rng` is checked against."""
+    return np.random.Generator(np.random.Philox(key=np.array(_key(seed), dtype=np.uint64)))
 
 
 def make_model(m, rates, c, alpha, drift, diffusion, jump, x0=0.0, y0=None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 import hjsim
 from hjsim import engine, pathio
@@ -453,9 +454,9 @@ class TestOnePathLoop:
                                _build_sample_times(horizon, cfg.grid_dt, extra), 1)
         engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
                            model.initial.y.ravel().tolist(), 10**6)
-        # the first row is the path's start
+        # the first row is the path's start; zs holds the normals' uniforms
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
-        assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
+        assert ndtri(log.zs).tobytes() == normals.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(em_runs())
@@ -469,7 +470,7 @@ class TestOnePathLoop:
         engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
                            model.initial.y.ravel().tolist(), 10**6)
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
-        assert np.frombuffer(log.zs).tobytes() == normals.tobytes()
+        assert ndtri(log.zs).tobytes() == normals.tobytes()
         path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra)
         xs, left = skeleton_x_oracle(path, model, cfg, normals)
         assert path.skeleton_x.tobytes() == xs.tobytes()
@@ -494,6 +495,39 @@ class TestOnePathLoop:
         hi = int(log._hi(lo, t_stop))
         assert log._count(t0, lo, hi, t_stop) == count_oracle(samples, model.coefficients, cfg,
                                                              t0, lo, hi, t_stop)
+
+    @pytest.mark.parametrize("run, k, message", [
+        # one path thinned on its own from the start
+        (lambda: hjsim.simulate_path(supercritical_model(), 200.0, em_cfg(0.1), seed=3,
+                                     max_events=500),
+         0, "exceeded 500 events before t = 5.95731 "),
+        # path 4, which has the most events (52), finishes on its own after
+        # the lockstep loop hands it over
+        (lambda: hjsim.simulate_ensemble(reference_model(), 20.0, ou_cfg(0.5), 5, 6,
+                                         max_events=52),
+         4, "exceeded 52 events before t = 19.7612 ")])
+    def test_event_limit_leaves_the_path_state_in_the_log(self, monkeypatch, run, k, message):
+        # the limit trips at the max_events-th event, at the time the path
+        # first had max_events events; the path's anchor time, next sample
+        # index, event count and normals count are back in the log
+        logs = []
+
+        class Log(engine._GroupLog):
+            def __init__(self, *args):
+                super().__init__(*args)
+                logs.append(self)
+
+        monkeypatch.setattr(engine, "_GroupLog", Log)
+        with pytest.raises(hjsim.SimulationLimitError, match=message) as info:
+            run()
+        assert "_run_events" in [entry.name for entry in info.traceback]
+        log, max_events = logs[0], int(message.split()[1])
+        rows = np.frombuffer(log.rec).reshape(-1, 4 + log.m + log.m ** 2)
+        mine = rows[rows[:, 0] == k]
+        assert log.n_events[k] == len(mine) - 1 == max_events
+        assert (log.t_anchor[k], log.lo[k]) == (mine[-1, 1], mine[-1, 3])
+        assert f"t = {log.t_anchor[k]:.6g} " in message
+        assert log.n_normals.sum() == len(log.zs) + sum(np.size(v) for v in log.zv)
 
     @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
                                                 (math.nan, "finite and positive"),

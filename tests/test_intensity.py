@@ -242,6 +242,22 @@ class TestRateRuntime:
         assert np.array(rs).tobytes() == flowed.sum(axis=-1).tobytes()
         assert np.array(cum).tobytes() == np.cumsum(rt.intensities(flowed)).tobytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")   # the array oracle's inf
+    @settings(max_examples=300, deadline=None)
+    @given(_finite(1e-3, 50.0), _finite(0.0, 1e3),
+           st.sampled_from([0.0, -0.0, 1e-300, 2.5, 1e300]), st.sampled_from([0.0, 1.0, 1e10]))
+    def test_one_component_scalar_forms_round_as_numpy(self, alpha, dt, y, slope):
+        # M = 1 takes numpy's one-term envelope dot product and its exp as
+        # float expressions: down to underflow, with zero and huge slopes
+        rt = RateRuntime(make_model(
+            1, [{"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": slope}],
+            [1.0], [alpha], {"type": "linear", "rate": 1.0, "intercept": 0.0},
+            {"type": "constant", "value": 1.0}, {"type": "constant", "size": 0.0}))
+        bound = rt.f_zero_sum + float(rt.gammas @ np.abs([[y]]).sum(axis=1))
+        assert np.float64(rt.bound([y])).tobytes() == np.float64(bound).tobytes()
+        flowed = y * np.exp(-rt.alpha * dt)
+        assert np.float64(rt.flow([y], dt)[0][0]).tobytes() == flowed.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 20), st.integers(0, 2**32 - 1))
     def test_row_sums_round_as_numpy(self, m, seed):

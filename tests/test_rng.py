@@ -20,10 +20,10 @@ from scipy.special import ndtri
 
 import hjsim
 from hjsim import pathio
-from hjsim.rng import (_GOLDEN, _REFILL_ROWS, DrawBank, RandomStream, _generator, _words_at,
+from hjsim.rng import (_GOLDEN, _REFILL_ROWS, DrawBank, RandomStream, _words_at,
                        derive_path_seed, derive_path_seeds)
 
-from helpers import em_cfg, ou_cfg, reference_model, two_component_model
+from helpers import em_cfg, ou_cfg, philox_generator, reference_model, two_component_model
 
 SEEDS = st.integers(0, 2**64 - 1)
 # Block sizes around and beyond the 1024-draw refill, interleaved with single
@@ -69,7 +69,7 @@ def test_skeleton_times_pair_exactly_at_events(seed, horizon, grid_dt, em_step, 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 191, 192, 193, 447, 448, 449, 959, 960,
                                961, 1983, 1984, 1985, 3007, 3008, 3009])
 def test_growing_blocks_equal_one_block(n):
-    one_block = _generator(2024).integers(0, 2**53, size=n, dtype=np.uint64)
+    one_block = philox_generator(2024).integers(0, 2**53, size=n, dtype=np.uint64)
     singles = RandomStream(2024)
     assert [singles.uniform() for _ in range(n)] == ((one_block + 0.5) * 2.0**-53).tolist()
     assert RandomStream(2024).uniforms(n).tolist() == ((one_block + 0.5) * 2.0**-53).tolist()
@@ -88,7 +88,7 @@ def test_bank_rows_continue_their_streams(seed, steps, n_rows):
     # n_rows sets the bank's width: 1024, 163 and 64 buffered draws per row
     seeds = [seed ^ k for k in range(n_rows)]
     bank = DrawBank(seeds)
-    ref = [(_generator(s).integers(0, 2**53, size=90_000, dtype=np.uint64) + 0.5) * 2.0**-53
+    ref = [(philox_generator(s).integers(0, 2**53, size=90_000, dtype=np.uint64) + 0.5) * 2.0**-53
            for s in seeds[:3]]
     used = [0, 0, 0]
 
