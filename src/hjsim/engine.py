@@ -95,10 +95,10 @@ DEFAULT_MAX_EVENTS = 10_000_000
 _LOCKSTEP_MIN = 4
 # Below this many live paths a lockstep step of the exact-OU walk costs more
 # than stepping their records one at a time: a step cost 16-18 us plus 0.02 us
-# per live path, a scalar record 0.17-0.25 us (0.44 us where most end in a
-# jump), so they break even near 40-100 paths (Python 3.11, numpy 2.4, 2-core
-# Xeon).  The 1000-path short_paths group walked in 2.5 ms with any value from
-# 16 to 100, 2.7 ms at 150 and 7.2 ms all scalar (medians of 41).
+# per live path, a scalar record 0.29 us on a fine grid and 0.39 us where most
+# records end in a jump, so they break even near 45-60 paths (Python 3.11,
+# numpy 2.4, 2-core Xeon).  The 1000-path short_paths group walked in 2.5 ms
+# (16 to 100), 2.8 ms (150) and 8.9 ms all scalar, medians of 41 runs.
 _WALK_MIN = 64
 # Live state a lockstep group may hold, counted by _path_bytes.  The 1000
 # short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no

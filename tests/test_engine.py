@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -505,7 +505,7 @@ class TestOnePathLoop:
         # the lockstep loop hands it over
         (lambda: hjsim.simulate_ensemble(reference_model(), 20.0, ou_cfg(0.5), 5, 6,
                                          max_events=52),
-         4, "exceeded 52 events before t = 19.7612 ")])
+         4, "exceeded 52 events before t = 19.7612 ")], ids=["one_path", "after_lockstep"])
     def test_event_limit_leaves_the_path_state_in_the_log(self, monkeypatch, run, k, message):
         # the limit trips at the max_events-th event, at the time the path
         # first had max_events events; the path's anchor time, next sample
@@ -573,9 +573,13 @@ def _sample_times_loop(horizon, grid_dt, extra):
 
 class TestSampleTimes:
     @settings(max_examples=200, deadline=None)
-    @given(horizon=st.floats(1e-15, 50.0), steps=st.floats(0.5, 3000.0),
+    # whole step counts put the last grid multiple within rounding of the
+    # horizon, on either side: 37 * (0.3 / 37) is above 0.3
+    @given(horizon=st.floats(1e-15, 50.0),
+           steps=st.floats(0.5, 3000.0) | st.integers(1, 3000).map(float),
            extra=st.one_of(st.none(), st.lists(st.floats(-1.0, 60.0), max_size=8)),
            near=st.lists(st.sampled_from([-3, -1, -0.5, 0, 0.5, 1, 3]), max_size=4))
+    @example(horizon=0.3, steps=37.0, extra=None, near=[])
     def test_matches_sequential_construction(self, horizon, steps, extra, near):
         grid_dt = horizon / steps
         if extra is not None:
@@ -584,6 +588,9 @@ class TestSampleTimes:
             extra = extra + [grid_dt + k * eps for k in near] + [horizon + k * eps for k in near]
         want = _sample_times_loop(horizon, grid_dt, extra)
         assert _build_sample_times(horizon, grid_dt, extra).tobytes() == want.tobytes()
+        # without extras the grid and the horizon are built without a sort
+        want = _sample_times_loop(horizon, grid_dt, None)
+        assert _build_sample_times(horizon, grid_dt, None).tobytes() == want.tobytes()
 
     def test_grid_finer_than_eps_is_deduplicated(self):
         want = _sample_times_loop(1e-13, 1e-15, None)
