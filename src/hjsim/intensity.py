@@ -31,7 +31,7 @@ reduce = add.reduce
 
 
 def f(decay, gammas, fz, {ats}):
-    ({gs},), ({ds},) = gammas.tolist(), decay.tolist()
+    {scalars}
 
     def bound(y):
         {ys}, = y
@@ -62,7 +62,7 @@ def _evaluators(m: int):
     source holds only names derived from m: every model value is an
     argument of the factory, bound in the closures it returns."""
     ys, es = [f"y{k}" for k in range(m * m)], [f"e{k}" for k in range(m * m)]
-    ats, ss, cs, gs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c", "g"))
+    ats, ss, cs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c"))
     rows = [ys[i:i + m] for i in range(0, m * m, m)]
     body = ([f"{y} = {y} * {e}" for y, e in zip(ys, es)]
             + [f"{s} = {_row_sum(row)}" for s, row in zip(ss, rows)]
@@ -71,7 +71,7 @@ def _evaluators(m: int):
     one = m == 1   # numpy's dot of one term is 0.0 plus it; its exp of a float is its array exp
     return _compiled(_EVALUATORS.format(
         ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
-        cs=", ".join(cs), gs=", ".join(gs), ds=", ".join(f"d{k}" for k in range(m * m)),
+        cs=", ".join(cs), scalars="g0, d0 = float(gammas[0]), float(decay[0])" if one else "pass",
         envelope=f"(0.0 + g0 * ({abs_sums}))" if one else f"float(gammas @ [{abs_sums}])",
         exps="float(exp(d0 * dt))," if one else "exp(decay * dt).tolist()",
         body="\n        ".join(body)))
