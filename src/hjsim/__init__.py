@@ -23,7 +23,6 @@ from .model import (
     SmoothBoundedDiffusion,
     State,
     check_assumptions,
-    load_model,
     model_digest,
     model_from_dict,
     model_to_dict,

@@ -40,7 +40,6 @@ class RunConfig:
     (burn_in defaults to 10% of the horizon at use time)."""
 
     model: ModelSpec
-    model_path: str | None = None
     horizon: float | None = None
     n_paths: int = 1
     seed: int = 0
@@ -94,7 +93,7 @@ class RunConfig:
 
 # The run-shape fields with their defaults and annotations, and a check and
 # description for each annotation; bools are not numbers.
-_RUN_FIELDS = {f.name: f for f in fields(RunConfig) if f.name not in ("model", "model_path")}
+_RUN_FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "model"}
 _TYPE_CHECKS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (_finite, "a finite number"),
@@ -136,7 +135,7 @@ def parse_config(path: str) -> RunConfig:
     for key in raw:
         _require(key in known_model | {"run"}, key, "unknown top-level field")
     model = model_from_dict({k: v for k, v in raw.items() if k in known_model})
-    config = RunConfig(model=model, model_path=path)
+    config = RunConfig(model=model)
     run = raw.get("run", {})
     _require(isinstance(run, dict), "run", "must be an object")
     for key, value in run.items():

@@ -126,7 +126,7 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     """(times, x, row_sums) at the regular grid multiples of grid_dt past
     burn_in, taking the post-jump record when a grid time coincides with an
     event."""
-    eps = 1e-9 * max(1.0, path.horizon)
+    eps = 1e-12 * max(1.0, path.horizon)   # the engine's sample tolerance
     k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
     k_hi = int(path.horizon / grid_dt + eps)
     times = np.arange(k_lo, k_hi + 1) * grid_dt
@@ -135,11 +135,18 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
 
 def states_at(path: Path, times) -> tuple[np.ndarray, np.ndarray]:
     """(x, row_sums) at the given times, which must be recorded in the
-    skeleton (use simulate_path(..., sample_at=times)); post-jump values."""
+    skeleton (use simulate_path(..., sample_at=times)); post-jump values.
+    Each time reads its nearest record, within twice the engine's tolerance
+    eps: a sample time within eps of the one kept before it is dropped, and
+    one within eps of an event reads the event's post-jump record."""
     times = np.asarray(times, dtype=float)
-    eps = 1e-9 * max(1.0, path.horizon)
-    idx = np.searchsorted(path.skeleton_times, times + eps, side="right") - 1
-    if np.any(idx < 0) or np.any(np.abs(path.skeleton_times[idx] - times) > eps):
+    st = path.skeleton_times
+    tol = 2e-12 * max(1.0, path.horizon)
+    after = np.searchsorted(st, times, side="right")
+    below = np.maximum(after - 1, 0)   # the last record at or before each time
+    above = np.searchsorted(st, st[np.minimum(after, len(st) - 1)], side="right") - 1
+    idx = np.where(np.abs(st[above] - times) < np.abs(st[below] - times), above, below)
+    if np.any(np.abs(st[idx] - times) > tol):
         raise ValueError("requested times are not recorded in the skeleton")
     return path.skeleton_x[idx], path.skeleton_row_sums[idx]
 

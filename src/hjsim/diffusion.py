@@ -7,14 +7,16 @@ coefficient no noise draws are consumed, so the integrator is a
 deterministic ODE step.
 
 The engine's skeleton pass steps x with ``_ou_terms``, ``_em_plan`` and the
-compiled ``_em_kernel``; :func:`advance_diffusion_many` serves the Monte
-Carlo generator check.
+compiled ``_em_kernel``; :func:`advance_diffusion_many`, which serves the
+Monte Carlo generator check, steps arrays of positions with the same two
+sources.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -43,8 +45,6 @@ class EulerMaruyama:
 
     step: float
 
-    kind = "euler_maruyama"
-
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError("step must be a finite positive number")
@@ -53,8 +53,6 @@ class EulerMaruyama:
 @dataclass(frozen=True)
 class ExactOU:
     """Exact Gaussian transition; admissible only for linear drift with constant sigma."""
-
-    kind = "exact_ou"
 
 
 Scheme = Union[EulerMaruyama, ExactOU]
@@ -148,34 +146,37 @@ def f(x, plan, h, z, out):
     sqrt_h, append = sqrt(h), out.append
     for full, rem in plan:
         for {z_h} in {whole}:
-            x = x + float({b}) * h{noise_h}
+            x = x + {cast}({b}) * h{noise_h}
         if rem:
-            x = x + float({b}) * rem{noise_rem}
+            x = x + {cast}({b}) * rem{noise_rem}
         append(x)
     return x
 """
 
 
-def _em_kernel(coeffs: CoefficientSpec):
-    """The scalar Euler-Maruyama stepper of ``coeffs``, compiled once per
+def _em_kernel(coeffs: CoefficientSpec, cast: str = "float"):
+    """The Euler-Maruyama stepper of ``coeffs``, compiled once per
     coefficient pair: ``f(x, plan, h, z, out)`` steps x over each
     (whole steps, partial step) pair of ``plan`` (:func:`_em_plan`), taking
     a normal from the iterator ``z`` at each substep (none without noise),
-    appends x after each interval to ``out`` and returns it."""
+    appends x after each interval to ``out`` and returns it.  x is a float,
+    or with ``cast=""`` an array that ``z`` gives an array of normals for."""
     b, sigma = coeffs.drift.expr(), coeffs.diffusion.expr()
     noisy = not _noiseless(coeffs)
     return _compiled(_EM_KERNEL.format(
-        b=b, z_h="z_i" if noisy else "_", whole="islice(z, full)" if noisy else "range(full)",
-        noise_h=f" + float({sigma}) * sqrt_h * z_i" if noisy else "",
-        noise_rem=f" + float({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
+        b=b, cast=cast, z_h="z_i" if noisy else "_",
+        whole="islice(z, full)" if noisy else "range(full)",
+        noise_h=f" + {cast}({sigma}) * sqrt_h * z_i" if noisy else "",
+        noise_rem=f" + {cast}({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
 
 
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
                            cfg: IntegratorConfig, rng: RandomStream) -> np.ndarray:
     """Vectorised advance of many independent positions over the same dt.
 
-    Uses one normal draw per substep for every position, in position order;
-    the marginal law of each output matches a path's step over dt.
+    Draws one normal per position and exact-OU step or Euler-Maruyama
+    substep, in position order; the marginal law of each output matches a
+    path's step over dt.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -189,14 +190,7 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
         if _noiseless(coeffs):
             return mean
         return mean + sd[0] * rng.normals(n)
-
-    noiseless = _noiseless(coeffs)
-    n_sub, rem = _em_split(dt, scheme.step)
-    for s in (scheme.step,) * (n_sub - (rem > 0)) + (rem,) * (rem > 0):
-        b = coeffs.drift(xs)
-        if noiseless:
-            xs = xs + b * s
-        else:
-            xs = xs + b * s + coeffs.diffusion(xs) * math.sqrt(s) * rng.normals(n)
-    return xs
+    full, rem = _em_plan(np.array([dt]), scheme.step)
+    return _em_kernel(coeffs, "")(xs, zip(memoryview(full), memoryview(rem)), scheme.step,
+                                  map(rng.normals, repeat(n)), [])
 

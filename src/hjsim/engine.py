@@ -239,11 +239,11 @@ class _GroupLog:
     The row buffer ``rec`` holds each path's start (component 0, time 0, the
     initial memory) and a row per event: path, time, component, the index
     ``lo`` of the path's next sample time, the pre-jump row sums and the
-    post-jump memory.  The lockstep loop appends normals to ``zk``/``zv`` in
-    blocks: one normal for each of an array of paths, or a segment's normals
-    for one path.  A path thinned on its own then appends the uniforms of
-    its normals to ``zs``; such paths run one after another, in path order.
-    Rows and normals go in time order per path.  ``t_anchor``, ``lo``,
+    post-jump memory.  The lockstep loop appends the uniforms of normals to
+    ``zk``/``zv`` in blocks: one for each of an array of paths, or a
+    segment's uniforms for one path.  A path thinned on its own then appends
+    its uniforms to ``zs``; such paths run one after another, in path order.
+    Rows and uniforms go in time order per path.  ``t_anchor``, ``lo``,
     ``n_events`` and ``n_normals`` hold each path's last event time, next
     sample index, event count and normals count.
     """
@@ -305,7 +305,7 @@ class _GroupLog:
         the number of normals taken."""
         hi = bisect_left(self.sample_floats, t_stop - self.eps, lo)   # as _hi
         n = self._count(t0, lo, hi, t_stop)
-        if n == 1:   # a normal's uniform: _walk takes the normals of all at once
+        if n == 1:   # a normal's uniform: _walk converts those of all at once
             self.zs.append(rng.uniform())
         elif n:
             self.zs.frombytes(rng.uniforms(n).tobytes())
@@ -328,10 +328,10 @@ class _GroupLog:
         one = rows[n == 1]
         if len(one):
             self.zk.append(one)
-            self.zv.append(ndtri(bank.uniforms(one)[0]))
+            self.zv.append(bank.uniforms(one))
         for r in np.flatnonzero(n > 1).tolist():
             self.zk.append(rows[r])
-            self.zv.append(ndtri(bank.take(rows[r], n[r])))
+            self.zv.append(bank.take(rows[r], n[r]))
         return hi
 
     def record(self, k: int, tau: float, comp: int, hi: int, rs: list, y: list) -> int:
@@ -451,8 +451,8 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     post-jump record that the jump gives.
     """
     coeffs, x0 = log.model.coefficients, log.model.initial.x
-    # the normals, path by path: a block holds one normal for each of an
-    # array of paths, or a segment's normals for one path
+    # the normals' uniforms, path by path: a block holds one for each of an
+    # array of paths, or a segment's for one path
     at = np.cumsum(log.n_normals) - log.n_normals
     z = np.empty(int(log.n_normals.sum()))
     for k, v in zip(log.zk, log.zv):
@@ -463,10 +463,11 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
             a = int(at[k])
             z[a:a + len(v)] = v
             at[k] = a + len(v)
-    # then each one-path run's normals, after its path's lockstep ones, in path order
+    # then each one-path run's, after its path's lockstep ones, in path order
     left = np.cumsum(log.n_normals) - at
-    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = ndtri(log.zs)
+    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
     log.zk, log.zv, log.zs = [], [], None
+    ndtri(z, out=z)
     # the bound method calls faster than the jump map object itself
     jump = coeffs.jump.__call__
     if not log.ou:
@@ -654,23 +655,19 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         bad = bound[~(np.isfinite(bound) & (bound > 0.0))]
         if bad.size:
             raise RuntimeError(f"dominating rate must be finite and positive, got {bad[0]}")
-        # each path's exponential draw, then the uniform that picks the component
-        u_exp, u_pick = bank.uniforms(ids, 2)
-        tau = t + -np.log(u_exp) / bound
+        # each path's exponential draw; a path past the horizon draws no pick
+        tau = t + -np.log(bank.uniforms(ids)) / bound
         done = tau > horizon
         if done.any():
             k = ids[done]
-            bank.unread(k)   # a path past the horizon draws no pick
             log.take_rows(k, np.full(len(k), horizon), bank)
-            keep = ~done
-            ids, t, y, tau, bound = ids[keep], t[keep], y[keep], tau[keep], bound[keep]
-            u_pick = u_pick[keep]
+            ids, t, y, tau, bound = (a[~done] for a in (ids, t, y, tau, bound))
         y = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
         lam = rt.intensities(y)
         if np.any(lam.sum(axis=1) > bound * (1.0 + 1e-9)):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
         # the 0-based component picked by each scaled uniform; m if rejected
-        u = u_pick * bound
+        u = bank.uniforms(ids) * bound
         comp = (np.cumsum(lam, axis=1) <= u[:, None]).sum(axis=1)
         acc = np.flatnonzero(comp < m)
         if acc.size:
@@ -706,7 +703,7 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
             bound = bound_at(y)
             if not (bound > 0.0 and math.isfinite(bound)):
                 raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
-            tau = t + float(-np.log(uniform()) / bound)   # RandomStream.exponential's operations
+            tau = t + float(-np.log(uniform()) / bound)   # an exponential at rate bound
             if tau > horizon:
                 n_normals += take(t0, lo, horizon, rng)[1]
                 return t, y
@@ -786,7 +783,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     step = reference_rate_step(model)
     t_cand, n_cand = 0.0, 0
     while True:
-        tau = t_cand + float(rng.exponential(lam_star))
+        tau = t_cand + float(-np.log(rng.uniform()) / lam_star)
         if tau > horizon:
             n_normals += log.take(t_event, lo, horizon, rng)[1]
             break

@@ -79,7 +79,6 @@ __all__ = [
     "check_assumptions",
     "model_from_dict",
     "model_to_dict",
-    "load_model",
     "state_from_dict",
     "state_to_dict",
     "canonical_json",
@@ -686,15 +685,6 @@ def model_from_dict(d: dict) -> ModelSpec:
     return ModelSpec(tuple(rates), kernel, coeffs, initial)
 
 
-def load_model(path: str) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"not valid JSON: {exc}") from exc
-    return model_from_dict(d)
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON serialisation used for digests (sorted keys, no spaces)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -750,8 +740,8 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
     as inconclusive).  ``spectral_radius`` is that of the interaction
     matrix, for a caller that has already computed it.
     """
-    if not scan_radius > 0:
-        raise ValueError("scan_radius must be > 0")
+    if not (scan_radius > 0 and math.isfinite(scan_radius * scan_radius)):
+        raise ValueError(f"scan_radius {scan_radius!r} must be > 0 with a finite square")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
 

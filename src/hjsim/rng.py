@@ -11,7 +11,7 @@ Every draw is read by ``_words_at(key, d, n)``: one C Philox per thread,
 set to draw d of the stream keyed by ``key``, reads n words.  So no stream
 holds a generator object, and threads never share a positioned one.  A
 :class:`RandomStream` holds its key, the draw index after its buffer and
-the buffer, read in blocks that double from ``_FIRST_BLOCK`` to ``_BLOCK``.
+the buffer, refilled ``_BLOCK`` draws at a time (more for a longer read).
 
 A :class:`DrawBank` holds a group's streams as rows of one matrix of
 buffered uniforms, addressed by (key, draw index): one draw for many rows
@@ -29,7 +29,6 @@ __all__ = ["mix64", "derive_path_seed", "derive_path_seeds", "RandomStream", "Dr
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_FIRST_BLOCK = 64
 _BLOCK = 1024
 _BANK_DRAWS = 1 << 14
 # DrawBank rows refilled per batch, so that a wide bank's first fill holds
@@ -88,21 +87,19 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 
 
 class RandomStream:
-    """Buffered uniform/normal/exponential draws from one Philox stream."""
+    """Buffered uniform and normal draws from one Philox stream."""
 
-    __slots__ = ("seed", "_key", "_end", "_buf", "_pos", "_block")
+    __slots__ = ("seed", "_key", "_end", "_buf", "_pos")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._key = _key(self.seed)
         self._buf, self._pos, self._end = np.empty(0), 0, 0   # _end: the draw after _buf
-        self._block = _FIRST_BLOCK
 
     def _refill(self, need: int = 1) -> None:
-        self._buf = _uniforms(_words_at(self._key, self._end, max(self._block, need)))
+        self._buf = _uniforms(_words_at(self._key, self._end, max(_BLOCK, need)))
         self._end += len(self._buf)
         self._pos = 0
-        self._block = min(2 * self._block, _BLOCK)
 
     def uniform(self) -> float:
         """One uniform draw in the open interval (0, 1)."""
@@ -123,17 +120,9 @@ class RandomStream:
         self._pos = n - len(head)
         return np.concatenate((head, self._buf[:self._pos]))
 
-    def normal(self) -> float:
-        """One standard normal via the inverse CDF."""
-        return float(ndtri(self.uniform()))
-
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals: the values of n calls to :meth:`normal`."""
+        """n standard normals, the inverse CDF of n uniforms."""
         return ndtri(self.uniforms(n))
-
-    def exponential(self, rate: float) -> float:
-        """One exponential draw with the given rate (mean 1/rate)."""
-        return -np.log(self.uniform()) / rate
 
 
 class DrawBank:
@@ -154,20 +143,19 @@ class DrawBank:
         # About _BANK_DRAWS buffered draws in all: 64 per row for a wide
         # group (of short paths, since long grids make groups narrow), up
         # to a full block per row for a narrow one.
-        width = min(_BLOCK, max(_FIRST_BLOCK, _BANK_DRAWS // len(seeds)))
+        width = min(_BLOCK, max(64, _BANK_DRAWS // len(seeds)))
         self.buf = np.empty((len(seeds), width))
         self.pos = np.full(len(seeds), width)
         self.ends = np.zeros(len(seeds), dtype=np.int64)
 
-    def uniforms(self, rows: np.ndarray, n: int = 1) -> list[np.ndarray]:
-        """The next n uniforms of each of ``rows`` (distinct row indices):
-        draw i of every row is array i of the list."""
+    def uniforms(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each of ``rows`` (distinct row indices)."""
         width = self.buf.shape[1]
         pos = self.pos[rows]
-        low = pos > width - n
+        low = pos == width
         if low.any():
             k = rows[low]
-            start = self.ends[k] - width + pos[low]   # each row's next draw
+            start = self.ends[k]   # each row's next draw
             for a in range(0, len(k), _REFILL_ROWS):
                 part = slice(a, a + _REFILL_ROWS)
                 self.buf[k[part]] = _uniforms(np.stack(
@@ -175,12 +163,8 @@ class DrawBank:
                      for r, d in zip(k[part].tolist(), start[part].tolist())]))
             self.ends[k] = start + width
             pos[low] = 0
-        self.pos[rows] = pos + n
-        return [self.buf[rows, pos + i] for i in range(n)]
-
-    def unread(self, rows: np.ndarray) -> None:
-        """Return the last draw :meth:`uniforms` took for each of ``rows``."""
-        self.pos[rows] -= 1
+        self.pos[rows] = pos + 1
+        return self.buf[rows, pos]
 
     def take(self, k: int, n: int) -> np.ndarray:
         """The next n uniforms of row k."""
@@ -200,7 +184,7 @@ class DrawBank:
     def stream(self, k: int) -> RandomStream:
         """Row k as a :class:`RandomStream` that continues from its position."""
         out = RandomStream.__new__(RandomStream)
-        out.seed, out._block = self.seeds[k], _BLOCK
+        out.seed = self.seeds[k]
         out._key, out._end = self.keys[k], int(self.ends[k])
         out._buf, out._pos = self.buf[k, self.pos[k]:].copy(), 0
         return out

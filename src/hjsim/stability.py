@@ -281,7 +281,8 @@ class DriftScanResult:
     message: str
 
     def to_dict(self) -> dict:
-        return {"frame": self.frame, "d1": self.d1, "d2": self.d2,
+        d1, d2 = (v if math.isfinite(v) else None for v in (self.d1, self.d2))
+        return {"frame": self.frame, "d1": d1, "d2": d2,
                 "n_points": self.n_points, "n_violations": self.n_violations,
                 "success": self.success, "message": self.message}
 
@@ -296,7 +297,7 @@ def drift_scan(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     the sample median); d1 is the largest value of A V + d2 * V over the
     near field.  Far-field states exceeding d1 by more than the tolerance
     are reported as violations.  ``success`` is False when no positive d2
-    exists, which signals a model outside the proved frames.
+    exists (a model outside the proved frames) or d1 or d2 is not finite.
     """
     x_lo, x_hi, y_lo, y_hi = region
     m = model.n_components
@@ -320,18 +321,21 @@ def drift_scan(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
                 break
             x[small] = gen.uniform(x_lo, x_hi, size=int(small.sum()))
 
-    ratio, log_v = _generator_ratio(model, lyap, stab, x, y)
     power = 1.0 if lyap.frame == "exponential" else 1.0 - lyap.alpha_exp
-    fit_ratio = ratio if power == 1.0 else ratio * np.exp(lyap.alpha_exp * log_v)
-    far = log_v >= np.median(log_v)
-    d2 = -float(np.max(fit_ratio[far]))
-    if not d2 > 0:
+    with np.errstate(over="ignore", invalid="ignore"):   # a fit that is not finite fails
+        ratio, log_v = _generator_ratio(model, lyap, stab, x, y)
+        fit_ratio = ratio if power == 1.0 else ratio * np.exp(lyap.alpha_exp * log_v)
+        far = log_v >= np.median(log_v)
+        d2 = -float(np.max(fit_ratio[far]))
+        lhs = np.exp(power * log_v) * (fit_ratio + d2)
+    if d2 <= 0:
         return DriftScanResult(lyap.frame, math.nan, d2, n_points, 0, [], False,
                                "no positive d2: the generator ratio stays "
                                "nonnegative in the far field")
-    with np.errstate(over="ignore"):
-        lhs = np.exp(power * log_v) * (fit_ratio + d2)
     d1 = float(np.max(lhs[~far])) if np.any(~far) else float(np.max(lhs))
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        return DriftScanResult(lyap.frame, d1, d2, n_points, 0, [], False,
+                               "d1 or d2 is not finite: V overflows on the scan box")
     tol = tolerance * (1.0 + abs(d1))
     bad = np.flatnonzero(far & (lhs > d1 + tol))
     violations = [(float(x[i]), y[i].copy()) for i in bad[:32]]

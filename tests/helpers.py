@@ -233,7 +233,7 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
 
     while True:
         bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
-        tau = t + rng.exponential(bound)
+        tau = t + -np.log(rng.uniform()) / bound
         if tau > horizon:
             take(horizon)
             return (np.concatenate([np.empty((0, 4 + m + m * m))] + rows),
@@ -296,6 +296,22 @@ def em_segment_oracle(x, dts, coeffs, cfg, z) -> list:
                 x = x + float(drift(x)) * s + float(sigma(x)) * sqrt_s * next(z)
         out.append(x)
     return out
+
+
+def advance_many_oracle(xs, dt, coeffs, cfg, rng):
+    """Euler-Maruyama positions of the array ``xs`` after dt, one array step
+    per substep with one call of each coefficient object, drawing a normal
+    for every position at each noisy substep: the loop that
+    ``diffusion.advance_diffusion_many`` replaced with the compiled kernel."""
+    xs = np.array(xs, dtype=float, copy=True)
+    n_sub, rem = _em_split(dt, cfg.scheme.step)
+    for s in (cfg.scheme.step,) * (n_sub - (rem > 0)) + (rem,) * (rem > 0):
+        b = coeffs.drift(xs)
+        if _noiseless(coeffs):
+            xs = xs + b * s
+        else:
+            xs = xs + b * s + coeffs.diffusion(xs) * math.sqrt(s) * rng.normals(len(xs))
+    return xs
 
 
 def skeleton_x_oracle(path, model, cfg, normals):

@@ -8,15 +8,17 @@ import inspect
 import pytest
 
 import hjsim
+from hjsim.rng import DrawBank, RandomStream
 
 MODULES = ["cli", "diagnostics", "diffusion", "engine", "intensity", "model", "pathio", "rng",
            "stability"]
 
-# test-only wrappers that were removed, with their module
+# wrappers that only tests, or nothing, called, removed, with their module
 REMOVED = {"flow_memory": "intensity", "apply_event": "intensity",
            "intensity_vector": "intensity", "total_event_rate": "intensity",
            "dominating_rate": "intensity", "advance_diffusion": "diffusion",
-           "apply_state_jump": "diffusion", "next_event": "engine", "CandidateEvent": "engine"}
+           "apply_state_jump": "diffusion", "next_event": "engine", "CandidateEvent": "engine",
+           "load_model": "model"}
 
 
 def package_imports():
@@ -46,3 +48,9 @@ def test_removed_wrappers_are_gone(name, module):
     assert not hasattr(hjsim, name)
     assert not hasattr(mod, name)
     assert name not in mod.__all__
+
+
+@pytest.mark.parametrize("cls, name", [(RandomStream, "normal"), (RandomStream, "exponential"),
+                                       (DrawBank, "unread")])
+def test_removed_draw_methods_are_gone(cls, name):
+    assert not hasattr(cls, name)

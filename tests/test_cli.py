@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,38 @@ class TestOtherCommands:
         report = json.loads(out.read_text())
         assert report["stability_ok"] is False
         assert os.path.exists(str(out) + ".manifest.json")
+
+    @staticmethod
+    def _strict_json(text):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        return json.loads(text, parse_constant=refuse)
+
+    def _check_stability_radius(self, tmp_path, capsys, radius):
+        """The exit status, stderr lines and report (None if not written) of
+        check-stability on the reference model over a scan box of ``radius``;
+        a warning counts as a stderr line."""
+        out = tmp_path / "stab.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["check-stability", "--config", write_config(tmp_path),
+                           "--scan-radius", radius, "--points", "1000", "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+        return rc, lines, self._strict_json(out.read_text()) if out.exists() else None
+
+    def test_check_stability_where_v_overflows_fails_the_fit(self, tmp_path, capsys):
+        rc, lines, report = self._check_stability_radius(tmp_path, capsys, "5000")
+        assert rc == 0 and lines == []
+        drift = report["drift"]
+        assert drift["success"] is False and drift["d1"] is None
+        assert "not finite" in drift["message"]
+
+    def test_check_stability_refuses_a_radius_whose_square_overflows(self, tmp_path, capsys):
+        rc, lines, report = self._check_stability_radius(tmp_path, capsys, "1e160")
+        assert rc == 1 and report is None and len(lines) == 1
+        err = self._strict_json(lines[0])
+        assert err == {"error": "ValueError",
+                       "message": "scan_radius 1e+160 must be > 0 with a finite square"}
 
     def test_ergodic_test(self, tmp_path):
         config = write_config(tmp_path)

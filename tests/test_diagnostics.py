@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import hjsim
@@ -11,7 +12,35 @@ from hjsim.diagnostics import (autocorr_decay, invariant_histogram,
                                time_average, tv_histogram)
 from hjsim.rng import derive_path_seed
 
-from helpers import ou_cfg, pure_ou_model, reference_model
+from helpers import make_model, ou_cfg, pure_ou_model, reference_model
+
+
+def drifting_noiseless_model():
+    """The reference model without noise, x drifting to 0.3 from 1: extra
+    sample times move none of its events."""
+    rate = {"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": 1.0}
+    return make_model(1, [rate], [0.5], [1.0], {"type": "linear", "rate": 1.0, "intercept": 0.3},
+                      {"type": "constant", "value": 0.0}, {"type": "linear_damping", "eta": 0.5},
+                      x0=1.0)
+
+
+@st.composite
+def near_event_extras(draw, events, horizon, grid_dt):
+    """Extra sample times at, and within 3 engine tolerances eps of, events,
+    and pairs of times 1.5 eps or 5e-10 apart; an extra within 1.2 eps of a
+    grid time, the horizon or an extra kept before it is left out, so the
+    engine records every extra on its own or as an event's post-jump record."""
+    eps = 1e-12 * max(1.0, horizon)
+    times = [e + draw(st.sampled_from([0.0, 0.5, -0.5, 1.5, -1.5, 3.0, -3.0])) * eps
+             for e in draw(st.lists(st.sampled_from(events.tolist()), max_size=8))]
+    for t in draw(st.lists(st.floats(0.01, horizon - 0.01), max_size=4)):
+        times += [t, t + draw(st.sampled_from([1.5 * eps, 5e-10]))]
+    grid = np.append(np.arange(1, int(horizon / grid_dt + eps) + 1) * grid_dt, horizon)
+    kept = []
+    for t in times:
+        if np.abs(grid - t).min() > 1.2 * eps and all(abs(t - k) > 1.2 * eps for k in kept):
+            kept.append(t)
+    return kept
 
 
 class TestTimeAverage:
@@ -62,6 +91,32 @@ class TestRegularSamples:
         assert x[0] == model.initial.x
         with pytest.raises(ValueError):
             states_at(path, [3.33])
+
+    def test_states_at_reads_close_times_apart(self):
+        # the engine records 1.0 and 1.0 + 5e-10 apart
+        path = hjsim.simulate_path(reference_model(), 3.0, ou_cfg(10.0), seed=7,
+                                   sample_at=[1.0, 1.0 + 5e-10, 2.0])
+        x, _ = states_at(path, [1.0, 1.0 + 5e-10, 2.0])
+        assert x.tolist() == path.skeleton_x[[1, 2, 5]].tolist()
+        assert x[0] != x[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**63), grid_dt=st.floats(0.05, 4.0))
+    def test_states_at_reads_each_time_its_own_record(self, data, seed, grid_dt):
+        # or, for a time within eps of an event, the event's post-jump record
+        model, horizon, cfg = drifting_noiseless_model(), 10.0, ou_cfg(grid_dt)
+        eps = 1e-12 * horizon
+        events = hjsim.simulate_path(model, horizon, cfg, seed).event_times
+        extras = data.draw(near_event_extras(events, horizon, grid_dt))
+        path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extras)
+        assert path.event_times.tolist() == events.tolist()
+        times = path.skeleton_times
+        x, rs = states_at(path, extras)
+        for t, x_t, rs_t in zip(extras, x.tolist(), rs.tolist()):
+            own = np.flatnonzero(times == t)[-1:].tolist()
+            want = own or [np.flatnonzero(times == e)[-1] for e in events if abs(e - t) <= eps]
+            assert [x_t, rs_t] in [[path.skeleton_x[i], path.skeleton_row_sums[i].tolist()]
+                                   for i in want], t
 
 
 class TestInvariantHistogram:

@@ -13,8 +13,8 @@ from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          SmoothBoundedDiffusion)
 from hjsim.rng import RandomStream
 
-from helpers import (_DIFFUSION_SPECS, _DRIFT_SPECS, _finite, count_oracle, em_segment_oracle,
-                     make_model)
+from helpers import (_DIFFUSION_SPECS, _DRIFT_SPECS, _finite, advance_many_oracle, count_oracle,
+                     em_segment_oracle, make_model)
 
 
 def coeffs(rate=1.0, intercept=0.0, sigma=1.0, jump=None):
@@ -55,7 +55,7 @@ class TestDeterministicLimits:
         cs = coeffs(rate=rate, intercept=1.0, sigma=0.0)
         assert advance(0.5, 2.0, cs, cfg, RandomStream(0)) == 2.5
         noisy = coeffs(rate=rate, intercept=1.0, sigma=1.0)
-        z = float(RandomStream(0).normal())
+        z = float(RandomStream(0).normals(1)[0])
         assert advance(0.5, 2.0, noisy, cfg, RandomStream(0)) == 2.5 + math.sqrt(2.0) * z
 
     @pytest.mark.parametrize("rate", [1e-20, 1e-300, -1e-20])
@@ -274,6 +274,33 @@ def test_em_kernel_equals_one_call_per_substep(segment, seed):
     _em_kernel(cs)(x0, zip(memoryview(full), memoryview(rem)), cfg.scheme.step, got, xs)
     assert np.array(xs).tobytes() == np.array(em_segment_oracle(x0, dts, cs, cfg, want)).tobytes()
     assert next(got, None) is None and next(want, None) is None
+
+
+@st.composite
+def _em_advances(draw):
+    """Coefficients of every drift and diffusion kind (zero noise included),
+    positions, an interval dt and an Euler-Maruyama step above dt, below it
+    or dividing it a whole number of times."""
+    cs = CoefficientSpec.from_dict({"drift": draw(_DRIFT_SPECS),
+                                    "diffusion": draw(_DIFFUSION_SPECS),
+                                    "jump": {"type": "constant", "size": 0.0}})
+    dt = draw(st.floats(1e-3, 5.0))
+    step = draw(st.floats(dt, 10.0 * dt) | st.floats(dt / 300, dt)
+                | st.integers(1, 50).map(lambda k: dt / k))
+    return cs, IntegratorConfig(EulerMaruyama(step), 0.1), dt, draw(
+        st.lists(_finite(-3.0, 3.0), max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_em_advances(), st.integers(0, 2**64 - 1))
+def test_advance_many_equals_the_array_oracle(advance, seed):
+    # the compiled kernel on arrays against one array step per substep, bit
+    # for bit, drawing the same normals
+    cs, cfg, dt, xs = advance
+    got, want = RandomStream(seed), RandomStream(seed)
+    x = advance_diffusion_many(np.array(xs), dt, cs, cfg, got)
+    assert x.tobytes() == advance_many_oracle(np.array(xs), dt, cs, cfg, want).tobytes()
+    assert got.uniform() == want.uniform()
 
 
 def test_em_kernel_compiled_once_per_coefficient_pair():
