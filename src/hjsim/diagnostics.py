@@ -141,13 +141,14 @@ def states_at(path: Path, times) -> tuple[np.ndarray, np.ndarray]:
     one within eps of an event reads the event's post-jump record."""
     times = np.asarray(times, dtype=float)
     st = path.skeleton_times
-    tol = 2e-12 * max(1.0, path.horizon)
-    after = np.searchsorted(st, times, side="right")
-    below = np.maximum(after - 1, 0)   # the last record at or before each time
-    above = np.searchsorted(st, st[np.minimum(after, len(st) - 1)], side="right") - 1
-    idx = np.where(np.abs(st[above] - times) < np.abs(st[below] - times), above, below)
-    if np.any(np.abs(st[idx] - times) > tol):
-        raise ValueError("requested times are not recorded in the skeleton")
+    idx = np.searchsorted(st, times, side="right") - 1   # the last record at or before each time
+    off = np.flatnonzero(st[idx] != times)
+    if len(off):   # no record at the time: the nearer of those around it
+        t, below = times[off], np.maximum(idx[off], 0)
+        above = np.searchsorted(st, st[np.minimum(idx[off] + 1, len(st) - 1)], side="right") - 1
+        idx[off] = np.where(np.abs(st[above] - t) < np.abs(st[below] - t), above, below)
+        if not np.all(np.abs(st[idx[off]] - t) <= 2e-12 * max(1.0, path.horizon)):
+            raise ValueError("requested times are not recorded in the skeleton")
     return path.skeleton_x[idx], path.skeleton_row_sums[idx]
 
 
