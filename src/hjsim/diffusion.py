@@ -7,9 +7,9 @@ coefficient no noise draws are consumed, so the integrator is a
 deterministic ODE step.
 
 The engine's skeleton pass steps x with ``_ou_terms``, ``_em_plan`` and the
-compiled ``_em_kernel``; :func:`advance_diffusion_many`, which serves the
-Monte Carlo generator check, steps arrays of positions with the same two
-sources.
+compiled ``_em_kernel``, which runs on floats and reads numpy's tanh as a
+float where it is called; :func:`advance_diffusion_many`, for the Monte
+Carlo generator check, steps arrays of positions with the same sources.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled
+from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled, _on_floats
 from .rng import RandomStream
 
 __all__ = [
@@ -146,28 +146,30 @@ def f(x, plan, h, z, out):
     sqrt_h, append = sqrt(h), out.append
     for full, rem in plan:
         for {z_h} in {whole}:
-            x = x + {cast}({b}) * h{noise_h}
+            x = x + ({b}) * h{noise_h}
         if rem:
-            x = x + {cast}({b}) * rem{noise_rem}
+            x = x + ({b}) * rem{noise_rem}
         append(x)
     return x
 """
 
 
-def _em_kernel(coeffs: CoefficientSpec, cast: str = "float"):
+def _em_kernel(coeffs: CoefficientSpec, arrays: bool = False):
     """The Euler-Maruyama stepper of ``coeffs``, compiled once per
     coefficient pair: ``f(x, plan, h, z, out)`` steps x over each
     (whole steps, partial step) pair of ``plan`` (:func:`_em_plan`), taking
     a normal from the iterator ``z`` at each substep (none without noise),
     appends x after each interval to ``out`` and returns it.  x is a float,
-    or with ``cast=""`` an array that ``z`` gives an array of normals for."""
-    b, sigma = coeffs.drift.expr(), coeffs.diffusion.expr()
+    and numpy's tanh is read as a float where it is called; with ``arrays``,
+    x is an array that ``z`` gives an array of normals for."""
+    b, sigma = (e if arrays else _on_floats(e)
+                for e in (coeffs.drift.expr(), coeffs.diffusion.expr()))
     noisy = not _noiseless(coeffs)
     return _compiled(_EM_KERNEL.format(
-        b=b, cast=cast, z_h="z_i" if noisy else "_",
+        b=b, z_h="z_i" if noisy else "_",
         whole="islice(z, full)" if noisy else "range(full)",
-        noise_h=f" + {cast}({sigma}) * sqrt_h * z_i" if noisy else "",
-        noise_rem=f" + {cast}({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
+        noise_h=f" + ({sigma}) * sqrt_h * z_i" if noisy else "",
+        noise_rem=f" + ({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
 
 
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
@@ -191,6 +193,6 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
             return mean
         return mean + sd[0] * rng.normals(n)
     full, rem = _em_plan(np.array([dt]), scheme.step)
-    return _em_kernel(coeffs, "")(xs, zip(memoryview(full), memoryview(rem)), scheme.step,
-                                  map(rng.normals, repeat(n)), [])
+    return _em_kernel(coeffs, arrays=True)(xs, zip(memoryview(full), memoryview(rem)),
+                                           scheme.step, map(rng.normals, repeat(n)), [])
 

@@ -703,7 +703,7 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
             bound = bound_at(y)
             if not (bound > 0.0 and math.isfinite(bound)):
                 raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
-            tau = t + float(-np.log(uniform()) / bound)   # an exponential at rate bound
+            tau = t - float(np.log(uniform())) / bound   # an exponential at rate bound
             if tau > horizon:
                 n_normals += take(t0, lo, horizon, rng)[1]
                 return t, y
@@ -783,7 +783,7 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     step = reference_rate_step(model)
     t_cand, n_cand = 0.0, 0
     while True:
-        tau = t_cand + float(-np.log(rng.uniform()) / lam_star)
+        tau = t_cand - float(np.log(rng.uniform())) / lam_star
         if tau > horizon:
             n_normals += log.take(t_event, lo, horizon, rng)[1]
             break

@@ -46,6 +46,7 @@ left out of a config.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
@@ -262,11 +263,21 @@ _RATE_KINDS = {c.kind: c for c in (AffineClippedRate, SigmoidRate, ConstantRate)
 @lru_cache(maxsize=256)
 def _compiled(source: str):
     """The function ``f`` that a generated source defines, with numpy's
-    ``tanh`` in scope.  Only field names and reprs of validated floats are
-    ever put into one."""
+    ``tanh`` in scope.  Only names and reprs of validated floats are ever
+    put into one."""
     namespace = {"tanh": np.tanh}
     exec(source, namespace)
     return namespace["f"]
+
+
+@lru_cache(maxsize=256)
+def _on_floats(expr: str) -> str:
+    """``expr`` with the value of each call read as a float: numpy's tanh of
+    a float is a numpy scalar, whose arithmetic is slower and rounds the same."""
+    tree = ast.parse(expr, mode="eval")
+    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+        call.func, call.args = ast.Name("float"), [ast.Call(call.func, call.args, [])]
+    return ast.unparse(tree)
 
 
 class _Coefficient(_Family):

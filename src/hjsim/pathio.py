@@ -2,7 +2,8 @@
 
 JSONL layout: a header record followed by the chronologically merged
 sample/event records; at an event time the order is pre-jump sample,
-event, post-jump sample.
+event, post-jump sample.  Sample lines come from one f-string formatter
+compiled per M, with the bytes of one ``json.JSONEncoder`` call per record.
 
     {"kind": "header", "format": "hjsm-jsonl", "version": 1, "M": ...,
      "horizon": ..., "seed": ..., "model_digest": "..."}
@@ -39,6 +40,7 @@ from typing import BinaryIO, TextIO
 import numpy as np
 
 from .engine import Path
+from .model import _compiled
 
 __all__ = [
     "BINARY_MAGIC",
@@ -60,20 +62,24 @@ _DIGEST = re.compile("[0-9a-f]{64}")   # a sha256 hexdigest, which the binary fr
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _BLOCK = 256   # sample records formatted at a time
+_SAMPLE_LINES = """\
+def f(rows):
+    return [f'{{"kind":"sample","t":{t!r},"x":{x!r},"row_sums":[%s]}}\\n' for t, x, %s in rows]
+"""
 
 
 def _jsonl_blocks(path: Path):
     """The JSONL text of ``path``: the header line, then the merged records in
     blocks of about ``_BLOCK`` samples.  The text equals one
-    ``json.JSONEncoder`` call per record: ``%r`` of a float is its
+    ``json.JSONEncoder`` call per record: ``repr`` of a float is its
     ``float.__repr__``, as in the encoder, which writes the non-finite values
     as ``NaN``, ``Infinity`` and ``-Infinity``."""
     yield _ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
                            "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
                            "model_digest": path.model_hash}) + "\n"
     st, sx, rs, et = path.skeleton_times, path.skeleton_x, path.skeleton_row_sums, path.event_times
-    sample = ('{"kind":"sample","t":%r,"x":%r,"row_sums":['
-              + ",".join(["%r"] * path.n_components) + "]}\n")
+    names = [f"r{i}" for i in range(path.n_components)]   # the source holds only these
+    samples = _compiled(_SAMPLE_LINES % (",".join(f"{{{r}!r}}" for r in names), ", ".join(names)))
     events = ['{"kind":"event","t":%r,"component":%d}\n' % e
               for e in zip(et.tolist(), path.event_components.tolist())]
     # event j follows the first ins[j] samples: those before it, then its
@@ -86,9 +92,8 @@ def _jsonl_blocks(path: Path):
     j0, n = 0, len(st)
     for a in range(0, max(n, 1), _BLOCK):
         b = min(a + _BLOCK, n)
-        # a block at a time: the whole matrix as nested lists is several
-        # times its size
-        lines = [sample % tuple(r) for r in np.column_stack([st[a:b], sx[a:b], rs[a:b]]).tolist()]
+        # a block at a time: the whole matrix as lists is several times its size
+        lines = samples(zip(st[a:b].tolist(), sx[a:b].tolist(), *rs[a:b].T.tolist()))
         j1 = bisect_left(ins, b) if b < n else len(ins)
         for j in range(j1 - 1, j0 - 1, -1):   # from the last, so equal places keep their order
             lines.insert(ins[j] - a, events[j])
@@ -169,12 +174,9 @@ def write_binary(path: Path, fh: BinaryIO) -> None:
     events = np.zeros(path.n_events, dtype=_EVENT_DTYPE)
     events["t"] = path.event_times
     events["component"] = path.event_components
-    fh.write(events.tobytes())
-    samples = np.empty((len(path.skeleton_times), 2 + path.n_components))
-    samples[:, 0] = path.skeleton_times
-    samples[:, 1] = path.skeleton_x
-    samples[:, 2:] = path.skeleton_row_sums
-    fh.write(samples.astype("<f8").tobytes())
+    fh.write(events)
+    samples = np.column_stack([path.skeleton_times, path.skeleton_x, path.skeleton_row_sums])
+    fh.write(np.asarray(samples, "<f8"))   # through the buffer, a copy only on big-endian
 
 
 def read_binary(fh: BinaryIO) -> Path:

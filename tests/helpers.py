@@ -362,10 +362,10 @@ def jsonl_oracle(path) -> bytes:
 
 @st.composite
 def written_paths(draw):
-    """Paths for the jsonl writer: M = 1..3, up to 700 samples (several
+    """Paths for the jsonl writer: M = 1..6, up to 700 samples (several
     writer blocks) with repeated times, events on and between sample times
     (or none), and NaN, +-inf and -0.0 among x and the row sums."""
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 20) | st.integers(250, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # sample times from 0, or from 0.25 so that an event may come before all

@@ -303,6 +303,44 @@ def test_advance_many_equals_the_array_oracle(advance, seed):
     assert got.uniform() == want.uniform()
 
 
+# starts with signed zeros, subnormals and magnitudes whose square overflows
+_EDGE_X = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1e300, -1e300])
+           | _finite(-3.0, 3.0))
+
+
+@st.composite
+def _em_plans(draw):
+    """Coefficients of every drift and diffusion kind (zero noise included),
+    a step and a plan: (whole steps, partial step) pairs, most of them one
+    whole or one partial substep, some both."""
+    cs = CoefficientSpec.from_dict({"drift": draw(_DRIFT_SPECS),
+                                    "diffusion": draw(_DIFFUSION_SPECS),
+                                    "jump": {"type": "constant", "size": 0.0}})
+    h = draw(st.floats(1e-3, 2.0))
+    partial = st.floats(1e-12, h, exclude_max=True)
+    pair = (st.tuples(st.just(1), st.just(0.0)) | st.tuples(st.just(0), partial)
+            | st.tuples(st.integers(0, 4), st.just(0.0) | partial))
+    return cs, h, draw(st.lists(pair, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_em_plans(), _EDGE_X, st.integers(0, 2**64 - 1))
+def test_scalar_kernel_equals_the_array_kernel(plan, x0, seed):
+    # the float kernel against the array kernel on one-element arrays, bit
+    # for bit after each pair of the plan, taking the same normals
+    cs, h, pairs = plan
+    n = 0 if _noiseless(cs) else sum(full + (rem > 0) for full, rem in pairs)
+    z = RandomStream(seed).normals(n)
+    scalar, array = [], []
+    got, want = iter(z.tolist()), (z[i:i + 1] for i in range(n))
+    with np.errstate(all="ignore"):   # a square or a drift may overflow
+        _em_kernel(cs)(x0, pairs, h, got, scalar)
+        _em_kernel(cs, arrays=True)(np.array([x0]), pairs, h, want, array)
+    assert all(type(x) is float for x in scalar)
+    assert np.array(scalar).tobytes() == np.concatenate(array).tobytes()
+    assert next(got, None) is None and next(want, None) is None
+
+
 def test_em_kernel_compiled_once_per_coefficient_pair():
     cs = _COEFFS[3]
     again = CoefficientSpec(BoundedSmoothDrift(2.0), SmoothBoundedDiffusion(0.5, 1.5),

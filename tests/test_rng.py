@@ -169,7 +169,17 @@ def test_bank_stream_continues_at_its_draw(seed, steps, n_rows, n):
         bank.uniforms(rows)
         for k in rows.tolist():
             used[k] += 1
+    width = bank.buf.shape[1]
     for k in range(3):
+        # row k keeps k buffered draws (after at most one refill) before a
+        # pair of single draws, so that a single draw meets its refill
+        for _ in range(2):
+            skip = (width - int(bank.pos[k]) - k) % width
+            bank.take(k, skip)
+            used[k] += skip
+        for _ in range(2):
+            bank.uniforms(np.array([k]))
+        used[k] += 2
         skipped = RandomStream(seeds[k])
         skipped.uniforms(used[k])
         assert bank.stream(k).uniforms(n).tolist() == skipped.uniforms(n).tolist()
