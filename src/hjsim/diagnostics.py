@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diffusion import IntegratorConfig
-from .engine import Path, simulate_ensemble
+from .engine import Path, _sample_eps, simulate_ensemble
 from .intensity import RateRuntime
 from .model import ModelSpec, State
 from .rng import mix64
@@ -38,7 +38,8 @@ __all__ = [
     "autocorr_decay",
 ]
 
-_TOL = 1e-9
+# time_average's number of non-overlapping batches
+_BATCHES = 20
 # mixing_curve's histograms hold bins**(1 + M) cells of 8 bytes each, two at
 # a time, and each state block n_paths * n_times * (1 + M) entries; above this
 # many cells or entries it refuses to run.
@@ -83,9 +84,10 @@ class ErgodicEstimate:
 
 
 def time_average(path: Path, observable, burn_in: float = 0.0,
-                 batches: int = 20, model: ModelSpec | None = None) -> ErgodicEstimate:
+                 model: ModelSpec | None = None) -> ErgodicEstimate:
     """Trapezoidal time average of the observable over the post-burn-in
-    skeleton, with the standard error of non-overlapping batch means.
+    skeleton, with the standard error of the means of 20 non-overlapping
+    batches of equal duration.
 
     Jump times carry two skeleton records (pre/post), so discontinuities
     integrate exactly as zero-width segments.  A constant observable is
@@ -101,13 +103,13 @@ def time_average(path: Path, observable, burn_in: float = 0.0,
     vals = np.asarray(g(ts, path.skeleton_x[start:],
                         path.skeleton_row_sums[start:]), dtype=float)
     if np.all(vals == vals[0]):
-        return ErgodicEstimate(float(vals[0]), batches, 0.0, burn_in)
+        return ErgodicEstimate(float(vals[0]), _BATCHES, 0.0, burn_in)
     dt = np.diff(ts)
     seg = 0.5 * (vals[:-1] + vals[1:]) * dt
     total_time = float(ts[-1] - ts[0])
     value = float(seg.sum()) / total_time
 
-    edge_times = ts[0] + np.arange(batches + 1) / batches * total_time
+    edge_times = ts[0] + np.arange(_BATCHES + 1) / _BATCHES * total_time
     idx = np.searchsorted(ts, edge_times)
     idx[0], idx[-1] = 0, len(ts) - 1
     idx = np.unique(idx)
@@ -126,7 +128,7 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     """(times, x, row_sums) at the regular grid multiples of grid_dt past
     burn_in, taking the post-jump record when a grid time coincides with an
     event."""
-    eps = 1e-12 * max(1.0, path.horizon)   # the engine's sample tolerance
+    eps = _sample_eps(path.horizon)
     k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
     k_hi = int(path.horizon / grid_dt + eps)
     times = np.arange(k_lo, k_hi + 1) * grid_dt
@@ -147,7 +149,7 @@ def states_at(path: Path, times) -> tuple[np.ndarray, np.ndarray]:
         t, below = times[off], np.maximum(idx[off], 0)
         above = np.searchsorted(st, st[np.minimum(idx[off] + 1, len(st) - 1)], side="right") - 1
         idx[off] = np.where(np.abs(st[above] - t) < np.abs(st[below] - t), above, below)
-        if not np.all(np.abs(st[idx[off]] - t) <= 2e-12 * max(1.0, path.horizon)):
+        if not np.all(np.abs(st[idx[off]] - t) <= 2 * _sample_eps(path.horizon)):
             raise ValueError("requested times are not recorded in the skeleton")
     return path.skeleton_x[idx], path.skeleton_row_sums[idx]
 
@@ -238,8 +240,7 @@ class MixingCurve:
 
 def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
                  n_paths: int, bins: int, cfg: IntegratorConfig,
-                 master_seed: int = 0, floor_factor: float = 2.0,
-                 workers: int = 1) -> MixingCurve:
+                 master_seed: int = 0) -> MixingCurve:
     """Estimate TV(law_a(t), law_b(t)) over the given times from two path
     ensembles (one per start), on shared joint histograms of
     (x, row sums of y).
@@ -247,7 +248,7 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     One ensemble per start is simulated to the largest requested time and
     read at every time, so estimates share paths across times.  The fit
     log TV ~ intercept - rate * t uses only times where the TV estimate
-    exceeds ``floor_factor`` times its own split-half noise floor.
+    exceeds twice its own split-half noise floor.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if len(times) < 2 or np.any(np.diff(times) <= 0):
@@ -269,7 +270,7 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     for tag, start in ((1, start_a), (2, start_b)):
         variant = ModelSpec(model.rates, model.kernel, model.coefficients, start)
         paths = simulate_ensemble(variant, horizon, cfg, mix64(master_seed + tag),
-                                  n_paths, workers=workers, sample_at=sample_times)
+                                  n_paths, sample_at=sample_times)
         # stacked (n_paths, n_times, 1 + M) state summaries
         ensembles.append(np.array([np.column_stack(states_at(p, times)) for p in paths]))
     block_a, block_b = ensembles
@@ -283,7 +284,7 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
         floor[k] = 0.5 * (tv_histogram(a[:half], a[half:], bins)
                           + tv_histogram(b[:half], b[half:], bins))
 
-    mask = tv > floor_factor * floor
+    mask = tv > 2.0 * floor
     if mask.sum() < 2:
         raise ValueError("TV estimates sit below the noise floor at all but "
                          "one time; shorten the times or add paths")
@@ -300,18 +301,12 @@ class AutocorrelationFit:
     rate: float
     r_squared: float
 
-    def to_dict(self) -> dict:
-        return {"lags": self.lags.tolist(),
-                "correlations": self.correlations.tolist(),
-                "rate": self.rate, "r_squared": self.r_squared}
-
 
 def autocorr_decay(path: Path, observable, lags, grid_dt: float,
-                   burn_in: float = 0.0, model: ModelSpec | None = None,
-                   min_corr: float = 0.05) -> AutocorrelationFit:
+                   burn_in: float = 0.0, model: ModelSpec | None = None) -> AutocorrelationFit:
     """Sample autocorrelation of the observable over the regular grid at the
     given time lags, with a least-squares exponential fit over the lags
-    whose correlation exceeds ``min_corr``."""
+    whose correlation exceeds 0.05."""
     times, x, rs = regular_samples(path, grid_dt, burn_in)
     g = make_observable(observable, model)
     series = np.asarray(g(times, x, rs), dtype=float)
@@ -323,7 +318,7 @@ def autocorr_decay(path: Path, observable, lags, grid_dt: float,
     denom = float((centred ** 2).sum())
     corr = np.array([float((centred[:-k] * centred[k:]).sum()) / denom for k in steps])
     lag_times = steps * grid_dt
-    use = corr > min_corr
+    use = corr > 0.05
     if use.sum() < 2:
         # nothing decays above the floor: an (effectively) uncorrelated series
         return AutocorrelationFit(lag_times, corr, math.nan, 0.0)

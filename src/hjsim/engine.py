@@ -207,10 +207,15 @@ def _pick(cum: list, u_scaled: float) -> int:
     return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
 
 
+def _sample_eps(horizon: float) -> float:
+    """eps: sample times, or a sample time and an event, this close are one time."""
+    return 1e-12 * max(1.0, horizon)
+
+
 def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
     """Sorted grid multiples, extra times and the horizon, with times closer
     than ``eps`` to the last kept one dropped (scanning in order)."""
-    eps = 1e-12 * max(1.0, horizon)
+    eps = _sample_eps(horizon)
     n_grid = horizon / grid_dt + eps
     if n_grid > DEFAULT_MAX_EVENTS:
         raise SimulationLimitError(
@@ -258,7 +263,7 @@ class _GroupLog:
         # as floats through a view
         self.samples = np.append(sample_times, math.inf)
         self.sample_floats = memoryview(self.samples)
-        self.eps = 1e-12 * max(1.0, horizon)
+        self.eps = _sample_eps(horizon)
         self.c = model.kernel.c.ravel().tolist()
         # c_added[j] holds column j of c in column j and -0.0 elsewhere, which
         # leaves every float as it is: an event of component j + 1 adds it

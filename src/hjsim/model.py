@@ -717,7 +717,8 @@ class AssumptionReport:
     ``frame`` is ``"exponential"``, ``"polynomial"`` or ``"neither"``.  For the
     exponential frame the witnesses are (d, r) with x*b(x) <= -d*x^2 beyond
     radius r; for the polynomial frame (gamma, r) with x*b(x) <= -gamma, plus
-    the documented admissible exponent interval ``m_interval``.
+    the admissible exponent interval ``m_interval`` = (2, 1 + 2*gamma/sigma_hi^2),
+    or (2, inf) without noise.
     """
 
     frame: str
@@ -734,15 +735,11 @@ class AssumptionReport:
     notes: str
 
 
-def _scan_grid(scan_radius: float, grid_points: int) -> np.ndarray:
-    half = np.linspace(scan_radius / grid_points, scan_radius, grid_points)
-    return np.concatenate([-half[::-1], half])
-
-
-def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 201, *,
+def check_assumptions(model: ModelSpec, scan_radius: float, *,
                       spectral_radius: float | None = None) -> AssumptionReport:
     """Classify the model into a confinement frame by scanning the defining
-    inequalities on a symmetric grid over [-scan_radius, scan_radius].
+    inequalities on a symmetric grid over [-scan_radius, scan_radius], 201
+    points on each side of 0.
 
     The inner exclusion radius r is searched over dyadic fractions of the
     scan radius; the drift rates use the families' exact formulas while the
@@ -753,12 +750,11 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
     """
     if not (scan_radius > 0 and math.isfinite(scan_radius * scan_radius)):
         raise ValueError(f"scan_radius {scan_radius!r} must be > 0 with a finite square")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
 
     coeffs = model.coefficients
     drift, jump = coeffs.drift, coeffs.jump
-    xs = _scan_grid(scan_radius, grid_points)
+    half = np.linspace(scan_radius / 201, scan_radius, 201)
+    xs = np.concatenate([-half[::-1], half])
     r_candidates = [scan_radius * 2.0 ** (-k) for k in range(8, 0, -1)]
     sig_lo, sig_hi = coeffs.diffusion.sigma_sq_bounds()
     notes: list[str] = []
@@ -796,18 +792,17 @@ def check_assumptions(model: ModelSpec, scan_radius: float, grid_points: int = 2
                          "d = 0 is treated as inconclusive")
             return report("exponential", d=float(d), r=float(r))
 
-    # polynomial frame: linear drift pull-back above sigma_hi/2 plus radial contraction
+    # polynomial frame: linear drift pull-back above sigma_hi^2/2 (sig_hi holds
+    # sigma_hi^2) plus radial contraction.  A|x|^m = m |x|^(m-2) (x b(x) +
+    # (m-1) sigma^2(x)/2) < 0 far out for m < 1 + 2*gamma/sigma_hi^2, above 2.
     for r in r_candidates:
         gamma = drift.min_linear_confinement(r)
         if not gamma > sig_hi / 2.0:
             continue
         pts = xs[np.abs(xs) > r]
         if jump_contraction_ok(pts):
-            upper = 1.0 + 2.0 * gamma / (sig_hi ** 2) if sig_hi > 0 else math.inf
-            m_interval = (2.0, upper) if upper > 2.0 else None
-            if m_interval is None:
-                notes.append("documented exponent interval (2, 1 + 2*gamma/sigma_hi^2) is empty")
-            return report("polynomial", gamma=float(gamma), r=float(r), m_interval=m_interval)
+            upper = 1.0 + 2.0 * gamma / sig_hi if sig_hi > 0 else math.inf
+            return report("polynomial", gamma=float(gamma), r=float(r), m_interval=(2.0, upper))
 
     # neither: report the innermost grid point past the largest candidate radius
     # at which the drift fails to pull inward (or, failing that, the jump map).

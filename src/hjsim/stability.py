@@ -28,7 +28,6 @@ so nothing overflows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ __all__ = [
     "StabilityData",
     "stability_data",
     "LyapunovSpec",
-    "lyapunov_spec_for",
     "lyapunov_value",
     "generator_apply",
     "DriftScanResult",
@@ -160,32 +158,13 @@ class LyapunovSpec:
         return None if self.poly_m is None else 2.0 / self.poly_m
 
 
-def lyapunov_spec_for(model: ModelSpec, scan_radius: float = 20.0,
-                      poly_m: float | None = None) -> LyapunovSpec:
-    """Build the frame-appropriate spec from an assumption scan.
-
-    For the polynomial frame, ``poly_m`` defaults to the midpoint of the
-    documented admissible interval; a user-supplied value outside that
-    interval is accepted with a warning.
-    """
-    return _spec_from_report(check_assumptions(model, scan_radius), poly_m)
-
-
-def _spec_from_report(report: AssumptionReport, poly_m: float | None) -> LyapunovSpec:
-    """The spec of :func:`lyapunov_spec_for` from an assumption report."""
+def _spec_from_report(report: AssumptionReport) -> LyapunovSpec:
+    """The spec of an assumption report's frame; the polynomial frame takes
+    the midpoint of the admissible exponent interval as its exponent m."""
     if report.frame == "exponential":
         return LyapunovSpec("exponential")
     if report.frame == "polynomial":
-        interval = report.m_interval
-        if poly_m is None:
-            if interval is None:
-                raise ValueError("no admissible polynomial exponent; supply poly_m")
-            poly_m = 0.5 * (interval[0] + interval[1])
-        elif interval is not None and not (interval[0] < poly_m < interval[1]):
-            warnings.warn(
-                f"poly_m={poly_m} outside the documented interval "
-                f"({interval[0]:.4g}, {interval[1]:.4g})", stacklevel=3)
-        return LyapunovSpec("polynomial", poly_m)
+        return LyapunovSpec("polynomial", 0.5 * sum(report.m_interval))
     raise ValueError("model is outside both confinement frames")
 
 
@@ -289,13 +268,13 @@ class DriftScanResult:
 
 def drift_scan(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
                region: tuple[float, float, float, float], n_points: int,
-               seed: int = 0, tolerance: float = 1e-9) -> DriftScanResult:
+               seed: int = 0) -> DriftScanResult:
     """Sample states in the box region (x_lo, x_hi, y_lo, y_hi), evaluate the
     generator ratio, and fit the drift constants empirically.
 
     d2 is minus the largest ratio over the far field (states with V above
     the sample median); d1 is the largest value of A V + d2 * V over the
-    near field.  Far-field states exceeding d1 by more than the tolerance
+    near field.  Far-field states exceeding d1 by more than 1e-9 * (1 + |d1|)
     are reported as violations.  ``success`` is False when no positive d2
     exists (a model outside the proved frames) or d1 or d2 is not finite.
     """
@@ -336,7 +315,7 @@ def drift_scan(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     if not (math.isfinite(d1) and math.isfinite(d2)):
         return DriftScanResult(lyap.frame, d1, d2, n_points, 0, [], False,
                                "d1 or d2 is not finite: V overflows on the scan box")
-    tol = tolerance * (1.0 + abs(d1))
+    tol = 1e-9 * (1.0 + abs(d1))
     bad = np.flatnonzero(far & (lhs > d1 + tol))
     violations = [(float(x[i]), y[i].copy()) for i in bad[:32]]
     return DriftScanResult(lyap.frame, d1, d2, n_points, int(bad.size),
@@ -443,12 +422,11 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
 
 
 def stability_report(model: ModelSpec, scan_radius: float = 20.0,
-                     n_points: int = 10_000, seed: int = 0,
-                     poly_m: float | None = None,
-                     vandermonde_t0: tuple[float, ...] = (0.1, 1.0)) -> dict:
+                     n_points: int = 10_000, seed: int = 0) -> dict:
     """JSON-ready stability summary: interaction matrix, Perron data, frame
     classification, fitted drift constants and per-column Vandermonde
-    determinants."""
+    determinants at spacings t0 = 0.1 and 1.  A non-finite end of the
+    exponent interval is written as null."""
     stab = stability_data(model)
     assumptions = check_assumptions(model, scan_radius, spectral_radius=stab.spectral_radius)
     report = {
@@ -459,7 +437,8 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
         "frame": assumptions.frame,
         "frame_witnesses": {
             "d": assumptions.d, "gamma": assumptions.gamma, "r": assumptions.r,
-            "m_interval": list(assumptions.m_interval) if assumptions.m_interval else None,
+            "m_interval": [v if math.isfinite(v) else None for v in assumptions.m_interval]
+                          if assumptions.m_interval else None,
         },
         "sigma_sq_bounds": list(assumptions.sigma_sq_bounds),
         "sigma_bounds_ok": assumptions.sigma_bounds_ok,
@@ -469,12 +448,12 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
         "vandermonde": [],
     }
     if assumptions.frame != "neither":
-        scan = drift_scan(model, _spec_from_report(assumptions, poly_m), stab,
+        scan = drift_scan(model, _spec_from_report(assumptions), stab,
                           (-scan_radius, scan_radius, -scan_radius, scan_radius),
                           n_points, seed=seed)
         report["drift"] = scan.to_dict()
     for j in range(1, model.n_components + 1):
-        for t0 in vandermonde_t0:
+        for t0 in (0.1, 1.0):
             chk = vandermonde_check(model.kernel, j, t0, strict=False)
             report["vandermonde"].append({
                 "column": j, "t0": t0, "determinant": chk.determinant,

@@ -8,6 +8,7 @@ import inspect
 import pytest
 
 import hjsim
+from hjsim.diagnostics import AutocorrelationFit
 from hjsim.rng import DrawBank, RandomStream
 
 MODULES = ["cli", "diagnostics", "diffusion", "engine", "intensity", "model", "pathio", "rng",
@@ -18,7 +19,18 @@ REMOVED = {"flow_memory": "intensity", "apply_event": "intensity",
            "intensity_vector": "intensity", "total_event_rate": "intensity",
            "dominating_rate": "intensity", "advance_diffusion": "diffusion",
            "apply_state_jump": "diffusion", "next_event": "engine", "CandidateEvent": "engine",
-           "load_model": "model"}
+           "load_model": "model", "lyapunov_spec_for": "stability"}
+
+# keyword options that no command, diagnostic or criterion set, removed, with
+# the function that took them
+REMOVED_OPTIONS = [("diagnostics", "time_average", "batches"),
+                   ("diagnostics", "mixing_curve", "floor_factor"),
+                   ("diagnostics", "mixing_curve", "workers"),
+                   ("diagnostics", "autocorr_decay", "min_corr"),
+                   ("stability", "drift_scan", "tolerance"),
+                   ("stability", "stability_report", "poly_m"),
+                   ("stability", "stability_report", "vandermonde_t0"),
+                   ("model", "check_assumptions", "grid_points")]
 
 
 def package_imports():
@@ -50,7 +62,13 @@ def test_removed_wrappers_are_gone(name, module):
     assert name not in mod.__all__
 
 
+@pytest.mark.parametrize("module, function, option", REMOVED_OPTIONS)
+def test_removed_options_are_gone(module, function, option):
+    func = getattr(importlib.import_module(f"hjsim.{module}"), function)
+    assert option not in inspect.signature(func).parameters
+
+
 @pytest.mark.parametrize("cls, name", [(RandomStream, "normal"), (RandomStream, "exponential"),
-                                       (DrawBank, "unread")])
+                                       (DrawBank, "unread"), (AutocorrelationFit, "to_dict")])
 def test_removed_draw_methods_are_gone(cls, name):
     assert not hasattr(cls, name)

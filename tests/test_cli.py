@@ -10,7 +10,7 @@ import hjsim
 from hjsim import cli, pathio
 from hjsim.model import ConfigError, model_to_dict
 
-from helpers import (constant_rate_config, reference_model, supercritical_model,
+from helpers import (constant_rate_config, make_model, reference_model, supercritical_model,
                      two_component_model)
 
 
@@ -223,6 +223,20 @@ class TestSimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OverflowError"
 
+    def test_exact_ou_on_state_dependent_noise_is_structured_error(self, tmp_path, capsys):
+        d = model_to_dict(reference_model())
+        d["coefficients"]["diffusion"] = {"type": "smooth_bounded", "lo": 0.5, "hi": 1.5}
+        config = tmp_path / "smooth.json"
+        config.write_text(json.dumps(d))
+        rc = cli.main(["simulate", "--config", str(config), "--horizon", "1",
+                       "--integrator", "exact-ou", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError",
+            "message": "exact transition requires a constant diffusion coefficient"}
+
     def test_oversized_grid_is_structured_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         rc = cli.main(["simulate", "--config", config, "--horizon", "1e6",
@@ -248,14 +262,14 @@ class TestOtherCommands:
             raise ValueError(f"{name} is not JSON")
         return json.loads(text, parse_constant=refuse)
 
-    def _check_stability_radius(self, tmp_path, capsys, radius):
+    def _check_stability_radius(self, tmp_path, capsys, radius, model=None):
         """The exit status, stderr lines and report (None if not written) of
-        check-stability on the reference model over a scan box of ``radius``;
-        a warning counts as a stderr line."""
+        check-stability on the model (the reference model by default) over a
+        scan box of ``radius``; a warning counts as a stderr line."""
         out = tmp_path / "stab.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = cli.main(["check-stability", "--config", write_config(tmp_path),
+            rc = cli.main(["check-stability", "--config", write_config(tmp_path, model),
                            "--scan-radius", radius, "--points", "1000", "--out", str(out)])
         lines = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
         return rc, lines, self._strict_json(out.read_text()) if out.exists() else None
@@ -273,6 +287,34 @@ class TestOtherCommands:
         err = self._strict_json(lines[0])
         assert err == {"error": "ValueError",
                        "message": "scan_radius 1e+160 must be > 0 with a finite square"}
+
+    @staticmethod
+    def _bounded_drift_model(noise):
+        """A bounded drift of amplitude 1 with constant noise ``noise``: the
+        polynomial frame, where sigma_hi^2 = noise^2."""
+        return make_model(
+            1, [{"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": 1.0}],
+            [0.5], [1.0], {"type": "bounded_smooth", "amplitude": 1.0, "steepness": 1.0},
+            {"type": "constant", "value": noise}, {"type": "linear_damping", "eta": 0.5})
+
+    def test_check_stability_bounds_the_exponent_by_sigma_squared(self, tmp_path, capsys):
+        # A|x|^m < 0 far out for m < 1 + 2 gamma / sigma^2; with sigma = 2 a
+        # bound of 1 + 2 gamma / sigma^4 would leave no exponent above 2
+        rc, lines, report = self._check_stability_radius(
+            tmp_path, capsys, "20", self._bounded_drift_model(2.0))
+        assert rc == 0 and lines == []
+        witnesses = report["frame_witnesses"]
+        assert report["frame"] == "polynomial"
+        assert witnesses["m_interval"] == [2.0, 1.0 + 2.0 * witnesses["gamma"] / 4.0]
+        assert report["drift"]["success"] and report["drift"]["n_violations"] == 0
+
+    def test_check_stability_without_noise_writes_null_for_no_exponent_bound(
+            self, tmp_path, capsys):
+        rc, lines, report = self._check_stability_radius(
+            tmp_path, capsys, "20", self._bounded_drift_model(0.0))
+        assert rc == 0 and lines == []
+        assert report["frame"] == "polynomial"
+        assert report["frame_witnesses"]["m_interval"] == [2.0, None]
 
     def test_ergodic_test(self, tmp_path):
         config = write_config(tmp_path)

@@ -102,6 +102,12 @@ class TestExactTransition:
         with pytest.raises(ValueError, match="linear drift"):
             hjsim.simulate_path(model, 1.0, IntegratorConfig(ExactOU(), 0.1), seed=0)
 
+    def test_rejects_state_dependent_noise(self):
+        cs = CoefficientSpec(LinearDrift(1.0, 0.0), SmoothBoundedDiffusion(0.5, 1.5),
+                             ConstantJump(0.0))
+        with pytest.raises(ValueError, match="constant diffusion coefficient"):
+            IntegratorConfig(ExactOU(), 0.1).validate_for(cs)
+
     def test_rejects_nonpositive_dt(self):
         cfg = IntegratorConfig(ExactOU(), 0.1)
         with pytest.raises(ValueError):

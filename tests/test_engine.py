@@ -15,6 +15,7 @@ import hjsim
 from hjsim import engine, pathio
 from hjsim.engine import _build_sample_times, reference_rate_step
 from hjsim.intensity import RateRuntime
+from hjsim.model import ConstantDiffusion
 from hjsim.rng import RandomStream, derive_path_seed
 
 from helpers import (count_oracle, em_cfg, em_runs, make_model, ou_cfg, poisson_model,
@@ -296,9 +297,18 @@ class TestLockstep:
     the one :func:`simulate_path` makes from the same seed."""
 
     @settings(max_examples=150, deadline=None)
-    @given(simulation_runs(), st.integers(1, 12), st.integers(1, 12))
-    def test_ensemble_equals_serial_paths(self, run, n, width):
+    @given(simulation_runs(), st.integers(1, 12), st.integers(1, 12), st.booleans())
+    def test_ensemble_equals_serial_paths(self, run, n, width, near_events):
         model, horizon, cfg, extra, seed = run
+        if near_events:
+            # without noise, sample times do not move the events, so times
+            # within eps of each path's events can be set; thinning steps past them
+            model = dataclasses.replace(model, coefficients=dataclasses.replace(
+                model.coefficients, diffusion=ConstantDiffusion(0.0)))
+            events = np.concatenate([hjsim.simulate_path(
+                model, horizon, cfg, derive_path_seed(seed, i)).event_times for i in range(n)])
+            eps = engine._sample_eps(horizon)
+            extra = np.concatenate((events - 0.5 * eps, events + 0.5 * eps)).tolist()
         # a budget for ``width`` live paths splits the ensemble into groups
         n_samples = len(_build_sample_times(horizon, cfg.grid_dt, extra))
         budget = math.ceil(width * engine._path_bytes(model, horizon, cfg, n_samples))

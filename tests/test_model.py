@@ -235,6 +235,19 @@ class TestAssumptions:
         for radius in (5.0, 10.0, 40.0):
             assert hjsim.check_assumptions(model, radius).frame == "neither"
 
+    def test_neither_names_where_the_jump_map_fails(self):
+        # bounded drift rules out the exponential frame, and the jump map
+        # 0.8 |x|^0.5 pushes outward, so the polynomial frame fails too
+        model = make_model(
+            1, [{"type": "constant", "level": 1.0}], [0.1], [1.0],
+            {"type": "bounded_smooth", "amplitude": 2.0, "steepness": 1.0},
+            {"type": "constant", "value": 1.0},
+            {"type": "power_bounded", "coeff": 0.8, "exponent": 0.5})
+        rep = hjsim.check_assumptions(model, 20.0)
+        assert rep.frame == "neither"
+        assert rep.violating_point == pytest.approx(20.0 * 101 / 201, rel=1e-12)
+        assert rep.notes == "jump conditions fail at x = 10.0498"
+
     def test_bounded_drift_gives_polynomial_frame(self):
         rep = hjsim.check_assumptions(polynomial_model(), 20.0)
         assert rep.frame == "polynomial"
@@ -260,8 +273,6 @@ class TestAssumptions:
         model = reference_model()
         with pytest.raises(ValueError):
             hjsim.check_assumptions(model, -1.0)
-        with pytest.raises(ValueError):
-            hjsim.check_assumptions(model, 5.0, grid_points=1)
 
 
 class TestSerialization:

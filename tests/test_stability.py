@@ -6,7 +6,7 @@ import pytest
 import hjsim
 from hjsim import engine
 from hjsim.model import DegenerateKernelError, KernelMatrix
-from hjsim.stability import (LyapunovSpec, drift_scan, dynkin_quotient,
+from hjsim.stability import (LyapunovSpec, _spec_from_report, drift_scan, dynkin_quotient,
                              generator_apply, interaction_matrix,
                              lyapunov_value, perron_left_vector,
                              spectral_radius, stability_data, stability_report,
@@ -356,7 +356,7 @@ class TestReport:
         stability_report(polynomial_model(), n_points=500)
         assert len(calls) == 1
 
-    def test_report_scans_with_the_spec_of_lyapunov_spec_for(self, monkeypatch):
+    def test_report_scans_with_the_spec_of_its_frame(self, monkeypatch):
         specs = []
         scan = hjsim.stability.drift_scan
         monkeypatch.setattr(hjsim.stability, "drift_scan",
@@ -364,4 +364,4 @@ class TestReport:
                                 model, lyap, *a, **k))
         for model in (reference_model(), polynomial_model()):
             stability_report(model, n_points=500)
-            assert specs.pop() == hjsim.stability.lyapunov_spec_for(model)
+            assert specs.pop() == _spec_from_report(hjsim.check_assumptions(model, 20.0))
