@@ -21,7 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled, _on_floats
+from .model import (CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled, _exp_each,
+                    _on_floats)
 from .rng import RandomStream
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
 _REL_EPS = 1e-12
 # substeps a run may count: beyond 2**53 the counts are no longer exact floats
 _MAX_SUBSTEPS = 2 ** 53
-# complex exp at x + 0j equals math.exp(x) up to here (checked on 3.2 million
-# values; glibc's cexp rescales from x > 709 on)
-_CEXP_EXACT = 700.0
 
 
 @dataclass(frozen=True)
@@ -97,21 +95,6 @@ def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
     # zero-rate one to first order in beta * dt
     sd = np.where(decay == 1.0, np.sqrt(sigma * sigma * dts), sd)
     return level, np.full(len(dts), level), decay, sd
-
-
-def _exp_each(v: np.ndarray) -> np.ndarray:
-    """``math.exp`` of every element: numpy's vectorised exp does not round
-    as libm's does, and the array steps must equal the scalar ones.  numpy's
-    complex exp calls libm's, which at a zero imaginary part is exp of the
-    real part times cos 0 = 1, so one call gives libm's exp, 8 times faster
-    than a call per element.  Above about 709 glibc's complex exp rescales
-    against overflow and differs; there each element takes ``math.exp``,
-    which raises ``OverflowError`` where exp overflows."""
-    with np.errstate(over="ignore"):   # math.exp below raises instead
-        out = np.exp(v + 0j).real.copy()
-    for i in np.flatnonzero(v > _CEXP_EXACT).tolist():
-        out[i] = math.exp(v[i])
-    return out
 
 
 def _em_split(dt: float, h: float) -> tuple[int, float]:

@@ -31,7 +31,8 @@ code on a row-major list of floats, with the path's place in locals.  Its
 envelope and memory flow are ``RateRuntime``'s ``bound`` and ``flow``,
 straight-line code compiled once per M that rounds every sum, exp and dot
 product as numpy does, so they give the bytes of the array code on one row.
-Its records and the uniforms of its normals go to float buffers.
+Its records and the uniforms of its normals go to float buffers; the skeleton
+pass makes normals of a group's uniforms with one :func:`hjsim.rng.ndtri` call.
 
 Ensembles thin their paths in lockstep groups (``_simulate_group``): the
 memory flow, the rates, the envelope, the component pick and the event
@@ -60,20 +61,17 @@ import math
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
 import numpy as np
 
-from scipy.special import ndtri
-
 from .diffusion import (ExactOU, IntegratorConfig, _em_kernel, _em_plan, _em_split, _noiseless,
                         _ou_terms)
 from .intensity import RateRuntime
 from .model import ModelSpec, PowerBoundedJump, model_digest
-from .rng import DrawBank, RandomStream, derive_path_seeds
+from .rng import DrawBank, RandomStream, derive_path_seeds, ndtri
 
 __all__ = [
     "SimulationLimitError",
@@ -581,6 +579,12 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
     """
     return _simulate_all(model, horizon, cfg, [seed], sample_at=sample_at,
                          max_events=max_events)[0]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, imported only by a run that starts one (it loads ``multiprocessing``)."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds: list[int],

@@ -160,11 +160,13 @@ class LyapunovSpec:
 
 def _spec_from_report(report: AssumptionReport) -> LyapunovSpec:
     """The spec of an assumption report's frame; the polynomial frame takes
-    the midpoint of the admissible exponent interval as its exponent m."""
+    the midpoint of the admissible exponent interval as its exponent m, or
+    twice its lower end where a noiseless model leaves it unbounded."""
     if report.frame == "exponential":
         return LyapunovSpec("exponential")
     if report.frame == "polynomial":
-        return LyapunovSpec("polynomial", 0.5 * sum(report.m_interval))
+        lo, hi = report.m_interval
+        return LyapunovSpec("polynomial", 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi))
     raise ValueError("model is outside both confinement frames")
 
 

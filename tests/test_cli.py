@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -245,6 +247,33 @@ class TestSimulate:
         assert json.loads(capsys.readouterr().err)["error"] == "SimulationLimitError"
 
 
+# what a serial run must not import: scipy is a test-only dependency, and
+# only a run with workers > 1 starts a process pool
+_UNLOADED = ("scipy", "concurrent.futures.process", "multiprocessing")
+
+_IMPORT_PROBE = """\
+import sys
+import hjsim.cli
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith(tuple(p + "." for p in {unloaded!r}))
+                  or m in {unloaded!r})
+after_import = heavy()
+rc = hjsim.cli.main(["simulate", "--config", {config!r}, "--horizon", "5", "--paths", "1",
+                     "--seed", "1", "--out", {out!r}])
+print(after_import, rc, heavy())
+"""
+
+
+def test_cli_imports_neither_scipy_nor_a_process_pool(tmp_path):
+    probe = _IMPORT_PROBE.format(unloaded=_UNLOADED, config=write_config(tmp_path),
+                                 out=str(tmp_path / "runs"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hjsim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]", "0", "[]"]
+    assert (tmp_path / "runs" / "path_00000.jsonl").exists()
+
+
 class TestOtherCommands:
     def test_check_stability_supercritical_exits_zero(self, tmp_path):
         config = write_config(tmp_path, model=supercritical_model())
@@ -315,6 +344,17 @@ class TestOtherCommands:
         assert rc == 0 and lines == []
         assert report["frame"] == "polynomial"
         assert report["frame_witnesses"]["m_interval"] == [2.0, None]
+
+    def test_check_stability_without_noise_scans_at_twice_the_lower_exponent(
+            self, tmp_path, capsys):
+        # the exponent interval (2, inf) has no midpoint; m = 4 keeps
+        # V1 = 1 + |x|^m finite on the scan box, where the drift holds
+        rc, lines, report = self._check_stability_radius(
+            tmp_path, capsys, "20", self._bounded_drift_model(0.0))
+        assert rc == 0 and lines == []
+        drift = report["drift"]
+        assert drift["success"] is True and drift["n_violations"] == 0
+        assert drift["d1"] > 0 and drift["d2"] > 0
 
     def test_ergodic_test(self, tmp_path):
         config = write_config(tmp_path)

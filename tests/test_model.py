@@ -3,13 +3,14 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import special
 
 import hjsim
 from hjsim.model import (_MAX_COMPONENTS, AffineClippedRate, BoundedSmoothDrift, ConfigError,
                          ConstantDiffusion, ConstantJump, ConstantRate,
                          KernelMatrix, LinearDampingJump, LinearDrift, ModelSpec,
                          PowerBoundedJump, SigmoidRate, SmoothBoundedDiffusion,
-                         State, model_digest, model_from_dict, model_to_dict)
+                         State, expit, model_digest, model_from_dict, model_to_dict)
 
 from helpers import constant_rate_config, make_model, polynomial_model, reference_model
 
@@ -89,6 +90,27 @@ class TestRateFunctions:
             SigmoidRate(height=-1.0, steepness=1.0, center=0.0)
         with pytest.raises(ValueError):
             ConstantRate(0.0)
+
+
+class TestExpit:
+    """``scipy.special.expit`` is the oracle of hjsim's numpy sigmoid."""
+
+    def test_is_scipys_on_arrays(self):
+        # signed zeros, infinities, NaNs of either sign, and both ends of
+        # exp's range: exp(-v) underflows from v = 708 on and overflows
+        # below v = -709.78, where the sigmoid is 0
+        v = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+                            np.linspace(-746.0, -700.0, 46_001), np.linspace(700.0, 746.0, 46_001),
+                            np.random.default_rng(6).normal(0.0, 30.0, 10_000)])
+        assert expit(v).tobytes() == special.expit(v).tobytes()
+        assert expit(v.reshape(-1, 2)).tobytes() == special.expit(v.reshape(-1, 2)).tobytes()
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 0.5, -720.0, 745.5, -745.5, math.inf, -math.inf,
+                                   math.nan, -math.nan, np.float64(3.0), np.array(-710.0)])
+    def test_is_scipys_on_scalars(self, v):
+        # a float, a numpy scalar or a 0-d array in, a numpy float out
+        got, want = expit(v), special.expit(v)
+        assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestCoefficients:

@@ -11,6 +11,7 @@ word for word, and threads drawing at once must draw what a serial run
 draws.
 """
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,9 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 import hjsim
-from hjsim import pathio
-from hjsim.rng import (_GOLDEN, _REFILL_ROWS, DrawBank, RandomStream, _words_at,
-                       derive_path_seed, derive_path_seeds)
+from hjsim import pathio, rng
+from hjsim.rng import (_GOLDEN, _NDTRI_BLOCK, _REFILL_ROWS, DrawBank, RandomStream, _uniforms,
+                       _words_at, derive_path_seed, derive_path_seeds)
 
 from helpers import em_cfg, ou_cfg, philox_generator, reference_model, two_component_model
 
@@ -224,3 +225,37 @@ def test_threads_draw_as_a_serial_run():
                 assert (a.result(timeout=120), b.result(timeout=120)) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# scipy.special.ndtri is the oracle of hjsim's numpy port of Cephes' ndtri
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, n=st.integers(0, 3 * _NDTRI_BLOCK))
+def test_ndtri_is_scipys_on_uniforms(seed, n):
+    # across block ends, and in place as the engine calls it
+    words = np.random.default_rng(seed).integers(0, 2**64 - 1, n, np.uint64, endpoint=True)
+    u = ((words >> 11) + 0.5) * 2.0**-53
+    want = ndtri(u).tobytes()
+    assert rng.ndtri(u).tobytes() == want
+    assert rng.ndtri(u, out=u).tobytes() == want and u.tobytes() == want
+
+
+def _ulps_around(v: float, k: int = 2000) -> np.ndarray:
+    return (np.float64(v).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+def test_ndtri_is_scipys_at_its_branch_edges():
+    # the centre's ends at exp(-2) and 1 - exp(-2), the tail's switch of
+    # approximation where x = sqrt(-2 log y) crosses 8, at y = exp(-32), the
+    # smallest uniform and 1.0
+    u = np.concatenate([_ulps_around(math.exp(-2)), _ulps_around(1.0 - math.exp(-2)),
+                        _ulps_around(math.exp(-32)), [2.0**-54, 1.0]])
+    assert rng.ndtri(u).tobytes() == ndtri(u).tobytes()
+
+
+def test_uniforms_reach_one_and_its_normal_is_inf():
+    # (2**53 - 1) + 0.5 rounds to 2**53, so a word whose top 53 bits are all
+    # set is the uniform 1.0: uniforms lie in (0, 1], and ndtri(1.0) = +inf
+    u = _uniforms(np.array([2**64 - 1, (2**53 - 1) << 11, 0], dtype=np.uint64))
+    assert u.tolist() == [1.0, 1.0, 2.0**-54]
+    assert rng.ndtri(u).tolist() == [math.inf, math.inf, float(ndtri(2.0**-54))]
