@@ -46,13 +46,14 @@ No path's draws are reordered, so every path is byte-identical to the one
 the group width.  ``_run_events`` also continues the candidate-bearing paths
 of the Monte Carlo generator check in :mod:`hjsim.stability`.
 
-``simulate_path_reference`` keeps the alternative textbook construction as a
-cross-validation oracle, with its own candidate loop: a one-dimensional
+These are the two thinning loops.  The lockstep loop also runs the textbook
+construction of ``simulate_path_reference``, a cross-validation oracle, as a
+second bound policy, down to the last live path: a one-dimensional
 dominating counting process whose rate starts at the envelope of the initial
 state and gains a fixed increment M * gamma_bar * c_bar at every dominating
 event (with no decay), each dominating event then being thinned by the true
-intensities.  Both engines produce the same law; the reference construction
-is exponentially wasteful in time and is only practical over short horizons.
+intensities.  Both produce the same law; the reference construction is
+exponentially wasteful in time and is only practical over short horizons.
 """
 
 from __future__ import annotations
@@ -197,12 +198,6 @@ class Path:
 (_set_event_times, _set_event_components, _set_skeleton_times, _set_skeleton_x,
  _set_skeleton_row_sums, _set_horizon, _set_seed, _set_model_hash) = (
     Path.__dict__[name].__set__ for name in Path.__slots__)
-
-
-def _pick(cum: list, u_scaled: float) -> int:
-    """The 1-based component i whose interval, ending at the running rate sum
-    cum[i-1], holds a scaled uniform; 0 in the rejection mass above cum[-1]."""
-    return 0 if u_scaled >= cum[-1] else bisect_right(cum, u_scaled) + 1
 
 
 def _sample_eps(horizon: float) -> float:
@@ -646,21 +641,31 @@ def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_sampl
 
 def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                     sample_times: np.ndarray, digest: str, seeds: list[int], *,
-                    max_events: int = DEFAULT_MAX_EVENTS) -> list[Path]:
+                    max_events: int = DEFAULT_MAX_EVENTS, reference=None) -> list[Path]:
     """The paths of ``seeds`` from the inputs :func:`_simulate_all` prepared:
     thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live, then each
-    on its own through :func:`_run_events`, and built by one skeleton pass."""
+    on its own through :func:`_run_events`, and built by one skeleton pass.
+
+    ``reference = (rate, step, max_candidates)`` runs the bound policy of
+    :func:`simulate_path_reference`: one dominating rate, ``rate`` plus
+    ``step`` per candidate, serves every live path (each has drawn one
+    candidate per iteration), the memory is flowed from each path's last
+    event, and the paths stay in lockstep down to the last, since
+    ``_run_events`` knows only the envelope, for at most ``max_candidates``
+    iterations."""
     rt = RateRuntime(model)
     n, m = len(seeds), model.n_components
     bank = DrawBank(seeds)
     log = _GroupLog(model, cfg, horizon, sample_times, n)
     ids = np.arange(n)   # live paths; row r of t and y is path ids[r]
-    t = np.zeros(n)      # last candidate time, and the memory there
+    t = np.zeros(n)      # last candidate time, and the memory there (or at the last event)
     y = np.repeat(model.initial.y[None], n, axis=0)
-    n_iter = 0           # bounds every path's event count
-    while len(ids) >= _LOCKSTEP_MIN:
+    n_iter = 0           # every live path's candidate count, which bounds its event count
+    if reference is not None:
+        lam_star, step, max_candidates = reference
+    while len(ids) >= (_LOCKSTEP_MIN if reference is None else 1):
         n_iter += 1
-        bound = rt.bounds(y)
+        bound = rt.bounds(y) if reference is None else np.full(len(ids), lam_star)
         bad = bound[~(np.isfinite(bound) & (bound > 0.0))]
         if bad.size:
             raise RuntimeError(f"dominating rate must be finite and positive, got {bad[0]}")
@@ -671,8 +676,15 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
             k = ids[done]
             log.take_rows(k, np.full(len(k), horizon), bank)
             ids, t, y, tau, bound = (a[~done] for a in (ids, t, y, tau, bound))
-        y = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
-        lam = rt.intensities(y)
+        if reference is None:
+            y = y_tau = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
+        else:
+            if n_iter > max_candidates and len(ids):
+                raise SimulationLimitError(f"exceeded {max_candidates} dominating events "
+                                           f"before t = {tau[0]:.6g}")
+            y_tau = y * np.exp(-rt.alpha * (tau - log.t_anchor[ids])[:, None, None])
+            lam_star += step
+        lam = rt.intensities(y_tau)
         if np.any(lam.sum(axis=1) > bound * (1.0 + 1e-9)):
             raise RuntimeError("dominating rate violated; rate functions inconsistent")
         # the 0-based component picked by each scaled uniform; m if rejected
@@ -681,7 +693,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         acc = np.flatnonzero(comp < m)
         if acc.size:
             k, tau_k = ids[acc], tau[acc]
-            y_k = y[acc]
+            y_k = y_tau[acc]
             log.record_rows(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
             y[acc] = y_k
             if n_iter >= max_events:
@@ -720,7 +732,7 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
             if cum[-1] > bound * (1.0 + 1e-9):
                 raise RuntimeError("dominating rate violated; rate functions inconsistent")
             u, t = uniform() * bound, tau
-            if u < cum[-1]:   # accepted, as _pick
+            if u < cum[-1]:   # accepted; the rejection mass lies above cum[-1]
                 hi, n = take(t0, lo, tau, rng)
                 t0, lo = tau, record(k, tau, bisect_right(cum, u) + 1, hi, rs, y)
                 n_events, n_normals = n_events + 1, n_normals + n
@@ -742,10 +754,10 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
     y0, y_end = model.initial.y.ravel().tolist(), np.empty((len(taus), len(rt.decay)))
     for k, tau in enumerate(taus.tolist()):
         y, rs, cum = rt.flow(y0, tau)
-        comp = _pick(cum, rng.uniform() * bound)
-        if comp:
+        u = rng.uniform() * bound
+        if u < cum[-1]:   # accepted, as in _run_events
             hi, log.n_normals[k] = log.take(0.0, 0, tau, rng)
-            log.lo[k] = log.record(k, tau, comp, hi, rs, y)
+            log.lo[k] = log.record(k, tau, bisect_right(cum, u) + 1, hi, rs, y)
             log.t_anchor[k], log.n_events[k] = tau, 1
         t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
         y_end[k] = np.multiply(y, np.exp(rt.decay * (horizon - t)))
@@ -776,42 +788,29 @@ def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorCon
     count grows exponentially with the horizon.  A zero horizon yields the
     empty path.
     """
-    if horizon < 0:
+    return _simulate_reference(model, horizon, cfg, [seed], k2_bound=k2_bound,
+                               sample_at=sample_at, max_candidates=max_candidates)[0]
+
+
+def _simulate_reference(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
+                        seeds: list[int], *, k2_bound: float | None = None, sample_at=None,
+                        max_candidates: int = DEFAULT_MAX_EVENTS) -> list[Path]:
+    """:func:`simulate_path_reference` for each of ``seeds``, in one lockstep group."""
+    if not horizon >= 0:
         raise ValueError("horizon must be >= 0")
+    if k2_bound is not None and not (math.isfinite(k2_bound) and k2_bound >= 0):
+        raise ValueError(f"k2_bound must be finite and >= 0, got {k2_bound!r}")
     horizon = float(horizon)
     cfg.validate_for(model.coefficients)
-    rng = RandomStream(seed)
     rt = RateRuntime(model)
-    log = _GroupLog(model, cfg, horizon, _build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
-    y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
-    lo, n_normals = 0, 0   # the path's next sample index and normals count
-    lam_star = rt.bound(y)
+    lam_star = rt.bound(model.initial.y.ravel().tolist())
     if k2_bound is not None:
-        lam_star = max(lam_star,
-                       rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
-    step = reference_rate_step(model)
-    t_cand, n_cand = 0.0, 0
-    while True:
-        tau = t_cand - float(np.log(rng.uniform())) / lam_star
-        if tau > horizon:
-            n_normals += log.take(t_event, lo, horizon, rng)[1]
-            break
-        n_cand += 1
-        if n_cand > max_candidates:
-            raise SimulationLimitError(
-                f"exceeded {max_candidates} dominating events before t = {tau:.6g}")
-        y_pre, rs, cum = rt.flow(y, tau - t_event)
-        if cum[-1] > lam_star * (1.0 + 1e-9):
-            raise RuntimeError("dominating rate violated in reference construction")
-        comp = _pick(cum, rng.uniform() * lam_star)
-        if comp:
-            hi, n = log.take(t_event, lo, tau, rng)
-            lo, n_normals = log.record(0, tau, comp, hi, rs, y_pre), n_normals + n
-            y, t_event = y_pre, tau
-        lam_star += step
-        t_cand = tau
-    log.n_normals[0] = n_normals   # which the skeleton pass reads
-    return _skeleton(log, [seed], model_digest(model))[0][0]
+        lam_star = max(lam_star, rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
+    sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
+    # the construction caps candidates, not events
+    return _simulate_group(model, horizon, cfg, sample_times, model_digest(model), seeds,
+                           max_events=math.inf,
+                           reference=(lam_star, reference_rate_step(model), max_candidates))
 
 
 def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,

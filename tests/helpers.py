@@ -2,6 +2,7 @@
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ import hjsim
 from hjsim import engine
 from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
+from hjsim.model import model_digest
 from hjsim.rng import RandomStream, _key
 
 
@@ -258,6 +260,51 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         row[:, 4 + m:] = y.reshape(1, -1)
         rows.append(row)
         y, t0, lo = y[0], tau, int(lo)
+
+
+def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None,
+                     max_candidates=engine.DEFAULT_MAX_EVENTS):
+    """The reference construction as one path's own candidate loop: the
+    serial form that ``hjsim.simulate_path_reference`` replaced with a bound
+    policy of the lockstep loop, and must equal byte for byte."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    horizon = float(horizon)
+    cfg.validate_for(model.coefficients)
+    rng = RandomStream(seed)
+    rt = RateRuntime(model)
+    log = engine._GroupLog(model, cfg, horizon,
+                           engine._build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
+    y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
+    lo, n_normals = 0, 0   # the path's next sample index and normals count
+    lam_star = rt.bound(y)
+    if k2_bound is not None:
+        lam_star = max(lam_star,
+                       rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
+    step = engine.reference_rate_step(model)
+    t_cand, n_cand = 0.0, 0
+    while True:
+        tau = t_cand - float(np.log(rng.uniform())) / lam_star
+        if tau > horizon:
+            n_normals += log.take(t_event, lo, horizon, rng)[1]
+            break
+        n_cand += 1
+        if n_cand > max_candidates:
+            raise hjsim.SimulationLimitError(
+                f"exceeded {max_candidates} dominating events before t = {tau:.6g}")
+        y_pre, rs, cum = rt.flow(y, tau - t_event)
+        if cum[-1] > lam_star * (1.0 + 1e-9):
+            raise RuntimeError("dominating rate violated in reference construction")
+        u = rng.uniform() * lam_star
+        comp = 0 if u >= cum[-1] else bisect_right(cum, u) + 1
+        if comp:
+            hi, n = log.take(t_event, lo, tau, rng)
+            lo, n_normals = log.record(0, tau, comp, hi, rs, y_pre), n_normals + n
+            y, t_event = y_pre, tau
+        lam_star += step
+        t_cand = tau
+    log.n_normals[0] = n_normals   # which the skeleton pass reads
+    return engine._skeleton(log, [seed], model_digest(model))[0][0]
 
 
 def count_oracle(samples, coeffs, cfg, t0, lo, hi, t_stop) -> int:

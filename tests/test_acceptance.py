@@ -18,7 +18,8 @@ from hjsim import cli
 from hjsim.diagnostics import (autocorr_decay, invariant_histogram,
                                mixing_curve, time_average)
 from hjsim.model import KernelMatrix, model_to_dict
-from hjsim.rng import derive_path_seed
+from hjsim.engine import _simulate_reference
+from hjsim.rng import derive_path_seed, derive_path_seeds
 from hjsim.stability import (LyapunovSpec, drift_scan, dynkin_quotient,
                              generator_apply, interaction_matrix,
                              perron_left_vector, spectral_radius,
@@ -67,10 +68,11 @@ def test_criterion_3_engine_vs_reference_law():
     cfg = ou_cfg(grid_dt=5.0)
     engine_counts = np.array([
         p.n_events for p in hjsim.simulate_ensemble(model, 5.0, cfg, 1003, 10_000)])
+    # the seeds of simulate_path_reference(model, 5.0, cfg, derive_path_seed(2003, i)),
+    # thinned as one group
     reference_counts = np.array([
-        hjsim.simulate_path_reference(model, 5.0, cfg,
-                                      derive_path_seed(2003, i)).n_events
-        for i in range(10_000)])
+        p.n_events for p in _simulate_reference(model, 5.0, cfg,
+                                                derive_path_seeds(2003, 10_000).tolist())])
     p = stats.ks_2samp(engine_counts, reference_counts).pvalue
     ok = p > 0.01
     report(3, ok, f"two-sample KS p = {p:.4f} > 0.01 (means "

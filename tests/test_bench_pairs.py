@@ -43,6 +43,25 @@ def test_summary_flags_a_median_worse_than_its_bound():
         "wall_s": True, "peak_rss_mb": False, "paths_per_s": True, "events_per_s": False}
 
 
+def test_summary_flags_a_spread_wider_than_the_bound_as_unresolved():
+    # the parent's quartile spread over its median: wall_s 0.75 / 1.25, paths_per_s 5 / 10,
+    # peak_rss_mb 1.25 / 60.5
+    values = {"wall_s": ([0.5, 1.0, 1.5, 2.0], [0.6, 0.9, 1.4, 1.9]),
+              "paths_per_s": ([6.0, 8.0, 12.0, 14.0], [15.0, 16.0, 17.0, 18.0]),
+              "peak_rss_mb": ([59.5, 60.0, 61.0, 61.5], [70.0, 70.0, 70.0, 70.0])}
+    runs = [{"pair": pair, "side": side, "failed": 0, "attempted": 3,
+             **{metric: v[side == "change"][pair] for metric, v in values.items()}}
+            for pair in range(4) for side in ("parent", "change")]
+    better = {"wall_s": "lower", "paths_per_s": "higher", "peak_rss_mb": "lower"}
+    out = bench_pairs.summarise(runs, better, {"wall_s": 0.2, "paths_per_s": 0.2,
+                                               "peak_rss_mb": 0.1})
+    # wall_s spreads too widely to tell; every change run beats every parent run on
+    # paths_per_s; peak_rss_mb is narrow, so it is resolved (and worse than its bound)
+    assert {m: out[m]["unresolved"] for m in better} == {
+        "wall_s": True, "paths_per_s": False, "peak_rss_mb": False}
+    assert out["peak_rss_mb"]["worse_than_bound"] is True
+
+
 def _git(repo, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
                           cwd=repo, check=True, capture_output=True, text=True).stdout.strip()

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -16,11 +17,11 @@ from hjsim import engine, pathio
 from hjsim.engine import _build_sample_times, reference_rate_step
 from hjsim.intensity import RateRuntime
 from hjsim.model import ConstantDiffusion
-from hjsim.rng import RandomStream, derive_path_seed
+from hjsim.rng import RandomStream, derive_path_seed, derive_path_seeds
 
 from helpers import (count_oracle, em_cfg, em_runs, make_model, ou_cfg, poisson_model,
-                     reference_model, serial_oracle, simulation_runs, skeleton_x_oracle,
-                     supercritical_model, two_component_model)
+                     reference_model, reference_oracle, serial_oracle, simulation_runs,
+                     skeleton_x_oracle, supercritical_model, two_component_model)
 
 
 class InProcessPool:
@@ -204,12 +205,10 @@ class TestReferenceConstruction:
     def test_poisson_case_matches_engine_law(self):
         model = poisson_model((1.0, 2.0))
         cfg = ou_cfg(5.0)
-        eng = np.array([hjsim.simulate_path(model, 5.0, cfg,
-                                            derive_path_seed(41, i)).n_events
-                        for i in range(2_000)])
-        ref = np.array([hjsim.simulate_path_reference(model, 5.0, cfg,
-                                                      derive_path_seed(42, i)).n_events
-                        for i in range(2_000)])
+        # path i of each sample has the seed derive_path_seed(41 or 42, i)
+        eng = np.array([p.n_events for p in hjsim.simulate_ensemble(model, 5.0, cfg, 41, 2_000)])
+        ref = np.array([p.n_events for p in engine._simulate_reference(
+            model, 5.0, cfg, derive_path_seeds(42, 2_000).tolist())])
         assert stats.ks_2samp(eng, ref).pvalue > 0.01
 
     def test_k2_bound_inflates_initial_rate(self):
@@ -227,6 +226,53 @@ class TestReferenceConstruction:
         with pytest.raises(hjsim.SimulationLimitError):
             hjsim.simulate_path_reference(reference_model(), 50.0, ou_cfg(1.0),
                                           seed=4, max_candidates=200)
+
+    @settings(max_examples=80, deadline=None)
+    @given(simulation_runs(), st.none() | st.floats(0.0, 3.0), st.integers(1, 6))
+    def test_group_equals_the_serial_oracle(self, run, k2_bound, n):
+        # the cap keeps fast-growing constructions short; a group that
+        # reaches it trips at the candidate of its first path that does
+        model, horizon, cfg, extra, seed = run
+        seeds = [derive_path_seed(seed, i) for i in range(n)]
+        kwargs = dict(k2_bound=k2_bound, sample_at=extra, max_candidates=200)
+        want = []
+        for s in seeds:
+            try:
+                want.append(pathio.dumps_binary(reference_oracle(model, horizon, cfg, s,
+                                                                 **kwargs)))
+            except hjsim.SimulationLimitError as exc:
+                with pytest.raises(hjsim.SimulationLimitError, match=f"^{re.escape(str(exc))}$"):
+                    engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
+                return
+        got = engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
+        assert [pathio.dumps_binary(p) for p in got] == want
+
+    def test_candidate_limit_trips_in_a_group_where_the_oracle_does(self):
+        # with 5 candidates paths 2 and 4 of these 6 trip, path 2 first in order
+        model, cfg = two_component_model(), ou_cfg(0.5)
+        seeds = [derive_path_seed(5, i) for i in range(6)]
+        for i in (0, 1, 3, 5):
+            reference_oracle(model, 2.0, cfg, seeds[i], max_candidates=5)
+        # the group of paths 0-5 stops at path 2's sixth candidate, that of 3-5 at path 4's
+        for start, first in ((0, 2), (3, 4)):
+            with pytest.raises(hjsim.SimulationLimitError) as want:
+                reference_oracle(model, 2.0, cfg, seeds[first], max_candidates=5)
+            with pytest.raises(hjsim.SimulationLimitError) as got:
+                engine._simulate_reference(model, 2.0, cfg, seeds[start:], max_candidates=5)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("horizon, k2_bound, message", [
+        (math.nan, None, "horizon must be >= 0"),
+        (-1.0, None, "horizon must be >= 0"),
+        (2.0, math.inf, "k2_bound must be finite and >= 0, got inf"),
+        (2.0, math.nan, "k2_bound must be finite and >= 0, got nan"),
+        (2.0, -1.0, "k2_bound must be finite and >= 0, got -1.0")])
+    def test_bad_inputs_are_refused_before_simulating(self, monkeypatch, horizon, k2_bound,
+                                                      message):
+        monkeypatch.setattr(engine, "_GroupLog", lambda *args: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hjsim.simulate_path_reference(reference_model(), horizon, ou_cfg(0.5), seed=1,
+                                          k2_bound=k2_bound, max_candidates=1000)
 
 
 class TestEnsembles:

@@ -10,8 +10,10 @@ the parent runs first in even pairs and the change first in odd pairs.  The outp
 holds both commits, the machine, each run's end-to-end medians, and per
 metric each side's quartiles over its runs, the change's median over the
 parent's, the number of pairs in which the change is better (ties count
-for neither side), and whether the change's median is worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``.  The
+for neither side), whether the change's median is worse than the
+parent's by more than the metric's bound in ``BENCHMARK.json``, and whether
+the metric is unresolved: the parent's own runs spread wider than that
+bound, and the change does not read better in every run.  The
 benchmark's raw repetitions stay in each copy's ``.bench_out/`` and are not
 kept.  The two commits must hold the same benchmark: the tool refuses to run
 when they differ under ``perfbench/`` or in ``BENCHMARK.json``.
@@ -88,9 +90,12 @@ def run_once(copy: str, workload: str, seed: int) -> dict:
 
 
 def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
-    """Quartiles per side, the median ratio, the pairs the change wins and
+    """Quartiles per side, the median ratio, the pairs the change wins,
     whether the change's median is worse than the parent's by more than the
-    metric's bound, a fraction of the parent's median."""
+    metric's bound, a fraction of the parent's median, and whether the
+    metric is unresolved: the parent's quartile spread, a fraction of its
+    median, exceeds the bound, and not every change run beats every parent
+    run."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {"pairs": len(sides["change"]),
            "failed": {side: [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
@@ -101,12 +106,17 @@ def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
         wins = (change < parent) if direction == "lower" else (change > parent)
         ratio = float(np.median(change) / np.median(parent))
         worse = ratio - 1.0 if direction == "lower" else 1.0 - ratio
+        quartiles = np.percentile(parent, [25, 50, 75]).tolist()
+        q1, median, q3 = quartiles
+        beats_all = (change.max() < parent.min() if direction == "lower"
+                     else change.min() > parent.max())
         out[metric] = {
-            "parent_q1_med_q3": np.percentile(parent, [25, 50, 75]).tolist(),
+            "parent_q1_med_q3": quartiles,
             "change_q1_med_q3": np.percentile(change, [25, 50, 75]).tolist(),
             "change_over_parent_median": ratio,
             "change_better_pairs": f"{int(wins.sum())}/{len(wins)}",
             "worse_than_bound": bool(worse > bounds[metric]),
+            "unresolved": bool((q3 - q1) / median > bounds[metric] and not beats_all),
         }
     return out
 
@@ -175,7 +185,9 @@ def main(argv=None) -> int:
                     "side runs from a git archive of its commit; quartiles are numpy linear "
                     "percentiles over the per-run medians; 'failed' is [failed, attempted] "
                     "repetitions; 'worse_than_bound' says whether the change's median is worse "
-                    "than the parent's by more than the metric's BENCHMARK.json bound. Raw "
+                    "than the parent's by more than the metric's BENCHMARK.json bound; "
+                    "'unresolved' says whether the parent's quartile spread over its median "
+                    "exceeds that bound while some change run does not beat every parent run. Raw "
                     "repetitions are not kept; 'runs' holds each run's medians. A failed run "
                     "ends the series: 'incomplete' is then true, 'failed_run' names it and "
                     "the summary covers the pairs both sides finished.",
