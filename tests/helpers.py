@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import hjsim
-from hjsim import engine
+from hjsim import engine, pathio
 from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
 from hjsim.model import model_digest
@@ -407,11 +407,34 @@ def jsonl_oracle(path) -> bytes:
     return "".join(_ENCODER.encode(rec) + "\n" for rec in lines).encode()
 
 
+def _boundary_floats() -> list:
+    """Doubles at the edges of the JSONL writer's array formatter: every power
+    of two and of ten in [1e-5, 1e16] and its neighbours one ulp away (the
+    fast range's ends 1e-4 and 1e15 among them), 9.999999999999999e+k for k
+    in -4..15, a tie at one removed digit and the extreme doubles."""
+    exact = [2.0 ** q for q in range(-16, 54)] + [float(f"1e{k}") for k in range(-5, 17)]
+    return sorted(set(exact + [math.nextafter(v, to) for v in exact for to in (0.0, math.inf)]
+                      + [float(f"9.999999999999999e{k}") for k in range(-4, 16)]
+                      + [767631912949945.75, 5e-324, 1.7976931348623157e308]))
+
+
+BOUNDARY_FLOATS = _boundary_floats()
+
+
+def formatted(values) -> list:
+    """The text that the JSONL writer's array formatter gives each float."""
+    v = np.asarray(values, dtype=float)
+    slots = np.zeros((len(v), 40), np.uint8)
+    pathio._format_floats(v, slots, pathio._digit_words())
+    return [row.tobytes().replace(b"\0", b"").decode() for row in slots]
+
+
 @st.composite
 def written_paths(draw):
     """Paths for the jsonl writer: M = 1..6, up to 700 samples (several
     writer blocks) with repeated times, events on and between sample times
-    (or none), and NaN, +-inf and -0.0 among x and the row sums."""
+    (or none), and NaN, +-inf, -0.0 and +-BOUNDARY_FLOATS among x and the
+    row sums."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 20) | st.integers(250, 700))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -419,9 +442,10 @@ def written_paths(draw):
     times = np.sort(rng.integers(0, n // 2 + 2, n) * 0.25 + draw(st.sampled_from([0.0, 0.25])))
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     rs = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))
-    specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+    specials = st.sampled_from([np.nan, np.inf, -np.inf, -0.0]) | st.sampled_from(
+        BOUNDARY_FLOATS + [-v for v in BOUNDARY_FLOATS])
     for row, col, v in draw(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, m),
-                                               specials), max_size=6)):
+                                               specials), max_size=12)):
         if n:
             (x if col == 0 else rs[:, col - 1])[row % n] = v
     # candidate event times in (0, horizon]: on a sample time, between two,

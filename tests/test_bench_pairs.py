@@ -62,6 +62,22 @@ def test_summary_flags_a_spread_wider_than_the_bound_as_unresolved():
     assert out["peak_rss_mb"]["worse_than_bound"] is True
 
 
+_PARENT_WALL = [1.0 + i / 100 for i in range(10)]   # quartile spread 0.045
+
+
+@pytest.mark.parametrize("change, gain", [
+    pytest.param([v - 0.2 for v in _PARENT_WALL], True, id="gain"),
+    pytest.param([v - 0.2 for v in _PARENT_WALL[:8]] + [1.2, 1.3], False, id="8-of-10-wins"),
+    pytest.param([v - 0.03 for v in _PARENT_WALL], False, id="within-the-parent-spread"),
+])
+def test_summary_flags_a_gain_by_wins_and_spread(change, gain):
+    runs = [{"pair": pair, "side": side, "failed": 0, "attempted": 3,
+             "wall_s": (_PARENT_WALL if side == "parent" else change)[pair]}
+            for pair in range(10) for side in ("parent", "change")]
+    out = bench_pairs.summarise(runs, {"wall_s": "lower"}, {"wall_s": 0.2})
+    assert out["wall_s"]["gain"] is gain
+
+
 def _git(repo, *args):
     return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
                           cwd=repo, check=True, capture_output=True, text=True).stdout.strip()

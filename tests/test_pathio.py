@@ -1,16 +1,18 @@
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjsim
 from hjsim import pathio
 
-from helpers import (em_cfg, jsonl_oracle, ou_cfg, reference_model, simulation_runs,
-                     two_component_model, written_paths)
+from helpers import (BOUNDARY_FLOATS, em_cfg, formatted, jsonl_oracle, ou_cfg, reference_model,
+                     simulation_runs, two_component_model, written_paths)
 
 JSONL_SHA256 = "891b8727e4b62f78f25ece3bd357ee6db650f3a8ddfa1f6f30ce1fb236d909e1"
 
@@ -75,6 +77,43 @@ class TestJsonl:
                                                         em_cfg(0.25, 0.05), seed=23)):
             assert pathio.dumps_jsonl(path) == jsonl_oracle(path)
 
+    def test_writer_memory_does_not_grow_with_the_path(self):
+        class Discard:
+            def writelines(self, lines):
+                for _ in lines:
+                    pass
+
+        def peak(records):
+            # an M = 3 path: nine samples, then an event between two of them
+            n = records // 10 * 9
+            times = np.arange(n) * 0.5
+            events = np.arange(records // 10) * 4.5 + 0.25
+            path = hjsim.Path(event_times=events, event_components=np.arange(len(events)) % 3 + 1,
+                              skeleton_times=times, skeleton_x=np.sin(times),
+                              skeleton_row_sums=np.cos(times)[:, None] * [1.0, -2.0, 3.0],
+                              horizon=float(n), seed=0, model_hash="ab" * 32)
+            tracemalloc.start()
+            try:
+                pathio.write_jsonl(path, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(200_000) - peak(20_000)) < 0.5e6
+
+
+class TestFloatText:
+    # the writer's array formatter against the encoder: repr, with NaN,
+    # Infinity and -Infinity for the non-finite values
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1e15, 1e15), min_size=1, max_size=40))
+    def test_equals_the_encoder(self, values):
+        assert formatted(values) == [pathio._ENCODER.encode(v) for v in values]
+
+    def test_boundaries_equal_the_encoder(self):
+        values = BOUNDARY_FLOATS + [-v for v in BOUNDARY_FLOATS]
+        assert formatted(values) == [pathio._ENCODER.encode(v) for v in values]
+
 
 def _stream(*replace):
     """The JSONL lines of a short two-component path (M = 2; line 2 is a
@@ -119,7 +158,7 @@ class TestReadJsonlErrors:
         with pytest.raises(ValueError, match=f"^line {line}: "):
             pathio.read_jsonl(_stream((line, text)))
 
-    @pytest.mark.parametrize("drop", ["M", "horizon", "seed", "model_digest"])
+    @pytest.mark.parametrize("drop", ["version", "M", "horizon", "seed", "model_digest"])
     def test_header_missing_a_field_names_line_1(self, drop):
         header = json.loads(_stream().readline())
         del header[drop]
@@ -141,6 +180,9 @@ class TestReadJsonlErrors:
         pytest.param({"model_digest": "zz"}, id="digest-not-hex"),
         pytest.param({"model_digest": "ab" * 31}, id="digest-of-62-digits"),
         pytest.param({"seed": -3, "model_digest": "zz"}, id="negative-seed-and-bad-digest"),
+        pytest.param({"version": 2}, id="version-2"),
+        pytest.param({"version": "1"}, id="version-a-string"),
+        pytest.param({"version": True}, id="version-true"),
     ])
     def test_header_out_of_range_names_line_1(self, changes):
         # json.dumps writes NaN and Infinity, as the writer does

@@ -11,9 +11,11 @@ holds both commits, the machine, each run's end-to-end medians, and per
 metric each side's quartiles over its runs, the change's median over the
 parent's, the number of pairs in which the change is better (ties count
 for neither side), whether the change's median is worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``, and whether
+parent's by more than the metric's bound in ``BENCHMARK.json``, whether
 the metric is unresolved: the parent's own runs spread wider than that
-bound, and the change does not read better in every run.  The
+bound, and the change does not read better in every run, and whether the
+change shows a gain: it is better in at least nine tenths of the pairs, and
+its median beats the parent's by more than the parent's quartile spread.  The
 benchmark's raw repetitions stay in each copy's ``.bench_out/`` and are not
 kept.  The two commits must hold the same benchmark: the tool refuses to run
 when they differ under ``perfbench/`` or in ``BENCHMARK.json``.
@@ -92,10 +94,12 @@ def run_once(copy: str, workload: str, seed: int) -> dict:
 def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
     """Quartiles per side, the median ratio, the pairs the change wins,
     whether the change's median is worse than the parent's by more than the
-    metric's bound, a fraction of the parent's median, and whether the
-    metric is unresolved: the parent's quartile spread, a fraction of its
-    median, exceeds the bound, and not every change run beats every parent
-    run."""
+    metric's bound, a fraction of the parent's median, whether the metric is
+    unresolved: the parent's quartile spread, a fraction of its median,
+    exceeds the bound, and not every change run beats every parent run, and
+    whether the change shows a gain: it wins at least nine tenths of the
+    pairs and its median is better than the parent's by more than the
+    parent's quartile spread."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {"pairs": len(sides["change"]),
            "failed": {side: [sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)]
@@ -106,6 +110,8 @@ def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
         wins = (change < parent) if direction == "lower" else (change > parent)
         ratio = float(np.median(change) / np.median(parent))
         worse = ratio - 1.0 if direction == "lower" else 1.0 - ratio
+        ahead = (np.median(parent) - np.median(change) if direction == "lower"
+                 else np.median(change) - np.median(parent))
         quartiles = np.percentile(parent, [25, 50, 75]).tolist()
         q1, median, q3 = quartiles
         beats_all = (change.max() < parent.min() if direction == "lower"
@@ -117,6 +123,7 @@ def summarise(runs: list[dict], better: dict, bounds: dict) -> dict:
             "change_better_pairs": f"{int(wins.sum())}/{len(wins)}",
             "worse_than_bound": bool(worse > bounds[metric]),
             "unresolved": bool((q3 - q1) / median > bounds[metric] and not beats_all),
+            "gain": bool(wins.sum() >= 0.9 * len(wins) and ahead > q3 - q1),
         }
     return out
 
@@ -187,7 +194,10 @@ def main(argv=None) -> int:
                     "repetitions; 'worse_than_bound' says whether the change's median is worse "
                     "than the parent's by more than the metric's BENCHMARK.json bound; "
                     "'unresolved' says whether the parent's quartile spread over its median "
-                    "exceeds that bound while some change run does not beat every parent run. Raw "
+                    "exceeds that bound while some change run does not beat every parent run; "
+                    "'gain' says whether the change wins at least nine tenths of the pairs and its "
+                    "median is better than the parent's by more than the parent's quartile "
+                    "spread. Raw "
                     "repetitions are not kept; 'runs' holds each run's medians. A failed run "
                     "ends the series: 'incomplete' is then true, 'failed_run' names it and "
                     "the summary covers the pairs both sides finished.",
