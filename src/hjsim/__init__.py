@@ -13,7 +13,6 @@ from .model import (
     ConstantDiffusion,
     ConstantJump,
     ConstantRate,
-    DegenerateKernelError,
     KernelMatrix,
     LinearDampingJump,
     LinearDrift,

@@ -85,11 +85,6 @@ class RunConfig:
     def effective_burn_in(self) -> float:
         return self.burn_in if self.burn_in is not None else 0.1 * (self.horizon or 0.0)
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return serialize_config(self) == serialize_config(other)
-
 
 # The run-shape fields with their defaults and annotations, and a check and
 # description for each annotation; bools are not numbers.
@@ -150,15 +145,15 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, write, text: bool = False) -> None:
-    """Create ``path`` atomically: ``write(fh)`` fills a temporary file next
-    to it (text, UTF-8 with no newline translation, if ``text``), which then
-    replaces ``path``; on any failure the temporary file is removed."""
+def _atomic_write(path: str, write) -> None:
+    """Create ``path`` atomically: ``write(fh)`` fills a temporary binary
+    file next to it, which then replaces ``path``; on any failure the
+    temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with (open(fd, "w", encoding="utf-8", newline="") if text else open(fd, "wb")) as fh:
+        with open(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -232,12 +227,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     paths = simulate_ensemble(config.model, config.horizon, integ, config.seed,
                               config.n_paths, workers=workers)
     os.makedirs(args.out, exist_ok=True)
-    jsonl = config.format == "jsonl"
-    ext, write = ("jsonl", write_jsonl) if jsonl else ("hjsm", write_binary)
+    ext, write = ("jsonl", write_jsonl) if config.format == "jsonl" else ("hjsm", write_binary)
     outputs = [f"path_{i:05d}.{ext}" for i in range(len(paths))]
     for name, path in zip(outputs, paths):
         # each file is written as the writer yields it, never held whole
-        _atomic_write(os.path.join(args.out, name), partial(write, path), text=jsonl)
+        _atomic_write(os.path.join(args.out, name), partial(write, path))
     _write_manifest(args.out, "simulate", config, outputs, time.monotonic() - started,
                     per_path_seeds=derive_path_seeds(config.seed, config.n_paths).tolist())
     return 0

@@ -35,6 +35,12 @@ __all__ = [
 _REL_EPS = 1e-12
 # substeps a run may count: beyond 2**53 the counts are no longer exact floats
 _MAX_SUBSTEPS = 2 ** 53
+_MAX_PATH_SUBSTEPS = 10 ** 8   # per path; a noisy one holds 16 B per substep, 1.6 GB here
+
+
+class SimulationLimitError(RuntimeError):
+    """Event-count circuit breaker tripped; the model is likely supercritical
+    (interaction spectral radius >= 1) or the horizon is too long."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,13 @@ def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
     # zero-rate one to first order in beta * dt
     sd = np.where(decay == 1.0, np.sqrt(sigma * sigma * dts), sd)
     return level, np.full(len(dts), level), decay, sd
+
+
+def _check_substeps(span: float, scheme: Scheme) -> None:
+    """Refuse Euler-Maruyama over ``span`` in more than ``_MAX_PATH_SUBSTEPS`` substeps."""
+    if isinstance(scheme, EulerMaruyama) and not span / scheme.step <= _MAX_PATH_SUBSTEPS:
+        raise SimulationLimitError(f"an Euler-Maruyama step of {scheme.step!r} over {span!r} "
+                                   f"gives {span / scheme.step:.3g} substeps, more than 1e+08")
 
 
 def _em_split(dt: float, h: float) -> tuple[int, float]:
@@ -165,6 +178,7 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
+    _check_substeps(dt, cfg.scheme)
     xs = np.array(xs, dtype=float, copy=True)
     n = len(xs)
     scheme = cfg.scheme

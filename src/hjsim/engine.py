@@ -68,8 +68,8 @@ from itertools import islice
 
 import numpy as np
 
-from .diffusion import (ExactOU, IntegratorConfig, _em_kernel, _em_plan, _em_split, _noiseless,
-                        _ou_terms)
+from .diffusion import (ExactOU, IntegratorConfig, SimulationLimitError, _check_substeps,
+                        _em_kernel, _em_plan, _em_split, _noiseless, _ou_terms)
 from .intensity import RateRuntime
 from .model import ModelSpec, PowerBoundedJump, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seeds, ndtri
@@ -117,11 +117,6 @@ _SAMPLE_BYTES = 128
 # per event 162, 210, 287 and 419 B for M = 1..4, this plus 16 M^2 (records
 # hold the M x M memory); Euler-Maruyama paths 15-75 B more:
 _EVENT_BYTES = 144
-
-
-class SimulationLimitError(RuntimeError):
-    """Event-count circuit breaker tripped; the model is likely supercritical
-    (interaction spectral radius >= 1) or the horizon is too long."""
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -570,7 +565,7 @@ def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed:
     ``sample_at`` optionally adds extra skeleton sample times on top of the
     regular grid.  Raises :class:`SimulationLimitError` after ``max_events``
     accepted events, or before simulating when the grid would hold more than
-    ``DEFAULT_MAX_EVENTS`` samples.
+    ``DEFAULT_MAX_EVENTS`` samples or the path more than 10**8 substeps.
     """
     return _simulate_all(model, horizon, cfg, [seed], sample_at=sample_at,
                          max_events=max_events)[0]
@@ -593,6 +588,7 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
         raise ValueError("horizon must be > 0")
     horizon = float(horizon)   # an integer horizon would make integer time arrays
     cfg.validate_for(model.coefficients)
+    _check_substeps(horizon, cfg.scheme)
     sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
     run = partial(_simulate_group, model, horizon, cfg, sample_times, model_digest(model),
                   **kwargs)
@@ -802,6 +798,7 @@ def _simulate_reference(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         raise ValueError(f"k2_bound must be finite and >= 0, got {k2_bound!r}")
     horizon = float(horizon)
     cfg.validate_for(model.coefficients)
+    _check_substeps(horizon, cfg.scheme)
     rt = RateRuntime(model)
     lam_star = rt.bound(model.initial.y.ravel().tolist())
     if k2_bound is not None:

@@ -51,15 +51,13 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from functools import lru_cache
-from string import Formatter
+from functools import cached_property, lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
 
 __all__ = [
     "ConfigError",
-    "DegenerateKernelError",
     "AffineClippedRate",
     "SigmoidRate",
     "ConstantRate",
@@ -140,10 +138,6 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
         self.field = field
         self._message = message
-
-
-class DegenerateKernelError(ValueError):
-    """Operation requires a non-degenerate kernel column (distinct decays, nonzero amplitudes)."""
 
 
 def _finite(v) -> bool:
@@ -316,19 +310,10 @@ def _on_floats(expr: str) -> str:
 
 class _Coefficient(_Family):
     """A drift or diffusion coefficient.  Its ``formula`` is its one
-    expression, in x, numpy's ``tanh`` and its fields; ``__call__``
-    evaluates it on arrays and floats, and the scalar Euler-Maruyama kernel
-    (:func:`hjsim.diffusion._em_kernel`) inlines the same text."""
+    expression, in x, numpy's ``tanh`` and its fields; ``__call__`` compiles
+    its :meth:`expr`, which the Euler-Maruyama kernel inlines."""
 
     formula: ClassVar[str]
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # compiled once per family, reading the fields of the instance it is
-        # given; a compiled function kept on an instance would not pickle
-        names = {name for _, name, _, _ in Formatter().parse(cls.formula) if name}
-        source = cls.formula.format(**{name: f"self.{name}" for name in names})
-        cls._f = staticmethod(_compiled(f"def f(x, self): return {source}"))
 
     def expr(self) -> str:
         """The formula with each field as the repr of its float value: the
@@ -336,8 +321,12 @@ class _Coefficient(_Family):
         return self.formula.format(**{f.name: f"({float(getattr(self, f.name))!r})"
                                       for f in fields(self)})
 
+    @cached_property
+    def _source(self) -> str:   # kept instead of the function, which would not pickle
+        return f"def f(x): return {self.expr()}"
+
     def __call__(self, x):
-        return self._f(x, self)
+        return _compiled(self._source)(x)
 
 
 @dataclass(frozen=True)

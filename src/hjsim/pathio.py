@@ -4,9 +4,10 @@ JSONL layout: a header record followed by the chronologically merged
 sample/event records; at an event time the order is pre-jump sample,
 event, post-jump sample.  Each line has the bytes of one
 ``json.JSONEncoder`` call per record.  The writer formats a block of records
-at a time in numpy passes: a float with 1e-4 <= |v| < 1e15 gets repr's
-shortest round-trip digits from integer arithmetic, every other float (0,
-NaN, the infinities, tiny and huge values) the encoder's text per value.
+at a time in numpy passes and writes its bytes to a binary handle: a float
+with 1e-4 <= |v| < 1e15 gets repr's shortest round-trip digits from integer
+arithmetic, every other float (0, NaN, the infinities, tiny and huge values)
+the encoder's text per value.  The reader takes a binary or a text handle.
 
     {"kind": "header", "format": "hjsm-jsonl", "version": 1, "M": ...,
      "horizon": ..., "seed": ..., "model_digest": "..."}
@@ -180,18 +181,18 @@ _CELL = 64   # bytes per float of a line: 24 for the text before it, then its sl
 
 
 def _jsonl_blocks(path: Path):
-    """The JSONL text of ``path``: the header line, then the merged records in
+    """The JSONL bytes of ``path``: the header line, then the merged records in
     blocks of ``_BLOCK`` samples and the events among them.  The text equals
     one ``json.JSONEncoder`` call per record.
 
     A block is one byte matrix with a row per line and a cell per float:
     the text before the float, NUL padded, then its slot from
     :func:`_format_floats`.  An event row holds its time in the first cell
-    and its component in the second.  The block's text is the matrix without
-    its NUL bytes."""
-    yield _ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
-                           "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
-                           "model_digest": path.model_hash}) + "\n"
+    and its component in the second.  The block's bytes are the matrix
+    without its NUL bytes."""
+    yield (_ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
+                            "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
+                            "model_digest": path.model_hash}) + "\n").encode()
     st, sx, rs, et = path.skeleton_times, path.skeleton_x, path.skeleton_row_sums, path.event_times
     comp = path.event_components
     m, words = path.n_components, _digit_words()
@@ -234,10 +235,10 @@ def _jsonl_blocks(path: Path):
         cells[rows, 1] = components[comp[j0:j1] - 1]
         j0 = j1
         text = cells.reshape(-1)
-        yield text[text != 0].tobytes().decode()
+        yield text[text != 0].tobytes()
 
 
-def write_jsonl(path: Path, fh: TextIO) -> None:
+def write_jsonl(path: Path, fh: BinaryIO) -> None:
     fh.writelines(_jsonl_blocks(path))
 
 
@@ -251,7 +252,7 @@ def _horizon(v) -> bool:
     return _num(v) and math.isfinite(v) and v >= 0
 
 
-def _record(text: str, line: int) -> dict:
+def _record(text: bytes | str, line: int) -> dict:
     try:
         rec = json.loads(text)
     except ValueError as exc:
@@ -261,9 +262,9 @@ def _record(text: str, line: int) -> dict:
     return rec
 
 
-def read_jsonl(fh: TextIO) -> Path:
-    """The path a :func:`write_jsonl` stream holds; a malformed stream is a
-    ValueError naming its 1-based line."""
+def read_jsonl(fh: BinaryIO | TextIO) -> Path:
+    """The path a :func:`write_jsonl` stream holds, read from a binary or a
+    text handle; a malformed stream is a ValueError naming its 1-based line."""
     header = _record(fh.readline(), 1)
     m, seed, digest = header.get("M"), header.get("seed"), header.get("model_digest")
     if not (header.get("kind") == "header" and header.get("format") == "hjsm-jsonl"
@@ -351,7 +352,7 @@ def read_binary(fh: BinaryIO) -> Path:
 def dumps_jsonl(path: Path) -> bytes:
     # getvalue hands over the BytesIO's own buffer: the text is held once
     buf = io.BytesIO()
-    buf.writelines(text.encode() for text in _jsonl_blocks(path))
+    write_jsonl(path, buf)
     return buf.getvalue()
 
 

@@ -35,8 +35,7 @@ import numpy as np
 from .diffusion import IntegratorConfig, advance_diffusion_many
 from .engine import _from_first_candidates
 from .intensity import RateRuntime
-from .model import (AssumptionReport, DegenerateKernelError, KernelMatrix, ModelSpec, State,
-                    check_assumptions)
+from .model import AssumptionReport, KernelMatrix, ModelSpec, State, check_assumptions
 from .rng import RandomStream
 
 __all__ = [
@@ -348,22 +347,13 @@ def vandermonde_matrix(alphas: np.ndarray, t0: float) -> np.ndarray:
     return np.vander(x, len(x), increasing=False)
 
 
-def vandermonde_check(kernel: KernelMatrix, column: int, t0: float,
-                      strict: bool = True) -> VandermondeCheck:
-    """Determinant of the column decay Vandermonde matrix at spacing t0.
-
-    With ``strict=True`` (default), a column with repeated decay rates is
-    refused, matching the upstream degeneracy flag; with ``strict=False``
-    the (zero) determinant is computed and reported as non-invertible.
-    """
+def vandermonde_check(kernel: KernelMatrix, column: int, t0: float) -> VandermondeCheck:
+    """Determinant of the column decay Vandermonde matrix at spacing t0; repeated
+    decay rates give determinant 0, reported as non-invertible."""
     m = kernel.n_components
     if not 1 <= column <= m:
         raise IndexError(f"column must be in 1..{m}")
-    alphas = kernel.alpha[:, column - 1]
-    if strict and len(np.unique(alphas)) != m:
-        raise DegenerateKernelError(
-            f"column {column} has repeated decay rates; determinant is 0")
-    mat = vandermonde_matrix(alphas, t0)
+    mat = vandermonde_matrix(kernel.alpha[:, column - 1], t0)
     det = float(np.linalg.det(mat))
     threshold = 1e-12 * float(np.prod(np.linalg.norm(mat, axis=1)))
     return VandermondeCheck(column, t0, det, threshold, abs(det) > threshold)
@@ -456,7 +446,7 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
         report["drift"] = scan.to_dict()
     for j in range(1, model.n_components + 1):
         for t0 in (0.1, 1.0):
-            chk = vandermonde_check(model.kernel, j, t0, strict=False)
+            chk = vandermonde_check(model.kernel, j, t0)
             report["vandermonde"].append({
                 "column": j, "t0": t0, "determinant": chk.determinant,
                 "invertible": chk.invertible})

@@ -188,7 +188,7 @@ def test_criterion_10_vandermonde_determinants():
                 chk = vandermonde_check(kernel, j, t0)
                 ok = ok and abs(chk.determinant) > 1e-12 and chk.invertible
     degenerate = KernelMatrix(c=np.ones((2, 2)), alpha=[[1.3, 1.0], [1.3, 2.0]])
-    chk0 = vandermonde_check(degenerate, 1, 0.1, strict=False)
+    chk0 = vandermonde_check(degenerate, 1, 0.1)
     ok = ok and abs(chk0.determinant) <= 1e-12 and not chk0.invertible
     report(10, ok, f"distinct decays: all |det| > 1e-12 at t0 in {{0.1, 1}}; "
                    f"coincident decays: det = {chk0.determinant:.1e} (flagged "

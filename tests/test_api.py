@@ -14,15 +14,16 @@ from hjsim.rng import DrawBank, RandomStream
 MODULES = ["cli", "diagnostics", "diffusion", "engine", "intensity", "model", "pathio", "rng",
            "stability"]
 
-# wrappers that only tests, or nothing, called, removed, with their module
+# wrappers and an exception that only tests, or nothing, used, removed, with their module
 REMOVED = {"flow_memory": "intensity", "apply_event": "intensity",
            "intensity_vector": "intensity", "total_event_rate": "intensity",
            "dominating_rate": "intensity", "advance_diffusion": "diffusion",
            "apply_state_jump": "diffusion", "next_event": "engine", "CandidateEvent": "engine",
-           "load_model": "model", "lyapunov_spec_for": "stability"}
+           "load_model": "model", "lyapunov_spec_for": "stability",
+           "DegenerateKernelError": "model"}
 
-# keyword options that no command, diagnostic or criterion set, removed, with
-# the function that took them
+# keyword options that no command, diagnostic or criterion needed, removed,
+# with the function that took them
 REMOVED_OPTIONS = [("diagnostics", "time_average", "batches"),
                    ("diagnostics", "mixing_curve", "floor_factor"),
                    ("diagnostics", "mixing_curve", "workers"),
@@ -30,7 +31,9 @@ REMOVED_OPTIONS = [("diagnostics", "time_average", "batches"),
                    ("stability", "drift_scan", "tolerance"),
                    ("stability", "stability_report", "poly_m"),
                    ("stability", "stability_report", "vandermonde_t0"),
-                   ("model", "check_assumptions", "grid_points")]
+                   ("model", "check_assumptions", "grid_points"),
+                   ("stability", "vandermonde_check", "strict"),
+                   ("cli", "_atomic_write", "text")]
 
 
 def package_imports():

@@ -121,11 +121,11 @@ def test_refuses_commits_with_different_benchmarks(repo, tmp_path, capsys, monke
 def test_a_failed_run_ends_the_series_and_keeps_the_runs_so_far(repo, tmp_path, monkeypatch,
                                                                 capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+        {"run_seconds": 30, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
     monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
     calls = []
 
-    def run_once(copy, workload, seed):
+    def run_once(copy, workload, seed, seconds):
         calls.append((workload, seed))
         if len(calls) == 4:   # pair 1 runs the change first, so this is its parent
             raise bench_pairs.RunFailed(3, "Traceback ...\nMemoryError\n")
@@ -156,9 +156,9 @@ def test_a_failed_run_ends_the_series_and_keeps_the_runs_so_far(repo, tmp_path, 
 
 def test_a_finished_series_is_complete(repo, tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+        {"run_seconds": 30, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
     monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
-    monkeypatch.setattr(bench_pairs, "run_once", lambda copy, workload, seed: {
+    monkeypatch.setattr(bench_pairs, "run_once", lambda copy, workload, seed, seconds: {
         "machine": {"cpu": "test"}, "failed": 0, "attempted": 5,
         "metrics": {"wall_s": {"value": 1.0}}})
     out = tmp_path / "bench.json"
@@ -168,3 +168,28 @@ def test_a_finished_series_is_complete(repo, tmp_path, monkeypatch):
     data = json.loads(out.read_text())
     assert data["incomplete"] is False and data["failed_run"] is None
     assert data["summary"]["short_paths"]["pairs"] == 2
+
+
+def test_runs_last_the_spec_run_seconds(repo, tmp_path, monkeypatch):
+    # a spec of 7 s: every benchmark run is asked for 7 s, and the summary says so
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
+    real_run, commands = subprocess.run, []
+    result = {"failed": 0, "attempted": 5, "metrics": {"wall_s": {"value": 1.0}}}
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return real_run(cmd, **kwargs)
+        commands.append(cmd)
+        stdout = json.dumps({"machine": {"cpu": "test"}}) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", repo["base"], "--change", repo["src"], "--pairs", "2",
+                             "--workloads", "short_paths", "--out", str(out),
+                             "--workdir", str(tmp_path / "work")]) == 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--seconds") + 1] == "7" for cmd in commands)
+    assert "--seconds 7 " in json.loads(out.read_text())["benchmark"]

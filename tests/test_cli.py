@@ -246,6 +246,19 @@ class TestSimulate:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SimulationLimitError"
 
+    def test_too_fine_an_em_step_is_structured_error(self, tmp_path, capsys):
+        # 10**12 substeps per path, refused before anything is drawn
+        config = write_config(tmp_path)
+        rc = cli.main(["simulate", "--config", config, "--horizon", "1", "--grid-dt", "0.5",
+                       "--em-step", "1e-12", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SimulationLimitError"
+        assert err["message"] == ("an Euler-Maruyama step of 1e-12 over 1.0 gives 1e+12 "
+                                  "substeps, more than 1e+08")
+
 
 # what a serial run must not import: scipy is a test-only dependency, and
 # only a run with workers > 1 starts a process pool

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import hjsim
-from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig, _em_kernel, _em_plan,
-                             _em_split, _exp_each, _noiseless, advance_diffusion_many)
+from hjsim.diffusion import (EulerMaruyama, ExactOU, IntegratorConfig, _check_substeps,
+                             _em_kernel, _em_plan, _em_split, _exp_each, _noiseless,
+                             advance_diffusion_many)
 from hjsim.model import (CoefficientSpec, ConstantDiffusion, ConstantJump,
                          BoundedSmoothDrift, LinearDampingJump, LinearDrift,
                          SmoothBoundedDiffusion)
@@ -355,15 +357,42 @@ def test_em_kernel_compiled_once_per_coefficient_pair():
     assert _em_kernel(cs) is not _em_kernel(_COEFFS[0])
 
 
+def _em_model(sigma):
+    return make_model(1, [{"type": "constant", "level": 1.0}], [0.0], [1.0],
+                      {"type": "linear", "rate": 1.0}, {"type": "constant", "value": sigma},
+                      {"type": "constant", "size": 0.0})
+
+
 @pytest.mark.parametrize("sigma", [1.0, 0.0])
 def test_em_substeps_beyond_exact_counts_are_refused(sigma):
     # before any normal is drawn, or any of 1e300 noiseless steps taken
-    model = make_model(1, [{"type": "constant", "level": 1.0}], [0.0], [1.0],
-                       {"type": "linear", "rate": 1.0}, {"type": "constant", "value": sigma},
-                       {"type": "constant", "size": 0.0})
     cfg = IntegratorConfig(EulerMaruyama(1e-300), 0.1)
-    with pytest.raises(ValueError, match="substeps"):
-        hjsim.simulate_path(model, 1.0, cfg, seed=0)
+    with pytest.raises(hjsim.SimulationLimitError, match="substeps"):
+        hjsim.simulate_path(_em_model(sigma), 1.0, cfg, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+@pytest.mark.parametrize("step", [1e-12, 1e-9])
+def test_more_than_1e8_substeps_per_path_are_refused(sigma, step):
+    # hours of noiseless stepping, or gigabytes of held noise, refused at once
+    model, cfg = _em_model(sigma), IntegratorConfig(EulerMaruyama(step), 0.5)
+    message = f"step of {step!r} over 1.0 gives {1 / step:.3g} substeps, more than 1e+08"
+    for run in (lambda: hjsim.simulate_path(model, 1.0, cfg, seed=0),
+                lambda: hjsim.simulate_ensemble(model, 1.0, cfg, 0, 3),
+                lambda: hjsim.simulate_path_reference(model, 1.0, cfg, seed=0),
+                lambda: advance_diffusion_many(np.zeros(3), 1.0, model.coefficients, cfg,
+                                               RandomStream(0))):
+        with pytest.raises(hjsim.SimulationLimitError, match=re.escape(message)):
+            run()
+
+
+def test_the_substep_cap_counts_one_path():
+    # the engine checks the horizon of one path, so a wide group's total
+    # may pass 1e8; a path of exactly 1e8 substeps passes too
+    _check_substeps(1.0, EulerMaruyama(1e-8))
+    _check_substeps(1e12, ExactOU())
+    with pytest.raises(hjsim.SimulationLimitError, match="1e-08 over 1.0000001 gives 1e\\+08"):
+        _check_substeps(1.0000001, EulerMaruyama(1e-8))
 
 
 def test_em_substep_limit_message_prints_plain_floats():

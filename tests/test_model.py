@@ -6,8 +6,8 @@ import pytest
 from scipy import special
 
 import hjsim
-from hjsim.model import (_MAX_COMPONENTS, AffineClippedRate, BoundedSmoothDrift, ConfigError,
-                         ConstantDiffusion, ConstantJump, ConstantRate,
+from hjsim.model import (_DIFFUSION_KINDS, _DRIFT_KINDS, _MAX_COMPONENTS, AffineClippedRate,
+                         BoundedSmoothDrift, ConfigError, ConstantDiffusion, ConstantJump, ConstantRate,
                          KernelMatrix, LinearDampingJump, LinearDrift, ModelSpec,
                          PowerBoundedJump, SigmoidRate, SmoothBoundedDiffusion,
                          State, expit, model_digest, model_from_dict, model_to_dict)
@@ -132,13 +132,30 @@ class TestCoefficients:
             assert one.tobytes() == np.array([float(by_hand(x)) for x in xs.tolist()]).tobytes()
 
     def test_coefficients_pickle_after_a_call(self):
-        # the compiled formula belongs to the family, not to the instance,
+        # the instance keeps the formula's source, not the compiled function,
         # so a called coefficient still goes to worker processes
         for f in (LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3),
                   ConstantDiffusion(0.9), SmoothBoundedDiffusion(0.5, 1.5)):
             f(0.25)
             again = pickle.loads(pickle.dumps(f))
             assert again == f and again(0.25) == f(0.25)
+
+    @pytest.mark.parametrize("f", [LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3),
+                                   ConstantDiffusion(0.9), SmoothBoundedDiffusion(0.5, 1.5)],
+                             ids=lambda f: type(f).__name__)
+    def test_a_called_coefficient_pickles_with_its_source(self, f):
+        # one call caches the compiled source on the instance; the unpickled
+        # copy evaluates as the original on a float and on an array
+        xs = np.linspace(-3.0, 3.0, 13)
+        f(0.25)
+        assert "_source" in vars(f)
+        again = pickle.loads(pickle.dumps(f))
+        assert again(0.25) == f(0.25)
+        assert again(xs).tobytes() == f(xs).tobytes()
+
+    def test_every_drift_and_diffusion_family_is_pickled_above(self):
+        tested = {LinearDrift, BoundedSmoothDrift, ConstantDiffusion, SmoothBoundedDiffusion}
+        assert tested == {*_DRIFT_KINDS.values(), *_DIFFUSION_KINDS.values()}
 
     def test_linear_drift(self):
         b = LinearDrift(rate=2.0, intercept=1.0)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjsim
-from hjsim import pathio
+from hjsim import cli, pathio
+from hjsim.model import model_to_dict
 
 from helpers import (BOUNDARY_FLOATS, em_cfg, formatted, jsonl_oracle, ou_cfg, reference_model,
                      simulation_runs, two_component_model, written_paths)
@@ -59,6 +60,18 @@ class TestJsonl:
                                                         em_cfg(0.25, 0.05), seed=23)))
         assert h.hexdigest() == JSONL_SHA256
 
+    def test_reads_a_cli_file_as_binary_or_as_text(self, tmp_path):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps(model_to_dict(two_component_model())))
+        out = tmp_path / "runs"
+        assert cli.main(["simulate", "--config", str(config), "--horizon", "20", "--seed", "23",
+                         "--grid-dt", "0.25", "--em-step", "0.05", "--out", str(out)]) == 0
+        with open(out / "path_00000.jsonl", "rb") as fh:
+            path = pathio.read_jsonl(fh)
+        text = (out / "path_00000.jsonl").read_text(encoding="utf-8")
+        assert_paths_equal(path, pathio.read_jsonl(io.StringIO(text)))
+        assert path.n_events > 0 and len(path.skeleton_times) > 80
+
     def test_rejects_other_streams(self):
         with pytest.raises(ValueError):
             pathio.read_jsonl(io.StringIO('{"kind":"other"}\n'))
@@ -68,9 +81,9 @@ class TestJsonl:
     def test_writer_equals_one_encoder_call_per_record(self, path):
         blob = pathio.dumps_jsonl(path)
         assert blob == jsonl_oracle(path)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         pathio.write_jsonl(path, buf)
-        assert buf.getvalue().encode() == blob
+        assert buf.getvalue() == blob
 
     def test_simulated_paths_equal_the_oracle(self):
         for path in (sample_path(), hjsim.simulate_path(two_component_model(), 20.0,

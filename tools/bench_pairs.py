@@ -5,13 +5,14 @@
 
 Each side runs ``perfbench/run.py --trace 0`` from a ``git archive`` copy of
 its commit, so neither sees the other's files or this checkout's working
-tree.  Every run lasts the benchmark's 30 s, and pair i uses ``--seed i``;
-the parent runs first in even pairs and the change first in odd pairs.  The output file
-holds both commits, the machine, each run's end-to-end medians, and per
-metric each side's quartiles over its runs, the change's median over the
-parent's, the number of pairs in which the change is better (ties count
-for neither side), whether the change's median is worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``, whether
+tree.  Every run lasts the ``run_seconds`` of ``BENCHMARK.json``, and pair i
+uses ``--seed i``; the parent runs first in even pairs and the change first in
+odd pairs.  The output file holds both commits, the machine, each run's
+end-to-end medians, and per metric each side's quartiles over its runs, the
+change's median over the parent's, the number of pairs in which the change
+is better (ties count for neither side), whether the change's median is
+worse than the parent's by more than the metric's bound in
+``BENCHMARK.json``, whether
 the metric is unresolved: the parent's own runs spread wider than that
 bound, and the change does not read better in every run, and whether the
 change shows a gain: it is better in at least nine tenths of the pairs, and
@@ -39,7 +40,6 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SECONDS = 30.0   # the run length BENCHMARK.json sets
 BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 
 
@@ -80,10 +80,10 @@ class RunFailed(RuntimeError):
         self.exit_code, self.stderr = exit_code, stderr
 
 
-def run_once(copy: str, workload: str, seed: int) -> dict:
-    """One benchmark run in ``copy``: its machine record and result line."""
+def run_once(copy: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of ``seconds`` in ``copy``: its machine record and result line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", repr(SECONDS), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
                           cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RunFailed(proc.returncode, proc.stderr)
@@ -154,7 +154,8 @@ def main(argv=None) -> int:
               f"{', '.join(changed)} differ", file=sys.stderr)
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        spec = json.load(fh)
+    seconds, metrics = spec["run_seconds"], spec["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics}
     workdir = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     try:
         for workload, seed, side in schedule(args.workloads, args.pairs):
             try:
-                result = run_once(copies[side], workload, seed)
+                result = run_once(copies[side], workload, seed, seconds)
             except RunFailed as exc:
                 failure = {"workload": workload, "side": side, "seed": seed,
                            "exit_code": exc.exit_code, "stderr_tail": exc.stderr[-2000:]}
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
             shutil.rmtree(workdir, ignore_errors=True)
     summary = {
         "benchmark": f"python3 perfbench/run.py --workload W --seed S "
-                     f"--seconds {SECONDS:g} --trace 0",
+                     f"--seconds {seconds:g} --trace 0",
         "parent": commits["parent"],
         "change": commits["change"],
         "protocol": f"{args.pairs} pairs per workload; pair i uses --seed i; "
