@@ -39,8 +39,8 @@ _MAX_PATH_SUBSTEPS = 10 ** 8   # per path; a noisy one holds 16 B per substep, 1
 
 
 class SimulationLimitError(RuntimeError):
-    """Event-count circuit breaker tripped; the model is likely supercritical
-    (interaction spectral radius >= 1) or the horizon is too long."""
+    """A run past a cap: too many events (the model is likely supercritical, its
+    interaction spectral radius >= 1, or the horizon too long), grid samples or substeps."""
 
 
 @dataclass(frozen=True)
