@@ -207,7 +207,11 @@ def tv_histogram(a: np.ndarray, b: np.ndarray, bins: int) -> float:
 def _log_linear_fit(t: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
     """Least-squares fit log(values) ~ intercept - rate * t: (rate, intercept, R^2)."""
     logs = np.log(values)
-    slope, intercept = np.polyfit(t, logs, 1)
+    try:   # times whose squares underflow leave polyfit a zero scale to divide by
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            slope, intercept = np.polyfit(t, logs, 1)
+    except FloatingPointError as exc:
+        raise ValueError(f"the times {t.tolist()} are too small to fit a decay rate") from exc
     resid = logs - (intercept + slope * t)
     ss_tot = float(((logs - logs.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0

@@ -24,7 +24,8 @@ The draw order is the contract every digest rests on: a segment's thinning
 draws come first, then its normals as one block (one per exact-OU interval,
 one per Euler-Maruyama substep, none without noise; ``_GroupLog._count``).
 Phase 1 takes each block when the segment closes, at an acceptance or at the
-horizon, and phase 2 reads the blocks in order.
+horizon, into one buffer, and the record that closes the segment keeps the
+block's offset there; phase 2 reads each segment's normals from its offset.
 
 A path thinned on its own runs ``_run_events``: one candidate loop of scalar
 code on a row-major list of floats, with the path's place in locals.  Its
@@ -231,14 +232,13 @@ class _GroupLog:
 
     The row buffer ``rec`` holds each path's start (component 0, time 0, the
     initial memory) and a row per event: path, time, component, the index
-    ``lo`` of the path's next sample time, the pre-jump row sums and the
-    post-jump memory.  The lockstep loop appends the uniforms of normals to
-    ``zk``/``zv`` in blocks: one for each of an array of paths, or a
-    segment's uniforms for one path.  A path thinned on its own then appends
-    its uniforms to ``zs``; such paths run one after another, in path order.
-    Rows and uniforms go in time order per path.  ``t_anchor``, ``lo``,
-    ``n_events`` and ``n_normals`` hold each path's last event time, next
-    sample index, event count and normals count.
+    ``lo`` of the path's next sample time, the offset in ``z`` of the
+    normals of the segment the event closes, the pre-jump row sums and the
+    post-jump memory.  ``z`` holds the uniforms of normals, a segment's as
+    one block, in the order either thinning loop takes them; ``z_end``
+    holds each path's offset of the segment that closes at the horizon.
+    Rows go in time order per path.  ``t_anchor``, ``lo`` and ``n_events``
+    hold each path's last event time, next sample index and event count.
     """
 
     def __init__(self, model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -257,11 +257,11 @@ class _GroupLog:
         # leaves every float as it is: an event of component j + 1 adds it
         self.c_added = np.where(np.eye(m, dtype=bool)[:, None], model.kernel.c, -0.0)
         self.t_anchor, self.lo = np.zeros(n), np.zeros(n, dtype=np.intp)
-        self.n_events, self.n_normals = np.zeros((2, n), dtype=np.intp)
-        start = np.zeros((n, 4 + m + m * m))
+        self.n_events, self.z_end = np.zeros((2, n), dtype=np.intp)
+        start = np.zeros((n, 5 + m + m * m))
         start[:, 0] = np.arange(n)
-        start[:, 4 + m:] = model.initial.y.ravel()
-        self.rec, self.zk, self.zv, self.zs = array("d", start.tobytes()), [], [], array("d")
+        start[:, 5 + m:] = model.initial.y.ravel()
+        self.rec, self.z = array("d", start.tobytes()), array("d")
         if self.noisy and not self.ou:
             # em_cum[j]: the Euler-Maruyama substeps from the first sample
             # time to sample time j
@@ -295,21 +295,22 @@ class _GroupLog:
         """Take the normals of a path's segment from its anchor time t0 and
         next sample index lo up to ``t_stop`` from rng, after the segment's
         last thinning draw; returns the end of the segment's sample times and
-        the number of normals taken."""
+        the offset of the block taken."""
         hi = bisect_left(self.sample_floats, t_stop - self.eps, lo)   # as _hi
-        n = self._count(t0, lo, hi, t_stop)
+        n, z0 = self._count(t0, lo, hi, t_stop), len(self.z)
         if n == 1:   # a normal's uniform: _walk converts those of all at once
-            self.zs.append(rng.uniform())
+            self.z.append(rng.uniform())
         elif n:
-            self.zs.frombytes(rng.uniforms(n).tobytes())
-        return hi, n
+            self.z.frombytes(rng.uniforms(n).tobytes())
+        return hi, z0
 
-    def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> np.ndarray:
-        """:meth:`take` for paths ``rows`` from their rows of ``bank``."""
+    def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> tuple:
+        """:meth:`take` for paths ``rows`` from their rows of ``bank``, the
+        paths with one normal as one block, then each other path's block."""
         t0, lo = self.t_anchor[rows], self.lo[rows]
         hi = self._hi(lo, t_stop)
         if not self.noisy:
-            return hi
+            return hi, 0
         # as _count, with Euler-Maruyama segments counted one by one
         n = (t_stop > t0).astype(np.intp)
         if self.ou:
@@ -317,32 +318,32 @@ class _GroupLog:
         else:
             for r in np.flatnonzero(n).tolist():
                 n[r] = self._count(float(t0[r]), int(lo[r]), int(hi[r]), float(t_stop[r]))
-        self.n_normals[rows] += n
-        one = rows[n == 1]
+        one = np.flatnonzero(n == 1)
+        z0 = np.full(len(rows), len(self.z))
         if len(one):
-            self.zk.append(one)
-            self.zv.append(bank.uniforms(one))
+            z0[one] += np.arange(len(one))
+            self.z.frombytes(bank.uniforms(rows[one]).tobytes())
         for r in np.flatnonzero(n > 1).tolist():
-            self.zk.append(rows[r])
-            self.zv.append(bank.take(rows[r], n[r]))
-        return hi
+            z0[r] = len(self.z)
+            self.z.frombytes(bank.take(rows[r], n[r]).tobytes())
+        return hi, z0
 
-    def record(self, k: int, tau: float, comp: int, hi: int, rs: list, y: list) -> int:
+    def record(self, k: int, tau: float, comp: int, hi: int, z0: int, rs: list, y: list) -> int:
         """Record path k's event of 1-based component ``comp`` at ``tau``,
-        whose segment's normals are taken and whose sample times end at
-        ``hi``; ``rs`` are the pre-jump row sums, and the pre-jump memory
-        ``y``, a row-major list, gains the event's column of c in place.
-        Returns the path's next sample index."""
+        whose segment's normals are taken at offset ``z0`` and whose sample
+        times end at ``hi``; ``rs`` are the pre-jump row sums, and the
+        pre-jump memory ``y``, a row-major list, gains the event's column of
+        c in place.  Returns the path's next sample index."""
         lo, at = hi, self.sample_floats
         while abs(at[lo] - tau) <= self.eps:   # step past the sample times on tau
             lo += 1
         for i in range(comp - 1, len(y), self.m):
             y[i] += self.c[i]
-        self.rec.extend((k, tau, comp, lo, *rs, *y))
+        self.rec.extend((k, tau, comp, lo, z0, *rs, *y))
         return lo
 
     def record_rows(self, k: np.ndarray, tau: np.ndarray, comp: np.ndarray, hi: np.ndarray,
-                    y_pre: np.ndarray) -> None:
+                    z0: np.ndarray | int, y_pre: np.ndarray) -> None:
         """:meth:`record` for paths ``k``, with pre-jump memory ``y_pre`` (n, M, M)."""
         lo = hi
         near = np.abs(self.samples[lo] - tau) <= self.eps
@@ -350,11 +351,11 @@ class _GroupLog:
             lo = lo + near
             near = np.abs(self.samples[lo] - tau) <= self.eps
         m = self.m
-        rows = np.empty((len(k), 4 + m + m * m))
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k, tau, comp, lo
-        y_pre.sum(axis=2, out=rows[:, 4:4 + m])
+        rows = np.empty((len(k), 5 + m + m * m))
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4] = k, tau, comp, lo, z0
+        y_pre.sum(axis=2, out=rows[:, 5:5 + m])
         y_pre += self.c_added[comp - 1]
-        rows[:, 4 + m:] = y_pre.reshape(len(k), -1)
+        rows[:, 5 + m:] = y_pre.reshape(len(k), -1)
         self.rec.frombytes(rows.tobytes())
         self.t_anchor[k], self.lo[k] = tau, lo
         self.n_events[k] += 1
@@ -372,15 +373,15 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     record is kept if it lies more than eps after the record before it.
     """
     m, horizon, samples = log.m, log.horizon, log.samples
-    rows = np.frombuffer(log.rec).reshape(-1, 4 + m + m * m)
+    rows = np.frombuffer(log.rec).reshape(-1, 5 + m + m * m)
     rows, log.rec = rows[np.argsort(rows[:, 0], kind="stable")], None
     start = rows[:, 2] == 0
-    t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 4 + m:].reshape(-1, m, m)
-    # a segment ends at the next row of its path, or at the horizon after
-    # the path's last row
-    last, stop = np.ones_like(start), np.full(len(t0), horizon)
-    last[:-1], stop[:-1] = start[1:], t0[1:]
-    stop[last] = horizon
+    t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 5 + m:].reshape(-1, m, m)
+    # a segment ends, and its normals' offset is kept, at the next row of
+    # its path, or at the horizon after the path's last row
+    last, stop, z0 = np.ones_like(start), np.full(len(t0), horizon), np.empty(len(t0), np.intp)
+    last[:-1], stop[:-1], z0[:-1] = start[1:], t0[1:], rows[1:, 4]
+    stop[last], z0[last] = horizon, log.z_end
     n_samples = log._hi(lo, stop) - lo
 
     # the records of a segment: its anchor (a path's start or an event's
@@ -406,13 +407,13 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     times[end] = stop
     # an empty segment leaves x as it is
     kind[end] = np.where((n_samples == 0) & ~(stop > t0), 4, 0) + ~last
-    rs[end[~last]] = rows[1:, 4:4 + m][~last[:-1]]
+    rs[end[~last]] = rows[1:, 5:5 + m][~last[:-1]]
     flow = np.exp(-alpha * (horizon - t0[last])[:, None, None])
     rs[end[last]] = (anchors[last] * flow).sum(axis=2)
 
     ev_t, ev_c = t0[~start], rows[~start, 2].astype(np.int32)
     del rows, anchors, t0   # before _walk's peak
-    x = _walk(log, times, kind, seg0, end, start)
+    x = _walk(log, times, kind, seg0, end, start, z0)
     firsts, lasts = np.flatnonzero(start), np.flatnonzero(last)
     ev_end = np.cumsum(lasts - firsts).tolist()
     # a path's records end with the horizon's, unless the one before it is
@@ -429,8 +430,8 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     return paths, x[end[lasts]]
 
 
-def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
-    """x at every record of :func:`_skeleton`, from the normals in ``log``.
+def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
+    """x at every record of :func:`_skeleton`, each segment's from its normals at ``z0``.
 
     Exact-OU steps record k of every live path at once, in lockstep, while
     ``_WALK_MIN`` paths have a record k; each remaining path then resumes
@@ -444,23 +445,9 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     post-jump record that the jump gives.
     """
     coeffs, x0 = log.model.coefficients, log.model.initial.x
-    # the normals' uniforms, path by path: a block holds one for each of an
-    # array of paths, or a segment's for one path
-    at = np.cumsum(log.n_normals) - log.n_normals
-    z = np.empty(int(log.n_normals.sum()))
-    for k, v in zip(log.zk, log.zv):
-        if isinstance(k, np.ndarray):
-            z[at[k]] = v
-            at[k] += 1
-        else:
-            a = int(at[k])
-            z[a:a + len(v)] = v
-            at[k] = a + len(v)
-    # then each one-path run's, after its path's lockstep ones, in path order
-    left = np.cumsum(log.n_normals) - at
-    z[np.repeat(at - np.cumsum(left) + left, left) + np.arange(len(log.zs))] = log.zs
-    log.zk, log.zv, log.zs = [], [], None
+    z = np.frombuffer(log.z)   # the normals' uniforms, made normals in place
     ndtri(z, out=z)
+    n_int = (end - seg0) * (kind[end] < 2)   # each segment's intervals
     # the bound method calls faster than the jump map object itself
     jump = coeffs.jump.__call__
     if not log.ou:
@@ -470,13 +457,12 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
         full, rem = _em_plan(times[steps] - times[steps - 1], h)
         plan = zip(memoryview(full), memoryview(rem))
         del steps, full, rem
-        n_int = ((end - seg0) * (kind[end] < 2)).tolist()
-        em, normals, out = _em_kernel(coeffs), iter(memoryview(z)), []
-        for s, k in zip(start.tolist(), n_int):
+        em, normals, out = _em_kernel(coeffs), memoryview(z), []
+        for s, k, o in zip(start.tolist(), n_int.tolist(), z0.tolist()):
             x = x0 if s else x + float(jump(x))   # the event's jump
             out.append(x)
             if k:
-                x = em(x, islice(plan, k), h, normals, out)
+                x = em(x, islice(plan, k), h, iter(normals[o:]), out)
             else:
                 out.append(x)
         return np.array(out)
@@ -489,7 +475,9 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start) -> np.ndarray:
     qs, ds, es = np.zeros(len(steps)), np.zeros(len(steps)), np.full(len(steps), -0.0)
     qs[ends], ds[ends] = q, d
     if log.noisy:
-        es[ends] = sd * z
+        # a segment's intervals take its normals in order from its offset
+        es[ends] = sd * z[np.repeat(z0 - np.cumsum(n_int) + n_int, n_int)
+                          + np.arange(len(ends))]
     # a noiseless step adds -0.0, which leaves every float as it is
     del ends, q, d, sd, z
     # each path's records from its start on; in lockstep the paths with the
@@ -622,8 +610,8 @@ def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_sampl
     """The live state a path of a group holds: ``_PATH_BYTES``,
     ``_SAMPLE_BYTES`` per sample time, ``_EVENT_BYTES`` plus 16 M^2 per
     expected event and, for noisy Euler-Maruyama, 16 bytes per substep for
-    the normals it keeps from thinning to the skeleton pass (their block and
-    their place in the assembled array; measured 17.4-17.8 B).  The expected
+    the normals it keeps from thinning to the skeleton pass (a uniform each,
+    measured 7.7-9.0 B, so the charge is about twice the cost).  The expected
     event count is the horizon times the envelope at the initial memory, an
     undercount for a self-exciting model: the M = 2 benchmark model has 8.1
     events by horizon 5 where it expects 5."""
@@ -670,7 +658,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         done = tau > horizon
         if done.any():
             k = ids[done]
-            log.take_rows(k, np.full(len(k), horizon), bank)
+            log.z_end[k] = log.take_rows(k, np.full(len(k), horizon), bank)[1]
             ids, t, y, tau, bound = (a[~done] for a in (ids, t, y, tau, bound))
         if reference is None:
             y = y_tau = y * np.exp(-rt.alpha * (tau - t)[:, None, None])
@@ -690,7 +678,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         if acc.size:
             k, tau_k = ids[acc], tau[acc]
             y_k = y_tau[acc]
-            log.record_rows(k, tau_k, comp[acc] + 1, log.take_rows(k, tau_k, bank), y_k)
+            log.record_rows(k, tau_k, comp[acc] + 1, *log.take_rows(k, tau_k, bank), y_k)
             y[acc] = y_k
             if n_iter >= max_events:
                 worst = int(np.argmax(log.n_events[k]))
@@ -707,14 +695,14 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
                 y: list, max_events: int) -> tuple[float, list]:
     """Thin path k of ``log`` from memory ``y`` (a row-major list) at time
     ``t`` up to the horizon, recording every accepted event and then the
-    last segment.  The path's anchor time, next sample index, event count
-    and normals count stay in locals, and go back to ``log`` when it ends.
+    last segment.  The path's anchor time, next sample index and event
+    count stay in locals, and go back to ``log`` when it ends.
     Returns the last candidate time (``t`` if none) and the memory there;
     raises :class:`SimulationLimitError` once it holds ``max_events`` events.
     """
     bound_at, flow, uniform, take, record = rt.bound, rt.flow, rng.uniform, log.take, log.record
     horizon, t0, lo = log.horizon, float(log.t_anchor[k]), int(log.lo[k])
-    n_events, n_normals = int(log.n_events[k]), int(log.n_normals[k])
+    n_events = int(log.n_events[k])
     try:
         while True:
             bound = bound_at(y)
@@ -722,20 +710,19 @@ def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: f
                 raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
             tau = t - float(np.log(uniform())) / bound   # an exponential at rate bound
             if tau > horizon:
-                n_normals += take(t0, lo, horizon, rng)[1]
+                log.z_end[k] = take(t0, lo, horizon, rng)[1]
                 return t, y
             y, rs, cum = flow(y, tau - t)
             if cum[-1] > bound * (1.0 + 1e-9):
                 raise RuntimeError("dominating rate violated; rate functions inconsistent")
             u, t = uniform() * bound, tau
             if u < cum[-1]:   # accepted; the rejection mass lies above cum[-1]
-                hi, n = take(t0, lo, tau, rng)
-                t0, lo = tau, record(k, tau, bisect_right(cum, u) + 1, hi, rs, y)
-                n_events, n_normals = n_events + 1, n_normals + n
+                t0, lo, n_events = tau, record(k, tau, bisect_right(cum, u) + 1,
+                                               *take(t0, lo, tau, rng), rs, y), n_events + 1
                 if n_events >= max_events:
                     raise _limit_error(max_events, tau)
     finally:
-        log.t_anchor[k], log.lo[k], log.n_events[k], log.n_normals[k] = t0, lo, n_events, n_normals
+        log.t_anchor[k], log.lo[k], log.n_events[k] = t0, lo, n_events
 
 
 def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -752,8 +739,8 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
         y, rs, cum = rt.flow(y0, tau)
         u = rng.uniform() * bound
         if u < cum[-1]:   # accepted, as in _run_events
-            hi, log.n_normals[k] = log.take(0.0, 0, tau, rng)
-            log.lo[k] = log.record(k, tau, bisect_right(cum, u) + 1, hi, rs, y)
+            log.lo[k] = log.record(k, tau, bisect_right(cum, u) + 1,
+                                   *log.take(0.0, 0, tau, rng), rs, y)
             log.t_anchor[k], log.n_events[k] = tau, 1
         t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
         y_end[k] = np.multiply(y, np.exp(rt.decay * (horizon - t)))

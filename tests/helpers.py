@@ -214,8 +214,9 @@ def em_runs(draw):
 def serial_oracle(model, cfg, horizon, sample_at, seed):
     """One path's thinning as the lockstep loop's array code runs it on a
     single row: each event's record row (path 0, time, component, next
-    sample index, pre-jump row sums, post-jump memory) and every segment's
-    normals, in draw order.  ``engine._run_events`` must give the same bytes."""
+    sample index, offset of the segment's normals, pre-jump row sums,
+    post-jump memory) and every segment's normals, in draw order.
+    ``engine._run_events`` must give the same bytes."""
     rt, rng, m = RateRuntime(model), RandomStream(seed), model.n_components
     log = engine._GroupLog(model, cfg, horizon,
                            engine._build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
@@ -229,16 +230,17 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
     def take(t_stop):
         hi = int(np.maximum(np.searchsorted(samples, t_stop - eps), lo))
         n = count_oracle(samples, model.coefficients, cfg, t0, lo, hi, t_stop)
+        z0 = sum(len(v) for v in normals)
         if n:
             normals.append(rng.normals(n))
-        return hi
+        return hi, z0
 
     while True:
         bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
         tau = t + -np.log(rng.uniform()) / bound
         if tau > horizon:
             take(horizon)
-            return (np.concatenate([np.empty((0, 4 + m + m * m))] + rows),
+            return (np.concatenate([np.empty((0, 5 + m + m * m))] + rows),
                     np.concatenate([np.empty(0)] + normals))
         y = y * np.exp(-rt.alpha * (tau - t))
         cum = np.cumsum(rt.intensities(y))
@@ -247,17 +249,17 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         if u >= cum[-1]:
             continue   # rejected
         comp = int(np.searchsorted(cum, u, side="right")) + 1
-        lo = take(tau)
+        lo, z0 = take(tau)
         near = np.abs(samples[lo] - tau) <= eps
         while near.any():   # step past the sample times on tau
             lo = lo + near
             near = np.abs(samples[lo] - tau) <= eps
         y = y.reshape(-1, m, m)
-        row = np.empty((1, 4 + m + m * m))
-        row[:, 0], row[:, 1], row[:, 2], row[:, 3] = 0, tau, comp, lo
-        y.sum(axis=2, out=row[:, 4:4 + m])
+        row = np.empty((1, 5 + m + m * m))
+        row[:, 0], row[:, 1], row[:, 2], row[:, 3], row[:, 4] = 0, tau, comp, lo, z0
+        y.sum(axis=2, out=row[:, 5:5 + m])
         y += c_added[comp - 1]
-        row[:, 4 + m:] = y.reshape(1, -1)
+        row[:, 5 + m:] = y.reshape(1, -1)
         rows.append(row)
         y, t0, lo = y[0], tau, int(lo)
 
@@ -276,7 +278,7 @@ def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None
     log = engine._GroupLog(model, cfg, horizon,
                            engine._build_sample_times(horizon, cfg.grid_dt, sample_at), 1)
     y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
-    lo, n_normals = 0, 0   # the path's next sample index and normals count
+    lo = 0   # the path's next sample index
     lam_star = rt.bound(y)
     if k2_bound is not None:
         lam_star = max(lam_star,
@@ -286,7 +288,7 @@ def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None
     while True:
         tau = t_cand - float(np.log(rng.uniform())) / lam_star
         if tau > horizon:
-            n_normals += log.take(t_event, lo, horizon, rng)[1]
+            log.z_end[0] = log.take(t_event, lo, horizon, rng)[1]
             break
         n_cand += 1
         if n_cand > max_candidates:
@@ -298,12 +300,10 @@ def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None
         u = rng.uniform() * lam_star
         comp = 0 if u >= cum[-1] else bisect_right(cum, u) + 1
         if comp:
-            hi, n = log.take(t_event, lo, tau, rng)
-            lo, n_normals = log.record(0, tau, comp, hi, rs, y_pre), n_normals + n
+            lo = log.record(0, tau, comp, *log.take(t_event, lo, tau, rng), rs, y_pre)
             y, t_event = y_pre, tau
         lam_star += step
         t_cand = tau
-    log.n_normals[0] = n_normals   # which the skeleton pass reads
     return engine._skeleton(log, [seed], model_digest(model))[0][0]
 
 

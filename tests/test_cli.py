@@ -398,6 +398,21 @@ class TestOtherCommands:
         assert csv[0] == "t,tv,fit"
         assert len(csv) == 5
 
+    def test_times_too_small_to_fit_give_one_error_line(self, tmp_path, capfd):
+        # nothing from numpy or LAPACK reaches stdout or stderr: only the error
+        config = write_config(tmp_path)
+        rc = cli.main(["mixing-test", "--config", config, "--times", "0,1e-300",
+                       "--paths", "50", "--bins", "4",
+                       "--start-a", '{"x": -3, "y": [0.0]}',
+                       "--start-b", '{"x": 3, "y": [3.0]}',
+                       "--grid-dt", "0.5", "--integrator", "exact-ou",
+                       "--out", str(tmp_path / "m.json")])
+        out, err = capfd.readouterr()
+        assert rc == 1 and out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "ValueError",
+             "message": "the times [0.0, 1e-300] are too small to fit a decay rate"}]
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

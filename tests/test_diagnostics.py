@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ class TestMixingCurve:
         with pytest.raises(ValueError):
             mixing_curve(model, z, z, times=[1.0, 2.0], n_paths=1, bins=5,
                          cfg=ou_cfg(1.0))
+
+    @pytest.mark.parametrize("times", [[0.0, 1e-300], [1e-170, 2e-170]])
+    def test_times_too_small_to_fit_are_refused(self, times):
+        # their squares underflow, which left np.polyfit a zero scale to
+        # divide by and LAPACK a LinAlgError that named no input
+        with pytest.raises(ValueError, match=re.escape(f"the times {times} are too small")):
+            mixing_curve(reference_model(), hjsim.State(-3.0, np.zeros((1, 1))),
+                         hjsim.State(3.0, np.array([[3.0]])), times=times, n_paths=50,
+                         bins=4, cfg=ou_cfg(0.5))
 
     def test_oversized_state_block_is_refused_before_simulating(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -395,13 +395,6 @@ def test_the_substep_cap_counts_one_path():
         _check_substeps(1.0000001, EulerMaruyama(1e-8))
 
 
-def test_em_substep_limit_message_prints_plain_floats():
-    with pytest.raises(ValueError) as info:
-        _em_plan(np.array([2.5, 2.49]), 1e-300)
-    assert str(info.value) == ("an Euler-Maruyama step of 1e-300 gives more than "
-                               f"{2 ** 53} substeps over 4.99")
-
-
 class TestJumps:
     def test_constant_jump(self):
         cs = coeffs(jump=ConstantJump(1.0))

@@ -491,6 +491,20 @@ class TestLockstep:
         # one group of all 64 paths would hold about 10 MB of normals
         assert peak <= 4_000_000
 
+    def test_long_euler_maruyama_path_memory(self):
+        # one path of 100000 substeps holds each normal's uniform once, from
+        # thinning through the skeleton pass: 1.8 MB peak, where a copy of
+        # them in path order took it to 3.2 MB
+        model = make_model(1, [{"type": "constant", "level": 0.5}], [0.0], [1.0],
+                           {"type": "linear", "rate": 1.0, "intercept": 0.0},
+                           {"type": "constant", "value": 1.0},
+                           {"type": "linear_damping", "eta": 0.5})
+        cfg = em_cfg(100.0, step=0.001)
+        hjsim.simulate_path(model, 1.0, cfg, seed=3)
+        peak, path = self._peak(lambda: hjsim.simulate_path(model, 100.0, cfg, seed=3))
+        assert path.n_events > 0
+        assert peak <= 2_500_000
+
 
 class TestOnePathLoop:
     """A path thinned on its own runs scalar code that must give the bytes
@@ -510,9 +524,9 @@ class TestOnePathLoop:
                                _build_sample_times(horizon, cfg.grid_dt, extra), 1)
         engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
                            model.initial.y.ravel().tolist(), 10**6)
-        # the first row is the path's start; zs holds the normals' uniforms
+        # the first row is the path's start; z holds the normals' uniforms
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
-        assert ndtri(log.zs).tobytes() == normals.tobytes()
+        assert ndtri(np.frombuffer(log.z)).tobytes() == normals.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(em_runs())
@@ -526,7 +540,7 @@ class TestOnePathLoop:
         engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
                            model.initial.y.ravel().tolist(), 10**6)
         assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
-        assert ndtri(log.zs).tobytes() == normals.tobytes()
+        assert ndtri(np.frombuffer(log.z)).tobytes() == normals.tobytes()
         path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra)
         xs, left = skeleton_x_oracle(path, model, cfg, normals)
         assert path.skeleton_x.tobytes() == xs.tobytes()
@@ -552,6 +566,41 @@ class TestOnePathLoop:
         assert log._count(t0, lo, hi, t_stop) == count_oracle(samples, model.coefficients, cfg,
                                                              t0, lo, hi, t_stop)
 
+    @settings(max_examples=100, deadline=None)
+    @given(simulation_runs(), st.sampled_from([1, 6]))
+    def test_segment_blocks_tile_the_normals_buffer(self, run, n):
+        # one path thinned on its own, or 6 in lockstep: each segment's
+        # normals, counted interval by interval, are the block [z0, z0 + count)
+        # of z at its offset, and the blocks cover z without overlapping
+        model, horizon, cfg, extra, seed = run
+        logs, skeleton = [], engine._skeleton
+
+        def kept(log, *args):
+            logs.append((np.frombuffer(log.rec), log))
+            return skeleton(log, *args)
+
+        with mock.patch.object(engine, "_skeleton", kept):
+            hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
+        m, samples = model.n_components, _build_sample_times(horizon, cfg.grid_dt, extra)
+        for rec, log in logs:
+            rows = rec.reshape(-1, 5 + m + m * m)
+            rows = rows[np.argsort(rows[:, 0], kind="stable")].tolist()
+            blocks = []
+            for row, after in zip(rows, rows[1:] + [None]):
+                k, t0, lo = int(row[0]), row[1], int(row[3])
+                if after is None or after[0] != k:
+                    t_stop, z0 = horizon, int(log.z_end[k])
+                else:
+                    t_stop, z0 = after[1], int(after[4])
+                hi = int(log._hi(lo, t_stop))
+                count = count_oracle(samples, model.coefficients, cfg, t0, lo, hi, t_stop)
+                assert 0 <= z0 <= len(log.z)
+                if count:
+                    blocks.append((z0, count))
+            ends = [0] + [z0 + count for z0, count in sorted(blocks)]
+            assert [z0 for z0, _ in sorted(blocks)] == ends[:-1]
+            assert ends[-1] == len(log.z)
+
     @pytest.mark.parametrize("run, k, message", [
         # one path thinned on its own from the start
         (lambda: hjsim.simulate_path(supercritical_model(), 200.0, em_cfg(0.1), seed=3,
@@ -565,7 +614,8 @@ class TestOnePathLoop:
     def test_event_limit_leaves_the_path_state_in_the_log(self, monkeypatch, run, k, message):
         # the limit trips at the max_events-th event, at the time the path
         # first had max_events events; the path's anchor time, next sample
-        # index, event count and normals count are back in the log
+        # index and event count are back in the log, and its event rows hold
+        # the offsets of their segments' normals, taken in time order
         logs = []
 
         class Log(engine._GroupLog):
@@ -578,12 +628,13 @@ class TestOnePathLoop:
             run()
         assert "_run_events" in [entry.name for entry in info.traceback]
         log, max_events = logs[0], int(message.split()[1])
-        rows = np.frombuffer(log.rec).reshape(-1, 4 + log.m + log.m ** 2)
+        rows = np.frombuffer(log.rec).reshape(-1, 5 + log.m + log.m ** 2)
         mine = rows[rows[:, 0] == k]
         assert log.n_events[k] == len(mine) - 1 == max_events
         assert (log.t_anchor[k], log.lo[k]) == (mine[-1, 1], mine[-1, 3])
         assert f"t = {log.t_anchor[k]:.6g} " in message
-        assert log.n_normals.sum() == len(log.zs) + sum(np.size(v) for v in log.zv)
+        z0 = mine[1:, 4]
+        assert (np.diff(z0) > 0).all() and z0[-1] < len(log.z)
 
     @pytest.mark.parametrize("scale, message", [(0.0, "finite and positive"),
                                                 (math.nan, "finite and positive"),
