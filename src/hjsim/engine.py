@@ -318,11 +318,11 @@ class _GroupLog:
         else:
             for r in np.flatnonzero(n).tolist():
                 n[r] = self._count(float(t0[r]), int(lo[r]), int(hi[r]), float(t_stop[r]))
-        one = np.flatnonzero(n == 1)
-        z0 = np.full(len(rows), len(self.z))
-        if len(one):
-            z0[one] += np.arange(len(one))
-            self.z.frombytes(bank.uniforms(rows[one]).tobytes())
+        one = n == 1
+        u, z0 = bank.uniforms(rows[one]), np.arange(len(self.z), len(self.z) + len(rows))
+        if len(u) < len(rows):   # the paths with one normal take theirs in row order
+            z0[one] = z0[:len(u)].copy()
+        self.z.frombytes(u.tobytes())
         for r in np.flatnonzero(n > 1).tolist():
             z0[r] = len(self.z)
             self.z.frombytes(bank.take(rows[r], n[r]).tobytes())
@@ -445,7 +445,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     post-jump record that the jump gives.
     """
     coeffs, x0 = log.model.coefficients, log.model.initial.x
-    z = np.frombuffer(log.z)   # the normals' uniforms, made normals in place
+    z, log.z = np.frombuffer(log.z), None   # the normals' uniforms, made normals in place
     ndtri(z, out=z)
     n_int = (end - seg0) * (kind[end] < 2)   # each segment's intervals
     # the bound method calls faster than the jump map object itself
@@ -467,6 +467,8 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                 out.append(x)
         return np.array(out)
 
+    if log.noisy:   # each segment's normals from its offset, in its intervals' order
+        z = z[np.repeat(z0 - np.cumsum(n_int) + n_int, n_int) + np.arange(n_int.sum())]
     steps = np.flatnonzero(kind != 6)
     kind = kind[steps]
     ends = np.flatnonzero(kind < 2)
@@ -475,9 +477,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     qs, ds, es = np.zeros(len(steps)), np.zeros(len(steps)), np.full(len(steps), -0.0)
     qs[ends], ds[ends] = q, d
     if log.noisy:
-        # a segment's intervals take its normals in order from its offset
-        es[ends] = sd * z[np.repeat(z0 - np.cumsum(n_int) + n_int, n_int)
-                          + np.arange(len(ends))]
+        es[ends] = sd * z
     # a noiseless step adds -0.0, which leaves every float as it is
     del ends, q, d, sd, z
     # each path's records from its start on; in lockstep the paths with the
