@@ -71,7 +71,8 @@ class RunConfig:
         _require(self.em_step is None or self.em_step > 0, "run.em_step", "must be > 0")
         _require(self.burn_in is None or self.burn_in >= 0, "run.burn_in", "must be >= 0")
         _require(self.format in ("jsonl", "bin"), "run.format", "must be 'jsonl' or 'bin'")
-        _require(self.bins >= 2, "run.bins", "must be >= 2")
+        # ergodic-test writes every bin's edge and mass into its report
+        _require(2 <= self.bins <= 10 ** 6, "run.bins", "must be between 2 and 1000000")
         _require(self.points >= 2, "run.points", "must be >= 2")
         _require(self.scan_radius > 0, "run.scan_radius", "must be > 0")
 

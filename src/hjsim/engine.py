@@ -16,8 +16,8 @@ on its diffusion.  Every simulation therefore runs in two phases:
    flows each segment's anchor memory to the sample times in closed form,
    steps x over the intervals between samples and events, and applies the
    jump map at each event.  Exact-OU x steps record k of every path at once
-   while ``_WALK_MIN`` paths are live, then path by path (``_walk``).  Each
-   :class:`Path` is a slotted object whose arrays are views into the
+   while ``_LOCKSTEP_MIN`` paths are live, then path by path (``_walk``).
+   Each :class:`Path` is a slotted object whose arrays are views into the
    group's columns.
 
 The draw order is the contract every digest rests on: a segment's thinning
@@ -43,9 +43,11 @@ counter-based stream is a row of a :class:`hjsim.rng.DrawBank`, addressed by
 ``_LOCKSTEP_MIN`` live paths an iteration costs more than serial thinning,
 and each remaining path continues through ``_run_events`` from its bank row.
 No path's draws are reordered, so every path is byte-identical to the one
-:func:`simulate_path` makes from its seed.  A budget on the live state sets
-the group width.  ``_run_events`` also continues the candidate-bearing paths
-of the Monte Carlo generator check in :mod:`hjsim.stability`.
+:func:`simulate_path` makes from its seed.  The live-path count alone picks
+array or scalar code, in thinning and in the walk; a budget on the live
+state sets the group width, and so bounds only memory.  ``_run_events``
+also continues the candidate-bearing paths of the Monte Carlo generator
+check in :mod:`hjsim.stability`.
 
 These are the two thinning loops.  The lockstep loop also runs the textbook
 construction of ``simulate_path_reference``, a cross-validation oracle, as a
@@ -87,25 +89,19 @@ __all__ = [
 
 DEFAULT_MAX_EVENTS = 10_000_000
 
-# Below this many live paths a lockstep iteration costs more than thinning
-# the paths one at a time.  4 paths of the M = 3 sigmoid Euler-Maruyama
-# benchmark model (horizon 200, grid 0.05, step 0.005) thinned in 0.20 s as
-# one lockstep group against 0.08 s serially; the 1000-path short_paths group
-# thinned in 22 ms with any value from 4 to 32 (medians of 7 and 61 runs).
-_LOCKSTEP_MIN = 4
-# Below this many live paths a lockstep step of the exact-OU walk costs more
-# than stepping their records one at a time: a step cost 16-18 us plus 0.02 us
-# per live path, a scalar record 0.29 us on a fine grid and 0.39 us where most
-# records end in a jump, so they break even near 45-60 paths (Python 3.11,
-# numpy 2.4, 2-core Xeon).  The 1000-path short_paths group walked in 2.5 ms
-# (16 to 100), 2.8 ms (150) and 8.9 ms all scalar, medians of 41 runs.
-_WALK_MIN = 64
-# Live state a lockstep group may hold, counted by _path_bytes.  The 1000
-# short exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no
-# grid) count 1.7 KB each and run as one group: 0.044 s against 0.064 s in
-# groups of 250, at 69.0 MB peak RSS against 67.4 MB (medians of 10 runs,
-# 2-core Xeon, Python 3.11, numpy 2.4).  The 4 long Euler-Maruyama paths
-# above count 1.3 MB each, so each runs as its own group and thins serially.
+# Below this many live paths a lockstep iteration, of thinning or of the
+# exact-OU walk, costs more than running the paths one at a time.  Against
+# 4 for thinning and 64 for the walk (in-process medians of 21 alternating
+# rounds, Python 3.11, numpy 2.4, 2-core Xeon), 32 ran 8 M = 3 sigmoid
+# Euler-Maruyama paths in 0.59x the time, 4 groups of 25 exact-OU paths in
+# 0.78x and the 1000-path short_paths group in 0.96x; 64 ran groups of 40-48
+# paths in 1.13-1.58x, and 16 the groups of 25 in 1.02x.
+_LOCKSTEP_MIN = 32
+# Live state a group may hold, counted by _path_bytes.  The 1000 short
+# exact-OU paths of the short_paths benchmark (M = 2, horizon 5, no grid)
+# count 1.7 KB each and run as one group: 0.044 s against 0.064 s in groups
+# of 250, at 69.0 MB peak RSS against 67.4 MB (medians of 10 runs, 2-core
+# Xeon, Python 3.11, numpy 2.4).
 _GROUP_BUDGET = 1 << 21
 # The footprint of a path in a group: its share of the group's tracemalloc
 # peak, measured on one group of 1000 paths of an M-component affine model
@@ -434,7 +430,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     """x at every record of :func:`_skeleton`, each segment's from its normals at ``z0``.
 
     Exact-OU steps record k of every live path at once, in lockstep, while
-    ``_WALK_MIN`` paths have a record k; each remaining path then resumes
+    ``_LOCKSTEP_MIN`` paths have a record k; each remaining path then resumes
     from its x in one scalar loop, which a narrower group runs from the
     start.  Euler-Maruyama calls the scalar kernel once per segment, with
     the substeps of every interval planned in one pass.
@@ -485,7 +481,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     first = np.flatnonzero(kind == 2)
     n_rec = np.diff(first, append=len(kind))
     out, k, live = None, 0, len(first)
-    if live >= _WALK_MIN:
+    if live >= _LOCKSTEP_MIN:
         order = np.argsort(-n_rec, kind="stable")
         first, n_rec = first[order], n_rec[order]
         out = np.empty(len(times))
@@ -496,7 +492,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
             while True:
                 while live and counts[live - 1] <= k:
                     live -= 1
-                if live < _WALK_MIN:
+                if live < _LOCKSTEP_MIN:
                     break
                 r = first[:live] + k
                 kr, x = kind[r], xs[:live]
@@ -627,8 +623,9 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
                     sample_times: np.ndarray, digest: str, seeds: list[int], *,
                     max_events: int = DEFAULT_MAX_EVENTS, reference=None) -> list[Path]:
     """The paths of ``seeds`` from the inputs :func:`_simulate_all` prepared:
-    thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live, then each
-    on its own through :func:`_run_events`, and built by one skeleton pass.
+    thinned in lockstep while ``_LOCKSTEP_MIN`` of them are live (a narrower
+    group never is), then each on its own through :func:`_run_events`, and
+    built by one skeleton pass.
 
     ``reference = (rate, step, max_candidates)`` runs the bound policy of
     :func:`simulate_path_reference`: one dominating rate, ``rate`` plus

@@ -496,6 +496,17 @@ class TestSizeGuards:
         assert peak < 1_000_000
         assert not os.path.exists(tmp_path / "out")
 
+    def test_too_many_bins_is_structured_error(self, tmp_path, capsys, monkeypatch):
+        # ergodic-test writes every bin's edge and mass into its report
+        monkeypatch.setattr(cli, "simulate_ensemble", lambda *args, **kw: pytest.fail("simulated"))
+        config = write_config(tmp_path, run={"horizon": 1.0, "bins": 10**6 + 1})
+        rc = cli.main(["ergodic-test", "--config", config, "--out", str(tmp_path / "e.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["field"] == "run.bins"
+        assert not os.path.exists(tmp_path / "e.json")
+        assert cli.parse_config(write_config(tmp_path, run={"bins": 10**6})).bins == 10**6
+
     def test_memory_error_is_structured_error(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 80.0 GiB")

@@ -276,9 +276,10 @@ class TestReferenceConstruction:
 
 
 class TestEnsembles:
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         model = two_component_model()
         # ten paths give each of the two workers a group that runs in lockstep
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 4)
         serial = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5, 0.1), 99, 10, workers=1)
         parallel = hjsim.simulate_ensemble(model, 10.0, em_cfg(0.5, 0.1), 99, 10, workers=2)
         assert len(serial) == len(parallel) == 10
@@ -288,13 +289,15 @@ class TestEnsembles:
     @settings(max_examples=60, deadline=None)
     @given(simulation_runs(), st.integers(1, 12), st.integers(2, 8))
     def test_output_does_not_depend_on_worker_count(self, run, n, workers):
-        # the worker count sets the group width; an in-process pool maps the groups
+        # the worker count sets the group width; an in-process pool maps the
+        # groups, and groups of 4 or more paths thin in lockstep
         model, horizon, cfg, extra, seed = run
-        with mock.patch.object(engine, "ProcessPoolExecutor", InProcessPool), \
-                mock.patch.object(engine.os, "cpu_count", lambda: 8):
-            split = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, workers=workers,
-                                            sample_at=extra)
-        whole = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
+        with mock.patch.object(engine, "_LOCKSTEP_MIN", 4):
+            with mock.patch.object(engine, "ProcessPoolExecutor", InProcessPool), \
+                    mock.patch.object(engine.os, "cpu_count", lambda: 8):
+                split = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, workers=workers,
+                                                sample_at=extra)
+            whole = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         assert [pathio.dumps_binary(p) for p in split] == [pathio.dumps_binary(p) for p in whole]
 
     @pytest.mark.parametrize("workers, n_paths, cpus, expected", [
@@ -355,10 +358,12 @@ class TestLockstep:
                 model, horizon, cfg, derive_path_seed(seed, i)).event_times for i in range(n)])
             eps = engine._sample_eps(horizon)
             extra = np.concatenate((events - 0.5 * eps, events + 0.5 * eps)).tolist()
-        # a budget for ``width`` live paths splits the ensemble into groups
+        # a budget for ``width`` live paths splits the ensemble into groups,
+        # and groups of 4 or more paths thin in lockstep
         n_samples = len(_build_sample_times(horizon, cfg.grid_dt, extra))
         budget = math.ceil(width * engine._path_bytes(model, horizon, cfg, n_samples))
-        with mock.patch.object(engine, "_GROUP_BUDGET", budget):
+        with mock.patch.object(engine, "_GROUP_BUDGET", budget), \
+                mock.patch.object(engine, "_LOCKSTEP_MIN", 4):
             paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
                                       sample_at=extra) for i in range(n)]
@@ -367,16 +372,17 @@ class TestLockstep:
     @settings(max_examples=150, deadline=None)
     @given(simulation_runs(exact_ou=True), st.integers(2, 12), st.integers(1, 4))
     def test_walk_in_lockstep_equals_serial_paths(self, run, n, walk_min):
-        # a low _WALK_MIN walks these narrow exact-OU groups in lockstep, and
-        # hands each path still live below walk_min paths to the scalar loop
+        # a low _LOCKSTEP_MIN walks these narrow exact-OU groups in lockstep,
+        # and hands each path still live below walk_min paths to the scalar loop
         model, horizon, cfg, extra, seed = run
-        with mock.patch.object(engine, "_WALK_MIN", walk_min):
+        with mock.patch.object(engine, "_LOCKSTEP_MIN", walk_min):
             paths = hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         serial = [hjsim.simulate_path(model, horizon, cfg, derive_path_seed(seed, i),
                                       sample_at=extra) for i in range(n)]
         assert [pathio.dumps_binary(p) for p in paths] == [pathio.dumps_binary(p) for p in serial]
 
-    def test_circuit_breaker_in_lockstep(self):
+    def test_circuit_breaker_in_lockstep(self, monkeypatch):
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 4)
         with pytest.raises(hjsim.SimulationLimitError) as info:
             hjsim.simulate_ensemble(supercritical_model(), 200.0, em_cfg(0.1), 3, 8,
                                     max_events=500)
@@ -389,6 +395,7 @@ class TestLockstep:
     def test_bound_checks_in_lockstep(self, monkeypatch, scale, message):
         bounds = RateRuntime.bounds
         monkeypatch.setattr(RateRuntime, "bounds", lambda rt, y: scale * bounds(rt, y))
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 4)
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 8)
 
@@ -408,9 +415,11 @@ class TestLockstep:
             paths = hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 1000)
         assert len(paths) == 1000 and group.call_count == 1
 
-    def test_long_euler_maruyama_groups_thin_serially(self):
-        # the benchmark's cli_simulate run: M = 3 sigmoid rates, horizon 200,
-        # grid 0.05, step 0.005; lockstep would thin these paths slower
+    @staticmethod
+    def _lockstep_calls(n, horizon):
+        """The groups, and the calls of the lockstep loop's envelope, of n
+        paths of the benchmark's cli_simulate model (M = 3 sigmoid rates,
+        grid 0.05, step 0.005) under a budget that puts them in one group."""
         model = make_model(
             3, [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}] * 3,
             [0.5, -0.3, 0.2, 0.2, 0.4, -0.3, -0.3, 0.2, 0.4],
@@ -418,15 +427,25 @@ class TestLockstep:
             {"type": "bounded_smooth", "amplitude": 2.0, "steepness": 1.0},
             {"type": "smooth_bounded", "lo": 0.5, "hi": 1.5},
             {"type": "linear_damping", "eta": 0.5})
-        sizes = []
+        cfg = em_cfg(0.05, 0.005)
+        n_samples = len(_build_sample_times(horizon, cfg.grid_dt, None))
+        budget = math.ceil(n * engine._path_bytes(model, horizon, cfg, n_samples))
+        with mock.patch.object(engine, "_GROUP_BUDGET", budget), \
+                mock.patch.object(engine, "_simulate_group",
+                                  wraps=engine._simulate_group) as group, \
+                mock.patch.object(RateRuntime, "bounds", autospec=True,
+                                  side_effect=RateRuntime.bounds) as bounds:
+            hjsim.simulate_ensemble(model, horizon, cfg, 3, n)
+        return group.call_count, bounds.call_count
 
-        def group(model, horizon, cfg, sample_times, digest, seeds, **kwargs):
-            sizes.append(len(seeds))
-            return []
+    def test_long_euler_maruyama_groups_thin_serially(self):
+        # the benchmark's cli_simulate run, horizon 200: its 4 paths share a
+        # group here, and the live-path count alone keeps them out of lockstep
+        assert self._lockstep_calls(4, 200.0) == (1, 0)
 
-        with mock.patch.object(engine, "_simulate_group", group):
-            hjsim.simulate_ensemble(model, 200.0, em_cfg(0.05, 0.005), 3, 4)
-        assert sum(sizes) == 4 and max(sizes) < engine._LOCKSTEP_MIN
+    def test_group_of_lockstep_min_paths_thins_in_lockstep(self):
+        groups, bounds = self._lockstep_calls(engine._LOCKSTEP_MIN, 5.0)
+        assert groups == 1 and bounds > 0
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_envelope_not_finite_at_the_start_is_reported(self):
@@ -578,7 +597,8 @@ class TestOnePathLoop:
             logs.append((np.frombuffer(log.rec), len(log.z), log))
             return skeleton(log, *args)
 
-        with mock.patch.object(engine, "_skeleton", kept):
+        with mock.patch.object(engine, "_skeleton", kept), \
+                mock.patch.object(engine, "_LOCKSTEP_MIN", 4):
             hjsim.simulate_ensemble(model, horizon, cfg, seed, n, sample_at=extra)
         m, samples = model.n_components, _build_sample_times(horizon, cfg.grid_dt, extra)
         for rec, n_z, log in logs:
@@ -615,8 +635,10 @@ class TestOnePathLoop:
         # the limit trips at the max_events-th event, at the time the path
         # first had max_events events; the path's anchor time, next sample
         # index and event count are back in the log, and its event rows hold
-        # the offsets of their segments' normals, taken in time order
+        # the offsets of their segments' normals, taken in time order; groups
+        # of 4 or more paths thin in lockstep
         logs = []
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 4)
 
         class Log(engine._GroupLog):
             def __init__(self, *args):

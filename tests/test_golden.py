@@ -94,18 +94,23 @@ def reference(model, horizon, cfg, seed, **kwargs):
 
 
 def ensemble(model, horizon, cfg, seed, n, **kwargs):
-    return lambda: hjsim.simulate_ensemble(model(), horizon, cfg, seed, n, **kwargs)
+    """An ensemble whose groups of 4 or more paths thin in lockstep."""
+    def run():
+        with mock.patch.object(engine, "_LOCKSTEP_MIN", 4):
+            return hjsim.simulate_ensemble(model(), horizon, cfg, seed, n, **kwargs)
+    return run
 
 
 def ensemble_in_groups(model, horizon, cfg, seed, n, width):
     """An ensemble run under a budget for ``width`` live paths, so that it
-    spans ceil(n / width) lockstep groups; a path is the same whatever its
-    group."""
+    spans ceil(n / width) lockstep groups, each thinned in lockstep while 4
+    or more of its paths are live; a path is the same whatever its group."""
     def run():
         spec = model()
         n_samples = len(engine._build_sample_times(horizon, cfg.grid_dt, None))
         budget = math.ceil(width * engine._path_bytes(spec, horizon, cfg, n_samples))
         with mock.patch.object(engine, "_GROUP_BUDGET", budget), \
+                mock.patch.object(engine, "_LOCKSTEP_MIN", 4), \
                 mock.patch.object(engine, "_simulate_group", wraps=engine._simulate_group) as group:
             paths = hjsim.simulate_ensemble(spec, horizon, cfg, seed, n)
         assert group.call_count == -(-n // width)

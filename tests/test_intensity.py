@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hjsim
+from hjsim import engine
 from hjsim.intensity import RateRuntime
 
 from helpers import make_model, ou_cfg, reference_model, two_component_model
@@ -59,7 +61,8 @@ class TestFlow:
 def event_paths(model, horizon, grid_dt, seed):
     """Eight paths of one ensemble: they thin in lockstep, then one by one
     once fewer than four are left, so both event updates run."""
-    return hjsim.simulate_ensemble(model, horizon, ou_cfg(grid_dt), seed, 8)
+    with mock.patch.object(engine, "_LOCKSTEP_MIN", 4):
+        return hjsim.simulate_ensemble(model, horizon, ou_cfg(grid_dt), seed, 8)
 
 
 def event_records(path):

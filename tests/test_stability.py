@@ -224,12 +224,12 @@ class TestGenerator:
     @pytest.mark.parametrize("dt", [1e-9, 0.05])
     def test_quotient_does_not_depend_on_the_walk(self, monkeypatch, dt):
         # 400 paths hold about 23 candidate-bearing ones at dt = 0.05 and none
-        # at dt = 1e-9; a _WALK_MIN of 1 walks them, or the empty group, in lockstep
+        # at dt = 1e-9; a _LOCKSTEP_MIN of 1 walks them, or the empty group, in lockstep
         model = reference_model()
         args = (model, LyapunovSpec("exponential"), stability_data(model),
                 hjsim.State(0.5, np.array([[0.2]])), dt, 400)
         scalar = dynkin_quotient(*args, seed=3, cfg=ou_cfg(0.01))
-        monkeypatch.setattr(engine, "_WALK_MIN", 1)
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 1)
         assert dynkin_quotient(*args, seed=3, cfg=ou_cfg(0.01)) == scalar
         assert np.isfinite(scalar).all()
 
