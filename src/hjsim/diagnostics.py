@@ -130,8 +130,9 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     event."""
     eps = _sample_eps(path.horizon)
     k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
-    k_hi = int(path.horizon / grid_dt + eps)
-    times = np.arange(k_lo, k_hi + 1) * grid_dt
+    times = np.arange(k_lo, int(path.horizon / grid_dt + eps) + 1) * grid_dt
+    # the engine's filter: a count of multiples plus eps can pass the horizon
+    times = times[times <= path.horizon + eps]
     return (times, *states_at(path, times))
 
 
@@ -255,8 +256,8 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     exceeds twice its own split-half noise floor.
     """
     times = np.sort(np.asarray(times, dtype=float))
-    if len(times) < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing with at least 2 entries")
+    if len(times) < 2 or not (times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be >= 0 and strictly increasing with at least 2 entries")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     cells = bins ** (1 + model.n_components)
@@ -267,14 +268,13 @@ def mixing_curve(model: ModelSpec, start_a: State, start_b: State, times,
     if entries > _MAX_CELLS:
         raise ValueError(f"{n_paths} paths at {len(times)} times give {entries:.3g} state "
                          f"block entries, more than {_MAX_CELLS}")
-    horizon = float(times[-1]) if times[-1] > 0 else 1e-6
-    sample_times = times[times > 0]
+    horizon = float(times[-1])
 
     ensembles = []
     for tag, start in ((1, start_a), (2, start_b)):
         variant = ModelSpec(model.rates, model.kernel, model.coefficients, start)
         paths = simulate_ensemble(variant, horizon, cfg, mix64(master_seed + tag),
-                                  n_paths, sample_at=sample_times)
+                                  n_paths, sample_at=times)
         # stacked (n_paths, n_times, 1 + M) state summaries
         ensembles.append(np.array([np.column_stack(states_at(p, times)) for p in paths]))
     block_a, block_b = ensembles

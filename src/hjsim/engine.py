@@ -436,8 +436,8 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     the substeps of every interval planned in one pass.
 
     ``kind`` says how each record's x is reached: 0 over an interval from the
-    record before, 2 at a path's start, 4 as the record before (an empty
-    segment), each plus 1 where an event's jump follows, and 6 for the
+    record before, plus 1 where an event's jump follows; 2 at a path's
+    start; 4 as the record before (an empty segment); and 6 for the
     post-jump record that the jump gives.
     """
     coeffs, x0 = log.model.coefficients, log.model.initial.x
@@ -532,9 +532,6 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
             if kr == 2:
                 x = x0
             append(x)
-            if kr & 1:
-                x = x + float(jump(x))
-                append(x)
     if out is None:   # every path ran here, in order
         return np.frombuffer(tail)
     out[np.repeat(at - np.cumsum(n) + n, n) + np.arange(len(tail))] = tail
@@ -544,7 +541,8 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
                   *, sample_at=None, max_events: int = DEFAULT_MAX_EVENTS) -> Path:
     """Simulate one trajectory over (0, horizon], fully determined by
-    (model, horizon, cfg, seed).
+    (model, horizon, cfg, seed).  A zero horizon yields the empty path; a
+    NaN or negative one raises ``ValueError``.
 
     ``sample_at`` optionally adds extra skeleton sample times on top of the
     regular grid.  Raises :class:`SimulationLimitError` after ``max_events``
@@ -568,8 +566,8 @@ def _simulate_all(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seeds
     groups of at most ``_GROUP_BUDGET`` bytes of live state that differ in
     size by at most one; at most one worker process runs per group and per
     CPU."""
-    if not horizon > 0:
-        raise ValueError("horizon must be > 0")
+    if not horizon >= 0:
+        raise ValueError("horizon must be >= 0")
     horizon = float(horizon)   # an integer horizon would make integer time arrays
     cfg.validate_for(model.coefficients)
     _check_substeps(horizon, cfg.scheme)
@@ -627,13 +625,13 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     group never is), then each on its own through :func:`_run_events`, and
     built by one skeleton pass.
 
-    ``reference = (rate, step, max_candidates)`` runs the bound policy of
-    :func:`simulate_path_reference`: one dominating rate, ``rate`` plus
-    ``step`` per candidate, serves every live path (each has drawn one
-    candidate per iteration), the memory is flowed from each path's last
-    event, and the paths stay in lockstep down to the last, since
-    ``_run_events`` knows only the envelope, for at most ``max_candidates``
-    iterations."""
+    ``reference = (step, max_candidates)`` runs the bound policy of
+    :func:`simulate_path_reference`: one dominating rate, the envelope at the
+    initial memory plus ``step`` per candidate, serves every live path (each
+    has drawn one candidate per iteration, in any grouping), the memory is
+    flowed from each path's last event, and the paths stay in lockstep down
+    to the last, since ``_run_events`` knows only the envelope, for at most
+    ``max_candidates`` iterations."""
     rt = RateRuntime(model)
     n, m = len(seeds), model.n_components
     bank = DrawBank(seeds)
@@ -643,7 +641,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     y = np.repeat(model.initial.y[None], n, axis=0)
     n_iter = 0           # every live path's candidate count, which bounds its event count
     if reference is not None:
-        lam_star, step, max_candidates = reference
+        lam_star, (step, max_candidates) = rt.bound(model.initial.y.ravel().tolist()), reference
     while len(ids) >= (_LOCKSTEP_MIN if reference is None else 1):
         n_iter += 1
         bound = rt.bounds(y) if reference is None else np.full(len(ids), lam_star)
@@ -757,41 +755,28 @@ def reference_rate_step(model: ModelSpec) -> float:
 
 
 def simulate_path_reference(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
-                            seed: int, *, k2_bound: float | None = None,
-                            sample_at=None, max_candidates: int = DEFAULT_MAX_EVENTS) -> Path:
-    """Textbook dominating-process construction; same law as :func:`simulate_path`.
+                            seed: int, *, sample_at=None,
+                            max_candidates: int = DEFAULT_MAX_EVENTS) -> Path:
+    """Textbook dominating-process construction; same law, checks and
+    horizon rule as :func:`simulate_path`.
 
     The dominating rate starts at the Lipschitz envelope of the initial
-    state (or the envelope over a memory ball of l1 radius ``k2_bound``, if
-    given) and gains :func:`reference_rate_step` at every dominating event,
+    state and gains :func:`reference_rate_step` at every dominating event,
     accepted or not.  Tractable only over short horizons: the dominating
-    count grows exponentially with the horizon.  A zero horizon yields the
-    empty path.
+    count grows exponentially with the horizon.
     """
-    return _simulate_reference(model, horizon, cfg, [seed], k2_bound=k2_bound,
-                               sample_at=sample_at, max_candidates=max_candidates)[0]
+    return _simulate_reference(model, horizon, cfg, [seed], sample_at=sample_at,
+                               max_candidates=max_candidates)[0]
 
 
 def _simulate_reference(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
-                        seeds: list[int], *, k2_bound: float | None = None, sample_at=None,
+                        seeds: list[int], *, sample_at=None,
                         max_candidates: int = DEFAULT_MAX_EVENTS) -> list[Path]:
-    """:func:`simulate_path_reference` for each of ``seeds``, in one lockstep group."""
-    if not horizon >= 0:
-        raise ValueError("horizon must be >= 0")
-    if k2_bound is not None and not (math.isfinite(k2_bound) and k2_bound >= 0):
-        raise ValueError(f"k2_bound must be finite and >= 0, got {k2_bound!r}")
-    horizon = float(horizon)
-    cfg.validate_for(model.coefficients)
-    _check_substeps(horizon, cfg.scheme)
-    rt = RateRuntime(model)
-    lam_star = rt.bound(model.initial.y.ravel().tolist())
-    if k2_bound is not None:
-        lam_star = max(lam_star, rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
-    sample_times = _build_sample_times(horizon, cfg.grid_dt, sample_at)
-    # the construction caps candidates, not events
-    return _simulate_group(model, horizon, cfg, sample_times, model_digest(model), seeds,
-                           max_events=math.inf,
-                           reference=(lam_star, reference_rate_step(model), max_candidates))
+    """:func:`simulate_path_reference` for each of ``seeds``, in the groups of
+    :func:`_simulate_all`, whose first path over ``max_candidates`` trips the
+    cap; the construction caps candidates, not events."""
+    return _simulate_all(model, horizon, cfg, seeds, sample_at=sample_at, max_events=math.inf,
+                         reference=(reference_rate_step(model), max_candidates))
 
 
 def simulate_ensemble(model: ModelSpec, horizon: float, cfg: IntegratorConfig,

@@ -264,7 +264,7 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         y, t0, lo = y[0], tau, int(lo)
 
 
-def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None,
+def reference_oracle(model, horizon, cfg, seed, *, sample_at=None,
                      max_candidates=engine.DEFAULT_MAX_EVENTS):
     """The reference construction as one path's own candidate loop: the
     serial form that ``hjsim.simulate_path_reference`` replaced with a bound
@@ -280,9 +280,6 @@ def reference_oracle(model, horizon, cfg, seed, *, k2_bound=None, sample_at=None
     y, t_event = model.initial.y.ravel().tolist(), 0.0   # the last event's memory and time
     lo = 0   # the path's next sample index
     lam_star = rt.bound(y)
-    if k2_bound is not None:
-        lam_star = max(lam_star,
-                       rt.f_zero_sum + float(rt.gammas.max()) * float(k2_bound))
     step = engine.reference_rate_step(model)
     t_cand, n_cand = 0.0, 0
     while True:

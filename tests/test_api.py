@@ -33,7 +33,8 @@ REMOVED_OPTIONS = [("diagnostics", "time_average", "batches"),
                    ("stability", "stability_report", "vandermonde_t0"),
                    ("model", "check_assumptions", "grid_points"),
                    ("stability", "vandermonde_check", "strict"),
-                   ("cli", "_atomic_write", "text")]
+                   ("cli", "_atomic_write", "text"),
+                   ("engine", "simulate_path_reference", "k2_bound")]
 
 
 def package_imports():

@@ -426,6 +426,45 @@ class TestOtherCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
 
+    def test_config_that_is_not_json_is_structured_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text("{bad")
+        rc = cli.main(["simulate", "--config", str(config), "--horizon", "1",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("ConfigError", "<root>")
+        assert err["message"].startswith("<root>: not valid JSON: ")
+
+    SAME_START = ["--start-a", '{"x": 0, "y": [0.0]}', "--start-b", '{"x": 0, "y": [0.0]}']
+
+    @pytest.mark.parametrize("argv, env, payload", [
+        (["simulate", "--horizon", "1"], {"HJS_THREADS": "abc"},
+         {"error": "ConfigError", "field": "HJS_THREADS",
+          "message": "HJS_THREADS: must be an integer"}),
+        # the only skeleton time past the burn-in of 1e-301 is the horizon
+        (["ergodic-test", "--horizon", "1e-300"], {},
+         {"error": "ValueError", "message": "too few skeleton samples after burn-in"}),
+        (["ergodic-test", "--horizon", "10", "--grid-dt", "100"], {},
+         {"error": "ValueError", "message": "no samples after burn-in"}),
+        # two ensembles from one start differ by their noise alone
+        (["mixing-test", "--times", "1,2,3", "--paths", "100", "--bins", "4", *SAME_START,
+          "--grid-dt", "3", "--integrator", "exact-ou"], {},
+         {"error": "ValueError", "message": "TV estimates sit below the noise floor at all "
+                                            "but one time; shorten the times or add paths"}),
+        (["mixing-test", "--times=-1,2", "--paths", "100", "--bins", "4", *SAME_START], {},
+         {"error": "ValueError",
+          "message": "times must be >= 0 and strictly increasing with at least 2 entries"})])
+    def test_refused_runs_write_one_error_line(self, tmp_path, capsys, monkeypatch, argv, env,
+                                               payload):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "out"
+        rc = cli.main([argv[0], "--config", write_config(tmp_path), *argv[1:], "--out", str(out)])
+        assert rc == 1
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [payload]
+        assert not out.exists()
+
     def test_bad_start_state_reports_field(self, tmp_path, capsys):
         config = write_config(tmp_path)
         rc = cli.main(["mixing-test", "--config", config, "--times", "1,2",

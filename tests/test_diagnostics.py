@@ -84,6 +84,14 @@ class TestRegularSamples:
         assert np.all(np.diff(t) == pytest.approx(0.5))
         assert len(x) == len(t) and rs.shape == (len(t), 1)
 
+    def test_grid_stops_at_the_horizon(self):
+        # eps = 10 here: the count of multiples plus eps passes the horizon
+        model = pure_ou_model(rate_level=1e-300)
+        path = hjsim.simulate_path(model, 1e13, ou_cfg(1e12), seed=1)
+        t, x, rs = regular_samples(path, 1e12)
+        assert t.tolist() == [k * 1e12 for k in range(11)]
+        assert x.tolist() == path.skeleton_x.tolist()
+
     def test_states_at_recorded_times(self):
         model = reference_model()
         path = hjsim.simulate_path(model, 10.0, ou_cfg(10.0), seed=7,
@@ -231,6 +239,14 @@ class TestMixingCurve:
             mixing_curve(model, z, z, times=[1.0], n_paths=10, bins=5, cfg=ou_cfg(1.0))
         with pytest.raises(ValueError):
             mixing_curve(model, z, z, times=[1.0, 2.0], n_paths=1, bins=5,
+                         cfg=ou_cfg(1.0))
+
+    def test_negative_times_are_refused_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "simulate_ensemble",
+                            lambda *args, **kwargs: pytest.fail("simulated"))
+        z = hjsim.State(0.0, np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="^times must be >= 0 and strictly increasing"):
+            mixing_curve(reference_model(), z, z, times=[-1.0, 2.0], n_paths=10, bins=5,
                          cfg=ou_cfg(1.0))
 
     @pytest.mark.parametrize("times", [[0.0, 1e-300], [1e-170, 2e-170]])

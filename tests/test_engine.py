@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -197,10 +198,16 @@ class TestReferenceConstruction:
         assert reference_rate_step(two_component_model()) == pytest.approx(2 * 1.0 * 0.4)
 
     def test_zero_horizon_is_empty(self):
-        path = hjsim.simulate_path_reference(reference_model(x0=1.0), 0.0,
-                                             ou_cfg(0.01), seed=1)
-        assert path.n_events == 0
-        assert len(path.skeleton_times) == 1
+        # every entry shares the horizon rule; the Euler-Maruyama walk steps
+        # no substep over the empty segment
+        model = reference_model(x0=1.0)
+        for cfg in (ou_cfg(0.01), em_cfg(0.01, 0.003)):
+            for path in (hjsim.simulate_path_reference(model, 0.0, cfg, seed=1),
+                         hjsim.simulate_path(model, 0.0, cfg, seed=1),
+                         *hjsim.simulate_ensemble(model, 0, cfg, 1, 3)):
+                assert path.n_events == 0
+                assert path.skeleton_times.tolist() == [0.0]
+                assert path.skeleton_x.tolist() == [1.0]
 
     def test_poisson_case_matches_engine_law(self):
         model = poisson_model((1.0, 2.0))
@@ -211,16 +218,12 @@ class TestReferenceConstruction:
             model, 5.0, cfg, derive_path_seeds(42, 2_000).tolist())])
         assert stats.ks_2samp(eng, ref).pvalue > 0.01
 
-    def test_k2_bound_inflates_initial_rate(self):
-        # envelope over the ball rate = f(0) sum + gamma_bar * 10 = 11 > 1:
-        # the plain run draws 2 candidates, the k2_bound run many more
+    def test_candidate_cap_counts_dominating_events(self):
+        # this path draws 2 candidates before the horizon
         model, cfg = reference_model(y0=0.0), ou_cfg(2.0)
         hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, max_candidates=2)
         with pytest.raises(hjsim.SimulationLimitError):
             hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, max_candidates=1)
-        with pytest.raises(hjsim.SimulationLimitError):
-            hjsim.simulate_path_reference(model, 2.0, cfg, seed=1, k2_bound=10.0,
-                                          max_candidates=2)
 
     def test_supercritical_candidate_breaker(self):
         with pytest.raises(hjsim.SimulationLimitError):
@@ -228,23 +231,26 @@ class TestReferenceConstruction:
                                           seed=4, max_candidates=200)
 
     @settings(max_examples=80, deadline=None)
-    @given(simulation_runs(), st.none() | st.floats(0.0, 3.0), st.integers(1, 6))
-    def test_group_equals_the_serial_oracle(self, run, k2_bound, n):
-        # the cap keeps fast-growing constructions short; a group that
-        # reaches it trips at the candidate of its first path that does
+    @given(simulation_runs(), st.sampled_from([engine._GROUP_BUDGET, 1]), st.integers(1, 6))
+    def test_group_equals_the_serial_oracle(self, run, budget, n):
+        # a budget of 1 byte runs each seed in a group of its own; the cap
+        # keeps fast-growing constructions short, and a run that reaches it
+        # trips at the candidate of its first path that does
         model, horizon, cfg, extra, seed = run
         seeds = [derive_path_seed(seed, i) for i in range(n)]
-        kwargs = dict(k2_bound=k2_bound, sample_at=extra, max_candidates=200)
+        kwargs = dict(sample_at=extra, max_candidates=200)
         want = []
-        for s in seeds:
-            try:
-                want.append(pathio.dumps_binary(reference_oracle(model, horizon, cfg, s,
-                                                                 **kwargs)))
-            except hjsim.SimulationLimitError as exc:
-                with pytest.raises(hjsim.SimulationLimitError, match=f"^{re.escape(str(exc))}$"):
-                    engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
-                return
-        got = engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
+        with mock.patch.object(engine, "_GROUP_BUDGET", budget):
+            for s in seeds:
+                try:
+                    want.append(pathio.dumps_binary(reference_oracle(model, horizon, cfg, s,
+                                                                     **kwargs)))
+                except hjsim.SimulationLimitError as exc:
+                    with pytest.raises(hjsim.SimulationLimitError,
+                                       match=f"^{re.escape(str(exc))}$"):
+                        engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
+                    return
+            got = engine._simulate_reference(model, horizon, cfg, seeds, **kwargs)
         assert [pathio.dumps_binary(p) for p in got] == want
 
     def test_candidate_limit_trips_in_a_group_where_the_oracle_does(self):
@@ -253,26 +259,34 @@ class TestReferenceConstruction:
         seeds = [derive_path_seed(5, i) for i in range(6)]
         for i in (0, 1, 3, 5):
             reference_oracle(model, 2.0, cfg, seeds[i], max_candidates=5)
-        # the group of paths 0-5 stops at path 2's sixth candidate, that of 3-5 at path 4's
+        # the run of paths 0-5 stops at path 2's sixth candidate, that of 3-5
+        # at path 4's, in one group or in a group per path
         for start, first in ((0, 2), (3, 4)):
             with pytest.raises(hjsim.SimulationLimitError) as want:
                 reference_oracle(model, 2.0, cfg, seeds[first], max_candidates=5)
-            with pytest.raises(hjsim.SimulationLimitError) as got:
-                engine._simulate_reference(model, 2.0, cfg, seeds[start:], max_candidates=5)
-            assert str(got.value) == str(want.value)
+            for budget in (engine._GROUP_BUDGET, 1):
+                with mock.patch.object(engine, "_GROUP_BUDGET", budget), \
+                        pytest.raises(hjsim.SimulationLimitError) as got:
+                    engine._simulate_reference(model, 2.0, cfg, seeds[start:], max_candidates=5)
+                assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("horizon, k2_bound, message", [
+    @pytest.mark.parametrize("horizon, n_paths, message", [
         (math.nan, None, "horizon must be >= 0"),
         (-1.0, None, "horizon must be >= 0"),
-        (2.0, math.inf, "k2_bound must be finite and >= 0, got inf"),
-        (2.0, math.nan, "k2_bound must be finite and >= 0, got nan"),
-        (2.0, -1.0, "k2_bound must be finite and >= 0, got -1.0")])
-    def test_bad_inputs_are_refused_before_simulating(self, monkeypatch, horizon, k2_bound,
+        (math.nan, 2, "horizon must be >= 0"),
+        (-1.0, 2, "horizon must be >= 0"),
+        (2.0, 0, "n_paths must be >= 1")])
+    def test_bad_inputs_are_refused_before_simulating(self, monkeypatch, horizon, n_paths,
                                                       message):
+        # n_paths None: both one-path entries; otherwise an ensemble
         monkeypatch.setattr(engine, "_GroupLog", lambda *args: pytest.fail("simulated"))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            hjsim.simulate_path_reference(reference_model(), horizon, ou_cfg(0.5), seed=1,
-                                          k2_bound=k2_bound, max_candidates=1000)
+        model, cfg = reference_model(), ou_cfg(0.5)
+        runs = ([partial(hjsim.simulate_path_reference, max_candidates=1000),
+                 hjsim.simulate_path] if n_paths is None
+                else [lambda *args: hjsim.simulate_ensemble(*args, n_paths)])
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(model, horizon, cfg, 1)
 
 
 class TestEnsembles:

@@ -149,7 +149,6 @@ CASES = {
     "reference_m1_ou": reference(reference_model, 3.0, ou_cfg(0.1), 31),
     "reference_m2_em": reference(two_component_model, 2.0, em_cfg(0.1, 0.03), 32,
                                  sample_at=[0.55]),
-    "reference_inhibitory_k2": reference(inhibitory_model, 2.0, ou_cfg(0.25), 33, k2_bound=2.0),
     "reference_inhibitory_ou": reference(inhibitory_model, 2.0, ou_cfg(0.25), 33),
     "ensemble_m2_ou": ensemble(two_component_model, 5.0, ou_cfg(5.0), 34, 5),
     "ensemble_m1_em_sample_at": ensemble(reference_model, 5.0, em_cfg(0.1, 0.02), 35, 3,
@@ -209,7 +208,6 @@ GOLDEN = {
     "m3_sigmoid_em_coarse": "492098d1cc1005bfd49f6bca52200bf34cc790917ed6de977ee4de4c7cc3e60f",
     "m3_sigmoid_em_polynomial": "aa1e31c12c8e827bf4674fce9dc15a1d156bb10268058dd06d4a63115734afec",
     "m3_sigmoid_ou": "67532693a4b7140f3c2422f56300a2e2f9b07390c3a687008c02de855a7ec774",
-    "reference_inhibitory_k2": "900e4ea43e66ffbb4bd1253417f04bac9e635951afa6175e67251e5b3a74c267",
     "reference_inhibitory_ou": "f0fa656d3e7ec4095fe96a4e6abd3cfec82b1cf3db2a2301c8deee593ce11c93",
     "reference_m1_ou": "9d7ea65938d4866610445a747583663befa7825df68cd0984d01e6daea4981a2",
     "reference_m2_em": "ee5593c9ca30d2a99de72bc6efc04950d59e088d9dc2243c21f374adaef31b8a",

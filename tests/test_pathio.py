@@ -244,6 +244,14 @@ class TestBinary:
         with pytest.raises(ValueError):
             pathio.read_binary(io.BytesIO(b"NOPE" + b"\x00" * 76))
 
+    @pytest.mark.parametrize("cut, version, message", [
+        (79, 1, "truncated binary path file"), (None, 2, "unsupported format version 2")])
+    def test_short_header_or_other_version_is_refused(self, cut, version, message):
+        blob = bytearray(pathio.dumps_binary(sample_path()))
+        blob[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pathio.read_binary(io.BytesIO(bytes(blob[:cut])))
+
     @pytest.mark.parametrize("horizon", [np.nan, np.inf, -2.0])
     def test_horizon_not_finite_or_negative_is_refused(self, horizon):
         blob = bytearray(pathio.dumps_binary(sample_path()))
