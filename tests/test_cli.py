@@ -454,7 +454,9 @@ class TestOtherCommands:
                                             "but one time; shorten the times or add paths"}),
         (["mixing-test", "--times=-1,2", "--paths", "100", "--bins", "4", *SAME_START], {},
          {"error": "ValueError",
-          "message": "times must be >= 0 and strictly increasing with at least 2 entries"})])
+          "message": "times must be >= 0 and strictly increasing with at least 2 entries"})],
+        ids=["threads_not_an_integer", "one_sample_after_burn_in", "no_grid_time_after_burn_in",
+             "under_the_noise_floor", "negative_time"])
     def test_refused_runs_write_one_error_line(self, tmp_path, capsys, monkeypatch, argv, env,
                                                payload):
         for key, value in env.items():
