@@ -130,8 +130,8 @@ def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     event."""
     eps = _sample_eps(path.horizon)
     k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
-    times = np.arange(k_lo, int(path.horizon / grid_dt + eps) + 1) * grid_dt
-    # the engine's filter: a count of multiples plus eps can pass the horizon
+    times = np.arange(k_lo, int((path.horizon + eps) / grid_dt) + 1) * grid_dt
+    # the engine's count and filter: a multiple can round past horizon + eps
     times = times[times <= path.horizon + eps]
     return (times, *states_at(path, times))
 

@@ -201,7 +201,7 @@ def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
     """Sorted grid multiples, extra times and the horizon, with times closer
     than ``eps`` to the last kept one dropped (scanning in order)."""
     eps = _sample_eps(horizon)
-    n_grid = horizon / grid_dt + eps
+    n_grid = (horizon + eps) / grid_dt   # multiples up to horizon + eps
     if n_grid > DEFAULT_MAX_EVENTS:
         raise SimulationLimitError(
             f"a grid step of {grid_dt:.6g} over horizon {horizon:.6g} gives about "
@@ -297,7 +297,7 @@ class _GroupLog:
         if n == 1:   # a normal's uniform: _walk converts those of all at once
             self.z.append(rng.uniform())
         elif n:
-            self.z.frombytes(rng.uniforms(n).tobytes())
+            rng._extend(self.z, n)
         return hi, z0
 
     def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> tuple:

@@ -71,8 +71,9 @@ def _evaluators(m: int):
     one = m == 1   # numpy's dot of one term is 0.0 plus it; its exp of a float is its array exp
     return _compiled(_EVALUATORS.format(
         ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
-        cs=", ".join(cs), scalars="g0, d0 = float(gammas[0]), float(decay[0])" if one else "pass",
-        envelope=f"(0.0 + g0 * ({abs_sums}))" if one else f"float(gammas @ [{abs_sums}])",
+        cs=", ".join(cs),
+        scalars="g0, d0 = float(gammas[0]), float(decay[0])" if one else "dot = gammas.dot",
+        envelope=f"(0.0 + g0 * ({abs_sums}))" if one else f"float(dot([{abs_sums}]))",
         exps="float(exp(d0 * dt))," if one else "exp(decay * dt).tolist()",
         body="\n        ".join(body)))
 

@@ -91,10 +91,13 @@ def _digit_words() -> np.ndarray:
     return words.ravel()
 
 
-def _format_floats(v: np.ndarray, slots: np.ndarray, words: np.ndarray) -> None:
+_WORDS = _digit_words()
+
+
+def _format_floats(v: np.ndarray, slots: np.ndarray) -> None:
     """Write each float of ``v`` as ``json.JSONEncoder`` does into its row of
     ``slots`` (N x 40 bytes, rows 4-byte aligned), NUL where it has no
-    character.  ``words`` is :func:`_digit_words`.
+    character.
 
     For 1e-4 <= |v| < 1e15 repr writes fixed notation with the shortest
     digits that read back as v, the nearest to v, ties to even.  These come
@@ -150,7 +153,7 @@ def _format_floats(v: np.ndarray, slots: np.ndarray, words: np.ndarray) -> None:
     head = F // g
     first3 = head * _INT10[np.maximum(3 - k, 0)]   # fraction places 1..3 (k = 2 has two)
     rest = (F - head * g) * _INT10[20 - k]   # places 4..20
-    w = np.empty((10, len(v)), np.uint32)   # a row per 4 bytes of the slots
+    words, w = _WORDS, np.empty((10, len(v)), np.uint32)   # w: a row per 4 bytes of the slots
     # the fraction from its last place: trailing says every later place is 0
     q = rest // 10
     last = rest - q * 10
@@ -188,14 +191,16 @@ def _jsonl_blocks(path: Path):
     A block is one byte matrix with a row per line and a cell per float:
     the text before the float, NUL padded, then its slot from
     :func:`_format_floats`.  An event row holds its time in the first cell
-    and its component in the second.  The block's bytes are the matrix
-    without its NUL bytes."""
+    and its component in the second.  Each float is formatted once: the
+    block's times once per run of equal bits (an event time and the pre- and
+    post-jump samples at it), then the samples' x and row sums.  The block's
+    bytes are the matrix without its NUL bytes."""
     yield (_ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
                             "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
                             "model_digest": path.model_hash}) + "\n").encode()
     st, sx, rs, et = path.skeleton_times, path.skeleton_x, path.skeleton_row_sums, path.event_times
     comp = path.event_components
-    m, words = path.n_components, _digit_words()
+    m = path.n_components
     width = m + 2
     before = np.array([b'{"kind":"sample","t":', b',"x":', b',"row_sums":['] + [b","] * (m - 1),
                       "S24").view(np.uint8).reshape(width, 24)
@@ -220,14 +225,25 @@ def _jsonl_blocks(path: Path):
         rows = ins - a + np.arange(j1 - j0)   # each event's line in the block
         sample = np.ones(b - a + j1 - j0, bool)
         sample[rows] = False
-        values = np.empty((len(sample), width))
-        values[sample, 0] = st[a:b]
-        values[sample, 1] = sx[a:b]
-        values[sample, 2:] = rs[a:b]
-        values[rows, 0] = et[j0:j1]
-        values[rows, 1:] = 1.0   # any float: these cells are overwritten below
+        t = np.empty(len(sample))
+        t[sample] = st[a:b]
+        t[rows] = et[j0:j1]
+        # a run of equal bits shares one slot; bits, since -0.0 == 0.0
+        bits = t.view(np.int64)
+        new = np.ones(len(t), bool)
+        new[1:] = bits[1:] != bits[:-1]
+        run = np.cumsum(new) - 1
+        k = len(t) and int(run[-1]) + 1
+        v = np.empty(k + (b - a) * (m + 1))   # the runs' times, then each sample's x and row sums
+        v[:k] = t[new]
+        xs = v[k:].reshape(b - a, m + 1)
+        xs[:, 0] = sx[a:b]
+        xs[:, 1:] = rs[a:b]
+        slots = np.empty((len(v), 40), np.uint8)
+        _format_floats(v, slots)
         cells = np.empty((len(sample), width, _CELL), np.uint8)
-        _format_floats(values.ravel(), cells.reshape(-1, _CELL)[:, 24:], words)
+        cells[:, 0, 24:] = slots[run]
+        cells[sample, 1:, 24:] = slots[k:].reshape(b - a, m + 1, 40)
         cells[:, :, :24] = before
         cells[:, -1, -3:] = np.frombuffer(b"]}\n", np.uint8)   # no float's text reaches here
         cells[rows, 0, :24] = event_t

@@ -422,7 +422,7 @@ def formatted(values) -> list:
     """The text that the JSONL writer's array formatter gives each float."""
     v = np.asarray(values, dtype=float)
     slots = np.zeros((len(v), 40), np.uint8)
-    pathio._format_floats(v, slots, pathio._digit_words())
+    pathio._format_floats(v, slots)
     return [row.tobytes().replace(b"\0", b"").decode() for row in slots]
 
 

@@ -193,3 +193,34 @@ def test_runs_last_the_spec_run_seconds(repo, tmp_path, monkeypatch):
     assert len(commands) == 4
     assert all(cmd[cmd.index("--seconds") + 1] == "7" for cmd in commands)
     assert "--seconds 7 " in json.loads(out.read_text())["benchmark"]
+
+
+@pytest.mark.parametrize("setting, written", [(None, True), ("", True), ("1", False)])
+def test_records_whether_the_runs_wrote_bytecode(repo, tmp_path, monkeypatch, setting, written):
+    # each run inherits PYTHONDONTWRITEBYTECODE and starts without -B, so the
+    # setting decides whether its copy gains a __pycache__
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    real_run, seen = subprocess.run, []
+    result = {"failed": 0, "attempted": 5, "metrics": {"wall_s": {"value": 1.0}}}
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return real_run(cmd, **kwargs)
+        seen.append((cmd, kwargs.get("env")))
+        stdout = json.dumps({"machine": {"cpu": "test"}}) + "\n" + json.dumps(result) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", repo["base"], "--change", repo["src"], "--pairs", "1",
+                             "--workloads", "short_paths", "--out", str(out),
+                             "--workdir", str(tmp_path / "work")]) == 0
+    assert len(seen) == 2
+    assert all("-B" not in cmd and env is None for cmd, env in seen)
+    assert json.loads(out.read_text())["writes_bytecode"] is written

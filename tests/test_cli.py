@@ -12,8 +12,8 @@ import hjsim
 from hjsim import cli, pathio
 from hjsim.model import ConfigError, model_to_dict
 
-from helpers import (constant_rate_config, make_model, reference_model, supercritical_model,
-                     two_component_model)
+from helpers import (constant_rate_config, make_model, pure_ou_model, reference_model,
+                     supercritical_model, two_component_model)
 
 
 def write_config(tmp_path, model=None, run=None, name="model.json"):
@@ -381,6 +381,17 @@ class TestOtherCommands:
         masses = np.asarray(report["histogram"]["bin_masses"])
         assert masses.sum() == pytest.approx(1.0, abs=1e-9)
         assert report["histogram"]["min_mass_on_compact"] > 0
+
+    def test_ergodic_test_on_a_coarse_grid_at_a_huge_horizon(self, tmp_path):
+        # the 10 grid times of step 1e19 to horizon 1e20, once refused as
+        # about 1e8 samples
+        config = write_config(tmp_path, pure_ou_model(rate_level=1e-300))
+        out = tmp_path / "erg.json"
+        rc = cli.main(["ergodic-test", "--config", config, "--integrator", "exact-ou",
+                       "--horizon", "1e20", "--grid-dt", "1e19", "--out", str(out)])
+        assert rc == 0
+        masses = json.loads(out.read_text())["histogram"]["bin_masses"]
+        assert sum(masses) == pytest.approx(1.0, abs=1e-9)
 
     def test_mixing_test_writes_json_and_csv(self, tmp_path):
         config = write_config(tmp_path)

@@ -21,8 +21,8 @@ from hjsim.model import ConstantDiffusion
 from hjsim.rng import RandomStream, derive_path_seed, derive_path_seeds
 
 from helpers import (count_oracle, em_cfg, em_runs, make_model, ou_cfg, poisson_model,
-                     reference_model, reference_oracle, serial_oracle, simulation_runs,
-                     skeleton_x_oracle, supercritical_model, two_component_model)
+                     pure_ou_model, reference_model, reference_oracle, serial_oracle,
+                     simulation_runs, skeleton_x_oracle, supercritical_model, two_component_model)
 
 
 class InProcessPool:
@@ -180,6 +180,13 @@ class TestPathInvariants:
         for twin in (pickle.loads(pickle.dumps(path)), copy.copy(path)):
             assert type(twin) is hjsim.Path
             assert pathio.dumps_binary(twin) == pathio.dumps_binary(path)
+
+    def test_coarse_grid_at_a_huge_horizon_is_counted_to_the_horizon(self):
+        # eps = 1e8 at horizon 1e20: the multiples of the grid step are
+        # counted up to horizon + eps, not as their count plus eps (about 1e8)
+        path = hjsim.simulate_path(pure_ou_model(rate_level=1e-300), 1e20, ou_cfg(1e19), seed=1)
+        assert path.skeleton_times.tolist() == [k * 1e19 for k in range(11)]
+        assert len(_build_sample_times(1e300, 1e299, None)) == 10
 
     def test_sample_grid_breaker_allocates_nothing_large(self):
         tracemalloc.start()

@@ -273,6 +273,20 @@ class TestRateRuntime:
         bound = rt.f_zero_sum + float(rt.gammas @ np.abs(y).sum(axis=1))
         assert np.float64(rt.bound(y.ravel().tolist())).tobytes() == np.float64(bound).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_bounds_equal_bound_on_each_state(self, m, n, seed):
+        # the lockstep loop's envelope of n states and the one-path loop's
+        # envelope of each, which takes a path over from it: the same bits,
+        # below and from eight terms, with -0.0 entries and unequal gammas
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((n, m, m)) * 10.0 ** rng.integers(-8, 9, (n, m, m))
+        y[rng.random((n, m, m)) < 0.2] = -0.0
+        slopes = rng.uniform(0.1, 3.0, m) * 10.0 ** rng.integers(-3, 4, m)
+        rt = RateRuntime(_model([{**_AFFINE, "slope": float(s)} for s in slopes]))
+        each = [rt.bound(state.ravel().tolist()) for state in y]
+        assert rt.bounds(y).tobytes() == np.array(each).tobytes()
+
     def test_one_compiled_evaluator_per_m(self):
         # models of one M share the code of bound and flow, whatever their rates
         rt_a = RateRuntime(_model([_AFFINE] * 3))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hjsim
@@ -31,6 +31,28 @@ def assert_paths_equal(a, b):
     assert a.horizon == b.horizon
     assert a.seed == b.seed
     assert a.model_hash == b.model_hash
+
+
+def _signed_zeros_path():
+    """Consecutive records whose t, x and row sums differ only in the sign of
+    a zero, and an event between two samples at its time."""
+    zeros = [0.0, -0.0, 0.0, -0.0, -0.0]
+    return hjsim.Path(event_times=[0.25], event_components=[2],
+                      skeleton_times=[0.0, -0.0, 0.0, 0.25, 0.25], skeleton_x=zeros,
+                      skeleton_row_sums=np.array([zeros, zeros[::-1]]).T, horizon=1.0, seed=3,
+                      model_hash="ab" * 32)
+
+
+def _block_edge_path():
+    """Events whose time repeats across the writer's 768-sample block edge:
+    samples 765 and 766 share the first event's time, samples 767 (the
+    block's last) and 768 (the next block's first) the second one's."""
+    times = np.arange(1000) * 0.25
+    times[766], times[768] = times[765], times[767]
+    return hjsim.Path(event_times=[times[765], times[767]], event_components=[1, 3],
+                      skeleton_times=times, skeleton_x=np.cos(times),
+                      skeleton_row_sums=np.sin(times)[:, None] * [1.0, -0.5, 2.0],
+                      horizon=250.0, seed=5, model_hash="ab" * 32)
 
 
 class TestJsonl:
@@ -78,6 +100,8 @@ class TestJsonl:
 
     @settings(max_examples=150, deadline=None)
     @given(written_paths())
+    @example(_signed_zeros_path())
+    @example(_block_edge_path())
     def test_writer_equals_one_encoder_call_per_record(self, path):
         blob = pathio.dumps_jsonl(path)
         assert blob == jsonl_oracle(path)

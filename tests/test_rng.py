@@ -13,6 +13,7 @@ draws.
 
 import math
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,8 +23,8 @@ from scipy.special import ndtri
 
 import hjsim
 from hjsim import pathio, rng
-from hjsim.rng import (_GOLDEN, _NDTRI_BLOCK, _REFILL_ROWS, DrawBank, RandomStream, _uniforms,
-                       _words_at, derive_path_seed, derive_path_seeds)
+from hjsim.rng import (_BLOCK, _GOLDEN, _NDTRI_BLOCK, _REFILL_ROWS, DrawBank, RandomStream,
+                       _uniforms, _words_at, derive_path_seed, derive_path_seeds)
 
 from helpers import em_cfg, ou_cfg, philox_generator, reference_model, two_component_model
 
@@ -64,6 +65,28 @@ def test_skeleton_times_pair_exactly_at_events(seed, horizon, grid_dt, em_step, 
     assert np.all(gaps >= 0)
     assert t[0] == 0.0 and t[-1] == horizon
     np.testing.assert_array_equal(t[:-1][gaps == 0], path.event_times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, before=st.integers(0, 2100),
+       n=st.integers(2, 70) | st.integers(2, 2 * _BLOCK + 1), from_bank=st.booleans())
+@example(seed=1, before=_BLOCK - 24, n=24, from_bank=False)   # up to the buffer's end
+@example(seed=1, before=_BLOCK - 24, n=25, from_bank=False)   # one past it
+@example(seed=1, before=0, n=_BLOCK + 1, from_bank=True)   # above _BLOCK from an empty buffer
+def test_extend_appends_the_bytes_of_uniforms(seed, before, n, from_bank):
+    # a segment's normals go from the stream's buffer straight to the
+    # engine's array: the bytes of uniforms(n), and the stream left at the
+    # same draw, across the buffer's end and above a refill's _BLOCK draws
+    def stream():
+        s = DrawBank([seed]).stream(0) if from_bank else RandomStream(seed)
+        s.uniforms(before)
+        return s
+
+    a, b = stream(), stream()
+    z = array("d", [0.5])
+    a._extend(z, n)
+    assert z.tobytes() == np.array([0.5]).tobytes() + b.uniforms(n).tobytes()
+    assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
 
 
 # A stream refills 1024 draws at a time (more for a longer read), so reads
