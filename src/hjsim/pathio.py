@@ -233,7 +233,7 @@ def _jsonl_blocks(path: Path):
         new = np.ones(len(t), bool)
         new[1:] = bits[1:] != bits[:-1]
         run = np.cumsum(new) - 1
-        k = len(t) and int(run[-1]) + 1
+        k = int(new.sum())
         v = np.empty(k + (b - a) * (m + 1))   # the runs' times, then each sample's x and row sums
         v[:k] = t[new]
         xs = v[k:].reshape(b - a, m + 1)
