@@ -297,7 +297,7 @@ class _GroupLog:
         if n == 1:   # a normal's uniform: _walk converts those of all at once
             self.z.append(rng.uniform())
         elif n:
-            rng._extend(self.z, n)
+            self.z.frombytes(rng.uniforms(n).tobytes())
         return hi, z0
 
     def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> tuple:

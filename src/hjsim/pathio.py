@@ -191,10 +191,10 @@ def _jsonl_blocks(path: Path):
     A block is one byte matrix with a row per line and a cell per float:
     the text before the float, NUL padded, then its slot from
     :func:`_format_floats`.  An event row holds its time in the first cell
-    and its component in the second.  Each float is formatted once: the
-    block's times once per run of equal bits (an event time and the pre- and
-    post-jump samples at it), then the samples' x and row sums.  The block's
-    bytes are the matrix without its NUL bytes."""
+    and its component in the second.  One pass formats the block's floats:
+    each line's time, then each sample's x and row sums, so an event row
+    formats no float for its other cells.  The block's bytes are the matrix
+    without its NUL bytes."""
     yield (_ENCODER.encode({"kind": "header", "format": "hjsm-jsonl", "version": FORMAT_VERSION,
                             "M": path.n_components, "horizon": path.horizon, "seed": path.seed,
                             "model_digest": path.model_hash}) + "\n").encode()
@@ -225,24 +225,17 @@ def _jsonl_blocks(path: Path):
         rows = ins - a + np.arange(j1 - j0)   # each event's line in the block
         sample = np.ones(b - a + j1 - j0, bool)
         sample[rows] = False
-        t = np.empty(len(sample))
-        t[sample] = st[a:b]
-        t[rows] = et[j0:j1]
-        # a run of equal bits shares one slot; bits, since -0.0 == 0.0
-        bits = t.view(np.int64)
-        new = np.ones(len(t), bool)
-        new[1:] = bits[1:] != bits[:-1]
-        run = np.cumsum(new) - 1
-        k = int(new.sum())
-        v = np.empty(k + (b - a) * (m + 1))   # the runs' times, then each sample's x and row sums
-        v[:k] = t[new]
+        k = len(sample)
+        v = np.empty(k + (b - a) * (m + 1))   # each line's time, then each sample's x and row sums
+        v[:k][sample] = st[a:b]
+        v[:k][rows] = et[j0:j1]
         xs = v[k:].reshape(b - a, m + 1)
         xs[:, 0] = sx[a:b]
         xs[:, 1:] = rs[a:b]
         slots = np.empty((len(v), 40), np.uint8)
         _format_floats(v, slots)
-        cells = np.empty((len(sample), width, _CELL), np.uint8)
-        cells[:, 0, 24:] = slots[run]
+        cells = np.empty((k, width, _CELL), np.uint8)
+        cells[:, 0, 24:] = slots[:k]
         cells[sample, 1:, 24:] = slots[k:].reshape(b - a, m + 1, 40)
         cells[:, :, :24] = before
         cells[:, -1, -3:] = np.frombuffer(b"]}\n", np.uint8)   # no float's text reaches here

@@ -156,22 +156,17 @@ def ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class RandomStream:
     """Buffered uniform and normal draws from one Philox stream."""
 
-    __slots__ = ("seed", "_key", "_end", "_buf", "_raw", "_pos")
+    __slots__ = ("seed", "_key", "_end", "_buf", "_pos")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._key = _key(self.seed)
-        self._end = 0   # the draw after _buf
-        self._hold(np.empty(0))
-
-    def _hold(self, buf: np.ndarray) -> None:
-        """Read from ``buf`` next, from its first value; ``_raw`` is its bytes."""
-        self._buf, self._raw, self._pos = buf, memoryview(buf).cast("B"), 0
+        self._buf, self._pos, self._end = np.empty(0), 0, 0   # _end: the draw after _buf
 
     def _refill(self, need: int = 1) -> None:
-        buf = _uniforms(_words_at(self._key, self._end, max(_BLOCK, need)))
-        self._end += len(buf)
-        self._hold(buf)
+        self._buf = _uniforms(_words_at(self._key, self._end, max(_BLOCK, need)))
+        self._end += len(self._buf)
+        self._pos = 0
 
     def uniform(self) -> float:
         """One uniform draw in (0, 1]."""
@@ -182,27 +177,17 @@ class RandomStream:
         return float(u)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniform draws in (0, 1]: the values of n calls to :meth:`uniform`."""
+        """n uniform draws in (0, 1]: the values of n calls to :meth:`uniform`,
+        often as a view of the buffer's values already read, which the
+        stream never reads again."""
         start = self._pos
         if start + n <= len(self._buf):
             self._pos = start + n
-            return self._buf[start:start + n].copy()
+            return self._buf[start:start + n]
         head = self._buf[start:]
         self._refill(n - len(head))
         self._pos = n - len(head)
         return np.concatenate((head, self._buf[:self._pos]))
-
-    def _extend(self, z, n: int) -> None:
-        """Append the next n uniforms to ``z``, an ``array("d")``: the bytes
-        of ``uniforms(n)``, read straight from the buffer's bytes."""
-        start = self._pos
-        if start + n > len(self._buf):
-            z.frombytes(self._raw[8 * start:])
-            n -= len(self._buf) - start
-            self._refill(n)
-            start = 0
-        self._pos = start + n
-        z.frombytes(self._raw[8 * start:8 * self._pos])
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals, the inverse CDF of n uniforms."""
@@ -270,5 +255,5 @@ class DrawBank:
         out = RandomStream.__new__(RandomStream)
         out.seed = self.seeds[k]
         out._key, out._end = self.keys[k], int(self.ends[k])
-        out._hold(self.buf[k, self.pos[k]:].copy())
+        out._buf, out._pos = self.buf[k, self.pos[k]:].copy(), 0
         return out

@@ -195,32 +195,28 @@ def test_runs_last_the_spec_run_seconds(repo, tmp_path, monkeypatch):
     assert "--seconds 7 " in json.loads(out.read_text())["benchmark"]
 
 
-@pytest.mark.parametrize("setting, written", [(None, True), ("", True), ("1", False)])
-def test_records_whether_the_runs_wrote_bytecode(repo, tmp_path, monkeypatch, setting, written):
-    # each run inherits PYTHONDONTWRITEBYTECODE and starts without -B, so the
-    # setting decides whether its copy gains a __pycache__
+@pytest.mark.parametrize("writers", [(), ("parent",), ("parent", "change")])
+def test_records_whether_the_runs_wrote_bytecode(repo, tmp_path, monkeypatch, writers):
+    # a run that compiles hjsim leaves src/hjsim/__pycache__ in its copy,
+    # wherever PYTHONDONTWRITEBYTECODE or PYTHONPYCACHEPREFIX would send it
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 7, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2}]}))
     monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: os.makedirs(dest))
-    if setting is None:
-        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
-    real_run, seen = subprocess.run, []
+    real_run, parent = subprocess.run, repo["base"][:12]
     result = {"failed": 0, "attempted": 5, "metrics": {"wall_s": {"value": 1.0}}}
 
     def run(cmd, **kwargs):
         if cmd[0] == "git":
             return real_run(cmd, **kwargs)
-        seen.append((cmd, kwargs.get("env")))
+        side = "parent" if os.path.basename(kwargs["cwd"]) == parent else "change"
+        if side in writers:
+            os.makedirs(os.path.join(kwargs["cwd"], "src", "hjsim", "__pycache__"), exist_ok=True)
         stdout = json.dumps({"machine": {"cpu": "test"}}) + "\n" + json.dumps(result) + "\n"
         return subprocess.CompletedProcess(cmd, 0, stdout, "")
 
     monkeypatch.setattr(subprocess, "run", run)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", repo["base"], "--change", repo["src"], "--pairs", "1",
-                             "--workloads", "short_paths", "--out", str(out),
-                             "--workdir", str(tmp_path / "work")]) == 0
-    assert len(seen) == 2
-    assert all("-B" not in cmd and env is None for cmd, env in seen)
-    assert json.loads(out.read_text())["writes_bytecode"] is written
+                             "--workloads", "short_paths", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["writes_bytecode"] == {
+        side: side in writers for side in ("parent", "change")}

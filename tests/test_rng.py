@@ -11,7 +11,9 @@ word for word, and threads drawing at once must draw what a serial run
 draws.
 """
 
+import copy
 import math
+import pickle
 import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -73,20 +75,36 @@ def test_skeleton_times_pair_exactly_at_events(seed, horizon, grid_dt, em_step, 
 @example(seed=1, before=_BLOCK - 24, n=24, from_bank=False)   # up to the buffer's end
 @example(seed=1, before=_BLOCK - 24, n=25, from_bank=False)   # one past it
 @example(seed=1, before=0, n=_BLOCK + 1, from_bank=True)   # above _BLOCK from an empty buffer
-def test_extend_appends_the_bytes_of_uniforms(seed, before, n, from_bank):
-    # a segment's normals go from the stream's buffer straight to the
-    # engine's array: the bytes of uniforms(n), and the stream left at the
-    # same draw, across the buffer's end and above a refill's _BLOCK draws
+def test_a_block_of_uniforms_keeps_its_values_as_the_stream_reads_on(seed, before, n, from_bank):
+    # uniforms(n) may return a view of the stream's buffer, which the engine
+    # appends to its normals' array as it is: later draws, across the
+    # buffer's end and above a refill's _BLOCK draws, leave it as it was
     def stream():
         s = DrawBank([seed]).stream(0) if from_bank else RandomStream(seed)
         s.uniforms(before)
         return s
 
     a, b = stream(), stream()
+    u = a.uniforms(n)
     z = array("d", [0.5])
-    a._extend(z, n)
-    assert z.tobytes() == np.array([0.5]).tobytes() + b.uniforms(n).tobytes()
+    z.frombytes(u.tobytes())
+    a.uniforms(2 * _BLOCK + 1)
+    assert u.tolist() == [b.uniform() for _ in range(n)]
+    assert z.tolist() == [0.5] + u.tolist()
+    b.uniforms(2 * _BLOCK + 1)
     assert a.uniforms(3).tobytes() == b.uniforms(3).tobytes()
+
+
+@pytest.mark.parametrize("copy", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("before", [0, 5, _BLOCK])
+def test_a_copied_stream_continues_draw_for_draw(copy, before):
+    for s in (RandomStream(7), DrawBank([7, 8]).stream(0)):
+        s.uniforms(before)
+        twin = copy(s)
+        assert twin.seed == s.seed
+        assert twin.uniforms(_BLOCK + 9).tolist() == s.uniforms(_BLOCK + 9).tolist()
+        assert twin.normals(4).tolist() == s.normals(4).tolist()
 
 
 # A stream refills 1024 draws at a time (more for a longer read), so reads

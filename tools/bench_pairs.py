@@ -17,10 +17,9 @@ the metric is unresolved: the parent's own runs spread wider than that
 bound, and the change does not read better in every run, and whether the
 change shows a gain: it is better in at least nine tenths of the pairs, and
 its median beats the parent's by more than the parent's quartile spread.  It
-also says whether the runs wrote bytecode: each run is a new interpreter,
-started without ``-B``, that inherits this process's environment, so it
-writes ``__pycache__`` into its copy, and later runs there read it, unless
-PYTHONDONTWRITEBYTECODE is set; compiling hjsim shows in setup_s.  The
+also says, per side, whether the runs wrote bytecode: whether
+``src/hjsim/__pycache__`` exists in the copy after its runs, since later runs
+read what earlier ones wrote and compiling hjsim shows in setup_s.  The
 benchmark's raw repetitions stay in each copy's ``.bench_out/`` and are not
 kept.  The two commits must hold the same benchmark: the tool refuses to run
 when they differ under ``perfbench/`` or in ``BENCHMARK.json``.
@@ -184,6 +183,8 @@ def main(argv=None) -> int:
             record.update({k: v["value"] for k, v in result["metrics"].items()})
             runs[workload].append(record)
             print(json.dumps({"workload": workload, **record}), flush=True)
+        bytecode = {side: os.path.isdir(os.path.join(copy, "src", "hjsim", "__pycache__"))
+                    for side, copy in copies.items()}
     finally:
         if not args.workdir:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -202,14 +203,13 @@ def main(argv=None) -> int:
                     "exceeds that bound while some change run does not beat every parent run; "
                     "'gain' says whether the change wins at least nine tenths of the pairs and its "
                     "median is better than the parent's by more than the parent's quartile "
-                    "spread; 'writes_bytecode' says whether the runs wrote and reused "
-                    "__pycache__ in their copies. Raw repetitions are not kept; 'runs' holds "
-                    "each run's medians. A failed run ends the series: 'incomplete' is then "
-                    "true, 'failed_run' names it and the summary covers the pairs both sides "
-                    "finished.",
+                    "spread; 'writes_bytecode' says per side whether src/hjsim/__pycache__ "
+                    "existed in its copy after its runs. Raw repetitions are not kept; 'runs' "
+                    "holds each run's medians. A failed run ends the series: 'incomplete' is "
+                    "then true, 'failed_run' names it and the summary covers the pairs both "
+                    "sides finished.",
         "machine": machine,
-        # a non-empty value sets sys.flags.dont_write_bytecode in each run, as -B would
-        "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "writes_bytecode": bytecode,
         "incomplete": failure is not None,
         "failed_run": failure,
         "summary": {w: summarise(paired(rs), better, bounds)
