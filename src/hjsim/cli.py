@@ -26,7 +26,6 @@ from .engine import simulate_ensemble
 from .model import (ConfigError, ModelSpec, _finite, _require, canonical_json, model_digest,
                     model_from_dict, model_to_dict, state_from_dict)
 from .pathio import write_binary, write_jsonl
-from .rng import derive_path_seeds
 from .stability import stability_report
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "config_digest", "main"]
@@ -234,7 +233,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # each file is written as the writer yields it, never held whole
         _atomic_write(os.path.join(args.out, name), partial(write, path))
     _write_manifest(args.out, "simulate", config, outputs, time.monotonic() - started,
-                    per_path_seeds=derive_path_seeds(config.seed, config.n_paths).tolist())
+                    per_path_seeds=[p.seed for p in paths])
     return 0
 
 

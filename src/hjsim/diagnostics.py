@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diffusion import IntegratorConfig
-from .engine import Path, _sample_eps, simulate_ensemble
+from .engine import Path, _grid_multiples, _sample_eps, simulate_ensemble
 from .intensity import RateRuntime
 from .model import ModelSpec, State
 from .rng import mix64
@@ -127,12 +127,9 @@ def time_average(path: Path, observable, burn_in: float = 0.0,
 def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     """(times, x, row_sums) at the regular grid multiples of grid_dt past
     burn_in, taking the post-jump record when a grid time coincides with an
-    event."""
-    eps = _sample_eps(path.horizon)
-    k_lo = max(0, int(math.ceil((burn_in - eps) / grid_dt)))
-    times = np.arange(k_lo, int((path.horizon + eps) / grid_dt) + 1) * grid_dt
-    # the engine's count and filter: a multiple can round past horizon + eps
-    times = times[times <= path.horizon + eps]
+    event.  A grid the engine would refuse as too fine is refused the same way."""
+    k_lo = max(0, int(math.ceil((burn_in - _sample_eps(path.horizon)) / grid_dt)))
+    times = _grid_multiples(path.horizon, grid_dt)[k_lo:]
     return (times, *states_at(path, times))
 
 

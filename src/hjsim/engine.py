@@ -197,18 +197,25 @@ def _sample_eps(horizon: float) -> float:
     return 1e-12 * max(1.0, horizon)
 
 
-def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
-    """Sorted grid multiples, extra times and the horizon, with times closer
-    than ``eps`` to the last kept one dropped (scanning in order)."""
+def _grid_multiples(horizon: float, grid_dt: float) -> np.ndarray:
+    """``k * grid_dt`` for k = 0, 1, ... up to ``horizon + eps``; refuses a
+    grid of more than ``DEFAULT_MAX_EVENTS`` samples."""
     eps = _sample_eps(horizon)
-    n_grid = (horizon + eps) / grid_dt   # multiples up to horizon + eps
+    n_grid = (horizon + eps) / grid_dt
     if n_grid > DEFAULT_MAX_EVENTS:
         raise SimulationLimitError(
             f"a grid step of {grid_dt:.6g} over horizon {horizon:.6g} gives about "
             f"{n_grid:.3g} samples, more than {DEFAULT_MAX_EVENTS}")
-    grid = np.arange(1, int(n_grid) + 1) * grid_dt
+    grid = np.arange(int(n_grid) + 1) * grid_dt
+    return grid[grid <= horizon + eps]   # a multiple can round past horizon + eps
+
+
+def _build_sample_times(horizon: float, grid_dt: float, extra) -> np.ndarray:
+    """Sorted grid multiples, extra times and the horizon, with times closer
+    than ``eps`` to the last kept one dropped (scanning in order)."""
+    eps = _sample_eps(horizon)
     # the grid and then the horizon are in order; the minimum commutes with sorting
-    times = np.minimum(np.append(grid[grid <= horizon + eps], horizon), horizon)
+    times = np.minimum(np.append(_grid_multiples(horizon, grid_dt)[1:], horizon), horizon)
     if extra is not None:
         extra = np.fromiter(map(float, extra), dtype=float)
         times = np.sort(np.concatenate((times, np.minimum(
@@ -682,6 +689,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
         t = tau
     for k, t_k, y_k in zip(ids.tolist(), t.tolist(), y.reshape(len(ids), m * m).tolist()):
         _run_events(rt, log, k, bank.stream(k), t_k, y_k, max_events)
+    seeds = bank.seeds   # each masked to 64 bits, as its stream was seeded
     del bank, y   # before the skeleton pass
     return _skeleton(log, seeds, digest)[0]
 

@@ -735,7 +735,8 @@ def model_digest(model: ModelSpec) -> str:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the confinement-frame scan plus ellipticity and stability flags.
+    """Outcome of the confinement-frame scan plus ellipticity and kernel flags;
+    subcriticality is ``stability_data(model).spectral_radius < 1``.
 
     ``frame`` is ``"exponential"``, ``"polynomial"`` or ``"neither"``.  For the
     exponential frame the witnesses are (d, r) with x*b(x) <= -d*x^2 beyond
@@ -751,15 +752,12 @@ class AssumptionReport:
     m_interval: tuple[float, float] | None
     sigma_sq_bounds: tuple[float, float]
     sigma_bounds_ok: bool
-    spectral_radius: float
-    stability_ok: bool
     degenerate_kernel: bool
     violating_point: float | None
     notes: str
 
 
-def check_assumptions(model: ModelSpec, scan_radius: float, *,
-                      spectral_radius: float | None = None) -> AssumptionReport:
+def check_assumptions(model: ModelSpec, scan_radius: float) -> AssumptionReport:
     """Classify the model into a confinement frame by scanning the defining
     inequalities on a symmetric grid over [-scan_radius, scan_radius], 201
     points on each side of 0.
@@ -768,8 +766,7 @@ def check_assumptions(model: ModelSpec, scan_radius: float, *,
     scan radius; the drift rates use the families' exact formulas while the
     jump-map inequalities are certified on the grid.  A positive quadratic
     rate d is required for the exponential classification (d = 0 is treated
-    as inconclusive).  ``spectral_radius`` is that of the interaction
-    matrix, for a caller that has already computed it.
+    as inconclusive).
     """
     if not (scan_radius > 0 and math.isfinite(scan_radius * scan_radius)):
         raise ValueError(f"scan_radius {scan_radius!r} must be > 0 with a finite square")
@@ -781,20 +778,14 @@ def check_assumptions(model: ModelSpec, scan_radius: float, *,
     r_candidates = [scan_radius * 2.0 ** (-k) for k in range(8, 0, -1)]
     sig_lo, sig_hi = coeffs.diffusion.sigma_sq_bounds()
     notes: list[str] = []
-
-    from . import stability  # local import: stability builds on this module
-
-    rho = (stability.spectral_radius(stability.interaction_matrix(model))
-           if spectral_radius is None else spectral_radius)
-    stability_ok = bool(rho < 1.0)
     degenerate = model.kernel.is_degenerate
     if degenerate:
         notes.append("degenerate kernel: " + "; ".join(
             f"column {j} ({why})" for j, why in model.kernel.degenerate_columns()))
 
     def report(frame, d=None, gamma=None, r=None, m_interval=None, violating_point=None):
-        return AssumptionReport(frame, d, gamma, r, m_interval, (sig_lo, sig_hi), sig_lo > 0, rho,
-                                stability_ok, degenerate, violating_point, "; ".join(notes))
+        return AssumptionReport(frame, d, gamma, r, m_interval, (sig_lo, sig_hi), sig_lo > 0,
+                                degenerate, violating_point, "; ".join(notes))
 
     def jump_inward_ok(pts: np.ndarray) -> bool:
         a = jump(pts)

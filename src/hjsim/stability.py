@@ -377,6 +377,8 @@ def dynkin_quotient(model: ModelSpec, lyap: LyapunovSpec, stab: StabilityData,
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     cfg.validate_for(model.coefficients)
     rng = RandomStream(seed)
     rt = RateRuntime(model)
@@ -420,12 +422,12 @@ def stability_report(model: ModelSpec, scan_radius: float = 20.0,
     determinants at spacings t0 = 0.1 and 1.  A non-finite end of the
     exponent interval is written as null."""
     stab = stability_data(model)
-    assumptions = check_assumptions(model, scan_radius, spectral_radius=stab.spectral_radius)
+    assumptions = check_assumptions(model, scan_radius)
     report = {
         "interaction_matrix": stab.matrix.tolist(),
         "spectral_radius": stab.spectral_radius,
         "perron_left_vector": stab.left_eigenvector.tolist(),
-        "stability_ok": assumptions.stability_ok,
+        "stability_ok": stab.spectral_radius < 1.0,
         "frame": assumptions.frame,
         "frame_witnesses": {
             "d": assumptions.d, "gamma": assumptions.gamma, "r": assumptions.r,

@@ -2,8 +2,10 @@
 re-exports from it."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -34,7 +36,8 @@ REMOVED_OPTIONS = [("diagnostics", "time_average", "batches"),
                    ("model", "check_assumptions", "grid_points"),
                    ("stability", "vandermonde_check", "strict"),
                    ("cli", "_atomic_write", "text"),
-                   ("engine", "simulate_path_reference", "k2_bound")]
+                   ("engine", "simulate_path_reference", "k2_bound"),
+                   ("model", "check_assumptions", "spectral_radius")]
 
 
 def package_imports():
@@ -76,3 +79,23 @@ def test_removed_options_are_gone(module, function, option):
                                        (DrawBank, "unread"), (AutocorrelationFit, "to_dict")])
 def test_removed_draw_methods_are_gone(cls, name):
     assert not hasattr(cls, name)
+
+
+def test_assumption_report_leaves_subcriticality_to_stability_data():
+    names = {field.name for field in dataclasses.fields(hjsim.AssumptionReport)}
+    assert not names & {"spectral_radius", "stability_ok"}
+
+
+def test_no_function_imports_a_sibling_module():
+    """Each module imports its siblings at the top, so the module graph has
+    no cycle hidden in a function body."""
+    lazy = []
+    for file in sorted(pathlib.Path(hjsim.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(file.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy += [(file.name, func.name, node.lineno) for node in ast.walk(func)
+                         if isinstance(node, ast.ImportFrom)
+                         and (node.level > 0 or (node.module or "").split(".")[0] == "hjsim")
+                         or isinstance(node, ast.Import)
+                         and any(a.name.split(".")[0] == "hjsim" for a in node.names)]
+    assert lazy == []

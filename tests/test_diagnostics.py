@@ -92,6 +92,15 @@ class TestRegularSamples:
         assert t.tolist() == [k * 1e12 for k in range(11)]
         assert x.tolist() == path.skeleton_x.tolist()
 
+    def test_grid_too_fine_is_refused_as_the_engine_refuses_it(self):
+        model = pure_ou_model(rate_level=1e-300)
+        path = hjsim.simulate_path(model, 1000.0, ou_cfg(1.0), seed=1)
+        with pytest.raises(hjsim.SimulationLimitError) as engine_error:
+            hjsim.simulate_path(model, 1000.0, ou_cfg(1e-12), seed=1)
+        with pytest.raises(hjsim.SimulationLimitError) as error:
+            regular_samples(path, 1e-12)
+        assert str(error.value) == str(engine_error.value)
+
     def test_states_at_recorded_times(self):
         model = reference_model()
         path = hjsim.simulate_path(model, 10.0, ou_cfg(10.0), seed=7,

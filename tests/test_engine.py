@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import math
 import pickle
 import re
@@ -131,6 +132,19 @@ class TestPathInvariants:
             pre_rs = path.skeleton_row_sums[idx]  # first record at ev is pre-jump
             lam = model.rates[path.event_components[k] - 1](pre_rs.sum())
             assert lam > 0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_a_path_records_the_seed_its_stream_drew_from(self, seed):
+        masked = seed & (2 ** 64 - 1)
+        path = hjsim.simulate_path(reference_model(), 20.0, ou_cfg(0.5), seed=seed)
+        want = hjsim.simulate_path(reference_model(), 20.0, ou_cfg(0.5), seed=masked)
+        assert path.seed == masked
+        assert path.event_times.tobytes() == want.event_times.tobytes()
+        assert path.event_components.tobytes() == want.event_components.tobytes()
+        blob = pathio.dumps_binary(path)
+        assert pathio.dumps_binary(pathio.read_binary(io.BytesIO(blob))) == blob
+        text = pathio.dumps_jsonl(path)
+        assert pathio.dumps_jsonl(pathio.read_jsonl(io.BytesIO(text))) == text
 
     def test_tiny_horizon_empty(self):
         model = reference_model(x0=0.3)

@@ -11,6 +11,7 @@ from hjsim.model import (_DIFFUSION_KINDS, _DRIFT_KINDS, _MAX_COMPONENTS, Affine
                          KernelMatrix, LinearDampingJump, LinearDrift, ModelSpec,
                          PowerBoundedJump, SigmoidRate, SmoothBoundedDiffusion,
                          State, expit, model_digest, model_from_dict, model_to_dict)
+from hjsim.stability import stability_data, stability_report
 
 from helpers import constant_rate_config, make_model, polynomial_model, reference_model
 
@@ -243,8 +244,8 @@ class TestAssumptions:
         rep = hjsim.check_assumptions(model, 10.0)
         assert rep.frame == "exponential"
         assert rep.d is not None and rep.d > 0
-        assert rep.stability_ok
         assert rep.sigma_bounds_ok
+        assert stability_report(model, n_points=500)["stability_ok"] is True
 
     def test_constant_jump_exponential_via_power_envelope(self):
         model = make_model(
@@ -303,10 +304,11 @@ class TestAssumptions:
         assert not rep.sigma_bounds_ok
 
     def test_supercritical_flagged(self):
+        # subcriticality is read from the interaction matrix's Perron data
         from helpers import supercritical_model
-        rep = hjsim.check_assumptions(supercritical_model(), 5.0)
-        assert rep.spectral_radius == pytest.approx(2.0, abs=1e-9)
-        assert not rep.stability_ok
+        model = supercritical_model()
+        assert stability_data(model).spectral_radius == pytest.approx(2.0, abs=1e-9)
+        assert stability_report(model, 5.0, n_points=500)["stability_ok"] is False
 
     def test_rejects_bad_scan_parameters(self):
         model = reference_model()

@@ -221,6 +221,15 @@ class TestGenerator:
         assert np.isfinite(quotient) and np.isfinite(se)
 
 
+    @pytest.mark.parametrize("n_paths", [1, 0, -3])
+    def test_refuses_fewer_than_two_paths_before_any_draw(self, monkeypatch, n_paths):
+        model = reference_model()
+        monkeypatch.setattr(hjsim.stability, "RandomStream", lambda seed: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=r"^n_paths must be >= 2$"):
+            dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model),
+                            hjsim.State(0.5, np.array([[0.2]])), 1e-3, n_paths, seed=3,
+                            cfg=ou_cfg(0.01))
+
     @pytest.mark.parametrize("dt", [1e-9, 0.05])
     def test_quotient_does_not_depend_on_the_walk(self, monkeypatch, dt):
         # 400 paths hold about 23 candidate-bearing ones at dt = 0.05 and none
