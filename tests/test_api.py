@@ -86,6 +86,14 @@ def test_assumption_report_leaves_subcriticality_to_stability_data():
     assert not names & {"spectral_radius", "stability_ok"}
 
 
+def imports_hjsim(node) -> bool:
+    """Whether an AST node imports from the ``hjsim`` package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "hjsim"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "hjsim"
+                                                for a in node.names)
+
+
 def test_no_function_imports_a_sibling_module():
     """Each module imports its siblings at the top, so the module graph has
     no cycle hidden in a function body."""
@@ -94,8 +102,5 @@ def test_no_function_imports_a_sibling_module():
         for func in ast.walk(ast.parse(file.read_text())):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 lazy += [(file.name, func.name, node.lineno) for node in ast.walk(func)
-                         if isinstance(node, ast.ImportFrom)
-                         and (node.level > 0 or (node.module or "").split(".")[0] == "hjsim")
-                         or isinstance(node, ast.Import)
-                         and any(a.name.split(".")[0] == "hjsim" for a in node.names)]
+                         if imports_hjsim(node)]
     assert lazy == []
