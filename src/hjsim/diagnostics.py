@@ -127,9 +127,10 @@ def time_average(path: Path, observable, burn_in: float = 0.0,
 def regular_samples(path: Path, grid_dt: float, burn_in: float = 0.0):
     """(times, x, row_sums) at the regular grid multiples of grid_dt past
     burn_in, taking the post-jump record when a grid time coincides with an
-    event.  A grid the engine would refuse as too fine is refused the same way."""
-    k_lo = max(0, int(math.ceil((burn_in - _sample_eps(path.horizon)) / grid_dt)))
-    times = _grid_multiples(path.horizon, grid_dt)[k_lo:]
+    event.  A grid step the engine would refuse (not finite and positive, or
+    too fine) is refused the same way."""
+    times = _grid_multiples(path.horizon, grid_dt)
+    times = times[max(0, int(math.ceil((burn_in - _sample_eps(path.horizon)) / grid_dt))):]
     return (times, *states_at(path, times))
 
 

@@ -160,6 +160,8 @@ class Path:
             raise ValueError(f"event components must lie in 1..M = {rs.shape[1]}")
         if not (np.isfinite(st).all() and (st[1:] >= st[:-1]).all()):
             raise ValueError("skeleton times must be finite and nondecreasing")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in 0..2**64 - 1, got {self.seed!r}")
 
     @classmethod
     def _built(cls, *, event_times, event_components, skeleton_times, skeleton_x,
@@ -199,7 +201,10 @@ def _sample_eps(horizon: float) -> float:
 
 def _grid_multiples(horizon: float, grid_dt: float) -> np.ndarray:
     """``k * grid_dt`` for k = 0, 1, ... up to ``horizon + eps``; refuses a
-    grid of more than ``DEFAULT_MAX_EVENTS`` samples."""
+    step that is not finite and positive, and a grid of more than
+    ``DEFAULT_MAX_EVENTS`` samples."""
+    if not (grid_dt > 0 and math.isfinite(grid_dt)):
+        raise ValueError("grid_dt must be a finite positive number")
     eps = _sample_eps(horizon)
     n_grid = (horizon + eps) / grid_dt
     if n_grid > DEFAULT_MAX_EVENTS:

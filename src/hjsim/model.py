@@ -9,7 +9,10 @@ diffusion is displaced by a(x).
 Only closed-form parametric families are accepted for the rate functions
 and the coefficients.  Every family exposes its exact Lipschitz constant
 and exact confinement rates; the thinning bound and the drift
-verification both rely on those being exact rather than estimated.
+verification both rely on those being exact rather than estimated.  Each
+family's map is its ``formula``, one expression in x and its parameters,
+which a call compiles (the Euler-Maruyama kernel inlines the drift's and
+the noise's); a formula may use only the names :func:`_compiled` provides.
 
 JSON model schema (also used by the CLI)::
 
@@ -165,12 +168,49 @@ def _get_number(d: dict, key: str, field: str) -> float:
     return float(v)
 
 
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function ``f`` that a generated source defines, with numpy's
+    ``tanh`` and ``maximum``, :func:`expit` and ``tiny`` (the rates'
+    positivity floor) in scope: the only names a family's formula may use.
+    Only names and reprs of validated floats are ever put into one."""
+    namespace = {"tanh": np.tanh, "maximum": np.maximum, "expit": expit, "tiny": _TINY}
+    exec(source, namespace)
+    return namespace["f"]
+
+
+@lru_cache(maxsize=256)
+def _on_floats(expr: str) -> str:
+    """``expr`` with the value of each call read as a float: numpy's tanh of
+    a float is a numpy scalar, whose arithmetic is slower and rounds the same."""
+    tree = ast.parse(expr, mode="eval")
+    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+        call.func, call.args = ast.Name("float"), [ast.Call(call.func, call.args, [])]
+    return ast.unparse(tree)
+
+
 class _Family:
     """A closed-form family: its dataclass fields are its JSON parameters and
     its ``__post_init__`` checks them, naming a bad one as the error's field
-    (or no field, when the parameters fail together)."""
+    (or no field, when the parameters fail together).  Its ``formula`` is its
+    map, one expression in x, its fields and the names :func:`_compiled`
+    provides; ``__call__`` compiles its :meth:`expr`."""
 
     kind: ClassVar[str]
+    formula: ClassVar[str]
+
+    def expr(self) -> str:
+        """The formula with each field as the repr of its float value: the
+        fields are validated finite, and repr gives a float back exactly."""
+        return self.formula.format(**{f.name: f"({float(getattr(self, f.name))!r})"
+                                      for f in fields(self)})
+
+    @cached_property
+    def _source(self) -> str:   # kept instead of the function, which would not pickle
+        return f"def f(x): return {self.expr()}"
+
+    def __call__(self, x):
+        return _compiled(self._source)(x)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -200,14 +240,12 @@ class AffineClippedRate(_Family):
     slope: float
 
     kind: ClassVar[str] = "affine_clipped"
+    formula: ClassVar[str] = "maximum({floor}, {intercept} + {slope} * x)"
 
     def __post_init__(self):
         _require(self.floor > 0 and math.isfinite(self.floor), "floor", "must be finite and > 0")
         _require(math.isfinite(self.intercept), "intercept", "must be finite")
         _require(math.isfinite(self.slope), "slope", "must be finite")
-
-    def __call__(self, u):
-        return np.maximum(self.floor, self.intercept + self.slope * u)
 
     def at(self, u: float) -> float:
         """:meth:`__call__` at one float, to the bit (NaN stays NaN, as in
@@ -232,15 +270,13 @@ class SigmoidRate(_Family):
     center: float
 
     kind: ClassVar[str] = "sigmoid"
+    formula: ClassVar[str] = "maximum(tiny, {height} * expit({steepness} * (x - {center})))"
 
     def __post_init__(self):
         _require(self.height > 0 and math.isfinite(self.height), "height", "must be finite and > 0")
         _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
                  "must be finite and > 0")
         _require(math.isfinite(self.center), "center", "must be finite")
-
-    def __call__(self, u):
-        return np.maximum(_TINY, self.height * expit(self.steepness * (u - self.center)))
 
     def at(self, u: float) -> float:
         """:meth:`__call__` at one float, to the bit: ``expit`` is
@@ -265,14 +301,14 @@ class ConstantRate(_Family):
     level: float
 
     kind: ClassVar[str] = "constant"
+    formula: ClassVar[str] = "{level} + 0.0 * x"
 
     def __post_init__(self):
         _require(self.level > 0 and math.isfinite(self.level), "level", "must be finite and > 0")
 
-    def __call__(self, u):
+    def at(self, u: float) -> float:
+        """:meth:`__call__` at one float, to the bit."""
         return self.level + 0.0 * u
-
-    at = __call__   # a float in, a float out
 
     def lipschitz_constant(self) -> float:
         return 0.0
@@ -288,49 +324,8 @@ _RATE_KINDS = {c.kind: c for c in (AffineClippedRate, SigmoidRate, ConstantRate)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _compiled(source: str):
-    """The function ``f`` that a generated source defines, with numpy's
-    ``tanh`` in scope.  Only names and reprs of validated floats are ever
-    put into one."""
-    namespace = {"tanh": np.tanh}
-    exec(source, namespace)
-    return namespace["f"]
-
-
-@lru_cache(maxsize=256)
-def _on_floats(expr: str) -> str:
-    """``expr`` with the value of each call read as a float: numpy's tanh of
-    a float is a numpy scalar, whose arithmetic is slower and rounds the same."""
-    tree = ast.parse(expr, mode="eval")
-    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
-        call.func, call.args = ast.Name("float"), [ast.Call(call.func, call.args, [])]
-    return ast.unparse(tree)
-
-
-class _Coefficient(_Family):
-    """A drift or diffusion coefficient.  Its ``formula`` is its one
-    expression, in x, numpy's ``tanh`` and its fields; ``__call__`` compiles
-    its :meth:`expr`, which the Euler-Maruyama kernel inlines."""
-
-    formula: ClassVar[str]
-
-    def expr(self) -> str:
-        """The formula with each field as the repr of its float value: the
-        fields are validated finite, and repr gives a float back exactly."""
-        return self.formula.format(**{f.name: f"({float(getattr(self, f.name))!r})"
-                                      for f in fields(self)})
-
-    @cached_property
-    def _source(self) -> str:   # kept instead of the function, which would not pickle
-        return f"def f(x): return {self.expr()}"
-
-    def __call__(self, x):
-        return _compiled(self._source)(x)
-
-
 @dataclass(frozen=True)
-class LinearDrift(_Coefficient):
+class LinearDrift(_Family):
     """b(x) = intercept - rate*x.
 
     ``rate`` may be negative (a repelling drift); such a model simulates
@@ -368,7 +363,7 @@ class LinearDrift(_Coefficient):
 
 
 @dataclass(frozen=True)
-class BoundedSmoothDrift(_Coefficient):
+class BoundedSmoothDrift(_Family):
     """b(x) = -amplitude * tanh(steepness * x); bounded, smooth, inward."""
 
     amplitude: float
@@ -401,7 +396,7 @@ _DRIFT_KINDS = {c.kind: c for c in (LinearDrift, BoundedSmoothDrift)}
 
 
 @dataclass(frozen=True)
-class ConstantDiffusion(_Coefficient):
+class ConstantDiffusion(_Family):
     """sigma(x) = value.  value = 0 is allowed for deterministic test flows,
     but then the model fails the strict ellipticity check (see
     :func:`check_assumptions`)."""
@@ -419,7 +414,7 @@ class ConstantDiffusion(_Coefficient):
 
 
 @dataclass(frozen=True)
-class SmoothBoundedDiffusion(_Coefficient):
+class SmoothBoundedDiffusion(_Family):
     """sigma(x) = lo + (hi - lo)/(1 + x^2); smooth with lo <= sigma <= hi."""
 
     lo: float
@@ -452,12 +447,10 @@ class ConstantJump(_Family):
     size: float
 
     kind: ClassVar[str] = "constant"
+    formula: ClassVar[str] = "{size} + 0.0 * x"
 
     def __post_init__(self):
         _require(math.isfinite(self.size), "size", "must be finite")
-
-    def __call__(self, x):
-        return self.size + 0.0 * x
 
     def power_envelope(self):
         """(C, eta) with |a(x)| <= C*|x|**eta and eta < 1, when representable."""
@@ -471,12 +464,10 @@ class LinearDampingJump(_Family):
     eta: float
 
     kind: ClassVar[str] = "linear_damping"
+    formula: ClassVar[str] = "-{eta} * x"
 
     def __post_init__(self):
         _require(0 <= self.eta <= 2, "eta", "must lie in [0, 2]")
-
-    def __call__(self, x):
-        return -self.eta * x
 
     def power_envelope(self):
         return (0.0, 0.0) if self.eta == 0 else None
@@ -490,14 +481,12 @@ class PowerBoundedJump(_Family):
     exponent: float
 
     kind: ClassVar[str] = "power_bounded"
+    formula: ClassVar[str] = "{coeff} * x * (1.0 + x * x) ** (({exponent} - 1.0) / 2.0)"
 
     def __post_init__(self):
         _require(math.isfinite(self.coeff), "coeff", "must be finite")
         _require(self.exponent < 1 and math.isfinite(self.exponent), "exponent",
                  "must be finite and < 1")
-
-    def __call__(self, x):
-        return self.coeff * x * (1.0 + x * x) ** ((self.exponent - 1.0) / 2.0)
 
     def power_envelope(self):
         return (abs(self.coeff), self.exponent)

@@ -409,6 +409,16 @@ class TestOtherCommands:
         assert csv[0] == "t,tv,fit"
         assert len(csv) == 5
 
+    def test_mixing_test_refuses_times_that_are_not_numbers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["mixing-test", "--config", write_config(tmp_path), "--times=a,b",
+                      "--start-a", '{"x": 0, "y": [0.0]}', "--start-b", '{"x": 1, "y": [0.0]}',
+                      "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and err.startswith("usage: hjsim mixing-test")
+        assert err.rstrip().endswith("argument --times: bad times list 'a,b'")
+        assert not (tmp_path / "m.json").exists()
+
     def test_times_too_small_to_fit_give_one_error_line(self, tmp_path, capfd):
         # nothing from numpy or LAPACK reaches stdout or stderr: only the error
         config = write_config(tmp_path)

@@ -8,7 +8,7 @@ from scipy import stats
 
 import hjsim
 from hjsim import diagnostics
-from hjsim.diagnostics import (autocorr_decay, invariant_histogram,
+from hjsim.diagnostics import (autocorr_decay, invariant_histogram, make_observable,
                                mixing_curve, regular_samples, states_at,
                                time_average, tv_histogram)
 from hjsim.rng import derive_path_seed
@@ -100,6 +100,17 @@ class TestRegularSamples:
         with pytest.raises(hjsim.SimulationLimitError) as error:
             regular_samples(path, 1e-12)
         assert str(error.value) == str(engine_error.value)
+
+    @pytest.mark.parametrize("grid_dt", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_step_not_finite_and_positive_is_refused(self, grid_dt):
+        # the message IntegratorConfig gives, from each reader of the grid
+        path = hjsim.simulate_path(pure_ou_model(), 10.0, ou_cfg(0.5), seed=1)
+        for read in (lambda: regular_samples(path, grid_dt),
+                     lambda: invariant_histogram([path], 10, (-1.0, 1.0), grid_dt),
+                     lambda: autocorr_decay(path, "x", [1.0], grid_dt)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == "grid_dt must be a finite positive number"
 
     def test_states_at_recorded_times(self):
         model = reference_model()
@@ -309,3 +320,19 @@ class TestAutocorrelation:
                              grid_dt=1.0, burn_in=10.0)
         assert np.all(np.abs(fit.correlations) < 0.05)
         assert math.isnan(fit.rate)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: make_observable("bogus"), "unknown observable 'bogus'"),
+    # two samples, at 0 and at the horizon, fill one batch
+    (lambda path: time_average(path, "x"), "not enough batches for a standard error"),
+    (lambda path: invariant_histogram([path], 10, (100.0, 200.0), 1.0),
+     "no histogram bin intersects the compact"),
+    (lambda path: autocorr_decay(path, "x", [0.5, 1.0], 1.0),
+     "series too short for the requested lags"),
+])
+def test_refusals(call, message):
+    path = hjsim.simulate_path(pure_ou_model(rate_level=1e-300), 1.0, ou_cfg(1.0), seed=3)
+    with pytest.raises(ValueError) as info:
+        call(path)
+    assert type(info.value) is ValueError and str(info.value) == message

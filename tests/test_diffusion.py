@@ -77,6 +77,17 @@ class TestDeterministicLimits:
         assert rng.uniform() == RandomStream(77).uniform()
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build, message", [
+    (EulerMaruyama, "step must be a finite positive number"),
+    (lambda v: IntegratorConfig(ExactOU(), v), "grid_dt must be a finite positive number"),
+])
+def test_refusals(build, message, value):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestExactTransition:
     def test_chained_law_matches_single_step(self):
         cfg = IntegratorConfig(ExactOU(), 0.1)

@@ -1,12 +1,14 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from scipy import special
 
 import hjsim
-from hjsim.model import (_DIFFUSION_KINDS, _DRIFT_KINDS, _MAX_COMPONENTS, AffineClippedRate,
+from hjsim.model import (_DIFFUSION_KINDS, _DRIFT_KINDS, _JUMP_KINDS, _MAX_COMPONENTS,
+                         _RATE_KINDS, AffineClippedRate,
                          BoundedSmoothDrift, ConfigError, ConstantDiffusion, ConstantJump, ConstantRate,
                          KernelMatrix, LinearDampingJump, LinearDrift, ModelSpec,
                          PowerBoundedJump, SigmoidRate, SmoothBoundedDiffusion,
@@ -114,6 +116,14 @@ class TestExpit:
         assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+# one family of each kind
+FAMILIES = [AffineClippedRate(0.1, 1.0, 1.3), SigmoidRate(2.0, 1.3, 0.4), ConstantRate(0.7),
+            LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3), ConstantDiffusion(0.9),
+            SmoothBoundedDiffusion(0.5, 1.5), ConstantJump(-0.4), LinearDampingJump(0.5),
+            PowerBoundedJump(1.5, 0.5)]
+REGISTRIES = [_RATE_KINDS, _DRIFT_KINDS, _DIFFUSION_KINDS, _JUMP_KINDS]
+
+
 class TestCoefficients:
     @pytest.mark.parametrize("f, by_hand", [
         (LinearDrift(0.7, -0.3), lambda x: -0.3 - 0.7 * x),
@@ -121,10 +131,23 @@ class TestCoefficients:
         (BoundedSmoothDrift(2.0, 1.3), lambda x: -2.0 * np.tanh(1.3 * x)),
         (ConstantDiffusion(0.9), lambda x: 0.9 + 0.0 * x),
         (SmoothBoundedDiffusion(0.5, 1.5), lambda x: 0.5 + (1.5 - 0.5) / (1.0 + x * x)),
+        (AffineClippedRate(0.1, 1.0, 1.3), lambda u: np.maximum(0.1, 1.0 + 1.3 * u)),
+        (AffineClippedRate(0.1, -0.5, 0.0), lambda u: np.maximum(0.1, -0.5 + 0.0 * u)),
+        # the sigmoid underflows below u = -5.3 here, where the floor holds
+        (SigmoidRate(2.0, 130.0, 0.4),
+         lambda u: np.maximum(np.finfo(float).tiny, 2.0 * special.expit(130.0 * (u - 0.4)))),
+        (ConstantRate(0.7), lambda u: 0.7 + 0.0 * u),
+        (ConstantJump(-0.4), lambda x: -0.4 + 0.0 * x),
+        (ConstantJump(0.0), lambda x: 0.0 + 0.0 * x),
+        (LinearDampingJump(0.5), lambda x: -0.5 * x),
+        (LinearDampingJump(0.0), lambda x: -0.0 * x),
+        (PowerBoundedJump(1.5, 0.5), lambda x: 1.5 * x * (1.0 + x * x) ** ((0.5 - 1.0) / 2.0)),
+        (PowerBoundedJump(-0.8, -2.5),
+         lambda x: -0.8 * x * (1.0 + x * x) ** ((-2.5 - 1.0) / 2.0)),
     ])
     def test_formula_is_the_expression_by_hand(self, f, by_hand):
-        # each coefficient states its formula once, as text; it must round
-        # as the expression written out does, on arrays and on one float
+        # each family states its map once, as text; it must round as the
+        # expression written out does, on arrays and on one float
         xs = np.concatenate([np.random.default_rng(5).normal(0.0, 3.0, 10_000),
                              [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]])
         with np.errstate(invalid="ignore", over="ignore"):
@@ -134,16 +157,13 @@ class TestCoefficients:
 
     def test_coefficients_pickle_after_a_call(self):
         # the instance keeps the formula's source, not the compiled function,
-        # so a called coefficient still goes to worker processes
-        for f in (LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3),
-                  ConstantDiffusion(0.9), SmoothBoundedDiffusion(0.5, 1.5)):
+        # so a called family still goes to worker processes
+        for f in FAMILIES:
             f(0.25)
             again = pickle.loads(pickle.dumps(f))
             assert again == f and again(0.25) == f(0.25)
 
-    @pytest.mark.parametrize("f", [LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3),
-                                   ConstantDiffusion(0.9), SmoothBoundedDiffusion(0.5, 1.5)],
-                             ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: type(f).__name__)
     def test_a_called_coefficient_pickles_with_its_source(self, f):
         # one call caches the compiled source on the instance; the unpickled
         # copy evaluates as the original on a float and on an array
@@ -154,9 +174,14 @@ class TestCoefficients:
         assert again(0.25) == f(0.25)
         assert again(xs).tobytes() == f(xs).tobytes()
 
-    def test_every_drift_and_diffusion_family_is_pickled_above(self):
-        tested = {LinearDrift, BoundedSmoothDrift, ConstantDiffusion, SmoothBoundedDiffusion}
-        assert tested == {*_DRIFT_KINDS.values(), *_DIFFUSION_KINDS.values()}
+    def test_every_family_is_pickled_above(self):
+        assert {type(f) for f in FAMILIES} == {c for r in REGISTRIES for c in r.values()}
+
+    def test_every_family_is_a_formula(self):
+        # one mechanism evaluates every map: the compiled formula
+        for cls in (c for r in REGISTRIES for c in r.values()):
+            assert "__call__" not in vars(cls), cls.__name__
+            assert isinstance(vars(cls).get("formula"), str), cls.__name__
 
     def test_linear_drift(self):
         b = LinearDrift(rate=2.0, intercept=1.0)
@@ -198,6 +223,12 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             LinearDampingJump(2.5)
 
+    @pytest.mark.parametrize("intercept, want", [(0.0, 0.0), (-0.0, 0.0), (0.5, -math.inf),
+                                                 (-0.5, -math.inf)])
+    def test_linear_confinement_without_a_rate(self, intercept, want):
+        # -x*b(x) = intercept*x takes either sign beyond any radius unless it is 0
+        assert LinearDrift(0.0, intercept).min_linear_confinement(1.0) == want
+
 
 class TestKernelAndState:
     def test_degenerate_flags(self):
@@ -236,6 +267,28 @@ class TestKernelAndState:
                       KernelMatrix(np.zeros((m, m)), np.ones((m, m))), model.coefficients,
                       State(0.0, np.zeros((m, m))))
         assert info.value.field == "M"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda ref: KernelMatrix(np.zeros((2, 3)), np.ones((2, 3))), "c must be a square matrix"),
+        (lambda ref: KernelMatrix(np.zeros(4), np.ones(4)), "c must be a square matrix"),
+        (lambda ref: KernelMatrix(np.zeros((2, 2)), np.ones((1, 1))),
+         "alpha must have the same shape as c"),
+        (lambda ref: KernelMatrix([[np.nan]], [[1.0]]), "c entries must be finite"),
+        (lambda ref: KernelMatrix([[-np.inf]], [[1.0]]), "c entries must be finite"),
+        (lambda ref: State(0.0, np.zeros((2, 3))), "y must be a square matrix"),
+        (lambda ref: State(0.0, np.zeros(4)), "y must be a square matrix"),
+        (lambda ref: ModelSpec(ref.rates * 2, ref.kernel, ref.coefficients, ref.initial),
+         "expected 1 rate functions, got 2"),
+        (lambda ref: ModelSpec((), ref.kernel, ref.coefficients, ref.initial),
+         "expected 1 rate functions, got 0"),
+        (lambda ref: ModelSpec(ref.rates, ref.kernel, ref.coefficients,
+                               State(0.0, np.zeros((2, 2)))),
+         "initial y dimension does not match the kernel"),
+    ])
+    def test_direct_construction_refusals(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build(reference_model())
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestAssumptions:

@@ -94,6 +94,12 @@ class TestJsonl:
         assert_paths_equal(path, pathio.read_jsonl(io.StringIO(text)))
         assert path.n_events > 0 and len(path.skeleton_times) > 80
 
+    def test_blank_lines_are_skipped(self):
+        path = sample_path()
+        lines = pathio.dumps_jsonl(path).splitlines(keepends=True)
+        padded = b"".join([lines[0], b"\n", *lines[1:3], b"  \n", b"\n", *lines[3:], b"\n"])
+        assert_paths_equal(path, pathio.read_jsonl(io.BytesIO(padded)))
+
     def test_rejects_other_streams(self):
         with pytest.raises(ValueError):
             pathio.read_jsonl(io.StringIO('{"kind":"other"}\n'))
@@ -374,10 +380,20 @@ class TestPathChecks:
         (dict(skeleton_x=np.zeros(5)), "as many skeleton x"),
         (dict(skeleton_row_sums=np.zeros((5, 2))), "as many skeleton x"),
         (dict(skeleton_row_sums=np.zeros(6)), "row-sum rows"),
+        (dict(seed=-1), r"0\.\.2\*\*64 - 1, got -1"),
+        (dict(seed=2 ** 64), r"0\.\.2\*\*64 - 1, got 18446744073709551616"),
     ])
     def test_invalid_fields_are_refused(self, changes, message):
         with pytest.raises(ValueError, match=message):
             hjsim.Path(**self.fields(**changes))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seeds_at_the_64_bit_ends_round_trip_byte_exact(self, seed):
+        path = hjsim.Path(**self.fields(seed=seed, model_hash="ab" * 32))
+        blob, text = pathio.dumps_binary(path), pathio.dumps_jsonl(path)
+        for back in (pathio.read_binary(io.BytesIO(blob)), pathio.read_jsonl(io.BytesIO(text))):
+            assert_paths_equal(path, back)
+            assert pathio.dumps_binary(back) == blob and pathio.dumps_jsonl(back) == text
 
 
 class TestRoundTripProperty:

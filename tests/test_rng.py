@@ -172,6 +172,13 @@ def test_path_seeds_equal_scalar_form(master, n):
                                                       for i in range(n)]
 
 
+@pytest.mark.parametrize("index", [-1, -2 ** 64])
+def test_a_negative_path_index_is_refused(index):
+    with pytest.raises(ValueError) as info:
+        derive_path_seed(7, index)
+    assert type(info.value) is ValueError and str(info.value) == "path_index must be >= 0"
+
+
 # Draw offsets around the 4-word blocks, and far beyond 2**34 draws.
 _OFFSETS = st.integers(0, 3000) | st.integers(2**34, 2**62)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -372,3 +373,27 @@ class TestReport:
         for model in (reference_model(), polynomial_model()):
             stability_report(model, n_points=500)
             assert specs.pop() == _spec_from_report(hjsim.check_assumptions(model, 20.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda model: spectral_radius(np.ones((2, 3))), ValueError, "matrix must be square"),
+    (lambda model: LyapunovSpec("bogus"), ValueError,
+     "frame must be 'exponential' or 'polynomial'"),
+    (lambda model: _spec_from_report(dataclasses.replace(
+        hjsim.check_assumptions(model, 20.0), frame="neither")), ValueError,
+     "model is outside both confinement frames"),
+    # V's memory exponent is 2000 here: exp of it overflows
+    (lambda model: generator_apply(model, LyapunovSpec("exponential"), stability_data(model),
+                                   hjsim.State(0.5, [[2000.0]])), OverflowError,
+     "memory exponent exceeds the floating range; use drift_scan, which works with A V / V"),
+    (lambda model: dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model),
+                                   model.initial, 0.0, 100, 1, ou_cfg()), ValueError,
+     "dt must be > 0"),
+    (lambda model: dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model),
+                                   model.initial, -1.0, 100, 1, ou_cfg()), ValueError,
+     "dt must be > 0"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call(reference_model())
+    assert type(info.value) is error and str(info.value) == message
