@@ -1,6 +1,5 @@
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest

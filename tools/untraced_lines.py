@@ -10,7 +10,7 @@ modules (the lines of their code objects' ``co_lines``) that the run never
 executed, as ``file:line: source``, in file and line order, and exits with
 pytest's exit code.  Code that runs only in worker processes counts as never
 executed.  Tracing makes the run about 2.5 times slower: the tier-1 suite
-took 235 s traced against 87-98 s untraced on a 2-core Xeon (Python 3.11).
+took 235 s traced against 78-98 s untraced on a 2-core Xeon (Python 3.11).
 """
 
 from __future__ import annotations
