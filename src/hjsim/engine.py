@@ -456,8 +456,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     z, log.z = np.frombuffer(log.z), None   # the normals' uniforms, made normals in place
     ndtri(z, out=z)
     n_int = (end - seg0) * (kind[end] < 2)   # each segment's intervals
-    # the bound method calls faster than the jump map object itself
-    jump = coeffs.jump.__call__
+    jump = coeffs.jump.on_floats()
     if not log.ou:
         # the records reached over an interval, segment by segment
         steps = np.flatnonzero(kind < 2)
@@ -467,7 +466,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
         del steps, full, rem
         em, normals, out = _em_kernel(coeffs), memoryview(z), []
         for s, k, o in zip(start.tolist(), n_int.tolist(), z0.tolist()):
-            x = x0 if s else x + float(jump(x))   # the event's jump
+            x = x0 if s else x + jump(x)   # the event's jump
             out.append(x)
             if k:
                 x = em(x, islice(plan, k), h, iter(normals[o:]), out)
@@ -515,9 +514,9 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                 if len(hit):
                     xj = x[hit]
                     if per_row:   # numpy's array power does not round as libm's pow
-                        xj = np.array([v + float(jump(v)) for v in xj.tolist()])
+                        xj = np.array([v + jump(v) for v in xj.tolist()])
                     else:
-                        xj = xj + jump(xj)
+                        xj = xj + coeffs.jump(xj)
                     x[hit] = xj
                     out[at[hit] + 1] = xj
                 xs[:live] = x
@@ -538,7 +537,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                 x = q + (x - p) * d + e
                 append(x)
                 if kr:
-                    x = x + float(jump(x))   # the event's jump
+                    x = x + jump(x)   # the event's jump
                     append(x)
                 continue
             if kr == 2:

@@ -85,7 +85,8 @@ class RateRuntime:
     ``bound(y)`` and ``flow(y, dt)`` take one memory state as a row-major
     list and round as the array methods do.  They are straight-line code
     unrolled over the M x M memory (:func:`_evaluators`), closures over this
-    model's decay rates, Lipschitz constants and scalar rates ``at``:
+    model's decay rates, Lipschitz constants and the rates' float forms
+    (:meth:`~hjsim.model._Family.on_floats`):
 
     - ``bound(y)`` is the Lipschitz envelope sum_i [f_i(0) + gamma_i *
       sum_j |y[i, j]|] at y.  It dominates the total rate along the whole
@@ -103,9 +104,8 @@ class RateRuntime:
         self.fs = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())
-        # ``at`` is a rate at one float, equal to ``__call__`` to the bit
         self.bound, self.flow = _evaluators(model.n_components)(
-            self.decay, self.gammas, self.f_zero_sum, *(f.at for f in self.fs))
+            self.decay, self.gammas, self.f_zero_sum, *(f.on_floats() for f in self.fs))
 
     def rates_at(self, row_sums: np.ndarray) -> np.ndarray:
         """f_i(row_sums[..., i]) for every component i, over the last axis:

@@ -7,12 +7,14 @@ alpha[i, j], and when component j fires, column j gains c[:, j] while the
 diffusion is displaced by a(x).
 
 Only closed-form parametric families are accepted for the rate functions
-and the coefficients.  Every family exposes its exact Lipschitz constant
-and exact confinement rates; the thinning bound and the drift
-verification both rely on those being exact rather than estimated.  Each
-family's map is its ``formula``, one expression in x and its parameters,
-which a call compiles (the Euler-Maruyama kernel inlines the drift's and
-the noise's); a formula may use only the names :func:`_compiled` provides.
+and the coefficients.  The rates expose their exact Lipschitz constants
+and the drifts their exact confinement rates; the thinning bound and the
+drift verification both rely on those being exact rather than estimated.
+Each family's map is one ``formula``, an expression in x and its
+parameters, which compiles to a function of arrays and floats alike and,
+by :meth:`_Family.on_floats`, to a faster one of one float (the
+Euler-Maruyama kernel inlines the drift's and the noise's); a formula may
+use only the names :func:`_compiled` provides.
 
 JSON model schema (also used by the CLI)::
 
@@ -168,13 +170,26 @@ def _get_number(d: dict, key: str, field: str) -> float:
     return float(v)
 
 
+def _expit_float(v: float) -> float:
+    """:func:`expit` of one float, as a float with the same bits."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
 @lru_cache(maxsize=256)
-def _compiled(source: str):
-    """The function ``f`` that a generated source defines, with numpy's
-    ``tanh`` and ``maximum``, :func:`expit` and ``tiny`` (the rates'
-    positivity floor) in scope: the only names a family's formula may use.
-    Only names and reprs of validated floats are ever put into one."""
-    namespace = {"tanh": np.tanh, "maximum": np.maximum, "expit": expit, "tiny": _TINY}
+def _compiled(source: str, floats: bool = False):
+    """The function ``f`` that a generated source defines, with ``tanh``,
+    ``maximum``, ``expit`` and ``tiny`` (the rates' positivity floor) in
+    scope: the only names a family's formula may use.  They are numpy's
+    ``tanh`` and ``maximum`` and :func:`expit`, or with ``floats`` the same
+    maps of one float: builtin ``max``, which keeps a NaN first argument as
+    ``np.maximum`` keeps a NaN (so a rate's floor comes second), and
+    :func:`_expit_float`.  Only names and reprs of validated floats are
+    ever put into a source."""
+    namespace = {"tanh": np.tanh, "maximum": max if floats else np.maximum,
+                 "expit": _expit_float if floats else expit, "tiny": _TINY}
     exec(source, namespace)
     return namespace["f"]
 
@@ -194,7 +209,7 @@ class _Family:
     its ``__post_init__`` checks them, naming a bad one as the error's field
     (or no field, when the parameters fail together).  Its ``formula`` is its
     map, one expression in x, its fields and the names :func:`_compiled`
-    provides; ``__call__`` compiles its :meth:`expr`."""
+    provides; ``__call__`` and :meth:`on_floats` compile its :meth:`expr`."""
 
     kind: ClassVar[str]
     formula: ClassVar[str]
@@ -211,6 +226,11 @@ class _Family:
 
     def __call__(self, x):
         return _compiled(self._source)(x)
+
+    def on_floats(self):
+        """The map as a function of one float that returns a float with the
+        bits of :meth:`__call__`; callers bind it once."""
+        return _compiled(f"def f(x): return {_on_floats(self.expr())}", True)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -240,18 +260,12 @@ class AffineClippedRate(_Family):
     slope: float
 
     kind: ClassVar[str] = "affine_clipped"
-    formula: ClassVar[str] = "maximum({floor}, {intercept} + {slope} * x)"
+    formula: ClassVar[str] = "maximum({intercept} + {slope} * x, {floor})"
 
     def __post_init__(self):
         _require(self.floor > 0 and math.isfinite(self.floor), "floor", "must be finite and > 0")
         _require(math.isfinite(self.intercept), "intercept", "must be finite")
         _require(math.isfinite(self.slope), "slope", "must be finite")
-
-    def at(self, u: float) -> float:
-        """:meth:`__call__` at one float, to the bit (NaN stays NaN, as in
-        ``np.maximum``)."""
-        v = self.intercept + self.slope * u
-        return self.floor if v < self.floor else v
 
     def lipschitz_constant(self) -> float:
         return abs(self.slope)
@@ -270,24 +284,13 @@ class SigmoidRate(_Family):
     center: float
 
     kind: ClassVar[str] = "sigmoid"
-    formula: ClassVar[str] = "maximum(tiny, {height} * expit({steepness} * (x - {center})))"
+    formula: ClassVar[str] = "maximum({height} * expit({steepness} * (x - {center})), tiny)"
 
     def __post_init__(self):
         _require(self.height > 0 and math.isfinite(self.height), "height", "must be finite and > 0")
         _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
                  "must be finite and > 0")
         _require(math.isfinite(self.center), "center", "must be finite")
-
-    def at(self, u: float) -> float:
-        """:meth:`__call__` at one float, to the bit: ``expit`` is
-        1 / (1 + exp(-v)) with libm's exp, which is 0 where exp overflows;
-        NaN stays NaN, as in ``np.maximum``."""
-        v = self.steepness * (u - self.center)
-        try:
-            r = self.height * (1.0 / (1.0 + math.exp(-v)))
-        except OverflowError:
-            r = self.height * 0.0
-        return _TINY if r < _TINY else r
 
     def lipschitz_constant(self) -> float:
         # max of height*steepness*s*(1-s) over s in (0,1), attained at s = 1/2
@@ -305,10 +308,6 @@ class ConstantRate(_Family):
 
     def __post_init__(self):
         _require(self.level > 0 and math.isfinite(self.level), "level", "must be finite and > 0")
-
-    def at(self, u: float) -> float:
-        """:meth:`__call__` at one float, to the bit."""
-        return self.level + 0.0 * u
 
     def lipschitz_constant(self) -> float:
         return 0.0
@@ -342,9 +341,6 @@ class LinearDrift(_Family):
         _require(math.isfinite(self.rate), "rate", "must be finite")
         _require(math.isfinite(self.intercept), "intercept", "must be finite")
 
-    def lipschitz_constant(self) -> float:
-        return abs(self.rate)
-
     def min_quadratic_confinement(self, r: float) -> float:
         """Exact inf over |x| > r of -x*b(x)/x^2 (the quadratic pull-back rate)."""
         return self.rate - abs(self.intercept) / r
@@ -377,9 +373,6 @@ class BoundedSmoothDrift(_Family):
                  "must be finite and > 0")
         _require(self.steepness > 0 and math.isfinite(self.steepness), "steepness",
                  "must be finite and > 0")
-
-    def lipschitz_constant(self) -> float:
-        return self.amplitude * self.steepness
 
     def min_quadratic_confinement(self, r: float) -> float:
         # -x*b(x)/x^2 = amplitude*tanh(steepness*|x|)/|x| -> 0 at infinity:
@@ -812,11 +805,13 @@ def check_assumptions(model: ModelSpec, scan_radius: float) -> AssumptionReport:
     pts = xs[np.abs(xs) > r_candidates[-1]]
     pts = pts[np.argsort(np.abs(pts))].tolist()
 
+    drift_at, jump_at = drift.on_floats(), jump.on_floats()
+
     def jump_fails(x: float) -> bool:
-        a = float(jump(x))
+        a = jump_at(x)
         return 2 * x * a + a * a > 0 and abs(x + a) - abs(x) > 0
 
-    viol = next((x for x in pts if x * float(drift(x)) >= 0.0), None)
+    viol = next((x for x in pts if x * drift_at(x) >= 0.0), None)
     if viol is not None:
         notes.append(f"x*b(x) >= 0 at x = {viol:.6g}")
     else:

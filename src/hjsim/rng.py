@@ -236,12 +236,13 @@ class DrawBank:
         return self.buf[rows, pos]
 
     def take(self, k: int, n: int) -> np.ndarray:
-        """The next n uniforms of row k."""
+        """The next n uniforms of row k, as a view of the row when they fit in
+        it: valid until the row's next draw."""
         start = int(self.pos[k])
         have = self.buf.shape[1] - start
         if n <= have:
             self.pos[k] = start + n
-            return self.buf[k, start:start + n].copy()
+            return self.buf[k, start:start + n]
         # one read for the shortfall and a full row after it
         more = _uniforms(_words_at(self.keys[k], int(self.ends[k]), start + n))
         out = np.concatenate((self.buf[k, start:], more[:n - have]))

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -285,6 +286,15 @@ def test_cli_imports_neither_scipy_nor_a_process_pool(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.split() == ["[]", "0", "[]"]
     assert (tmp_path / "runs" / "path_00000.jsonl").exists()
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m hjsim.cli exits with the code of main, here argparse's help
+    monkeypatch.setattr(sys, "argv", ["hjsim", "--help"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+        warnings.simplefilter("ignore", RuntimeWarning)   # hjsim.cli is imported already
+        runpy.run_module("hjsim.cli", run_name="__main__")
+    assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: hjsim")
 
 
 class TestOtherCommands:

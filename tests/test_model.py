@@ -17,6 +17,14 @@ from hjsim.stability import stability_data, stability_report
 from helpers import constant_rate_config, make_model, polynomial_model, reference_model
 
 
+# one family of each kind
+FAMILIES = [AffineClippedRate(0.1, 1.0, 1.3), SigmoidRate(2.0, 1.3, 0.4), ConstantRate(0.7),
+            LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3), ConstantDiffusion(0.9),
+            SmoothBoundedDiffusion(0.5, 1.5), ConstantJump(-0.4), LinearDampingJump(0.5),
+            PowerBoundedJump(1.5, 0.5)]
+REGISTRIES = [_RATE_KINDS, _DRIFT_KINDS, _DIFFUSION_KINDS, _JUMP_KINDS]
+
+
 class TestRateFunctions:
     def test_affine_clipped_values(self):
         f = AffineClippedRate(floor=0.1, intercept=1.0, slope=1.0)
@@ -73,17 +81,24 @@ class TestRateFunctions:
         AffineClippedRate(0.1, 1.0, 1.0),
         AffineClippedRate(0.5, -1.0, -2.5),
         ConstantRate(0.7),
+        *FAMILIES,
     ])
     def test_scalar_form_equals_the_array_form(self, f):
-        # the thinning loop's one-float rates give the bits of __call__ on
-        # arrays, through exp's overflow region and on NaN and infinities
+        # the scalar loops' float forms give floats with the bits of
+        # __call__ on arrays, through exp's overflow region and on NaN and
+        # infinities; numpy's array power does not round as libm's pow, so
+        # the power-bounded jump's oracle is __call__ at each float
         us = np.concatenate([np.linspace(-1e3, 1e3, 200_001),
                              np.random.default_rng(4).uniform(-1e3, 1e3, 100_000),
-                             [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -745.2, -709.8]])
-        with np.errstate(invalid="ignore"):
-            want = f(us)
-        got = np.array([f.at(u) for u in us.tolist()])
-        assert got.tobytes() == want.tobytes()
+                             [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -745.2, -709.8,
+                              1e300, -1e300]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = (np.array([f(u) for u in us.tolist()]) if isinstance(f, PowerBoundedJump)
+                    else f(us))
+        at = f.on_floats()
+        got = [at(u) for u in us.tolist()]
+        assert {type(v) for v in got} == {float}
+        assert np.array(got).tobytes() == want.tobytes()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -113,14 +128,6 @@ class TestExpit:
         # a float, a numpy scalar or a 0-d array in, a numpy float out
         got, want = expit(v), special.expit(v)
         assert type(got) is type(want) and np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
-# one family of each kind
-FAMILIES = [AffineClippedRate(0.1, 1.0, 1.3), SigmoidRate(2.0, 1.3, 0.4), ConstantRate(0.7),
-            LinearDrift(0.7, -0.3), BoundedSmoothDrift(2.0, 1.3), ConstantDiffusion(0.9),
-            SmoothBoundedDiffusion(0.5, 1.5), ConstantJump(-0.4), LinearDampingJump(0.5),
-            PowerBoundedJump(1.5, 0.5)]
-REGISTRIES = [_RATE_KINDS, _DRIFT_KINDS, _DIFFUSION_KINDS, _JUMP_KINDS]
 
 
 class TestCoefficients:
@@ -177,15 +184,15 @@ class TestCoefficients:
         assert {type(f) for f in FAMILIES} == {c for r in REGISTRIES for c in r.values()}
 
     def test_every_family_is_a_formula(self):
-        # one mechanism evaluates every map: the compiled formula
+        # one mechanism evaluates every map, on arrays and on one float:
+        # the compiled formula
         for cls in (c for r in REGISTRIES for c in r.values()):
-            assert "__call__" not in vars(cls), cls.__name__
+            assert not {"at", "__call__"} & set(vars(cls)), cls.__name__
             assert isinstance(vars(cls).get("formula"), str), cls.__name__
 
     def test_linear_drift(self):
         b = LinearDrift(rate=2.0, intercept=1.0)
         assert b(3.0) == 1.0 - 6.0
-        assert b.lipschitz_constant() == 2.0
 
     def test_bounded_smooth_drift_confinement(self):
         b = BoundedSmoothDrift(amplitude=2.0, steepness=1.0)
@@ -374,6 +381,9 @@ class TestSerialization:
         again = model_from_dict(model_to_dict(model))
         assert again == model
         assert model_digest(again) == model_digest(model)
+
+    def test_a_model_is_not_compared_with_another_type(self):
+        assert ModelSpec.__eq__(reference_model(), 3) is NotImplemented
 
     def test_zero_alpha_names_entry(self):
         with pytest.raises(ConfigError) as err:

@@ -234,6 +234,19 @@ def test_bank_stream_continues_at_its_draw(seed, steps, n_rows, n):
         assert bank.stream(k).uniforms(n).tolist() == skipped.uniforms(n).tolist()
 
 
+def test_a_take_to_the_end_of_a_row_is_a_view_until_the_refill():
+    # a take that fits the row's buffer is a view of it, which holds the
+    # stream's draws until the row's next draw refills the row
+    bank = DrawBank([5, 6])
+    width = bank.buf.shape[1]
+    want = RandomStream(5).uniforms(width + 2).tolist()
+    assert bank.uniforms(np.array([0])).tolist() == want[:1]
+    view = bank.take(0, width - 1)
+    assert np.shares_memory(view, bank.buf) and view.tolist() == want[1:width]
+    assert bank.uniforms(np.array([0])).tolist() == [want[width]]
+    assert bank.take(0, 1).tolist() == [want[width + 1]]
+
+
 def test_wide_bank_refills_every_row_from_its_own_draw():
     # more rows than one refill batch, which refill at different draws: a
     # third of the rows draws twice in each round
