@@ -85,8 +85,9 @@ def _noiseless(coeffs: CoefficientSpec) -> bool:
 def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
     """The exact transition over each interval of ``dts`` as the map
     x -> q + (x - p) * d plus sd times a normal: returns (p, q, d, sd), with
-    q, d and sd per interval.  numpy rounds these operations as the scalar
-    ones do, and ``_exp_each`` gives libm's exp."""
+    d and sd per interval, and q per interval, or p itself where the drift's
+    level is finite.  numpy rounds these operations as the scalar ones do,
+    and ``_exp_each`` gives libm's exp."""
     beta, b0 = drift.rate, drift.intercept
     # A rate so small that b0 / beta overflows acts as a zero rate: its decay
     # rounds to 1, and the mean-reverting form would take inf - inf.
@@ -97,8 +98,8 @@ def _ou_terms(dts: np.ndarray, drift: LinearDrift, sigma: float):
     sd = np.sqrt(sigma * sigma * (1.0 - decay * decay) / (2.0 * beta))
     # where the decay rounds to 1, 1 - decay^2 is 0: the noise is the
     # zero-rate one to first order in beta * dt
-    sd = np.where(decay == 1.0, np.sqrt(sigma * sigma * dts), sd)
-    return level, np.full(len(dts), level), decay, sd
+    sd[decay == 1.0] = np.sqrt(sigma * sigma * dts[decay == 1.0])
+    return level, level, decay, sd
 
 
 def _check_substeps(span: float, scheme: Scheme) -> None:
@@ -179,10 +180,10 @@ def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,
     if isinstance(scheme, ExactOU):
         cfg.validate_for(coeffs)
         p, q, d, sd = _ou_terms(np.array([dt]), coeffs.drift, coeffs.diffusion.value)
-        mean = q[0] + (xs - p) * d[0]
+        mean = q + (xs - p) * d
         if _noiseless(coeffs):
             return mean
-        return mean + sd[0] * rng.normals(n)
+        return mean + sd * rng.normals(n)
     full, rem = _em_plan(np.array([dt]), scheme.step)
     return _em_kernel(coeffs, arrays=True)(xs, zip(memoryview(full), memoryview(rem)),
                                            scheme.step, map(rng.normals, repeat(n)), [])

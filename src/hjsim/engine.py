@@ -16,7 +16,8 @@ on its diffusion.  Every simulation therefore runs in two phases:
    flows each segment's anchor memory to the sample times in closed form,
    steps x over the intervals between samples and events, and applies the
    jump map at each event.  Exact-OU x steps record k of every path at once
-   while ``_LOCKSTEP_MIN`` paths are live, then path by path (``_walk``).
+   while ``_LOCKSTEP_MIN`` paths are live, then path by path (``_walk``), a
+   run of plain intervals at a time, each run one list comprehension.
    Each :class:`Path` is a slotted object whose arrays are views into the
    group's columns.
 
@@ -27,11 +28,12 @@ Phase 1 takes each block when the segment closes, at an acceptance or at the
 horizon, into one buffer, and the record that closes the segment keeps the
 block's offset there; phase 2 reads each segment's normals from its offset.
 
-A path thinned on its own runs ``_run_events``: one candidate loop of scalar
-code on a row-major list of floats, with the path's place in locals.  Its
-envelope and memory flow are ``RateRuntime``'s ``bound`` and ``flow``,
-straight-line code compiled once per M that rounds every sum, exp and dot
-product as numpy does, so they give the bytes of the array code on one row.
+A path thinned on its own runs ``_run_events``: a candidate loop of scalar
+code compiled once per M and noise kind (``_one_path``), bound once per
+group, with the path's place and memory in locals.  Its envelope and memory
+flow are the source of ``RateRuntime``'s ``bound`` and ``flow``
+(:func:`hjsim.intensity._fragments`), which rounds every sum, exp and dot
+product as numpy does, so it gives the bytes of the array code on one row.
 Its records and the uniforms of its normals go to float buffers; the skeleton
 pass makes normals of a group's uniforms with one :func:`hjsim.rng.ndtri` call.
 
@@ -64,17 +66,17 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
 
 from .diffusion import (ExactOU, IntegratorConfig, SimulationLimitError, _check_substeps,
                         _em_kernel, _em_plan, _em_split, _noiseless, _ou_terms)
-from .intensity import RateRuntime
-from .model import ModelSpec, PowerBoundedJump, model_digest
+from .intensity import RateRuntime, _fragments
+from .model import ModelSpec, PowerBoundedJump, _compiled, model_digest
 from .rng import DrawBank, RandomStream, derive_path_seeds, ndtri
 
 __all__ = [
@@ -270,6 +272,7 @@ class _GroupLog:
         start[:, 0] = np.arange(n)
         start[:, 5 + m:] = model.initial.y.ravel()
         self.rec, self.z = array("d", start.tobytes()), array("d")
+        self.thin = None   # the bound one-path loop, made by the first _run_events
         if self.noisy and not self.ou:
             # em_cum[j]: the Euler-Maruyama substeps from the first sample
             # time to sample time j
@@ -299,22 +302,9 @@ class _GroupLog:
                 + (_em_split(first, h)[0] if first > 0 else 0)
                 + (_em_split(last, h)[0] if last > 0 else 0))
 
-    def take(self, t0: float, lo: int, t_stop: float, rng: RandomStream) -> tuple[int, int]:
-        """Take the normals of a path's segment from its anchor time t0 and
-        next sample index lo up to ``t_stop`` from rng, after the segment's
-        last thinning draw; returns the end of the segment's sample times and
-        the offset of the block taken."""
-        hi = bisect_left(self.sample_floats, t_stop - self.eps, lo)   # as _hi
-        n, z0 = self._count(t0, lo, hi, t_stop), len(self.z)
-        if n == 1:   # a normal's uniform: _walk converts those of all at once
-            self.z.append(rng.uniform())
-        elif n:
-            self.z.frombytes(rng.uniforms(n).tobytes())
-        return hi, z0
-
     def take_rows(self, rows: np.ndarray, t_stop: np.ndarray, bank: DrawBank) -> tuple:
-        """:meth:`take` for paths ``rows`` from their rows of ``bank``, the
-        paths with one normal as one block, then each other path's block."""
+        """Take paths ``rows``' normals up to ``t_stop`` from ``bank``, those with
+        one normal as one block, then each other block; returns (hi, offsets)."""
         t0, lo = self.t_anchor[rows], self.lo[rows]
         hi = self._hi(lo, t_stop)
         if not self.noisy:
@@ -336,23 +326,10 @@ class _GroupLog:
             self.z.frombytes(bank.take(rows[r], n[r]).tobytes())
         return hi, z0
 
-    def record(self, k: int, tau: float, comp: int, hi: int, z0: int, rs: list, y: list) -> int:
-        """Record path k's event of 1-based component ``comp`` at ``tau``,
-        whose segment's normals are taken at offset ``z0`` and whose sample
-        times end at ``hi``; ``rs`` are the pre-jump row sums, and the
-        pre-jump memory ``y``, a row-major list, gains the event's column of
-        c in place.  Returns the path's next sample index."""
-        lo, at = hi, self.sample_floats
-        while abs(at[lo] - tau) <= self.eps:   # step past the sample times on tau
-            lo += 1
-        for i in range(comp - 1, len(y), self.m):
-            y[i] += self.c[i]
-        self.rec.extend((k, tau, comp, lo, z0, *rs, *y))
-        return lo
-
     def record_rows(self, k: np.ndarray, tau: np.ndarray, comp: np.ndarray, hi: np.ndarray,
                     z0: np.ndarray | int, y_pre: np.ndarray) -> None:
-        """:meth:`record` for paths ``k``, with pre-jump memory ``y_pre`` (n, M, M)."""
+        """Record paths ``k``'s events of 1-based component ``comp`` at ``tau``, after
+        ``take_rows``; the pre-jump memory ``y_pre`` (n, M, M) gains c's column."""
         lo = hi
         near = np.abs(self.samples[lo] - tau) <= self.eps
         while near.any():   # step past the sample times on tau
@@ -382,7 +359,8 @@ def _skeleton(log: _GroupLog, seeds: list[int], digest: str) -> tuple[list[Path]
     """
     m, horizon, samples = log.m, log.horizon, log.samples
     rows = np.frombuffer(log.rec).reshape(-1, 5 + m + m * m)
-    rows, log.rec = rows[np.argsort(rows[:, 0], kind="stable")], None
+    # the buffers go with the one-path loop that appends to them
+    rows, log.rec, log.thin = rows[np.argsort(rows[:, 0], kind="stable")], None, None
     start = rows[:, 2] == 0
     t0, lo, anchors = rows[:, 1], rows[:, 3].astype(np.intp), rows[:, 5 + m:].reshape(-1, m, m)
     # a segment ends, and its normals' offset is kept, at the next row of
@@ -486,7 +464,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     if log.noisy:
         es[ends] = sd * z
     # a noiseless step adds -0.0, which leaves every float as it is
-    del ends, q, d, sd, z
+    del ends, d, sd, z   # q is p if the drift's level is finite, else per interval
     # each path's records from its start on; in lockstep the paths with the
     # most records come first, so that the live paths are a prefix
     first = np.flatnonzero(kind == 2)
@@ -521,32 +499,51 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                     out[at[hit] + 1] = xj
                 xs[:live] = x
                 k += 1
-    # each remaining path resumes from record k in one scalar loop, intervals first
-    tail = array("d")
-    append = tail.append
-    kinds, qs, ds, es = memoryview(kind), memoryview(qs), memoryview(ds), memoryview(es)
+    # each remaining path resumes from record k, a run of plain intervals at
+    # a time: the runs end at its other records, and at its end
     starts, stops = first[:live] + k, first[:live] + n_rec[:live]
     if out is not None:   # a path's records run on to its last, which has no jump
         at = steps[starts]
         n = steps[stops - 1] + 1 - at
     del steps
-    for x, a, b in zip([x0] * live if out is None else xs[:live].tolist(), starts.tolist(),
-                       stops.tolist()):
-        for kr, q, d, e in zip(kinds[a:b], qs[a:b], ds[a:b], es[a:b]):
-            if kr < 2:
-                x = q + (x - p) * d + e
-                append(x)
-                if kr:
-                    x = x + jump(x)   # the event's jump
-                    append(x)
-                continue
-            if kr == 2:
-                x = x0
-            append(x)
+    starts, stops = starts.tolist(), stops.tolist()
+    tail = _ou_runs(zip([x0] * live if out is None else xs[:live].tolist(), starts, stops,
+                        [(np.flatnonzero(kind[a:b]) + a).tolist() + [b]
+                         for a, b in zip(starts, stops)]),
+                    x0, p, memoryview(qs) if isinstance(q, np.ndarray) else None,
+                    memoryview(ds), memoryview(es), memoryview(kind), jump)
     if out is None:   # every path ran here, in order
         return np.frombuffer(tail)
     out[np.repeat(at - np.cumsum(n) + n, n) + np.arange(len(tail))] = tail
     return out
+
+
+def _ou_runs(paths, x0: float, p: float, qs, ds, es, kind, jump) -> array:
+    """x at the records of exact-OU paths for :func:`_walk`, each of ``paths``
+    (x, a, b, special) resuming from x at record a up to b, ``special`` being
+    its records that are not plain intervals, then b.  Each run of plain
+    intervals is one comprehension, whose x is not a cell of the caller; ``qs``
+    is None where q is p."""
+    tail = array("d")
+    add, add_run = tail.append, tail.fromlist
+    for x, a, b, special in paths:
+        for r in special:
+            kr = kind[r] if r < b else 0
+            stop = r + (kr == 1)   # an event's record ends an interval too
+            if qs is None:
+                add_run([x := p + (x - p) * d + e for d, e in zip(ds[a:stop], es[a:stop])])
+            else:
+                add_run([x := q + (x - p) * d + e
+                         for q, d, e in zip(qs[a:stop], ds[a:stop], es[a:stop])])
+            if kr == 1:
+                x = x + jump(x)   # the event's jump
+            elif kr == 2:
+                x = x0
+            elif not kr:
+                break
+            add(x)
+            a = r + 1
+    return tail
 
 
 def simulate_path(model: ModelSpec, horizon: float, cfg: IntegratorConfig, seed: int,
@@ -698,38 +695,99 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     return _skeleton(log, seeds, digest)[0]
 
 
+# The candidate loop of a path thinned on its own (_run_events), its memory
+# in locals y0..y{M^2-1}; every model value is an argument of the factory f.
+_ONE_PATH = """\
+from bisect import bisect_left
+from math import inf
+from numpy import add, exp, log
+
+reduce = add.reduce
+
+def f(decay, gammas, fz, amps, horizon, at, eps, rec, z, z_end, t_anchor, los, n_evs, limit,
+      count, {ats}):
+    {scalars}
+    {amps}, = amps
+    record, z_append, z_bytes = rec.extend, z.append, z.frombytes
+
+    def run(k, rng, t, y, max_events):
+        uniform, uniforms = rng.uniform, rng.uniforms
+        t0, lo, n_events = float(t_anchor[k]), int(los[k]), int(n_evs[k])
+        {ys}, = y
+        try:
+            while True:
+                bound = fz + {envelope}
+                if not 0.0 < bound < inf:
+                    raise RuntimeError(
+                        f"dominating rate must be finite and positive, got {{bound}}")
+                tau = t - float(log(uniform())) / bound   # an exponential at rate bound
+                if tau > horizon:
+                    {take_horizon}
+                    z_end[k] = z0
+                    return t, [{ys}]
+                dt = tau - t
+                {es}, = {exps}
+                {body}
+                if {c_last} > bound * (1.0 + 1e-9):
+                    raise RuntimeError("dominating rate violated; rate functions inconsistent")
+                u, t = uniform() * bound, tau
+                {pick}
+                {take_tau}
+                lo = hi
+                while abs(at[lo] - tau) <= eps:   # step past the sample times on tau
+                    lo += 1
+                record((k, tau, comp, lo, z0, {ss}, {ys}))
+                t0, n_events = tau, n_events + 1
+                if n_events >= max_events:
+                    raise limit(max_events, tau)
+        finally:
+            t_anchor[k], los[k], n_evs[k] = t0, lo, n_events
+
+    return run
+"""
+
+# n, a segment's normals up to stop, as _GroupLog._count counts them
+_COUNT = {"ou": "n = hi - lo + 1 if hi > lo or {stop} > t0 else 0",
+          "em": "n = count(t0, lo, hi, {stop})"}
+
+
+@lru_cache(maxsize=None)
+def _one_path(m: int, noise: str | None):
+    """The factory of the candidate loop for M = m and a noise kind
+    (``"ou"``, ``"em"``, or None without noise), compiled once per pair."""
+    take = ["hi = bisect_left(at, {stop} - eps, lo)", "z0 = len(z)"]
+    if noise:
+        take += [_COUNT[noise], "if n == 1:", "    z_append(uniform())   # _walk makes normals",
+                 "elif n:", "    z_bytes(uniforms(n).tobytes())"]
+    # the first component whose running sum exceeds u adds its column of c
+    pick = []
+    for j in range(m):
+        pick += [f"{'elif' if j else 'if'} u < c{j}:", f"    comp = {j + 1}"]
+        pick += [f"    y{i} = y{i} + a{i}" for i in range(j, m * m, m)]
+    ind = "\n" + " " * 16
+    return _compiled(_ONE_PATH.format(
+        **_fragments(m, 16), amps=", ".join(f"a{i}" for i in range(m * m)), c_last=f"c{m - 1}",
+        pick=ind.join(pick + ["else:", "    continue"]), take_tau=ind.join(take).format(stop="tau"),
+        take_horizon=(ind + "    ").join(take).format(stop="horizon")))
+
+
 def _run_events(rt: RateRuntime, log: _GroupLog, k: int, rng: RandomStream, t: float,
                 y: list, max_events: int) -> tuple[float, list]:
     """Thin path k of ``log`` from memory ``y`` (a row-major list) at time
-    ``t`` up to the horizon, recording every accepted event and then the
-    last segment.  The path's anchor time, next sample index and event
-    count stay in locals, and go back to ``log`` when it ends.
+    ``t`` up to the horizon in the group's loop (:func:`_one_path`),
+    recording every accepted event and then the last segment.  The path's
+    anchor time, next sample index and event count stay in locals, and go
+    back to ``log`` when it ends.
     Returns the last candidate time (``t`` if none) and the memory there;
     raises :class:`SimulationLimitError` once it holds ``max_events`` events.
     """
-    bound_at, flow, uniform, take, record = rt.bound, rt.flow, rng.uniform, log.take, log.record
-    horizon, t0, lo = log.horizon, float(log.t_anchor[k]), int(log.lo[k])
-    n_events = int(log.n_events[k])
-    try:
-        while True:
-            bound = bound_at(y)
-            if not (bound > 0.0 and math.isfinite(bound)):
-                raise RuntimeError(f"dominating rate must be finite and positive, got {bound}")
-            tau = t - float(np.log(uniform())) / bound   # an exponential at rate bound
-            if tau > horizon:
-                log.z_end[k] = take(t0, lo, horizon, rng)[1]
-                return t, y
-            y, rs, cum = flow(y, tau - t)
-            if cum[-1] > bound * (1.0 + 1e-9):
-                raise RuntimeError("dominating rate violated; rate functions inconsistent")
-            u, t = uniform() * bound, tau
-            if u < cum[-1]:   # accepted; the rejection mass lies above cum[-1]
-                t0, lo, n_events = tau, record(k, tau, bisect_right(cum, u) + 1,
-                                               *take(t0, lo, tau, rng), rs, y), n_events + 1
-                if n_events >= max_events:
-                    raise _limit_error(max_events, tau)
-    finally:
-        log.t_anchor[k], log.lo[k], log.n_events[k] = t0, lo, n_events
+    if log.thin is None:
+        noise = ("ou" if log.ou else "em") if log.noisy else None
+        log.thin = _one_path(log.m, noise)(
+            rt.decay, rt.gammas, rt.f_zero_sum, log.c, log.horizon, log.sample_floats, log.eps,
+            log.rec, log.z, log.z_end, log.t_anchor, log.lo, log.n_events, _limit_error,
+            log._count, *(f.on_floats() for f in rt.fs))
+    return log.thin(k, rng, t, y, max_events)
 
 
 def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: float,
@@ -745,10 +803,11 @@ def _from_first_candidates(model: ModelSpec, cfg: IntegratorConfig, horizon: flo
     for k, tau in enumerate(taus.tolist()):
         y, rs, cum = rt.flow(y0, tau)
         u = rng.uniform() * bound
-        if u < cum[-1]:   # accepted, as in _run_events
-            log.lo[k] = log.record(k, tau, bisect_right(cum, u) + 1,
-                                   *log.take(0.0, 0, tau, rng), rs, y)
-            log.t_anchor[k], log.n_events[k] = tau, 1
+        if u < cum[-1]:   # accepted, as in _run_events; no sample time lies before tau
+            z0, y_pre = len(log.z), np.reshape(y, (1, *rt.alpha.shape))
+            log.z.frombytes(rng.uniforms(log._count(0.0, 0, 0, tau)).tobytes())
+            log.record_rows(np.array([k]), tau, bisect_right(cum, u) + 1, 0, z0, y_pre)
+            y = y_pre.ravel().tolist()
         t, y = _run_events(rt, log, k, rng, tau, y, DEFAULT_MAX_EVENTS)
         y_end[k] = np.multiply(y, np.exp(rt.decay * (horizon - t)))
     return _skeleton(log, [0] * len(taus), "")[1], y_end.reshape(-1, *rt.alpha.shape)

@@ -7,10 +7,11 @@ row sum of y.
 
 :class:`RateRuntime` is the one evaluator of the rates and of the thinning
 envelope: the engine, the diagnostics and the stability analysis all call
-it.  Its one-state ``bound`` and ``flow``, which a serially thinned path
-calls at every candidate, are straight-line code generated and compiled
-once per M; the generated source names no model value, which enters as an
-argument.
+it.  Its one-state ``bound`` and ``flow`` are straight-line code generated
+and compiled once per M from the source fragments of :func:`_fragments`,
+which the engine's one-path candidate loop inlines too, so that both round
+as numpy does by one set of rules; the generated source names no model
+value, which enters as an argument.
 """
 
 from __future__ import annotations
@@ -55,12 +56,13 @@ def _row_sum(terms: list) -> str:
     return f"float(reduce([{', '.join(terms)}]))"
 
 
-@lru_cache(maxsize=None)
-def _evaluators(m: int):
-    """The factory ``f(decay, gammas, fz, at0, ..., at{m-1})`` of the
-    straight-line ``(bound, flow)`` pair for M = m, compiled once per m.  Its
-    source holds only names derived from m: every model value is an
-    argument of the factory, bound in the closures it returns."""
+def _fragments(m: int, indent: int) -> dict:
+    """The source of the envelope and the memory flow for M = m, which
+    :func:`_evaluators` and the engine's one-path loop put together: the
+    names (``ats``, the rates' float forms; ``ys``, the memory; ``es``,
+    ``ss``, ``cs``), the factory's ``scalars``, the ``envelope`` less the
+    rates at 0, the decay factors ``exps`` over ``dt`` and the flow's
+    ``body``, its lines joined at ``indent`` spaces."""
     ys, es = [f"y{k}" for k in range(m * m)], [f"e{k}" for k in range(m * m)]
     ats, ss, cs = ([f"{name}{i}" for i in range(m)] for name in ("at", "s", "c"))
     rows = [ys[i:i + m] for i in range(0, m * m, m)]
@@ -69,13 +71,21 @@ def _evaluators(m: int):
             + ["c0 = at0(s0)"] + [f"c{i} = c{i - 1} + at{i}(s{i})" for i in range(1, m)])
     abs_sums = ", ".join(_row_sum([f"abs({y})" for y in row]) for row in rows)
     one = m == 1   # numpy's dot of one term is 0.0 plus it; its exp of a float is its array exp
-    return _compiled(_EVALUATORS.format(
+    return dict(
         ats=", ".join(ats), ys=", ".join(ys), es=", ".join(es), ss=", ".join(ss),
         cs=", ".join(cs),
         scalars="g0, d0 = float(gammas[0]), float(decay[0])" if one else "dot = gammas.dot",
         envelope=f"(0.0 + g0 * ({abs_sums}))" if one else f"float(dot([{abs_sums}]))",
         exps="float(exp(d0 * dt))," if one else "exp(decay * dt).tolist()",
-        body="\n        ".join(body)))
+        body=f"\n{' ' * indent}".join(body))
+
+
+@lru_cache(maxsize=None)
+def _evaluators(m: int):
+    """The factory ``f(decay, gammas, fz, at0, ..., at{m-1})`` of the
+    ``(bound, flow)`` pair for M = m, compiled once per m; its source names
+    no model value, each of which is an argument of the factory."""
+    return _compiled(_EVALUATORS.format(**_fragments(m, 8)))
 
 
 class RateRuntime:

@@ -93,9 +93,9 @@ __all__ = [
 # exactly 0.0 around u ~ -745/steepness, which would break thinning.
 _TINY = float(np.finfo(float).tiny)
 # The largest M a model may have.  A path thinned on its own runs code
-# unrolled over the M x M memory and compiled once per M: 0.13 s and 32 MB
-# of peak RSS at M = 64, 0.35 s and 75 MB at M = 100, growing as M^2
-# (Python 3.11, 2-core Xeon).
+# unrolled over the M x M memory and compiled once per M and noise kind: the
+# runtime's evaluators and the candidate loop took 0.4-0.5 s and 49 MB of
+# peak RSS at M = 64, growing as M^2 (Python 3.11, 2-core Xeon).
 _MAX_COMPONENTS = 64
 # complex exp at x + 0j equals math.exp(x) up to here (checked on 3.2 million
 # values; glibc's cexp rescales from x > 709 on)
@@ -196,10 +196,10 @@ def _compiled(source: str, floats: bool = False):
 
 @lru_cache(maxsize=256)
 def _on_floats(expr: str) -> str:
-    """``expr`` with the value of each call read as a float: numpy's tanh of
-    a float is a numpy scalar, whose arithmetic is slower and rounds the same."""
+    """``expr`` with each tanh call's value read as a float (the float forms of
+    the other names return floats): numpy's tanh of a float is a numpy scalar."""
     tree = ast.parse(expr, mode="eval")
-    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call) and n.func.id == "tanh"]:
         call.func, call.args = ast.Name("float"), [ast.Call(call.func, call.args, [])]
     return ast.unparse(tree)
 

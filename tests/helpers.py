@@ -264,6 +264,16 @@ def serial_oracle(model, cfg, horizon, sample_at, seed):
         y, t0, lo = y[0], tau, int(lo)
 
 
+def take(log, t0, lo, t_stop, rng):
+    """Take the normals of one path's segment from its anchor time t0 and
+    next sample index lo up to ``t_stop`` from rng into ``log``, after the
+    segment's last thinning draw, as ``engine._run_events`` takes them:
+    returns the end of the segment's sample times and the block's offset."""
+    hi, z0 = int(log._hi(lo, t_stop)), len(log.z)
+    log.z.frombytes(rng.uniforms(log._count(t0, lo, hi, t_stop)).tobytes())
+    return hi, z0
+
+
 def reference_oracle(model, horizon, cfg, seed, *, sample_at=None,
                      max_candidates=engine.DEFAULT_MAX_EVENTS):
     """The reference construction as one path's own candidate loop: the
@@ -285,7 +295,7 @@ def reference_oracle(model, horizon, cfg, seed, *, sample_at=None,
     while True:
         tau = t_cand - float(np.log(rng.uniform())) / lam_star
         if tau > horizon:
-            log.z_end[0] = log.take(t_event, lo, horizon, rng)[1]
+            log.z_end[0] = take(log, t_event, lo, horizon, rng)[1]
             break
         n_cand += 1
         if n_cand > max_candidates:
@@ -297,8 +307,10 @@ def reference_oracle(model, horizon, cfg, seed, *, sample_at=None,
         u = rng.uniform() * lam_star
         comp = 0 if u >= cum[-1] else bisect_right(cum, u) + 1
         if comp:
-            lo = log.record(0, tau, comp, *log.take(t_event, lo, tau, rng), rs, y_pre)
-            y, t_event = y_pre, tau
+            y_rec = np.reshape(y_pre, (1, *model.kernel.c.shape))
+            log.record_rows(np.zeros(1, np.intp), tau, comp, *take(log, t_event, lo, tau, rng),
+                            y_rec)
+            y, t_event, lo = y_rec.ravel().tolist(), tau, int(log.lo[0])
         lam_star += step
         t_cand = tau
     return engine._skeleton(log, [seed], model_digest(model))[0][0]
@@ -358,18 +370,39 @@ def advance_many_oracle(xs, dt, coeffs, cfg, rng):
     return xs
 
 
+def ou_step_oracle(x, dt, coeffs, z) -> float:
+    """x after the exact transition over dt, with ``math.exp``'s decay, in the
+    engine's order q + (x - p) * d + e, taking the next normal from the
+    iterator ``z`` unless the model is noiseless: the scalar form of
+    ``diffusion._ou_terms`` and of the engine's walk."""
+    beta, b0, sigma = coeffs.drift.rate, coeffs.drift.intercept, coeffs.diffusion.value
+    level = b0 / beta if beta else math.inf
+    if math.isinf(level):   # a zero rate, or one so small that it acts as one
+        p, q, d, var = 0.0, b0 * dt, 1.0, sigma * sigma * dt
+    else:
+        p = q = level
+        d = math.exp(-beta * dt)
+        var = sigma * sigma * dt if d == 1.0 else sigma * sigma * (1.0 - d * d) / (2.0 * beta)
+    x = q + (x - p) * d
+    return x if _noiseless(coeffs) else x + math.sqrt(var) * next(z)
+
+
 def skeleton_x_oracle(path, model, cfg, normals):
     """x at every skeleton record of a one-path run, stepped record to
-    record from the path's start with :func:`em_segment_oracle` (or the jump
-    map, at a repeated time) from the path's normals in order.  Returns
-    the x values and the normals left, which are those of a last interval
-    closer to the horizon than eps, whose record is not kept."""
+    record from the path's start with :func:`ou_step_oracle` or
+    :func:`em_segment_oracle` (or the jump map, at a repeated time) from the
+    path's normals in order.  Returns the x values and the normals left,
+    which are those of a last interval closer to the horizon than eps,
+    whose record is not kept."""
     coeffs, z = model.coefficients, iter(normals.tolist())
+    ou = isinstance(cfg.scheme, hjsim.ExactOU)
     times, xs = path.skeleton_times.tolist(), [model.initial.x]
     for a, b in zip(times, times[1:]):
         x = xs[-1]
         if b == a:
             xs.append(x + float(coeffs.jump(x)))
+        elif ou:
+            xs.append(ou_step_oracle(x, b - a, coeffs, z))
         else:
             xs.append(em_segment_oracle(x, [b - a], coeffs, cfg, z)[0])
     return np.array(xs), len(list(z))

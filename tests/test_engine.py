@@ -600,6 +600,42 @@ class TestOnePathLoop:
         last = horizon - path.skeleton_times[-1]
         assert left == (count_oracle(np.empty(0), model.coefficients, cfg, 0.0, 0, 0, last))
 
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_runs(exact_ou=True), st.booleans(), st.sampled_from([0.0, 0.5]),
+           st.sampled_from(["samples", "horizon", None]))
+    def test_exact_ou_path_equals_the_oracles(self, run, noiseless, offset, on):
+        # event rows and normals against the array oracle, and every x of
+        # the skeleton against one exact transition per interval.  Without
+        # noise no event moves with the sample times; with noise the first
+        # does not, being drawn before any normal.  Sample times on these
+        # events, or a horizon on or within eps after the last of them
+        # (leaving an empty last segment, or one whose record is not kept),
+        # reach the walk's records that are not plain intervals
+        model, horizon, cfg, extra, seed = run
+        if noiseless:
+            model = dataclasses.replace(model, coefficients=dataclasses.replace(
+                model.coefficients, diffusion=ConstantDiffusion(0.0)))
+        events = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra).event_times
+        events = events.tolist()[:None if noiseless else 1]
+        if events and on == "samples":
+            extra = list(extra or []) + events
+        elif events and on == "horizon":
+            horizon = events[-1] + offset * engine._sample_eps(events[-1])
+        rows, normals = serial_oracle(model, cfg, horizon, extra, seed)
+        log = engine._GroupLog(model, cfg, horizon,
+                               _build_sample_times(horizon, cfg.grid_dt, extra), 1)
+        engine._run_events(RateRuntime(model), log, 0, RandomStream(seed), 0.0,
+                           model.initial.y.ravel().tolist(), 10**6)
+        assert np.frombuffer(log.rec)[rows.shape[1]:].tobytes() == rows.tobytes()
+        assert ndtri(np.frombuffer(log.z)).tobytes() == normals.tobytes()
+        path = hjsim.simulate_path(model, horizon, cfg, seed, sample_at=extra)
+        if events and on:
+            assert set(events) <= set(path.event_times.tolist())
+        xs, left = skeleton_x_oracle(path, model, cfg, normals)
+        assert path.skeleton_x.tobytes() == xs.tobytes()
+        last = horizon - path.skeleton_times[-1]
+        assert left == (count_oracle(np.empty(0), model.coefficients, cfg, 0.0, 0, 0, last))
+
     @settings(max_examples=300, deadline=None)
     @given(em_runs() | simulation_runs(), st.data())
     def test_segment_count_equals_the_interval_sum(self, run, data):
@@ -697,17 +733,50 @@ class TestOnePathLoop:
                                                 (math.nan, "finite and positive"),
                                                 (0.5, "dominating rate violated")])
     def test_bound_checks(self, monkeypatch, scale, message):
-        # bound is a compiled closure per instance: scale it as it is made
+        # the loop reads the envelope's terms from the runtime when the group
+        # binds it: scale them as the runtime is made
         init = RateRuntime.__init__
 
         def scaled_init(rt, model):
             init(rt, model)
-            bound = rt.bound
-            rt.bound = lambda y: scale * bound(y)
+            rt.f_zero_sum, rt.gammas = scale * rt.f_zero_sum, scale * rt.gammas
 
         monkeypatch.setattr(RateRuntime, "__init__", scaled_init)
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_path(two_component_model(), 5.0, ou_cfg(5.0), seed=3)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("cfg, noise, kind", [(ou_cfg(0.5), 1.0, "ou"),
+                                                  (em_cfg(0.5, 0.1), 1.0, "em"),
+                                                  (ou_cfg(0.5), 0.0, None)],
+                             ids=["ou", "em", "noiseless"])
+    def test_models_of_one_m_and_noise_kind_share_one_loop(self, monkeypatch, m, cfg, noise,
+                                                           kind):
+        # the loop's source names no model value, so two models of the same
+        # M and noise kind compile it once, and _compiled's cache holds one
+        # loop per pair whatever the models; each group binds its own values
+        bound, one_path = [], engine._one_path
+
+        def spy(*key):
+            factory = one_path(*key)
+
+            def bind(*values):
+                bound.append((key, factory, factory(*values)))
+                return bound[-1][2]
+
+            return bind
+
+        monkeypatch.setattr(engine, "_one_path", spy)
+        for level, c in ((0.5, 0.2), (1.5, 0.1)):
+            model = make_model(m, [{"type": "constant", "level": level}] * m, [c] * (m * m),
+                               [1.0] * (m * m), {"type": "linear", "rate": 1.0},
+                               {"type": "constant", "value": noise},
+                               {"type": "linear_damping", "eta": 0.5})
+            assert hjsim.simulate_path(model, 5.0, cfg, seed=3).n_events > 0
+        (key_a, factory_a, run_a), (key_b, factory_b, run_b) = bound
+        assert key_a == key_b == (m, kind)
+        assert factory_a is factory_b and run_a.__code__ is run_b.__code__
+        assert run_a.__closure__ != run_b.__closure__
 
 
 class TestSampleAt:
