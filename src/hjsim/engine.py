@@ -499,8 +499,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                     out[at[hit] + 1] = xj
                 xs[:live] = x
                 k += 1
-    # each remaining path resumes from record k, a run of plain intervals at
-    # a time: the runs end at its other records, and at its end
+    # each remaining path resumes from record k, a run of plain intervals at a time
     starts, stops = first[:live] + k, first[:live] + n_rec[:live]
     if out is not None:   # a path's records run on to its last, which has no jump
         at = steps[starts]
@@ -519,28 +518,29 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
 
 
 def _ou_runs(paths, x0: float, p: float, qs, ds, es, kind, jump) -> array:
-    """x at the records of exact-OU paths for :func:`_walk`, each of ``paths``
-    (x, a, b, special) resuming from x at record a up to b, ``special`` being
-    its records that are not plain intervals, then b.  Each run of plain
-    intervals is one comprehension, whose x is not a cell of the caller; ``qs``
-    is None where q is p."""
+    """x at the records of exact-OU paths for :func:`_walk`: each of ``paths``
+    (x, a, b, special) resumes from x at record a up to b, and ``special``
+    lists its records that are not plain intervals, then b.  A run of plain
+    intervals is one comprehension (its x no cell of the caller); ``qs`` is None where q is p."""
     tail = array("d")
     add, add_run = tail.append, tail.fromlist
     for x, a, b, special in paths:
         for r in special:
-            kr = kind[r] if r < b else 0
-            stop = r + (kr == 1)   # an event's record ends an interval too
-            if qs is None:
-                add_run([x := p + (x - p) * d + e for d, e in zip(ds[a:stop], es[a:stop])])
-            else:
-                add_run([x := q + (x - p) * d + e
-                         for q, d, e in zip(qs[a:stop], ds[a:stop], es[a:stop])])
-            if kr == 1:
-                x = x + jump(x)   # the event's jump
+            if a < r:
+                if qs is None:
+                    add_run([x := p + (x - p) * d + e for d, e in zip(ds[a:r], es[a:r])])
+                else:
+                    add_run([x := q + (x - p) * d + e
+                             for q, d, e in zip(qs[a:r], ds[a:r], es[a:r])])
+            if r == b:
+                break
+            kr = kind[r]
+            if kr == 1:   # an interval, then the event's jump
+                x = (p if qs is None else qs[r]) + (x - p) * ds[r] + es[r]
+                add(x)
+                x = x + jump(x)
             elif kr == 2:
                 x = x0
-            elif not kr:
-                break
             add(x)
             a = r + 1
     return tail
