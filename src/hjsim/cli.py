@@ -331,12 +331,12 @@ def _build_parser() -> argparse.ArgumentParser:
     simulating = argparse.ArgumentParser(add_help=False, parents=[common])
     simulating.add_argument("--grid-dt", dest="grid_dt", type=float, default=None)
     simulating.add_argument("--integrator", choices=["em", "exact-ou"], default=None)
+    simulating.add_argument("--em-step", dest="em_step", type=float, default=None)
 
     sim = sub.add_parser("simulate", parents=[simulating], help="generate trajectories")
     sim.add_argument("--horizon", type=float, default=None)
     sim.add_argument("--paths", dest="n_paths", type=int, default=None)
     sim.add_argument("--format", choices=["jsonl", "bin"], default=None)
-    sim.add_argument("--em-step", dest="em_step", type=float, default=None)
     sim.add_argument("--workers", type=int, default=None)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -7,9 +7,9 @@ coefficient no noise draws are consumed, so the integrator is a
 deterministic ODE step.
 
 The engine's skeleton pass steps x with ``_ou_terms``, ``_em_plan`` and the
-compiled ``_em_kernel``, which runs on floats and reads numpy's tanh as a
-float where it is called; :func:`advance_diffusion_many`, for the Monte
-Carlo generator check, steps arrays of positions with the same sources.
+compiled ``_em_kernel``, which runs on floats; :func:`advance_diffusion_many`,
+for the Monte Carlo generator check, steps arrays of positions with the same
+sources.  Both forms take libm's tanh, so they step x alike bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import (CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled, _exp_each,
-                    _on_floats)
+from .model import CoefficientSpec, ConstantDiffusion, LinearDrift, _compiled, _exp_each
 from .rng import RandomStream
 
 __all__ = [
@@ -151,16 +150,16 @@ def _em_kernel(coeffs: CoefficientSpec, arrays: bool = False):
     (whole steps, partial step) pair of ``plan`` (:func:`_em_plan`), taking
     a normal from the iterator ``z`` at each substep (none without noise),
     appends x after each interval to ``out`` and returns it.  x is a float,
-    and numpy's tanh is read as a float where it is called; with ``arrays``,
-    x is an array that ``z`` gives an array of normals for."""
-    b, sigma = (e if arrays else _on_floats(e)
-                for e in (coeffs.drift.expr(), coeffs.diffusion.expr()))
+    and the kernel is compiled with :func:`~hjsim.model._compiled`'s float
+    names (libm's tanh); with ``arrays``, x is an array that ``z`` gives an
+    array of normals for."""
+    b, sigma = coeffs.drift.expr(), coeffs.diffusion.expr()
     noisy = not _noiseless(coeffs)
     return _compiled(_EM_KERNEL.format(
         b=b, z_h="z_i" if noisy else "_",
         whole="islice(z, full)" if noisy else "range(full)",
         noise_h=f" + ({sigma}) * sqrt_h * z_i" if noisy else "",
-        noise_rem=f" + ({sigma}) * sqrt(rem) * next(z)" if noisy else ""))
+        noise_rem=f" + ({sigma}) * sqrt(rem) * next(z)" if noisy else ""), not arrays)
 
 
 def advance_diffusion_many(xs: np.ndarray, dt: float, coeffs: CoefficientSpec,

@@ -459,12 +459,15 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     ends = np.flatnonzero(kind < 2)
     p, q, d, sd = _ou_terms(times[steps[ends]] - times[steps[ends] - 1], coeffs.drift,
                             coeffs.diffusion.value)
-    qs, ds, es = np.zeros(len(steps)), np.zeros(len(steps)), np.full(len(steps), -0.0)
-    qs[ends], ds[ends] = q, d
+    qs, ds, es = None, np.zeros(len(steps)), np.full(len(steps), -0.0)
+    ds[ends] = d
+    if isinstance(q, np.ndarray):   # q per interval (a zero-rate drift), else q is p
+        qs = np.zeros(len(steps))
+        qs[ends] = q
     if log.noisy:
         es[ends] = sd * z
     # a noiseless step adds -0.0, which leaves every float as it is
-    del ends, d, sd, z   # q is p if the drift's level is finite, else per interval
+    del ends, q, d, sd, z
     # each path's records from its start on; in lockstep the paths with the
     # most records come first, so that the live paths are a prefix
     first = np.flatnonzero(kind == 2)
@@ -485,7 +488,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
                     break
                 r = first[:live] + k
                 kr, x = kind[r], xs[:live]
-                x = np.where(kr < 2, qs[r] + (x - p) * ds[r] + es[r], x)
+                x = np.where(kr < 2, (p if qs is None else qs[r]) + (x - p) * ds[r] + es[r], x)
                 at = steps[r]
                 out[at] = x
                 hit = np.flatnonzero(kr & 1)
@@ -509,7 +512,7 @@ def _walk(log: _GroupLog, times, kind, seg0, end, start, z0) -> np.ndarray:
     tail = _ou_runs(zip([x0] * live if out is None else xs[:live].tolist(), starts, stops,
                         [(np.flatnonzero(kind[a:b]) + a).tolist() + [b]
                          for a, b in zip(starts, stops)]),
-                    x0, p, memoryview(qs) if isinstance(q, np.ndarray) else None,
+                    x0, p, qs if qs is None else memoryview(qs),
                     memoryview(ds), memoryview(es), memoryview(kind), jump)
     if out is None:   # every path ran here, in order
         return np.frombuffer(tail)
@@ -618,7 +621,7 @@ def _path_bytes(model: ModelSpec, horizon: float, cfg: IntegratorConfig, n_sampl
     undercount for a self-exciting model: the M = 2 benchmark model has 8.1
     events by horizon 5 where it expects 5."""
     m = model.n_components
-    events = horizon * RateRuntime(model).bound(model.initial.y.ravel().tolist())
+    events = horizon * float(RateRuntime(model).bounds(model.initial.y[None])[0])
     size = _PATH_BYTES + _SAMPLE_BYTES * n_samples + (_EVENT_BYTES + 16 * m * m) * events
     if not isinstance(cfg.scheme, ExactOU) and not _noiseless(model.coefficients):
         size += 16 * horizon / cfg.scheme.step
@@ -649,7 +652,7 @@ def _simulate_group(model: ModelSpec, horizon: float, cfg: IntegratorConfig,
     y = np.repeat(model.initial.y[None], n, axis=0)
     n_iter = 0           # every live path's candidate count, which bounds its event count
     if reference is not None:
-        lam_star, (step, max_candidates) = rt.bound(model.initial.y.ravel().tolist()), reference
+        lam_star, (step, max_candidates) = float(rt.bounds(model.initial.y[None])[0]), reference
     while len(ids) >= (_LOCKSTEP_MIN if reference is None else 1):
         n_iter += 1
         bound = rt.bounds(y) if reference is None else np.full(len(ids), lam_star)

@@ -7,11 +7,11 @@ row sum of y.
 
 :class:`RateRuntime` is the one evaluator of the rates and of the thinning
 envelope: the engine, the diagnostics and the stability analysis all call
-it.  Its one-state ``bound`` and ``flow`` are straight-line code generated
-and compiled once per M from the source fragments of :func:`_fragments`,
-which the engine's one-path candidate loop inlines too, so that both round
-as numpy does by one set of rules; the generated source names no model
-value, which enters as an argument.
+it.  Its one-state ``bound`` and ``flow``, built on first use, are
+straight-line code generated and compiled once per M from the source
+fragments of :func:`_fragments`, which the engine's one-path candidate loop
+inlines too, so that both round as numpy does by one set of rules; the
+generated source names no model value, which enters as an argument.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ class RateRuntime:
 
     ``bound(y)`` and ``flow(y, dt)`` take one memory state as a row-major
     list and round as the array methods do.  They are straight-line code
-    unrolled over the M x M memory (:func:`_evaluators`), closures over this
-    model's decay rates, Lipschitz constants and the rates' float forms
-    (:meth:`~hjsim.model._Family.on_floats`):
+    unrolled over the M x M memory (:func:`_evaluators`), compiled on first
+    use, closures over this model's decay rates, Lipschitz constants and the
+    rates' float forms (:meth:`~hjsim.model._Family.on_floats`):
 
     - ``bound(y)`` is the Lipschitz envelope sum_i [f_i(0) + gamma_i *
       sum_j |y[i, j]|] at y.  It dominates the total rate along the whole
@@ -114,8 +114,15 @@ class RateRuntime:
         self.fs = model.rates
         self.gammas = model.lipschitz_constants()
         self.f_zero_sum = float(self.rates_at(np.zeros(model.n_components)).sum())
-        self.bound, self.flow = _evaluators(model.n_components)(
+
+    def __getattr__(self, name: str):
+        # ``bound`` and ``flow``, compiled on first use: a plain simulation
+        # runs the engine's one-path loop, which inlines them, and never asks
+        if name not in ("bound", "flow"):
+            raise AttributeError(name)
+        self.bound, self.flow = _evaluators(len(self.fs))(
             self.decay, self.gammas, self.f_zero_sum, *(f.on_floats() for f in self.fs))
+        return getattr(self, name)
 
     def rates_at(self, row_sums: np.ndarray) -> np.ndarray:
         """f_i(row_sums[..., i]) for every component i, over the last axis:
@@ -128,6 +135,9 @@ class RateRuntime:
 
     def bounds(self, y: np.ndarray) -> np.ndarray:
         """``bound`` at n memory states (n, M, M); the stacked product takes
-        one dot product per state, so it rounds as ``bound`` does."""
-        return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :], self.gammas)[:, 0]
+        one dot product per state, so it rounds as ``bound`` does, and it
+        overflows as silently."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.f_zero_sum + np.matmul(np.abs(y).sum(axis=2)[:, None, :],
+                                               self.gammas)[:, 0]
 

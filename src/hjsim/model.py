@@ -12,9 +12,9 @@ and the drifts their exact confinement rates; the thinning bound and the
 drift verification both rely on those being exact rather than estimated.
 Each family's map is one ``formula``, an expression in x and its
 parameters, which compiles to a function of arrays and floats alike and,
-by :meth:`_Family.on_floats`, to a faster one of one float (the
-Euler-Maruyama kernel inlines the drift's and the noise's); a formula may
-use only the names :func:`_compiled` provides.
+by :meth:`_Family.on_floats`, to a faster one of one float with the same
+bits (the Euler-Maruyama kernel inlines the drift's and the noise's); a
+formula may use only the names :func:`_compiled` provides.
 
 JSON model schema (also used by the CLI)::
 
@@ -51,7 +51,6 @@ left out of a config.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import math
@@ -94,8 +93,9 @@ __all__ = [
 _TINY = float(np.finfo(float).tiny)
 # The largest M a model may have.  A path thinned on its own runs code
 # unrolled over the M x M memory and compiled once per M and noise kind: the
-# runtime's evaluators and the candidate loop took 0.4-0.5 s and 49 MB of
-# peak RSS at M = 64, growing as M^2 (Python 3.11, 2-core Xeon).
+# candidate loop took 0.25-0.31 s and 17 MB of peak RSS at M = 64, growing as
+# M^2, and the runtime's evaluators, compiled only for a caller that uses
+# them, 0.16-0.17 s and 31 MB more (Python 3.11, 2-core Xeon).
 _MAX_COMPONENTS = 64
 # complex exp at x + 0j equals math.exp(x) up to here (checked on 3.2 million
 # values; glibc's cexp rescales from x > 709 on)
@@ -178,30 +178,30 @@ def _expit_float(v: float) -> float:
         return 0.0
 
 
+def _tanh_each(v):
+    """``math.tanh`` of every element, and a float64 for a float or 0-d input, as
+    :func:`expit`: numpy's tanh does not round as libm's does."""
+    flat = np.ravel(v).tolist()
+    return np.fromiter(map(math.tanh, flat), float, len(flat)).reshape(np.shape(v))[()]
+
+
 @lru_cache(maxsize=256)
 def _compiled(source: str, floats: bool = False):
     """The function ``f`` that a generated source defines, with ``tanh``,
     ``maximum``, ``expit`` and ``tiny`` (the rates' positivity floor) in
-    scope: the only names a family's formula may use.  They are numpy's
-    ``tanh`` and ``maximum`` and :func:`expit`, or with ``floats`` the same
-    maps of one float: builtin ``max``, which keeps a NaN first argument as
+    scope: the only names a family's formula may use.  They are
+    :func:`_tanh_each`, numpy's ``maximum`` and :func:`expit`, or with
+    ``floats`` the same maps of one float, each returning a float:
+    ``math.tanh``, builtin ``max``, which keeps a NaN first argument as
     ``np.maximum`` keeps a NaN (so a rate's floor comes second), and
-    :func:`_expit_float`.  Only names and reprs of validated floats are
-    ever put into a source."""
-    namespace = {"tanh": np.tanh, "maximum": max if floats else np.maximum,
+    :func:`_expit_float`.  tanh is libm's in both forms, so they round
+    alike.  Only names and reprs of validated floats are ever put into a
+    source."""
+    namespace = {"tanh": math.tanh if floats else _tanh_each,
+                 "maximum": max if floats else np.maximum,
                  "expit": _expit_float if floats else expit, "tiny": _TINY}
     exec(source, namespace)
     return namespace["f"]
-
-
-@lru_cache(maxsize=256)
-def _on_floats(expr: str) -> str:
-    """``expr`` with each tanh call's value read as a float (the float forms of
-    the other names return floats): numpy's tanh of a float is a numpy scalar."""
-    tree = ast.parse(expr, mode="eval")
-    for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call) and n.func.id == "tanh"]:
-        call.func, call.args = ast.Name("float"), [ast.Call(call.func, call.args, [])]
-    return ast.unparse(tree)
 
 
 class _Family:
@@ -229,8 +229,9 @@ class _Family:
 
     def on_floats(self):
         """The map as a function of one float that returns a float with the
-        bits of :meth:`__call__`; callers bind it once."""
-        return _compiled(f"def f(x): return {_on_floats(self.expr())}", True)
+        bits of :meth:`__call__`: its formula compiled with the float names of
+        :func:`_compiled`; callers bind it once."""
+        return _compiled(self._source, True)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}

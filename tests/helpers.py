@@ -11,7 +11,7 @@ import hjsim
 from hjsim import engine, pathio
 from hjsim.diffusion import _em_split, _noiseless
 from hjsim.intensity import RateRuntime
-from hjsim.model import model_digest
+from hjsim.model import _compiled, model_digest
 from hjsim.rng import RandomStream, _key
 
 
@@ -114,6 +114,21 @@ def polynomial_model():
         [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}],
         [0.5], [1.0],
         {"type": "bounded_smooth", "amplitude": 2.0, "steepness": 1.0},
+        {"type": "constant", "value": 1.0},
+        {"type": "linear_damping", "eta": 0.5},
+    )
+
+
+def many_decades_model():
+    """M = 5 unit decays and slopes, with amplitudes over 25 decades: the
+    left Perron vector's residual, 8.2e-06, fails the 1e-10 * rho check."""
+    c = [[4.28e-05, 0, 0, 0, 3.80e+04], [6.59e+06, 9.13e+03, 8.13e+08, 8.50e+08, 86.4],
+         [7.91e+05, 4.71e-11, 5.54e-04, 4.43e-08, 5.55e-13], [3.20e-02, 0, 0, 9.82e-14, 5.51e-06],
+         [0, 0, 5.82e-13, 0, 9.70]]
+    return make_model(
+        5, [{"type": "affine_clipped", "floor": 0.1, "intercept": 1.0, "slope": 1.0}] * 5,
+        [v for row in c for v in row], [1.0] * 25,
+        {"type": "linear", "rate": 1.0, "intercept": 0.0},
         {"type": "constant", "value": 1.0},
         {"type": "linear_damping", "eta": 0.5},
     )
@@ -352,6 +367,16 @@ def em_segment_oracle(x, dts, coeffs, cfg, z) -> list:
                 x = x + float(drift(x)) * s + float(sigma(x)) * sqrt_s * next(z)
         out.append(x)
     return out
+
+
+def numpy_tanh_compiled(source, floats=False):
+    """``model._compiled`` with the tanh that it had before libm's took its
+    place: numpy's, read as a float in the float form.  Patched into
+    ``hjsim.diffusion``, it makes the Euler-Maruyama kernels the old code's,
+    an oracle for the skeleton x of a ``bounded_smooth`` drift."""
+    f = _compiled.__wrapped__(source, floats)   # each call fills a namespace of its own
+    f.__globals__["tanh"] = (lambda v: float(np.tanh(v))) if floats else np.tanh
+    return f
 
 
 def advance_many_oracle(xs, dt, coeffs, cfg, rng):

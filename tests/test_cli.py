@@ -5,16 +5,17 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hjsim
-from hjsim import cli, pathio
+from hjsim import EulerMaruyama, IntegratorConfig, cli, pathio
 from hjsim.model import ConfigError, model_to_dict
 
-from helpers import (constant_rate_config, make_model, pure_ou_model, reference_model,
-                     supercritical_model, two_component_model)
+from helpers import (constant_rate_config, make_model, many_decades_model, pure_ou_model,
+                     reference_model, supercritical_model, two_component_model)
 
 
 def write_config(tmp_path, model=None, run=None, name="model.json"):
@@ -326,6 +327,14 @@ class TestOtherCommands:
         lines = capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
         return rc, lines, self._strict_json(out.read_text()) if out.exists() else None
 
+    def test_check_stability_without_a_left_vector_is_structured_error(self, tmp_path, capsys):
+        rc, lines, report = self._check_stability_radius(tmp_path, capsys, "20",
+                                                         many_decades_model())
+        assert rc == 1 and report is None and len(lines) == 1
+        err = self._strict_json(lines[0])
+        assert err["error"] == "NonConvergenceError"
+        assert err["message"].startswith("left eigenvector residual ")
+
     def test_check_stability_where_v_overflows_fails_the_fit(self, tmp_path, capsys):
         rc, lines, report = self._check_stability_radius(tmp_path, capsys, "5000")
         assert rc == 0 and lines == []
@@ -418,6 +427,37 @@ class TestOtherCommands:
         csv = (tmp_path / "mix.csv").read_text().splitlines()
         assert csv[0] == "t,tv,fit"
         assert len(csv) == 5
+
+    @staticmethod
+    def _em_step_run(tmp_path, command, step):
+        """The exit status of ``command`` (ergodic-test or mixing-test) with
+        ``--integrator em --em-step step``, and the integrator config that
+        reached its simulation (None if none did)."""
+        args = (["--horizon", "20"] if command == "ergodic-test" else
+                ["--times", "0.5,1,2,3", "--paths", "300", "--bins", "8",
+                 "--start-a", '{"x": -3, "y": [0.0]}', "--start-b", '{"x": 3, "y": [3.0]}'])
+        target, at = (("simulate_ensemble", 2) if command == "ergodic-test"
+                      else ("mixing_curve", 6))
+        with mock.patch.object(cli, target, wraps=getattr(cli, target)) as run:
+            rc = cli.main([command, "--config", write_config(tmp_path), *args, "--grid-dt", "0.1",
+                           "--integrator", "em", "--em-step", step,
+                           "--out", str(tmp_path / "report.json")])
+        return rc, run.call_args.args[at] if run.called else None
+
+    @pytest.mark.parametrize("command", ["ergodic-test", "mixing-test"])
+    def test_em_step_reaches_the_scheme(self, tmp_path, command):
+        rc, cfg = self._em_step_run(tmp_path, command, "0.025")
+        assert rc == 0 and cfg == IntegratorConfig(EulerMaruyama(0.025), 0.1)
+
+    @pytest.mark.parametrize("command", ["ergodic-test", "mixing-test"])
+    @pytest.mark.parametrize("step, message", [("0", "must be > 0"), ("-0.1", "must be > 0"),
+                                               ("nan", "must be a finite number or null")])
+    def test_a_bad_em_step_is_structured_error(self, tmp_path, capsys, command, step, message):
+        rc, cfg = self._em_step_run(tmp_path, command, step)
+        assert rc == 1 and cfg is None
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "field": "run.em_step", "message": f"run.em_step: {message}"}
+        assert not (tmp_path / "report.json").exists()
 
     def test_mixing_test_refuses_times_that_are_not_numbers(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

@@ -428,8 +428,11 @@ class TestLockstep:
                                                 (math.nan, "finite and positive"),
                                                 (0.5, "dominating rate violated")])
     def test_bound_checks_in_lockstep(self, monkeypatch, scale, message):
+        # the lockstep loop's envelope of its live paths; the group
+        # footprint reads the envelope of the one initial state unscaled
         bounds = RateRuntime.bounds
-        monkeypatch.setattr(RateRuntime, "bounds", lambda rt, y: scale * bounds(rt, y))
+        monkeypatch.setattr(RateRuntime, "bounds",
+                            lambda rt, y: (scale if len(y) > 1 else 1.0) * bounds(rt, y))
         monkeypatch.setattr(engine, "_LOCKSTEP_MIN", 4)
         with pytest.raises(RuntimeError, match=message):
             hjsim.simulate_ensemble(two_component_model(), 5.0, ou_cfg(5.0), 3, 8)
@@ -452,9 +455,10 @@ class TestLockstep:
 
     @staticmethod
     def _lockstep_calls(n, horizon):
-        """The groups, and the calls of the lockstep loop's envelope, of n
-        paths of the benchmark's cli_simulate model (M = 3 sigmoid rates,
-        grid 0.05, step 0.005) under a budget that puts them in one group."""
+        """The groups, and the calls of the lockstep loop's envelope (of
+        more than one state, unlike the group footprint's), of n paths of
+        the benchmark's cli_simulate model (M = 3 sigmoid rates, grid 0.05,
+        step 0.005) under a budget that puts them in one group."""
         model = make_model(
             3, [{"type": "sigmoid", "height": 2.0, "steepness": 1.0, "center": 0.0}] * 3,
             [0.5, -0.3, 0.2, 0.2, 0.4, -0.3, -0.3, 0.2, 0.4],
@@ -471,7 +475,7 @@ class TestLockstep:
                 mock.patch.object(RateRuntime, "bounds", autospec=True,
                                   side_effect=RateRuntime.bounds) as bounds:
             hjsim.simulate_ensemble(model, horizon, cfg, 3, n)
-        return group.call_count, bounds.call_count
+        return group.call_count, sum(len(c.args[1]) > 1 for c in bounds.call_args_list)
 
     def test_long_euler_maruyama_groups_thin_serially(self):
         # the benchmark's cli_simulate run, horizon 200: its 4 paths share a

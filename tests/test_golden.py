@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 import hjsim
-from hjsim import engine, pathio
+from hjsim import diffusion, engine, pathio
 from hjsim.stability import LyapunovSpec, dynkin_quotient, stability_data
 
-from helpers import (em_cfg, make_model, ou_cfg, reference_model,
+from helpers import (em_cfg, make_model, numpy_tanh_compiled, ou_cfg, reference_model,
                      two_component_model)
 
 LINEAR = {"type": "linear", "rate": 1.0, "intercept": 0.0}
@@ -233,6 +233,43 @@ def test_generator_check_digest(name):
     est = dynkin_quotient(model, LyapunovSpec("exponential"), stability_data(model), z,
                           0.5, 400, seed=41, cfg=cfg)
     assert hashlib.sha256(np.array(est).tobytes()).hexdigest() == GOLDEN[name]
+
+
+# The old code's oracle for the bounded-drift Euler-Maruyama cases: each
+# run with the digest it gave while tanh was numpy's, and the benchmark's
+# M = 3 polynomial model (MIXED3) over a long horizon.
+NUMPY_TANH_CASES = {
+    "ensemble_m3_polynomial_power_em": (
+        CASES["ensemble_m3_polynomial_power_em"],
+        "39fed770dab5511d5f63e906c39eee5ef76dd300defecd4e75584f4c84c59eec"),
+    "m3_sigmoid_em_polynomial": (
+        CASES["m3_sigmoid_em_polynomial"],
+        "aa1e31c12c8e827bf4674fce9dc15a1d156bb10268058dd06d4a63115734afec"),
+    "mixed3_em_long": (path(lambda: sigmoid_model(True), 500.0, em_cfg(0.05, 0.005), 45), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_TANH_CASES))
+def test_libm_tanh_moves_only_bounded_drift_x_and_at_rounding_level(name):
+    # with numpy's tanh the events, skeleton times and row sums are the
+    # same bytes, and every x is within 64 ulps of max(|x|, 1) of the
+    # oracle's
+    run, digest = NUMPY_TANH_CASES[name]
+    new = run()
+    with mock.patch.object(diffusion, "_compiled", numpy_tanh_compiled):
+        old = run()
+    if digest:
+        h = hashlib.sha256()
+        for p in old:
+            h.update(pathio.dumps_binary(p))
+        assert h.hexdigest() == digest
+    assert len(new) == len(old)
+    for p, q in zip(new, old):
+        for a in ("event_times", "event_components", "skeleton_times", "skeleton_row_sums"):
+            assert getattr(p, a).tobytes() == getattr(q, a).tobytes()
+        ulps = np.abs(p.skeleton_x - q.skeleton_x) / np.spacing(np.maximum(abs(q.skeleton_x), 1.0))
+        assert ulps.max() <= 64
+    assert any(p.skeleton_x.tobytes() != q.skeleton_x.tobytes() for p, q in zip(new, old))
 
 
 def test_matrix_is_fully_pinned():

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import hjsim
 from hjsim import engine
-from hjsim.intensity import RateRuntime
+from hjsim.intensity import RateRuntime, _evaluators
 
-from helpers import make_model, ou_cfg, reference_model, two_component_model
+from helpers import em_cfg, make_model, ou_cfg, reference_model, two_component_model
 
 
 def kernel_runtime(alpha):
@@ -295,3 +295,17 @@ class TestRateRuntime:
         assert rt_a.flow.__code__ is rt_b.flow.__code__
         assert rt_a.bound.__code__ is rt_b.bound.__code__
         assert rt_a.flow is not rt_b.flow
+
+    def test_a_simulation_compiles_no_evaluator(self):
+        # thinning inlines the envelope and the flow, so paths on their own,
+        # in lockstep and by the reference construction never build
+        # ``bound`` and ``flow``; their first use does
+        _evaluators.cache_clear()
+        model = two_component_model()
+        hjsim.simulate_path(model, 20.0, ou_cfg(0.1), 5)
+        hjsim.simulate_path(model, 5.0, em_cfg(0.1, 0.03), 6)
+        hjsim.simulate_ensemble(model, 5.0, ou_cfg(0.5), 7, 40)
+        hjsim.simulate_path_reference(model, 2.0, ou_cfg(0.1), 8)
+        assert _evaluators.cache_info().currsize == 0
+        assert RateRuntime(model).bound([0.0] * 4) == RateRuntime(model).f_zero_sum
+        assert _evaluators.cache_info().currsize == 1

@@ -13,7 +13,7 @@ from hjsim.stability import (LyapunovSpec, _spec_from_report, drift_scan, dynkin
                              spectral_radius, stability_data, stability_report,
                              vandermonde_check, vandermonde_matrix)
 
-from helpers import (make_model, ou_cfg, polynomial_model, random_state,
+from helpers import (make_model, many_decades_model, ou_cfg, polynomial_model, random_state,
                      reference_model, supercritical_model, two_component_model)
 
 
@@ -397,3 +397,9 @@ def test_refusals(call, error, message):
     with pytest.raises(error) as info:
         call(reference_model())
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_left_vector_that_fails_its_residual_check_is_refused():
+    with pytest.raises(hjsim.NonConvergenceError,
+                       match=r"^left eigenvector residual \d\.\d\de-0\d too large$"):
+        stability_data(many_decades_model())
