@@ -10,6 +10,14 @@ beyond it; extra sample times, some within the time tolerance of an event;
 the reference construction; ensembles; sigmoid and clipped rates;
 inhibitory amplitudes; a power-bounded jump map; and a one-path exact-OU
 walk that meets every kind of record.
+
+A digest changes only where a change to float rounding is stated and
+checked against the old code as an oracle, its events, skeleton times and
+row sums byte for byte and its x within a few ulps.  Two cases were
+re-recorded so when tanh became libm's in both compiled forms:
+``m3_sigmoid_em_polynomial`` and ``ensemble_m3_polynomial_power_em``, the
+bounded-drift Euler-Maruyama runs, whose x moved by at most 1.7 ulps of
+max(|x|, 1); the oracle test below keeps their old digests.
 """
 
 import hashlib
@@ -184,7 +192,7 @@ GOLDEN = {
     "ensemble_m2_ou": "46c4e39102db26e405f51e5e8b2c43908f2d92255746778fe1eaca7e32cd58d6",
     "ensemble_m2_ou_groups": "0bfb37b3e82ba27519ebb33d86ebe6271b917b26e6b3d0edac0020abd44dad72",
     "ensemble_m3_polynomial_power_em":
-        "39fed770dab5511d5f63e906c39eee5ef76dd300defecd4e75584f4c84c59eec",
+        "d838d0c965f3090b0b1a7a11ce7f577468c333e62281db74aefac48c55109219",
     "ensemble_m3_sigmoid_ou": "4534963d7511b52b3b4df317e9095449f4e807ed709648fa4aefb1d181416754",
     "m1_drift_power_near_events_ou":
         "ea5429bcd917842169fc22a5ce86d80dea9f51620de80ee27cc1f5fd40e8a5cf",
@@ -206,7 +214,7 @@ GOLDEN = {
     "m2_inhibitory_ou": "73053b0231ad1c5a546b746976fd3b3ccabff73fc07e52b5be79602fe42b3d19",
     "m2_ou": "7b8850f46a43a49ffd971306b0879c342b3e21683f77befccf1beb7650174785",
     "m3_sigmoid_em_coarse": "492098d1cc1005bfd49f6bca52200bf34cc790917ed6de977ee4de4c7cc3e60f",
-    "m3_sigmoid_em_polynomial": "aa1e31c12c8e827bf4674fce9dc15a1d156bb10268058dd06d4a63115734afec",
+    "m3_sigmoid_em_polynomial": "8233713de2acff670d7b4bd9d13164ad66e5670fe07fa1129db1262cb8193a49",
     "m3_sigmoid_ou": "67532693a4b7140f3c2422f56300a2e2f9b07390c3a687008c02de855a7ec774",
     "reference_inhibitory_ou": "f0fa656d3e7ec4095fe96a4e6abd3cfec82b1cf3db2a2301c8deee593ce11c93",
     "reference_m1_ou": "9d7ea65938d4866610445a747583663befa7825df68cd0984d01e6daea4981a2",
