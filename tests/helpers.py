@@ -120,7 +120,7 @@ def polynomial_model():
 
 
 def many_decades_model():
-    """M = 5 unit decays and slopes, with amplitudes over 25 decades: the
+    """M = 5 unit decays and slopes, with amplitudes over 22 decades: the
     left Perron vector's residual, 8.2e-06, fails the 1e-10 * rho check."""
     c = [[4.28e-05, 0, 0, 0, 3.80e+04], [6.59e+06, 9.13e+03, 8.13e+08, 8.50e+08, 86.4],
          [7.91e+05, 4.71e-11, 5.54e-04, 4.43e-08, 5.55e-13], [3.20e-02, 0, 0, 9.82e-14, 5.51e-06],

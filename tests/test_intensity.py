@@ -1,3 +1,4 @@
+import copy
 import math
 from unittest import mock
 
@@ -307,5 +308,8 @@ class TestRateRuntime:
         hjsim.simulate_ensemble(model, 5.0, ou_cfg(0.5), 7, 40)
         hjsim.simulate_path_reference(model, 2.0, ou_cfg(0.1), 8)
         assert _evaluators.cache_info().currsize == 0
-        assert RateRuntime(model).bound([0.0] * 4) == RateRuntime(model).f_zero_sum
+        rt = RateRuntime(model)
+        assert rt.bound([0.0] * 4) == rt.f_zero_sum
         assert _evaluators.cache_info().currsize == 1
+        # a copy looks up names that a runtime lacks, which stay missing
+        assert copy.copy(rt).flow is rt.flow
